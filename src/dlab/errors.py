@@ -63,3 +63,7 @@ class ConfigError(DLabError):
 
 class SnapshotFormatError(DLabError):
     """Binary snapshot failed validation."""
+
+
+class MemoryBudgetError(DLabError):
+    """A computation would hold more memory than its budget allows."""

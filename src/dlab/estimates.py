@@ -29,7 +29,16 @@ from .grid import (
     sobolev_norm,
     to_physical,
 )
-from .norms import EpsilonPolicy, lateral_norm, linf_l2, strichartz_norm, xn_norm, yn_norm, gn_norm_upper
+from .norms import (
+    EpsilonPolicy,
+    gn_norm_upper,
+    lateral_norm,
+    lateral_norms,
+    linf_l2,
+    strichartz_norm,
+    xn_norm,
+    yn_norm,
+)
 from .projections import (
     Band,
     band_symbol,
@@ -663,9 +672,7 @@ class TrilinearHarness:
             lhs = N * strichartz_norm(projected, 1, 2)
         else:
             p, q = self.pol.g_lateral_pq
-            lhs = N ** (0.5 + self.pol.eps) * max(
-                lateral_norm(projected, p, q, ax) for ax in range(1, g.d + 1)
-            )
+            lhs = N ** (0.5 + self.pol.eps) * max(lateral_norms(projected, p, q))
         return float(lhs / rhs) if rhs > 0 else 0.0
 
 
@@ -734,19 +741,13 @@ def verify_duhamel_retarded(
     h_phys = h.map_frames(lambda fr: fr.in_domain(PHYSICAL))
 
     p_g, q_g = pol.g_lateral_pq
-    rhs = sum(
-        N ** (0.5 + pol.eps) * lateral_norm(h_phys, p_g, q_g, ax)
-        for ax in range(1, grid.d + 1)
-    )
+    rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(h_phys, p_g, q_g))
     stri = {}
     for q, r in strichartz_pairs:
         lhs = N * strichartz_norm(retarded, q, r)
         stri[f"({q},{r})"] = float(lhs / rhs)
     p_m, q_m = pol.x_lateral_pq
-    lhs_max = sum(
-        N ** (-0.5 + pol.eps) * lateral_norm(retarded, p_m, q_m, ax)
-        for ax in range(1, grid.d + 1)
-    )
+    lhs_max = N ** (-0.5 + pol.eps) * sum(lateral_norms(retarded, p_m, q_m))
     cmax = float(lhs_max / rhs)
     allc = list(stri.values()) + [cmax]
     return DuhamelRetardedReport(

@@ -3,10 +3,34 @@ their aggregates, and the Z norm used by the Morawetz/energy diagnostics.
 
 Time integrals use the trapezoid rule on trajectory frames (the integrand
 ||.||^q is only Lipschitz in t, so a higher-order rule buys nothing) and
-infinite exponents are realized as grid/frame maxima.  Lateral norms place
-the chosen coordinate axis outermost via one transpose pass and then take
-two nested power sums.  Large exponents (4/eps and friends) are evaluated
-with a peak-normalization guard so no intermediate overflows.
+infinite exponents are realized as grid/frame maxima.  Large exponents
+(4/eps and friends) are evaluated with a peak-normalization guard so no
+intermediate overflows: one peak over the whole window for a lateral norm,
+one peak per frame for the L^r sums of a Strichartz norm.
+
+Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
+several times.  They stack its frames once as a centered spectrum (a
+physical window takes one batched forward transform and one fftshift).
+Each projection multiplies the stack by the band symbol with the inverse
+transform's 1/dx^d folded in, inverse-transforms it with no centering
+shift, and reduces the result at once to |u|^2 in float64.
+Without the shifts a projected frame comes out cyclically shifted along
+each axis and, from a centered spectrum, with a sign (-1)^(n_1+...+n_d) on
+node n.  |u|^2 drops the sign, and every consumer of it is a sum or a
+maximum over whole axes, so the permutation leaves every value unchanged.  On one |u|^2 stack:
+
+* Strichartz pairs with the same r share one pass of per-frame L^r sums;
+* lateral norms with the same (p, q) share one time-weighted power array
+  W = sum_j w_j (|u_j| / peak)^q; the lateral norm along x_l is built from
+  the marginal of W over the other spatial axes.
+
+Memory: the kernel holds the complex frequency stack, one complex work
+stack and the float64 |u|^2 stack of the current projection.  Its window
+guard counts the float64 stack against _STACK_LIMIT and raises
+MemoryBudgetError beyond it.  The public strichartz_norm, lateral_norm and
+lateral_norms stream over an existing trajectory frame by frame instead and
+build no window stack; a lateral norm with finite q takes two passes, the
+peak and then the sums.
 """
 
 from __future__ import annotations
@@ -15,11 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidExponentError
-from .grid import FREQUENCY, PHYSICAL, Field, SpectralGrid, Trajectory
+from .errors import InvalidExponentError, MemoryBudgetError
+from .grid import PHYSICAL, SpectralGrid, Trajectory
 from .projections import Band, band_symbol
 
-_STACK_LIMIT = 6 * 10**8  # bytes of complex128 a norm evaluation may materialize
+# bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
+# kernel's complex stacks take four times as much
+_STACK_LIMIT = 3 * 10**8
 
 
 @dataclass(frozen=True)
@@ -112,16 +138,7 @@ def _window(v: Trajectory, interval) -> tuple:
     return i0, i1, w
 
 
-def _physical_arrays(v: Trajectory, i0: int, i1: int) -> list:
-    n = i1 - i0 + 1
-    if n * v.grid.size * 16 > _STACK_LIMIT:
-        raise MemoryError(
-            f"window of {n} frames on m={v.grid.m}^4 exceeds the norm stack limit"
-        )
-    return [v.frames[i].in_domain(PHYSICAL).values for i in range(i0, i1 + 1)]
-
-
-def _power_mean(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+def _power_mean(values: np.ndarray, weights, q: float) -> float:
     """(sum_j w_j values_j^q)^(1/q) with a peak guard; q = inf gives max."""
     values = np.asarray(values, dtype=float)
     if np.isinf(q):
@@ -132,22 +149,109 @@ def _power_mean(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     return float(peak * (np.sum(weights * (values / peak) ** q)) ** (1.0 / q))
 
 
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 of a complex array as float64."""
+    s = np.abs(a)
+    np.square(s, out=s)
+    return s
+
+
+def _frame_powers(v: Trajectory, i0: int, i1: int):
+    """|u|^2 of frames i0..i1, one frame at a time.
+
+    A frequency frame is inverse-transformed with no centering shift: its
+    nodes come out permuted and sign-modulated, which |u|^2 and every
+    whole-axis reduction of it do not see.
+    """
+    g = v.grid
+    for i in range(i0, i1 + 1):
+        fr = v.frames[i]
+        if fr.domain == PHYSICAL:
+            yield _abs2(fr.values)
+        else:
+            s = _abs2(np.fft.ifftn(fr.values))
+            s *= g.dx ** (-2 * g.d)
+            yield s
+
+
+def _lr_norms(powers, r: float, vol: float) -> np.ndarray:
+    """Per-frame L^r norms from |u|^2 frames, each guarded by its own peak."""
+    out = []
+    for s in powers:
+        peak2 = s.max()
+        if peak2 == 0.0:
+            out.append(0.0)
+        elif np.isinf(r):
+            out.append(np.sqrt(peak2))
+        else:
+            t = s / peak2
+            np.power(t, 0.5 * r, out=t)
+            out.append(np.sqrt(peak2) * (vol * np.sum(t)) ** (1.0 / r))
+    return np.array(out)
+
+
+def _strichartz(powers, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
+    """L^q_t L^r_x norms for each (q, r) pair; pairs sharing r share one pass."""
+    vol = grid.dx**grid.d
+    per_frame = {}
+    out = []
+    for q, r in pairs:
+        if r not in per_frame:
+            per_frame[r] = _lr_norms(powers(), r, vol)
+        out.append(_power_mean(per_frame[r], w, q))
+    return out
+
+
+def _lateral(powers, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes) -> list:
+    """Lateral L^{p,q}_{e_l} norms for each axis l in axes from |u|^2 frames.
+
+    ``powers()`` returns a fresh iterator over the window's |u|^2 frames.  With
+    finite q one power pass builds W = sum_j w_j (|u_j|/peak)^q under one peak
+    over the window; the inner (t, x') norm along x_l is its marginal over the
+    other axes, so every axis shares that pass.
+    """
+    d = grid.d
+    others = [tuple(a for a in range(d) if a != ax - 1) for ax in axes]
+    if np.isinf(q):
+        peak_map = None
+        for s in powers():
+            peak_map = s if peak_map is None else np.maximum(peak_map, s)
+        inners = [np.sqrt(peak_map.max(axis=o)) for o in others]
+    else:
+        peak2 = max(s.max() for s in powers())
+        if peak2 == 0.0:
+            return [0.0] * len(axes)
+        W = np.zeros(grid.shape)
+        for wt, s in zip(w, powers()):
+            t = s / peak2
+            np.power(t, 0.5 * q, out=t)
+            t *= wt
+            W += t
+        vol_inner = grid.dx ** (d - 1)
+        inners = [np.sqrt(peak2) * (vol_inner * W.sum(axis=o)) ** (1.0 / q) for o in others]
+    return [_power_mean(inner, grid.dx, p) for inner in inners]
+
+
+def _check_exponents(**exps) -> None:
+    bad = {k: v for k, v in exps.items() if v < 1}
+    if bad:
+        got = ", ".join(f"{k}={v}" for k, v in exps.items())
+        raise InvalidExponentError(f"exponents must be >= 1, got {got}")
+
+
 def strichartz_norm(v: Trajectory, q: float, r: float, interval=None) -> float:
     """L^q_t L^r_x norm over the window by trapezoid quadrature over frames."""
-    if q < 1 or r < 1:
-        raise InvalidExponentError(f"exponents must be >= 1, got q={q}, r={r}")
+    _check_exponents(q=q, r=r)
+    i0, i1, w = _window(v, interval)
+    return _strichartz(lambda: _frame_powers(v, i0, i1), w, v.grid, [(q, r)])[0]
+
+
+def lateral_norms(v: Trajectory, p: float, q: float, interval=None) -> tuple:
+    """Lateral L^{p,q}_{e_l} norms along every axis l = 1..d, sharing one power pass."""
+    _check_exponents(p=p, q=q)
     i0, i1, w = _window(v, interval)
     g = v.grid
-    vol = g.dx**g.d
-    per_frame = np.empty(i1 - i0 + 1)
-    for j, i in enumerate(range(i0, i1 + 1)):
-        a = np.abs(v.frames[i].in_domain(PHYSICAL).values)
-        if np.isinf(r):
-            per_frame[j] = a.max()
-        else:
-            peak = a.max()
-            per_frame[j] = 0.0 if peak == 0.0 else peak * (vol * np.sum((a / peak) ** r)) ** (1.0 / r)
-    return _power_mean(per_frame, w, q)
+    return tuple(_lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, range(1, g.d + 1)))
 
 
 def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval=None) -> float:
@@ -156,53 +260,58 @@ def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval=None) ->
     g = v.grid
     if not 1 <= axis <= g.d:
         raise InvalidExponentError(f"axis must be in 1..{g.d}, got {axis}")
-    if p < 1 or q < 1:
-        raise InvalidExponentError(f"exponents must be >= 1, got p={p}, q={q}")
+    _check_exponents(p=p, q=q)
     i0, i1, w = _window(v, interval)
-    arrs = _physical_arrays(v, i0, i1)
-    ax = axis - 1
-    other_axes = tuple(a for a in range(g.d) if a != ax)
-    vol_inner = g.dx ** (g.d - 1)
-
-    if np.isinf(q):
-        inner = np.zeros(g.m)
-        for a in arrs:
-            inner = np.maximum(inner, np.abs(a).max(axis=other_axes))
-    else:
-        peak = max((np.abs(a).max() for a in arrs), default=0.0)
-        if peak == 0.0:
-            return 0.0
-        acc = np.zeros(g.m)
-        for wt, a in zip(w, arrs):
-            acc += wt * np.sum((np.abs(a) / peak) ** q, axis=other_axes)
-        inner = peak * (vol_inner * acc) ** (1.0 / q)
-
-    if np.isinf(p):
-        return float(inner.max(initial=0.0))
-    pk = inner.max(initial=0.0)
-    if pk == 0.0:
-        return 0.0
-    return float(pk * (g.dx * np.sum((inner / pk) ** p)) ** (1.0 / p))
+    return _lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, (axis,))[0]
 
 
-def _batch_to_physical(stack_freq: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    axes = tuple(range(1, grid.d + 1))
-    a = np.fft.ifftshift(stack_freq, axes=axes)
-    a = np.fft.ifftn(a, axes=axes)
-    return np.fft.fftshift(a, axes=axes) / grid.dx**grid.d
+def _band_symbol_scaled(grid: SpectralGrid, N: float, axis=None) -> np.ndarray:
+    """P_N, times P_{N,e_axis} when axis is set, times the inverse transform's 1/dx^d."""
+    sym = band_symbol(grid, Band.dyadic(N)) * grid.dx ** (-grid.d)
+    if axis is not None:
+        sym *= band_symbol(grid, Band.directional(N, axis))
+    return sym
 
 
-def _band_projected(v: Trajectory, i0: int, i1: int, symbol: np.ndarray) -> Trajectory:
-    """Band-projected window as a new physical-domain trajectory."""
-    g = v.grid
-    n = i1 - i0 + 1
-    if n * g.size * 16 > _STACK_LIMIT:
-        raise MemoryError("band projection window exceeds the norm stack limit")
-    stack = np.stack([v.frames[i].in_domain(FREQUENCY).values for i in range(i0, i1 + 1)])
-    stack *= symbol
-    phys = _batch_to_physical(stack, g)
-    frames = tuple(Field(g, PHYSICAL, phys[j]) for j in range(n))
-    return Trajectory(g, v.t0 + i0 * v.dt, v.dt, frames)
+class _BandStack:
+    """Frames i0..i1 of a trajectory as one centered frequency stack, ready to project.
+
+    Physical frames are forward-transformed as stored, which gives their
+    spectrum in FFT order times a sign (-1)^(k_1+...+k_d) per mode; one
+    fftshift centers it.  A projection inverse-transforms with no centering
+    shift, so the projected frame comes out cyclically shifted and
+    sign-modulated, which |u|^2 and every whole-axis reduction of it do not see.
+    """
+
+    def __init__(self, v: Trajectory, i0: int, i1: int):
+        g = v.grid
+        n = i1 - i0 + 1
+        if n * g.size * 8 > _STACK_LIMIT:
+            raise MemoryBudgetError(
+                f"window of {n} frames on m={g.m}^{g.d} needs {n * g.size * 8} bytes of "
+                f"|u|^2 stack, over the norm limit of {_STACK_LIMIT}"
+            )
+        self.axes = tuple(range(1, g.d + 1))
+        stack = np.stack([v.frames[i].values for i in range(i0, i1 + 1)])
+        if v.domain == PHYSICAL:
+            np.fft.fftn(stack, axes=self.axes, out=stack)
+            stack = np.fft.fftshift(stack, axes=self.axes)
+            stack *= g.dx**g.d
+        self.freq = stack
+        self.work = np.empty_like(stack)
+
+    def power(self, symbol: np.ndarray) -> np.ndarray:
+        """|u|^2 of the projection by a centered symbol that carries 1/dx^d."""
+        np.multiply(self.freq, symbol, out=self.work)
+        np.fft.ifftn(self.work, axes=self.axes, out=self.work)
+        return _abs2(self.work)
+
+
+def _band_window(v: Trajectory, N: float, interval) -> tuple:
+    """(band stack of the window, |P_N u|^2 stack, trapezoid weights)."""
+    i0, i1, w = _window(v, interval)
+    bs = _BandStack(v, i0, i1)
+    return bs, bs.power(_band_symbol_scaled(v.grid, N)), w
 
 
 def aggregate_bands(grid: SpectralGrid) -> list:
@@ -223,14 +332,10 @@ def xn_norm(v: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
         + sum_axes N^(-1/2+eps) ||P_N v||_{lateral (4/(2-eps), 4/eps)}.
     """
     g = v.grid
-    i0, i1, _ = _window(v, interval)
-    vN = _band_projected(v, i0, i1, band_symbol(g, Band.dyadic(N)))
-    total = N * strichartz_norm(vN, 2, 4)
-    total += N * strichartz_norm(vN, 3, 3)
-    total += N * strichartz_norm(vN, 6, 12.0 / 5.0)
+    _, S, w = _band_window(v, N, interval)
+    total = N * sum(_strichartz(lambda: S, w, g, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
     p, q = pol.x_lateral_pq
-    for ax in range(1, g.d + 1):
-        total += N ** (-0.5 + pol.eps) * lateral_norm(vN, p, q, ax)
+    total += N ** (-0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))
     return float(total)
 
 
@@ -242,20 +347,17 @@ def yn_norm(F: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
         + sum_axes N^(-1/6) ||P_N F||_{lateral (4/(2-eps), 4/eps)}.
     """
     g = F.grid
-    i0, i1, _ = _window(F, interval)
+    bs, S, w = _band_window(F, N, interval)
     japN = (1.0 + N * N) ** 0.5
     wN = japN ** (1.0 / 3.0 + 3.0 * pol.eps)
-    sym_N = band_symbol(g, Band.dyadic(N))
-    FN = _band_projected(F, i0, i1, sym_N)
-    total = wN * (strichartz_norm(FN, 3, 6) + strichartz_norm(FN, 6, 6))
+    total = wN * sum(_strichartz(lambda: S, w, g, [(3, 6), (6, 6)]))
+    p_mx, q_mx = pol.y_maximal_pq
+    total += N ** (-1.0 / 6.0) * sum(_lateral(lambda: S, w, g, p_mx, q_mx, range(1, g.d + 1)))
+    del S  # hold one |u|^2 stack at a time
     p_ls, q_ls = pol.y_smoothing_pq
     for ax in range(1, g.d + 1):
-        sym_dir = band_symbol(g, Band.directional(N, ax)) * sym_N
-        FNdir = _band_projected(F, i0, i1, sym_dir)
-        total += wN * N ** (0.5 - pol.eps) * lateral_norm(FNdir, p_ls, q_ls, ax)
-    p_mx, q_mx = pol.y_maximal_pq
-    for ax in range(1, g.d + 1):
-        total += N ** (-1.0 / 6.0) * lateral_norm(FN, p_mx, q_mx, ax)
+        S_dir = bs.power(_band_symbol_scaled(g, N, ax))
+        total += wN * N ** (0.5 - pol.eps) * _lateral(lambda: S_dir, w, g, p_ls, q_ls, (ax,))[0]
     return float(total)
 
 
@@ -267,13 +369,10 @@ def gn_norm_upper(h: Trajectory, N: float, interval=None, pol: EpsilonPolicy = E
     upper bound (reported as such wherever it enters a NormReport).
     """
     g = h.grid
-    i0, i1, _ = _window(h, interval)
-    hN = _band_projected(h, i0, i1, band_symbol(g, Band.dyadic(N)))
-    term1 = N * strichartz_norm(hN, 1, 2)
+    _, S, w = _band_window(h, N, interval)
+    term1 = N * _strichartz(lambda: S, w, g, [(1, 2)])[0]
     p, q = pol.g_lateral_pq
-    term2 = 0.0
-    for ax in range(1, g.d + 1):
-        term2 += N ** (0.5 + pol.eps) * lateral_norm(hN, p, q, ax)
+    term2 = N ** (0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))
     return float(min(term1, term2))
 
 
@@ -308,19 +407,14 @@ def z_norm(F: Trajectory, interval=None) -> float:
     term1 = strichartz_norm(F, 3, 6, interval)
 
     jap = (1.0 + g.x_squared) ** 0.25
+    grad_syms = [1j * g.axis_coord(ax, frequency=True) * g.dx ** (-g.d) for ax in range(1, g.d + 1)]
     sup_w = np.empty(i1 - i0 + 1)
     grad_l4 = np.empty(i1 - i0 + 1)
     vol = g.dx**g.d
     for j, i in enumerate(range(i0, i1 + 1)):
-        fr = F.frames[i]
-        phys = fr.in_domain(PHYSICAL).values
-        sup_w[j] = (jap * np.abs(phys)).max()
-        fh = fr.in_domain(FREQUENCY).values
-        gmag2 = np.zeros(g.shape)
-        for ax in range(1, g.d + 1):
-            sym = 1j * g.axis_coord(ax, frequency=True)
-            stackp = _batch_to_physical((fh * sym)[None, ...], g)[0]
-            gmag2 += np.abs(stackp) ** 2
+        sup_w[j] = (jap * np.abs(F.frames[i].in_domain(PHYSICAL).values)).max()
+        bs = _BandStack(F, i, i)
+        gmag2 = sum(bs.power(sym) for sym in grad_syms)
         grad_l4[j] = (vol * np.sum(gmag2**2)) ** 0.25
     term2 = _power_mean(sup_w, w, 2)
     term3 = _power_mean(grad_l4, w, 2)

@@ -136,7 +136,7 @@ def test_lp_norm_infinity_and_monotone():
 def test_lp_monotone_in_magnitude(seed, r):
     g = SpectralGrid(m=8, L=8.0)
     f = random_field(g, seed)
-    gfield = Field.physical(g, f.values * 1.001 + 0.01)
+    gfield = Field.physical(g, np.abs(f.values) * 1.001 + 0.01)
     assert lp_norm(f, r) <= lp_norm(Field.physical(g, np.abs(gfield.values)), r) + 1e-12
 
 

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlab.errors import InvalidExponentError
-from dlab.grid import FREQUENCY, PHYSICAL, Field, SpectralGrid, Trajectory, random_field
+from dlab import norms as norms_mod
+from dlab.errors import DLabError, InvalidExponentError, MemoryBudgetError
+from dlab.grid import (
+    FREQUENCY,
+    PHYSICAL,
+    Field,
+    SpectralGrid,
+    Trajectory,
+    random_field,
+    to_physical,
+)
 from dlab.norms import (
     EpsilonPolicy,
     aggregate_bands,
@@ -12,13 +21,16 @@ from dlab.norms import (
     gn_norm_upper,
     is_admissible,
     lateral_norm,
+    lateral_norms,
     linf_h1,
     strichartz_norm,
     x_norm,
     xn_norm,
     y_norm,
+    yn_norm,
     z_norm,
 )
+from dlab.projections import Band, band_symbol
 from dlab.propagate import free_trajectory
 
 
@@ -220,3 +232,161 @@ def test_strichartz_shell_constant_bounded():
         v = free_trajectory(f, 0.0, T / 8, 9).map_frames(lambda fr: fr.in_domain(PHYSICAL))
         val = strichartz_norm(v, 2, 4)
         assert val <= 10.0
+
+
+# ---------------------------------------------------------------- band-stack kernel oracles
+
+
+@pytest.fixture(scope="module")
+def grid8():
+    return SpectralGrid(m=8, L=4 * np.pi)
+
+
+def _traj8(grid, domain):
+    f = random_field(grid, 77, domain=FREQUENCY, band_limit=2.0)
+    v = free_trajectory(f, 0.0, 0.1, 7)
+    return v.map_frames(lambda fr: fr.in_domain(domain))
+
+
+def _projected(v, sym):
+    """Per-frame band projection through the public transform pair."""
+    g = v.grid
+    return v.map_frames(
+        lambda fr: to_physical(Field(g, FREQUENCY, fr.in_domain(FREQUENCY).values * sym))
+    )
+
+
+def _xn_oracle(v, N, interval, pol):
+    vN = _projected(v, band_symbol(v.grid, Band.dyadic(N)))
+    pairs = ((2, 4), (3, 3), (6, 12.0 / 5.0))
+    total = N * sum(strichartz_norm(vN, q, r, interval) for q, r in pairs)
+    p, q = pol.x_lateral_pq
+    for ax in range(1, v.grid.d + 1):
+        total += N ** (-0.5 + pol.eps) * lateral_norm(vN, p, q, ax, interval)
+    return total
+
+
+def _yn_oracle(F, N, interval, pol):
+    g = F.grid
+    sym_N = band_symbol(g, Band.dyadic(N))
+    FN = _projected(F, sym_N)
+    wN = (1.0 + N * N) ** (0.5 * (1.0 / 3.0 + 3.0 * pol.eps))
+    total = wN * (strichartz_norm(FN, 3, 6, interval) + strichartz_norm(FN, 6, 6, interval))
+    p_ls, q_ls = pol.y_smoothing_pq
+    p_mx, q_mx = pol.y_maximal_pq
+    for ax in range(1, g.d + 1):
+        FNdir = _projected(F, band_symbol(g, Band.directional(N, ax)) * sym_N)
+        total += wN * N ** (0.5 - pol.eps) * lateral_norm(FNdir, p_ls, q_ls, ax, interval)
+        total += N ** (-1.0 / 6.0) * lateral_norm(FN, p_mx, q_mx, ax, interval)
+    return total
+
+
+def _gn_oracle(h, N, interval, pol):
+    hN = _projected(h, band_symbol(h.grid, Band.dyadic(N)))
+    term1 = N * strichartz_norm(hN, 1, 2, interval)
+    p, q = pol.g_lateral_pq
+    term2 = sum(N ** (0.5 + pol.eps) * lateral_norm(hN, p, q, ax, interval) for ax in range(1, 5))
+    return min(term1, term2)
+
+
+@pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
+@pytest.mark.parametrize("which", ["X", "Y", "G"])
+def test_band_norms_match_definitions(grid8, domain, which):
+    pol = EpsilonPolicy(eps=0.02, s=0.4)
+    v = _traj8(grid8, domain)
+    kernel, oracle = {
+        "X": (xn_norm, _xn_oracle),
+        "Y": (yn_norm, _yn_oracle),
+        "G": (gn_norm_upper, _gn_oracle),
+    }[which]
+    for interval in (None, (v.dt, v.t_end - v.dt)):
+        for N in (0.5, 1.0, 2.0):
+            expected = oracle(v, N, interval, pol)
+            assert expected > 0.0
+            assert kernel(v, N, interval, pol) == pytest.approx(expected, rel=1e-12)
+
+
+def test_z_norm_matches_definition(grid8):
+    v = _traj8(grid8, PHYSICAL)
+    g = grid8
+    w = np.full(v.n_frames, v.dt)
+    w[0] = w[-1] = 0.5 * v.dt
+    jap = (1.0 + g.x_squared) ** 0.25
+    sup_w = np.array([(jap * np.abs(fr.values)).max() for fr in v.frames])
+    grad_l4 = []
+    for fr in v.frames:
+        fh = fr.in_domain(FREQUENCY).values
+        gmag2 = 0.0
+        for ax in range(1, g.d + 1):
+            d_ax = to_physical(Field(g, FREQUENCY, fh * 1j * g.axis_coord(ax, frequency=True)))
+            gmag2 = gmag2 + np.abs(d_ax.values) ** 2
+        grad_l4.append((g.dx**g.d * np.sum(gmag2**2)) ** 0.25)
+    expected = (
+        strichartz_norm(v, 3, 6)
+        + np.sqrt(np.sum(w * sup_w**2))
+        + np.sqrt(np.sum(w * np.array(grad_l4) ** 2))
+    )
+    assert z_norm(v) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
+@pytest.mark.parametrize(
+    "p,q",
+    [(2.0, 4.0), (4.0 / 1.98, 200.0), (200.0, 4.0 / 1.98), (np.inf, 3.0), (3.0, np.inf), (np.inf, np.inf)],
+)
+def test_lateral_norms_equal_per_axis_calls(grid8, domain, p, q):
+    v = _traj8(grid8, domain)
+    for interval in (None, (v.dt, v.t_end - v.dt)):
+        every = lateral_norms(v, p, q, interval)
+        assert len(every) == 4
+        for ax in range(1, 5):
+            assert every[ax - 1] == pytest.approx(lateral_norm(v, p, q, ax, interval), rel=1e-12)
+
+
+def test_lateral_norms_validates_exponents(traj):
+    with pytest.raises(InvalidExponentError):
+        lateral_norms(traj, 0.5, 2)
+    with pytest.raises(InvalidExponentError):
+        lateral_norms(traj, 2, 0.9)
+
+
+def test_norms_invariant_under_fftshift_of_frames(grid8):
+    # the kernel leaves projected frames in FFT order; the reductions must not see it
+    v = _traj8(grid8, PHYSICAL)
+    shifted = v.map_frames(lambda fr: Field.physical(grid8, np.fft.fftshift(fr.values)))
+    for q, r in ((2, 4), (3, 6), (1, 2), (np.inf, 2), (6, np.inf)):
+        assert strichartz_norm(shifted, q, r) == pytest.approx(strichartz_norm(v, q, r), rel=1e-12)
+    for p, q in ((2.0, 4.0), (4.0 / 1.98, 200.0), (np.inf, 3.0), (3.0, np.inf)):
+        for ax in range(1, 5):
+            expected = lateral_norm(v, p, q, ax)
+            assert lateral_norm(shifted, p, q, ax) == pytest.approx(expected, rel=1e-12)
+
+
+def test_band_stack_guard_raises_dlab_error(grid8, monkeypatch):
+    v = _traj8(grid8, PHYSICAL)
+    stack_bytes = v.n_frames * grid8.size * 8  # the float64 |u|^2 stack
+    monkeypatch.setattr(norms_mod, "_STACK_LIMIT", stack_bytes)
+    xn_norm(v, 1.0)
+    monkeypatch.setattr(norms_mod, "_STACK_LIMIT", stack_bytes - 1)
+    for fn in (xn_norm, yn_norm, gn_norm_upper):
+        with pytest.raises(DLabError) as info:
+            fn(v, 1.0)
+        assert isinstance(info.value, MemoryBudgetError)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (3.0, 1.5), (np.inf, 3.0), (3.0, np.inf)])
+def test_lateral_norm_matches_direct_formula(grid8, p, q):
+    # moderate exponents: the unguarded textbook sums neither overflow nor underflow
+    v = _traj8(grid8, PHYSICAL)
+    g = grid8
+    a = np.abs(np.stack([fr.values for fr in v.frames]))
+    w = np.full(v.n_frames, v.dt)
+    w[0] = w[-1] = 0.5 * v.dt
+    for ax in range(1, 5):
+        others = tuple(1 + k for k in range(4) if k != ax - 1)
+        if np.isinf(q):
+            inner = a.max(axis=(0,) + others)
+        else:
+            inner = (g.dx**3 * np.tensordot(w, np.sum(a**q, axis=others), axes=1)) ** (1.0 / q)
+        expected = inner.max() if np.isinf(p) else (g.dx * np.sum(inner**p)) ** (1.0 / p)
+        assert lateral_norm(v, p, q, ax) == pytest.approx(expected, rel=1e-12)
