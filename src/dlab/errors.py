@@ -36,13 +36,15 @@ class RegimeViolationError(DLabError):
 class BlowupDetected(DLabError):
     """Time integration hit the blowup guard.
 
-    Carries the step index and the partial trajectory up to the last good frame.
+    Carries the step index, the partial trajectory up to the last good frame
+    and the max norm that tripped the guard (inf or nan when non-finite).
     """
 
-    def __init__(self, step: int, trajectory=None):
+    def __init__(self, step: int, trajectory=None, peak: float = float("nan")):
         super().__init__(f"blowup detected at step {step}")
         self.step = step
         self.trajectory = trajectory
+        self.peak = peak
 
 
 class NoContractionError(DLabError):

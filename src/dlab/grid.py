@@ -87,14 +87,18 @@ class SpectralGrid:
         """Frequency coordinates along one axis (centered)."""
         return self.dxi * (np.arange(self.m) - self.m // 2)
 
+    @cached_property
+    def xi1d_fft(self) -> np.ndarray:
+        """``xi1d`` in FFT order: index 0 is xi = 0, index m/2 the Nyquist -m*dxi/2."""
+        k = np.arange(self.m)
+        k[self.m // 2 :] -= self.m
+        return self.dxi * k
+
     def axis_coord(self, axis: int, frequency: bool = False) -> np.ndarray:
         """Coordinate array broadcastable along a given axis (1-based)."""
         if not 1 <= axis <= self.d:
             raise ValueError(f"axis must be in 1..{self.d}, got {axis}")
-        coord = self.xi1d if frequency else self.x1d
-        shape = [1] * self.d
-        shape[axis - 1] = self.m
-        return coord.reshape(shape)
+        return broadcast_along(self.xi1d if frequency else self.x1d, axis - 1, self.d)
 
     @cached_property
     def x_squared(self) -> np.ndarray:
@@ -276,31 +280,63 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     return float(np.sqrt(total))
 
 
+def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
+    """View of a 1D array that broadcasts along array axis ``axis`` (0-based) of a d-array."""
+    shape = [1] * d
+    shape[axis] = vec.shape[0]
+    return vec.reshape(shape)
+
+
+def _spectral_gradient(f: Field) -> tuple:
+    """Forward spectrum of a field and its partial derivatives, with no centering shift.
+
+    Returns ``(fh, partial)``: ``fh`` is ``fftn`` of the centred physical
+    values (FFT order, no dx^d factor) and ``partial(ax, out=None)`` writes
+    d_{ax+1} f on the centred physical lattice into ``out`` (a new array when
+    None) with one ``ifftn``, so a caller that reduces the derivatives one at a
+    time holds a single derivative buffer.  A centred frame is a periodic
+    sample whose index origin only multiplies its spectrum by a phase, which
+    commutes with every Fourier multiplier, so the derivatives are
+    ``ifftn(i xi_fft * fftn(u))`` on the centred array itself.  A
+    frequency-domain input is uncentred once and given that phase, (-1)^(k_1 +
+    ... + k_d), explicitly.
+    """
+    g = f.grid
+    if f.domain == PHYSICAL:
+        fh = np.fft.fftn(f.values, out=np.empty_like(f.values))
+    else:
+        fh = np.fft.ifftshift(f.values)
+        fh *= g.dx ** (-g.d)
+        for ax in range(g.d):
+            fh[(slice(None),) * ax + (slice(1, None, 2),)] *= -1.0
+    dfac = 1j * g.xi1d_fft
+    dfac[g.m // 2] = 0.0
+
+    def partial(ax: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(fh, broadcast_along(dfac, ax, g.d), out=out)
+        return np.fft.ifftn(out, out=out)
+
+    return fh, partial
+
+
 def gradient_fields(f: Field) -> list:
     """Spectral partial derivatives [d_1 f, ..., d_d f] in the physical domain.
 
     The unpaired Nyquist mode's derivative multiplier is zeroed (standard
-    convention) so differentiation maps real fields to real fields exactly.
+    convention: FFT index m/2, centred index 0) so differentiation maps real
+    fields to real fields exactly.
     """
-    g = f.grid
-    fh = f.in_domain(FREQUENCY)
-    out = []
-    for ax in range(1, g.d + 1):
-        coord = g.xi1d.copy()
-        coord[0] = 0.0
-        shape = [1] * g.d
-        shape[ax - 1] = g.m
-        sym = 1j * coord.reshape(shape)
-        out.append(to_physical(Field(g, FREQUENCY, fh.values * sym)))
-    return out
+    _, partial = _spectral_gradient(f)
+    return [Field(f.grid, PHYSICAL, partial(ax)) for ax in range(f.grid.d)]
 
 
 def gradient_magnitude(f: Field) -> np.ndarray:
     """Pointwise |grad f| on the physical lattice."""
-    parts = gradient_fields(f)
+    _, partial = _spectral_gradient(f)
+    part = np.empty(f.grid.shape, dtype=np.complex128)
     acc = np.zeros(f.grid.shape)
-    for p in parts:
-        acc += np.abs(p.values) ** 2
+    for ax in range(f.grid.d):
+        acc += np.abs(partial(ax, part)) ** 2
     return np.sqrt(acc)
 
 

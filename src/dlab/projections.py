@@ -177,26 +177,36 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
     return sym
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def _dyadic_symbol_cached(grid: SpectralGrid, kind: str, N: float, axis) -> np.ndarray:
-    r = np.sqrt(grid.xi_squared)
-    if kind == "dyadic":
-        return radial_cutoff(r / N) - radial_cutoff(2.0 * r / N)
-    if kind == "dyadic_leq":
-        return radial_cutoff(r / N)
-    if kind == "dyadic_gt":
-        return 1.0 - radial_cutoff(r / N)
-    if kind == "fattened":
-        return radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N)
+    """Read-only symbol; a directional one is its broadcastable 1D factor."""
     if kind == "directional":
         xl = np.abs(grid.axis_coord(axis, frequency=True))
-        sym = directional_bump(xl / N)
-        return np.broadcast_to(sym, grid.shape).copy()
+        return _read_only(directional_bump(xl / N))
+    r = np.sqrt(grid.xi_squared)
+    if kind == "dyadic":
+        return _read_only(radial_cutoff(r / N) - radial_cutoff(2.0 * r / N))
+    if kind == "dyadic_leq":
+        return _read_only(radial_cutoff(r / N))
+    if kind == "dyadic_gt":
+        return _read_only(1.0 - radial_cutoff(r / N))
+    if kind == "fattened":
+        return _read_only(radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N))
     raise ValueError(kind)
 
 
 def band_symbol(grid: SpectralGrid, band: Band) -> np.ndarray:
-    """The multiplier symbol of a band on the grid's frequency lattice."""
+    """The multiplier symbol of a band on the grid's frequency lattice.
+
+    Dyadic-family symbols are cached and read-only; a directional symbol
+    depends on one axis only and comes as a 1D factor shaped to broadcast
+    against the grid.
+    """
     check_band_resolved(grid, band)
     if band.kind == "unit":
         return psi_symbol(grid, band.k)
@@ -227,19 +237,19 @@ def _spatial_symbol_cached(grid: SpectralGrid, kind: str, j: int) -> np.ndarray:
     r = np.sqrt(grid.x_squared)
     if kind == "chi":
         if j == 0:
-            return radial_cutoff(r)
-        return radial_cutoff(r / 2.0**j) - radial_cutoff(r / 2.0 ** (j - 1))
+            return _read_only(radial_cutoff(r))
+        return _read_only(radial_cutoff(r / 2.0**j) - radial_cutoff(r / 2.0 ** (j - 1)))
     if kind == "chi_leq":
-        return radial_cutoff(r / 2.0**j)
+        return _read_only(radial_cutoff(r / 2.0**j))
     if kind == "chi_gt":
-        return 1.0 - radial_cutoff(r / 2.0**j)
+        return _read_only(1.0 - radial_cutoff(r / 2.0**j))
     if kind == "chi_fattened":
         # equals 1 on supp chi_j so chi_j = chi_j * fattened chi_j exactly
         outer = radial_cutoff(r / 2.0 ** (j + 2))
         if j == 0:
-            return outer
+            return _read_only(outer)
         inner = 1.0 - radial_cutoff(r / 2.0 ** (j - 3))
-        return outer * inner
+        return _read_only(outer * inner)
     raise ValueError(kind)
 
 
@@ -275,7 +285,7 @@ def unit_cell_tables(grid: SpectralGrid) -> tuple:
     n0 = np.floor(xi).astype(int)
     w0 = phi1(xi - n0)
     w1 = phi1(xi - n0 - 1.0)
-    return n0, w0, w1
+    return _read_only(n0), _read_only(w0), _read_only(w1)
 
 
 def active_cell_box(grid: SpectralGrid) -> int:

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FREQUENCY, Field, SpectralGrid, Trajectory
+from .grid import FREQUENCY, Field, SpectralGrid, Trajectory, broadcast_along
 
 
 def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
-    return np.exp(-1j * t * grid.xi_squared)
+    """exp(-i t |xi|^2) on the centred frequency lattice, as a product of d 1D factors."""
+    phase = np.exp(-1j * t * grid.xi1d**2)
+    out = broadcast_along(phase, 0, grid.d)
+    for ax in range(1, grid.d):
+        out = out * broadcast_along(phase, ax, grid.d)
+    return out
 
 
 def schrodinger_flow(f: Field, t: float) -> Field:

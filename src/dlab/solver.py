@@ -11,12 +11,26 @@ The forced equation (i d_t + Laplace) v = mu |F+v|^2 (F+v) is solved through
 the change of variables u := F + v: when F solves the linear equation exactly
 on the grid (free flows here are exact multipliers), u solves the standard
 cubic NLS, so no separate splitting-error analysis is needed.
+
+The Morawetz audit makes one spectral pass per frame: one fftn and d = 4
+ifftn, taken on the centred physical frame with no centering shift.  From
+that spectrum and the four derivatives come the Morawetz action, the dm/dt
+right side (interior frames), ||v||_{Hdot^1} by Parseval on the same
+spectrum, and, with |v|^2, the bulk densities and ||v||_2; the forcing
+difference H is built once and feeds both the right side and ||H||_2.  The
+weight arrays 1/a, 1/a^3, Lap a, LapLap a are built once per audit call and
+dropped on return.  A frame holds its spectrum, one derivative buffer
+reused for the d axes, x.grad v and |grad v|^2 (3.5 complex m^d arrays, 56 MB
+at m = 32), all released before the next frame.  The energy audit
+shares the pass: energy, |grad v| and the Morawetz series of v come from one
+spectrum, so a frame costs 15 transforms (v, F and the flux W, 5 each).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -27,11 +41,12 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
-    gradient_fields,
+    _spectral_gradient,
+    broadcast_along,
     lp_norm,
     sobolev_norm,
 )
-from .norms import EpsilonPolicy, linf_h1, linf_l2, x_norm
+from .norms import EpsilonPolicy, _abs2, x_norm
 from .propagate import duhamel, schrodinger_flow
 
 
@@ -72,24 +87,17 @@ class NLSRunConfig:
 
 def _fft_order_xi2(grid: SpectralGrid) -> np.ndarray:
     """|xi|^2 in plain FFT ordering (solver works unshifted for speed)."""
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.dx)
-    out = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.m
-        out = out + xi.reshape(shape) ** 2
-    return out
+    return reduce(
+        np.add, (broadcast_along(grid.xi1d_fft**2, ax, grid.d) for ax in range(grid.d))
+    )
 
 
 def _fft_order_dealias(grid: SpectralGrid) -> np.ndarray:
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.dx)
-    cut = (2.0 / 3.0) * np.abs(xi).max()
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.m
-        mask = mask & (np.abs(xi).reshape(shape) <= cut)
-    return mask
+    xi = np.abs(grid.xi1d_fft)
+    keep = xi <= (2.0 / 3.0) * xi.max()
+    return reduce(
+        np.logical_and, (broadcast_along(keep, ax, grid.d) for ax in range(grid.d))
+    )
 
 
 def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
@@ -112,7 +120,8 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
     for step in range(1, cfg.n_steps + 1):
         uh = np.fft.fftn(u) * half
         u = np.fft.ifftn(uh)
-        u = u * np.exp(-1j * cfg.mu * cfg.dt * np.abs(u) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = u * np.exp(-1j * cfg.mu * cfg.dt * np.abs(u) ** 2)
         if mask is not None:
             uh = np.fft.fftn(u)
             uh *= mask
@@ -122,10 +131,11 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
             uh *= mask
         u = np.fft.ifftn(uh)
 
-        peak = float(np.abs(u).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = float(np.abs(u).max())
         if not np.isfinite(peak) or peak > guard:
             partial = Trajectory(g, 0.0, snap_dt, tuple(frames)) if frames else None
-            raise BlowupDetected(step, partial)
+            raise BlowupDetected(step, partial, peak)
         if step % cfg.snapshot_stride == 0:
             frames.append(Field.physical(g, u.copy()))
     return Trajectory(g, 0.0, snap_dt, tuple(frames))
@@ -280,19 +290,68 @@ def mass(v: Field) -> float:
     return float(lp_norm(v.in_domain(PHYSICAL), 2) ** 2)
 
 
-def _weight_arrays(grid: SpectralGrid, sigma: float):
-    """Derivatives of the regularized Lin-Strauss weight a = (|x|^2 + s^2)^(1/2).
+def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
+    """1/a, 1/a^3, Lap a and LapLap a of the regularized Lin-Strauss weight
+    a = (|x|^2 + s^2)^(1/2), raveled.
 
     Lap a = (3 r^2 + 4 s^2)/a^3 and LapLap a = -24/a^3 + 36 r^2/a^5 - 15 r^4/a^7
     in four dimensions (for s -> 0 these recover 3/|x| and -3/|x|^3).
     """
     if grid.d != 4:
         raise ValueError("Morawetz diagnostics are defined for d = 4")
-    r2 = grid.x_squared
+    r2 = grid.x_squared.ravel()
     a = np.sqrt(r2 + sigma**2)
-    lap_a = (3.0 * r2 + 4.0 * sigma**2) / a**3
-    bilap_a = -24.0 * a**-3 + 36.0 * r2 * a**-5 - 15.0 * r2**2 * a**-7
-    return a, lap_a, bilap_a
+    inv_a3 = a**-3
+    lap_a = (3.0 * r2 + 4.0 * sigma**2) * inv_a3
+    bilap_a = -24.0 * inv_a3 + 36.0 * r2 * a**-5 - 15.0 * r2**2 * a**-7
+    return 1.0 / a, inv_a3, lap_a, bilap_a
+
+
+def _inv_weight(grid: SpectralGrid, sigma: float) -> np.ndarray:
+    """1/a for a = (|x|^2 + sigma^2)^(1/2), raveled."""
+    return 1.0 / np.sqrt(grid.x_squared.ravel() + sigma**2)
+
+
+def _frame_pass(v: Field) -> tuple:
+    """One frame's values, spectrum, x.grad v and |grad v|^2 from one fftn and d ifftn.
+
+    Returns raveled arrays; the spectrum is the unnormalized FFT-order one of
+    ``grid._spectral_gradient``, so Parseval needs only |xi|^2 in FFT order.
+    """
+    g = v.grid
+    fh, partial = _spectral_gradient(v)
+    grad2 = np.zeros(g.shape)
+    xdot = np.zeros(g.shape, dtype=np.complex128)
+    part = np.empty(g.shape, dtype=np.complex128)
+    for ax in range(g.d):
+        partial(ax, part)
+        grad2 += _abs2(part)
+        part *= broadcast_along(g.x1d, ax, g.d)
+        xdot += part
+    vals = v.in_domain(PHYSICAL).values.ravel()
+    return vals, fh.ravel(), xdot.ravel(), grad2.ravel()
+
+
+def _h1_squared(fh: np.ndarray, xi2: np.ndarray, grid: SpectralGrid) -> float:
+    """||v||_{Hdot^1}^2 by Parseval on a ``_frame_pass`` spectrum (raveled, FFT order)."""
+    return grid.dx**grid.d / grid.size * float(np.dot(_abs2(fh), xi2))
+
+
+def _action(vals: np.ndarray, xdot: np.ndarray, inv_a: np.ndarray, vol: float) -> float:
+    """2 Im int (x/a . grad v) conj(v) dx, from x.grad v."""
+    return 2.0 * vol * float(np.dot(vals.real * xdot.imag - vals.imag * xdot.real, inv_a))
+
+
+def _dmdt_rhs(vals, rho, xdot, grad2, H, weights, vol: float) -> float:
+    """Right side of the Morawetz identity from one frame pass; rho = |v|^2."""
+    inv_a, inv_a3, lap_a, bilap_a = weights
+    total = -np.dot(bilap_a, rho)
+    total += 4.0 * (np.dot(grad2, inv_a) - np.dot(_abs2(xdot), inv_a3))
+    total += np.dot(lap_a, rho * rho)
+    if H is not None:
+        total += 4.0 * np.dot(H.real * xdot.real + H.imag * xdot.imag, inv_a)
+        total += 2.0 * np.dot(lap_a, vals.real * H.real + vals.imag * H.imag)
+    return float(vol * total)
 
 
 def morawetz_action(v: Field, sigma: float | None = None) -> float:
@@ -304,40 +363,18 @@ def morawetz_action(v: Field, sigma: float | None = None) -> float:
     g = v.grid
     if sigma is None:
         sigma = g.dx / 2.0
-    a = np.sqrt(g.x_squared + sigma**2)
-    parts = gradient_fields(v)
-    phys = v.in_domain(PHYSICAL).values
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for ax in range(1, g.d + 1):
-        acc += (g.axis_coord(ax) / a) * parts[ax - 1].values
-    val = 2.0 * g.dx**g.d * np.sum((acc * np.conj(phys)).imag)
-    return float(val)
+    vals, _, xdot, _ = _frame_pass(v)
+    return _action(vals, xdot, _inv_weight(g, sigma), g.dx**g.d)
 
 
 def morawetz_dmdt_rhs(v: Field, H: Field | None, sigma: float) -> float:
     """Analytic right side of the d/dt Morawetz-action identity for
     (i d_t + Lap) v = |v|^2 v + H with the regularized weight."""
     g = v.grid
-    a, lap_a, bilap_a = _weight_arrays(g, sigma)
-    vol = g.dx**g.d
-    phys = v.in_domain(PHYSICAL).values
-    parts = [p.values for p in gradient_fields(v)]
-    grad2 = np.zeros(g.shape)
-    xdotgrad = np.zeros(g.shape, dtype=np.complex128)
-    for ax in range(1, g.d + 1):
-        grad2 += np.abs(parts[ax - 1]) ** 2
-        xdotgrad += g.axis_coord(ax) * parts[ax - 1]
-    total = -np.sum(bilap_a * np.abs(phys) ** 2)
-    total += 4.0 * np.sum(grad2 / a - np.abs(xdotgrad) ** 2 / a**3)
-    total += np.sum(lap_a * np.abs(phys) ** 4)
-    if H is not None:
-        Hv = H.in_domain(PHYSICAL).values
-        for ax in range(1, g.d + 1):
-            total += 4.0 * np.sum(
-                (g.axis_coord(ax) / a) * (np.conj(Hv) * parts[ax - 1]).real
-            )
-        total += 2.0 * np.sum(lap_a * (np.conj(phys) * Hv).real)
-    return float(vol * total)
+    weights = _weight_arrays(g, sigma)
+    vals, _, xdot, grad2 = _frame_pass(v)
+    Hv = None if H is None else H.in_domain(PHYSICAL).values.ravel()
+    return _dmdt_rhs(vals, _abs2(vals), xdot, grad2, Hv, weights, g.dx**g.d)
 
 
 def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> float:
@@ -357,14 +394,35 @@ def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> f
     return float(np.sum(w * vals))
 
 
-def _forcing_difference(vfr: Field, Ffr: Field | None, mu: int) -> Field | None:
-    """H = mu(|F+v|^2 (F+v) - |v|^2 v); None when F is absent."""
-    if Ffr is None:
-        return None
-    g = vfr.grid
-    vv = vfr.in_domain(PHYSICAL).values
-    Fv = Ffr.in_domain(PHYSICAL).values
-    return Field.physical(g, mu * (_cubic(Fv + vv, 1) - _cubic(vv, 1)))
+def _forcing_difference(vv: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
+    """H = mu(|F+v|^2 (F+v) - |v|^2 v) from physical values."""
+    return mu * (_cubic(Fv + vv, 1) - _cubic(vv, 1))
+
+
+def _audit_frame(v, Fv, mu, weights, inv_a_quarter, xi2, interior: bool) -> tuple:
+    """Per-frame terms of ``morawetz_audit`` from one frame pass.
+
+    Returns (action, ||v||_{Hdot^1}^2, ||v||_2^2, bulk density at sigma and at
+    dx/4, ||H||_2, dm/dt right side or nan off the interior).  Every array of
+    the frame is released on return.
+    """
+    g = v.grid
+    vol = g.dx**g.d
+    vals, fh, xdot, grad2 = _frame_pass(v)
+    h1_sq = _h1_squared(fh, xi2, g)
+    del fh
+    rho = _abs2(vals)
+    rho2 = rho * rho
+    H = None if Fv is None else _forcing_difference(vals, Fv, mu)
+    return (
+        _action(vals, xdot, weights[0], vol),
+        h1_sq,
+        vol * float(rho.sum()),
+        vol * float(np.dot(rho2, weights[0])),
+        vol * float(np.dot(rho2, inv_a_quarter)),
+        0.0 if H is None else np.sqrt(vol * float(_abs2(H).sum())),
+        _dmdt_rhs(vals, rho, xdot, grad2, H, weights, vol) if interior else np.nan,
+    )
 
 
 @dataclass
@@ -400,28 +458,36 @@ def morawetz_audit(
     n = run.n_frames
     if n < 3:
         raise ValueError("need at least three frames")
-    mvals = np.array([morawetz_action(fr, sigma) for fr in run.frames])
+    weights = _weight_arrays(g, sigma)
+    inv_a_quarter = _inv_weight(g, g.dx / 4.0)
+    xi2 = _fft_order_xi2(g).ravel()
+    terms = np.array(
+        [
+            _audit_frame(
+                fr,
+                None if F is None else F.frames[j].in_domain(PHYSICAL).values.ravel(),
+                mu,
+                weights,
+                inv_a_quarter,
+                xi2,
+                0 < j < n - 1,
+            )
+            for j, fr in enumerate(run.frames)
+        ]
+    )
+    mvals, h1_sq, l2_sq, bulk_d, bulk_quarter_d, h_l2, rhs = terms.T
+    rhs = rhs[1:-1]
+    w = np.full(n, run.dt)
+    w[0] = w[-1] = 0.5 * run.dt
+    bulk = float(np.sum(w * bulk_d))
+    bulk_quarter = float(np.sum(w * bulk_quarter_d))
+
     fd = (mvals[2:] - mvals[:-2]) / (2.0 * run.dt)
-    rhs = np.empty(n - 2)
-    for j in range(1, n - 1):
-        Ffr = F.frames[j] if F is not None else None
-        H = _forcing_difference(run.frames[j], Ffr, mu)
-        rhs[j - 1] = morawetz_dmdt_rhs(run.frames[j], H, sigma)
     scale = max(np.abs(rhs).max(), np.finfo(float).tiny)
     mismatch = float(np.abs(fd - rhs).max() / scale)
     tol = max(10.0 * run.dt**2, rel_floor)
-
-    bulk = morawetz_bulk(run, sigma)
-    h_l1l2 = 0.0
-    if F is not None:
-        w = np.full(n, run.dt)
-        w[0] = w[-1] = 0.5 * run.dt
-        for j in range(n):
-            H = _forcing_difference(run.frames[j], F.frames[j], mu)
-            h_l1l2 += w[j] * lp_norm(H, 2)
-    rhs_bound = linf_h1(run) * (linf_l2(run) + h_l1l2)
+    rhs_bound = np.sqrt(h1_sq.max()) * (np.sqrt(l2_sq.max()) + float(np.sum(w * h_l2)))
     constant = bulk / rhs_bound if rhs_bound > 0 else 0.0
-    bulk_quarter = morawetz_bulk(run, g.dx / 4.0)
     return MorawetzAuditReport(
         sigma=sigma,
         identity_mismatch=mismatch,
@@ -464,12 +530,6 @@ class EnergyGrowthReport:
     growth_ok: bool
 
 
-def _grad_mag_arrays(fr: Field) -> tuple:
-    parts = [p.values for p in gradient_fields(fr)]
-    mag = np.sqrt(sum(np.abs(p) ** 2 for p in parts))
-    return parts, mag
-
-
 def energy_growth_audit(
     run: Trajectory, F: Trajectory | None = None, mu: int = +1
 ) -> tuple:
@@ -484,13 +544,11 @@ def energy_growth_audit(
     n = run.n_frames
     sigma = g.dx / 2.0
     a = np.sqrt(g.x_squared + sigma**2)
+    inv_a = 1.0 / a.ravel()
+    xi2 = _fft_order_xi2(g).ravel()
     vol = g.dx**g.d
     w = np.full(n, run.dt)
     w[0] = w[-1] = 0.5 * run.dt
-
-    evals = np.array([energy(fr) for fr in run.frames])
-    fd = np.abs(evals[2:] - evals[:-2]) / (2.0 * run.dt)
-    integrated = float(np.sum(fd) * run.dt) if n > 2 else 0.0
 
     zero = Field.zero(g, PHYSICAL)
     Ffr = (lambda j: F.frames[j].in_domain(PHYSICAL)) if F is not None else (lambda j: zero)
@@ -506,6 +564,9 @@ def energy_growth_audit(
     mass_series = []
     mass_total_series = []
     mor_series = []
+    evals = np.empty(n)
+    Fpart = np.empty(g.shape, dtype=np.complex128)
+    Wpart = np.empty(g.shape, dtype=np.complex128)
 
     for j in range(n):
         vfr = run.frames[j].in_domain(PHYSICAL)
@@ -515,14 +576,22 @@ def energy_growth_audit(
         quart = np.abs(np.abs(tot) ** 4 - np.abs(Fv) ** 4 - np.abs(vv) ** 4)
         group_quartic = max(group_quartic, vol * float(np.sum(quart)))
 
-        vparts, vmag = _grad_mag_arrays(vfr)
-        Fparts, Fmag = _grad_mag_arrays(Fj)
-        Wfield = Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1))
-        Wparts, _ = _grad_mag_arrays(Wfield)
-        dot = sum(Wp * np.conj(Fp) for Wp, Fp in zip(Wparts, Fparts))
+        vals, vfh, xdot, grad2 = _frame_pass(vfr)
+        vmag = np.sqrt(grad2).reshape(g.shape)
+        _, F_partial = _spectral_gradient(Fj)
+        _, W_partial = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
+        Fmag = np.zeros(g.shape)
+        dot = np.zeros(g.shape, dtype=np.complex128)
+        for ax in range(g.d):
+            F_partial(ax, Fpart)
+            Fmag += _abs2(Fpart)
+            dot += W_partial(ax, Wpart) * np.conj(Fpart)
+        Fmag = np.sqrt(Fmag)
         group_gradient += w[j] * vol * float(np.sum(np.abs(dot)))
 
         absF, absv = np.abs(Fv), np.abs(vv)
+        evals[j] = 0.5 * _h1_squared(vfh, xi2, g) + 0.25 * vol * float(np.sum(absv**4))
+        mor_series.append(_action(vals, xdot, inv_a, vol))
         term_vals["gv_FF_gF"] += w[j] * vol * float(np.sum(vmag * absF**2 * Fmag))
         term_vals["v_F_gF2"] += w[j] * vol * float(np.sum(absv * absF * Fmag**2))
         term_vals["gv_v_F_gF"] += w[j] * vol * float(np.sum(vmag * absv * absF * Fmag))
@@ -540,7 +609,9 @@ def energy_growth_audit(
         bulk_density.append(vol * float(np.sum(absv**4 / a)))
         mass_series.append(vol * float(np.sum(absv**2)))
         mass_total_series.append(vol * float(np.sum(np.abs(tot) ** 2)))
-        mor_series.append(morawetz_action(run.frames[j], sigma))
+
+    fd = np.abs(evals[2:] - evals[:-2]) / (2.0 * run.dt)
+    integrated = float(np.sum(fd) * run.dt) if n > 2 else 0.0
 
     def l2t(series):
         return float(np.sqrt(np.sum(w * np.asarray(series) ** 2)))

@@ -5,9 +5,14 @@ from scipy import integrate
 
 from dlab.errors import DomainMismatchError, InvalidExponentError, SnapshotFormatError
 from dlab.grid import (
+    FREQUENCY,
+    PHYSICAL,
     Field,
     SpectralGrid,
     Weight,
+    broadcast_along,
+    gradient_fields,
+    gradient_magnitude,
     lp_norm,
     random_field,
     read_snapshot,
@@ -216,3 +221,31 @@ def test_trajectory_invariants(grid8):
     assert tr.frame_index(1.0) == 2
     with pytest.raises(ValueError):
         tr.frame_index(0.3)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
+def test_gradient_fields_match_centred_textbook_form(m, domain):
+    # oracle: to_frequency -> centred i*xi with the Nyquist (centred index 0)
+    # zeroed -> to_physical, one axis at a time
+    g = SpectralGrid(m=m, L=6.0)
+    f = random_field(g, 11)
+    fh = to_frequency(f).values
+    coord = g.xi1d.copy()
+    coord[0] = 0.0
+    parts = gradient_fields(f.in_domain(domain))
+    mag2 = np.zeros(g.shape)
+    for ax in range(g.d):
+        ref = to_physical(Field(g, FREQUENCY, fh * 1j * broadcast_along(coord, ax, g.d)))
+        assert parts[ax].domain == PHYSICAL
+        scale = np.abs(ref.values).max()
+        assert np.abs(parts[ax].values - ref.values).max() <= 1e-13 * scale
+        mag2 += np.abs(ref.values) ** 2
+    mag = gradient_magnitude(f.in_domain(domain))
+    assert np.abs(mag - np.sqrt(mag2)).max() <= 1e-13 * np.sqrt(mag2).max()
+
+
+def test_xi1d_fft_is_the_fft_ordering_of_xi1d(grid8):
+    assert np.array_equal(grid8.xi1d_fft, np.fft.ifftshift(grid8.xi1d))
+    assert grid8.xi1d_fft[0] == 0.0
+    assert grid8.xi1d_fft[grid8.m // 2] == -grid8.xi_max

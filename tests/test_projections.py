@@ -7,6 +7,7 @@ from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, random_field, to_
 from dlab.projections import (
     Band,
     annihilation_residual,
+    band_symbol,
     directional_bump,
     directional_projection,
     dyadic_partition_residual,
@@ -231,3 +232,21 @@ def test_spatial_symbol_rejects_unknown():
     g = SpectralGrid(m=8, L=16.0)
     with pytest.raises(ValueError):
         spatial_symbol(g, "nope", 1)
+
+
+def test_directional_symbol_is_a_read_only_broadcast_factor():
+    g = SpectralGrid(m=16, L=8.0)
+    for ax in range(1, g.d + 1):
+        sym = band_symbol(g, Band.directional(2.0, ax))
+        assert sym.size == g.m
+        full = np.broadcast_to(
+            directional_bump(np.abs(g.axis_coord(ax, frequency=True)) / 2.0), g.shape
+        ).copy()
+        assert np.array_equal(np.broadcast_to(sym, g.shape), full)
+        with pytest.raises(ValueError):
+            sym[...] = 0.0
+    for band in (Band.dyadic(2.0), Band.leq(2.0), Band.gt(2.0), Band.fattened(1.0)):
+        with pytest.raises(ValueError):
+            band_symbol(g, band)[0, 0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spatial_symbol(g, "chi", 1)[0, 0, 0, 0] = 0.0

@@ -7,6 +7,7 @@ from dlab.propagate import (
     free_trajectory,
     half_wave_flow,
     schrodinger_flow,
+    schrodinger_symbol,
     wave_energy,
     wave_flow,
 )
@@ -17,6 +18,16 @@ def test_schrodinger_t0_identity(grid8):
     out = schrodinger_flow(f, 0.0)
     scale = np.abs(f.values).max()
     assert np.abs(out.values - f.values).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("t", [0.001, 0.25, 4.0])
+def test_separable_schrodinger_symbol_matches_full_exponential(grid8, t):
+    g = SpectralGrid(m=16, L=2 * np.pi)
+    for grid in (grid8, g):
+        sym = schrodinger_symbol(grid, t)
+        ref = np.exp(-1j * t * grid.xi_squared)
+        assert sym.shape == grid.shape
+        assert np.abs(sym - ref).max() <= 1e-12
 
 
 def test_schrodinger_plane_wave_phase():

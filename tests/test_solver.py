@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from dlab.errors import BlowupDetected, NoContractionError
-from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, random_field, sobolev_norm
+from dlab.grid import (
+    FREQUENCY,
+    PHYSICAL,
+    Field,
+    SpectralGrid,
+    Trajectory,
+    lp_norm,
+    random_field,
+    sobolev_norm,
+)
+from dlab.norms import linf_h1, linf_l2
 from dlab.propagate import free_trajectory
 from dlab.solver import (
     ContractionRecord,
@@ -16,6 +26,7 @@ from dlab.solver import (
     morawetz_action,
     morawetz_audit,
     morawetz_bulk,
+    morawetz_dmdt_rhs,
     nls_mass_energy_series,
     picard_iterate,
     scaling_check,
@@ -129,6 +140,7 @@ def test_forced_frame_misalignment_rejected(gs, gaussian):
         splitstep_forced(gaussian, F, cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_signal_carries_partial_trajectory(gs):
     huge = Field.physical(gs, 1e160 * np.exp(-gs.x_squared / 2.0).astype(complex))
     cfg = NLSRunConfig(mu=-1, dt=0.01, T=0.5, dealias=False)
@@ -136,6 +148,8 @@ def test_blowup_signal_carries_partial_trajectory(gs):
         splitstep_nls(huge, cfg)
     assert exc.value.step >= 1
     assert exc.value.trajectory is not None
+    assert not np.isfinite(exc.value.peak)
+    assert str(exc.value) == f"blowup detected at step {exc.value.step}"
 
 
 def test_picard_trivial_fixed_point(gs):
@@ -217,6 +231,68 @@ def test_morawetz_audit_unforced(gs, gaussian):
     assert rep.bulk >= 0.0
     assert np.isfinite(rep.constant)
     assert rep.sigma_quarter_bulk > 0.0
+
+
+def _forced_run(gs, gaussian, dt, n_steps):
+    cfg = NLSRunConfig(mu=+1, dt=dt, T=dt * n_steps, dealias=False)
+    F0 = Field.physical(gs, 0.9 * gaussian.values * np.exp(1j * gs.axis_coord(1)))
+    F = free_trajectory(F0, 0.0, cfg.dt, cfg.n_steps + 1).map_frames(
+        lambda fr: fr.in_domain(PHYSICAL)
+    )
+    return splitstep_forced(Field.zero(gs, PHYSICAL), F, cfg), F
+
+
+def test_morawetz_audit_matches_per_frame_composition(gs, gaussian):
+    # oracle: the audit rebuilt from the public one-frame calls and norms
+    run, F = _forced_run(gs, gaussian, 0.005, 6)
+    mu = +1
+    rep = morawetz_audit(run, F, mu=mu)
+    sigma = 3.0 * gs.dx
+    H = [
+        Field.physical(
+            gs,
+            mu
+            * (
+                np.abs(Ff.values + vf.values) ** 2 * (Ff.values + vf.values)
+                - np.abs(vf.values) ** 2 * vf.values
+            ),
+        )
+        for Ff, vf in zip(F.frames, run.frames)
+    ]
+    m_vals = np.array([morawetz_action(fr, sigma) for fr in run.frames])
+    fd = (m_vals[2:] - m_vals[:-2]) / (2.0 * run.dt)
+    rhs = [morawetz_dmdt_rhs(run.frames[j], H[j], sigma) for j in range(1, run.n_frames - 1)]
+    w = np.full(run.n_frames, run.dt)
+    w[0] = w[-1] = 0.5 * run.dt
+    h_l1l2 = sum(wj * lp_norm(h, 2) for wj, h in zip(w, H))
+    bound = linf_h1(run) * (linf_l2(run) + h_l1l2)
+    assert rep.dmdt_fd == pytest.approx(list(fd), rel=1e-12)
+    assert rep.dmdt_rhs == pytest.approx(rhs, rel=1e-12)
+    assert rep.morawetz_rhs == pytest.approx(bound, rel=1e-12)
+    assert rep.bulk == pytest.approx(morawetz_bulk(run, sigma), rel=1e-12)
+    assert rep.sigma_quarter_bulk == pytest.approx(morawetz_bulk(run, gs.dx / 4.0), rel=1e-12)
+    assert rep.constant == pytest.approx(rep.bulk / bound, rel=1e-12)
+    mismatch = np.abs(fd - np.array(rhs)).max() / np.abs(rhs).max()
+    assert rep.identity_mismatch == pytest.approx(mismatch, rel=1e-12)
+
+
+def test_morawetz_one_frame_calls_accept_frequency_frames(gs):
+    v = random_field(gs, 5, band_limit=2.0)
+    H = random_field(gs, 6, band_limit=2.0)
+    vf = v.in_domain(FREQUENCY)
+    assert morawetz_action(vf) == pytest.approx(morawetz_action(v), rel=1e-12)
+    assert morawetz_dmdt_rhs(vf, H, 0.5) == pytest.approx(
+        morawetz_dmdt_rhs(v, H, 0.5), rel=1e-12
+    )
+
+
+def test_energy_growth_audit_series_match_public_calls(gs, gaussian):
+    run, F = _forced_run(gs, gaussian, 0.005, 4)
+    series, _ = energy_growth_audit(run, F)
+    assert series.energy == pytest.approx([energy(fr) for fr in run.frames], rel=1e-12)
+    assert series.morawetz == pytest.approx(
+        [morawetz_action(fr, gs.dx / 2.0) for fr in run.frames], rel=1e-12
+    )
 
 
 def test_energy_growth_audit_unforced_conservation(gs, gaussian):
