@@ -17,13 +17,12 @@ from .grid import (
     write_snapshot,
 )
 from .norms import EpsilonPolicy
-from .projections import Band, BumpProfile
+from .projections import Band
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Band",
-    "BumpProfile",
     "EpsilonPolicy",
     "Field",
     "SpectralGrid",

@@ -77,22 +77,25 @@ class SpectralGrid:
     def size(self) -> int:
         return self.m**self.d
 
+    # The cached coordinate arrays below are read-only: every user of the
+    # grid instance shares them.
+
     @cached_property
     def x1d(self) -> np.ndarray:
         """Physical coordinates along one axis (centered)."""
-        return self.dx * (np.arange(self.m) - self.m // 2)
+        return _read_only(self.dx * (np.arange(self.m) - self.m // 2))
 
     @cached_property
     def xi1d(self) -> np.ndarray:
         """Frequency coordinates along one axis (centered)."""
-        return self.dxi * (np.arange(self.m) - self.m // 2)
+        return _read_only(self.dxi * (np.arange(self.m) - self.m // 2))
 
     @cached_property
     def xi1d_fft(self) -> np.ndarray:
         """``xi1d`` in FFT order: index 0 is xi = 0, index m/2 the Nyquist -m*dxi/2."""
         k = np.arange(self.m)
         k[self.m // 2 :] -= self.m
-        return self.dxi * k
+        return _read_only(self.dxi * k)
 
     def axis_coord(self, axis: int, frequency: bool = False) -> np.ndarray:
         """Coordinate array broadcastable along a given axis (1-based)."""
@@ -106,7 +109,7 @@ class SpectralGrid:
         out = np.zeros(self.shape)
         for ax in range(1, self.d + 1):
             out = out + self.axis_coord(ax) ** 2
-        return out
+        return _read_only(out)
 
     @cached_property
     def xi_squared(self) -> np.ndarray:
@@ -114,22 +117,12 @@ class SpectralGrid:
         out = np.zeros(self.shape)
         for ax in range(1, self.d + 1):
             out = out + self.axis_coord(ax, frequency=True) ** 2
-        return out
+        return _read_only(out)
 
     @property
     def xi_max(self) -> float:
         """Largest per-axis frequency magnitude resolved by the lattice."""
         return self.dxi * (self.m // 2)
-
-    def wraparound_time(self, speed: float) -> float:
-        """Time for a disturbance at the given group speed to cross half the box.
-
-        Dispersive wave packets wrap around the torus after roughly this time;
-        verification windows should stay below it.
-        """
-        if speed <= 0:
-            return np.inf
-        return 0.5 * self.L / speed
 
 
 @dataclass(frozen=True)
@@ -280,6 +273,11 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     return float(np.sqrt(total))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
     """View of a 1D array that broadcasts along array axis ``axis`` (0-based) of a d-array."""
     shape = [1] * d
@@ -384,19 +382,6 @@ class Trajectory:
         if abs(idx - i) > 1e-9 or not 0 <= i < len(self.frames):
             raise ValueError(f"time {t} is not a frame time of this trajectory")
         return i
-
-    def stack(self, domain: str | None = None) -> np.ndarray:
-        """Frames stacked into one (n_frames, m, ..., m) array."""
-        dom = domain or self.domain
-        return np.stack([fr.in_domain(dom).values for fr in self.frames])
-
-    def slice_frames(self, i0: int, i1: int) -> "Trajectory":
-        """Frames i0..i1 inclusive, as a new trajectory."""
-        if not (0 <= i0 <= i1 < len(self.frames)):
-            raise ValueError("frame slice out of range")
-        return Trajectory(
-            self.grid, self.t0 + i0 * self.dt, self.dt, self.frames[i0 : i1 + 1]
-        )
 
     def map_frames(self, func) -> "Trajectory":
         return Trajectory(self.grid, self.t0, self.dt, tuple(func(fr) for fr in self.frames))

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandUnresolvedError
-from .grid import Field, SpectralGrid, apply_multiplier
+from .grid import Field, SpectralGrid, _read_only, apply_multiplier
 
 _TINY = np.finfo(float).tiny
 
@@ -75,23 +75,6 @@ def directional_bump(r: np.ndarray) -> np.ndarray:
     rise = smoothstep((r - 1.0 / 16.0) / (1.0 / 8.0 - 1.0 / 16.0))
     fall = smoothstep((8.0 - r) / 4.0)
     return rise * fall
-
-
-@dataclass(frozen=True)
-class BumpProfile:
-    """Handle bundling the three profile functions (fixed concrete choices)."""
-
-    @staticmethod
-    def psi1d(x):
-        return phi1(x)
-
-    @staticmethod
-    def varphi(r):
-        return radial_cutoff(r)
-
-    @staticmethod
-    def phidir(r):
-        return directional_bump(r)
 
 
 @dataclass(frozen=True)
@@ -175,11 +158,6 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
     for ax in range(1, grid.d + 1):
         sym = sym * phi1(grid.axis_coord(ax, frequency=True) - k[ax - 1])
     return sym
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=32)

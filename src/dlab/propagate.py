@@ -9,9 +9,19 @@ flows exp(+-i t |xi|); the wave pair propagates (f0, f1) through
 with the zero mode of sin(t|xi|)/|xi| set to t exactly (analytic limit).
 All flows are L^2 isometries on the lattice and commute with every
 frequency projection.
+
+The Duhamel integral int_0^t exp(i(t-s) Laplace) h(s) ds is a composite
+Simpson quadrature over the stored frames (a trapezoid closes an odd panel
+count).  One recurrence gives it at every frame: a running sum pulled forward
+by exp(-i dt |xi|^2) each step, in the Horner form of those weights.  All n
+values of a trajectory of n frames cost O(n) frame operations and n forward
+transforms of the forcing (none for frequency-domain frames); the value at one
+index k reads frames 0..k only.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -100,29 +110,41 @@ def free_trajectory(
     return Trajectory(g, t0, dt, tuple(frames))
 
 
-def _simpson_weights(n_frames: int, dt: float) -> np.ndarray:
-    """Composite quadrature weights on frames 0..n_frames-1.
+def _duhamel_values(h: Trajectory):
+    """Yield the quadrature of the Duhamel integral at frames 0, 1, 2, ... (frequency domain).
 
-    Composite Simpson when the interval count is even; for an odd count the
-    final panel is closed with a trapezoid.  Fewer than 3 frames falls back
-    to the trapezoid rule.
+    The k-th value is sum_j w_j exp(-i (t_k - t_j)|xi|^2) hhat_j with the
+    composite weights on frames 0..k: Simpson (dt/3)(1, 4, 2, ..., 4, 1) when
+    k is even; Simpson on frames 0..k-1 plus a trapezoid on the last panel
+    when k is odd (k = 1 is the trapezoid alone).  They are evaluated in Horner
+    form: the running sum A_k = step A_{k-1} + c_k hhat_k with
+    c = (1/3, 4/3, 2/3, 4/3, ...) dt and step = exp(-i dt |xi|^2) gives
+    I_k = A_k - (dt/3) hhat_k for even k and
+    I_k = step (I_{k-1} + (dt/2) hhat_{k-1}) + (dt/2) hhat_k for odd k.
+    Each value costs a fixed number of frame operations, and frames are read
+    only as far as the caller iterates.
     """
-    n = n_frames - 1  # interval count
-    w = np.zeros(n_frames)
-    if n <= 0:
-        return w
-    if n == 1:
-        return np.array([0.5, 0.5]) * dt
-    n_simpson = n if n % 2 == 0 else n - 1
-    if n_simpson >= 2:
-        w[0] += dt / 3.0
-        w[n_simpson] += dt / 3.0
-        w[1:n_simpson:2] += 4.0 * dt / 3.0
-        w[2:n_simpson:2] += 2.0 * dt / 3.0
-    if n_simpson != n:
-        w[n - 1] += 0.5 * dt
-        w[n] += 0.5 * dt
-    return w
+    g = h.grid
+    dt = h.dt
+    step = schrodinger_symbol(g, dt)  # exp(-i dt |xi|^2)
+    third, half = dt / 3.0, 0.5 * dt
+    c_odd, c_even = 4.0 * dt / 3.0, 2.0 * dt / 3.0
+    running = prev_out = prev_h = None
+    for k, frame in enumerate(h.frames):
+        hk = frame.in_domain(FREQUENCY).values
+        if k == 0:
+            running = third * hk
+            out = np.zeros(g.shape, dtype=np.complex128)
+        else:
+            running *= step
+            running += (c_odd if k % 2 else c_even) * hk
+            if k % 2 == 0:
+                out = running - third * hk
+            else:
+                out = step * (prev_out + half * prev_h)
+                out += half * hk
+        yield out
+        prev_out, prev_h = out, hk
 
 
 def duhamel(h: Trajectory, t_index: int) -> Field:
@@ -130,20 +152,16 @@ def duhamel(h: Trajectory, t_index: int) -> Field:
 
     t is the trajectory time at ``t_index`` measured from the first frame;
     quadrature order is at least 2 in dt (composite Simpson on even panel
-    counts).
+    counts).  Reads frames 0..t_index only.
     """
     if not 0 <= t_index < h.n_frames:
         raise ValueError(f"t_index {t_index} beyond trajectory of {h.n_frames} frames")
+    values = next(itertools.islice(_duhamel_values(h), t_index, None))
+    return Field(h.grid, FREQUENCY, values).in_domain(h.domain)
+
+
+def duhamel_all(h: Trajectory) -> Trajectory:
+    """:func:`duhamel` at every frame index, as a trajectory in ``h``'s domain and time lattice."""
     g = h.grid
-    if t_index == 0:
-        return Field.zero(g, h.domain)
-    w = _simpson_weights(t_index + 1, h.dt)
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    phase_step = schrodinger_symbol(g, h.dt)  # exp(-i dt |xi|^2)
-    running = np.ones(g.shape, dtype=np.complex128)  # exp(-i (t - s_j) |xi|^2)
-    for j in range(t_index, -1, -1):
-        acc += w[j] * running * h.frames[j].in_domain(FREQUENCY).values
-        if j > 0:
-            running = running * phase_step
-    out = Field(g, FREQUENCY, acc)
-    return out.in_domain(h.domain)
+    frames = tuple(Field(g, FREQUENCY, v).in_domain(h.domain) for v in _duhamel_values(h))
+    return Trajectory(g, h.t0, h.dt, frames)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import BlowupDetected, NoContractionError
 from .grid import (
-    FREQUENCY,
     PHYSICAL,
     Field,
     SpectralGrid,
@@ -47,7 +46,7 @@ from .grid import (
     sobolev_norm,
 )
 from .norms import EpsilonPolicy, _abs2, x_norm
-from .propagate import duhamel, schrodinger_flow
+from .propagate import duhamel_all, schrodinger_flow
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,8 @@ def _picard_sweep(free, Fphys, v, pcfg, g):
     for j in range(n):
         tot = v[j] if Fphys is None else Fphys[j] + v[j]
         hyb.append(Field.physical(g, _cubic(tot, pcfg.mu)))
-    htraj = Trajectory(g, 0.0, pcfg.dt, tuple(hyb)).map_frames(
-        lambda fr: fr.in_domain(FREQUENCY)
-    )
-    out = []
-    for j in range(n):
-        integral = duhamel(htraj, j).in_domain(PHYSICAL)
-        out.append(free[j] - 1j * integral.values)
-    return out
+    integral = duhamel_all(Trajectory(g, 0.0, pcfg.dt, tuple(hyb)))
+    return [free[j] - 1j * fr.values for j, fr in enumerate(integral.frames)]
 
 
 def picard_iterate(

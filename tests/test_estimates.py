@@ -157,6 +157,63 @@ def test_operator_decay_report():
     assert "separation" in rep.deviations
 
 
+def _centred_dft_2d(g):
+    """Dense DFT matrix on the centred d=2 lattice, row-major: exp(-i xi.x) in index units."""
+    c = np.arange(g.m) - g.m // 2
+    f1 = np.exp(-2j * np.pi * np.outer(c, c) / g.m)
+    return np.kron(f1, f1)
+
+
+def _dense_operators():
+    """(normal, grid, dft, dense T) for chi_0 P_(1,0) chi_2 and P_(-1,0) chi_0 P_(1,0), d=2, m=16."""
+    from dlab.projections import psi_symbol, spatial_symbol
+
+    def diag(a):
+        return np.diag(np.asarray(a).ravel())
+
+    g = SpectralGrid(m=16, L=8 * np.pi, d=2)
+    f = _centred_dft_2d(g)
+    fi = f.conj().T / g.size
+    chi_j, chi_l = spatial_symbol(g, "chi", 0), spatial_symbol(g, "chi", 2)
+    cpc = diag(chi_j) @ fi @ diag(psi_symbol(g, (1, 0))) @ f @ diag(chi_l)
+    gs = SpectralGrid(m=16, L=4 * np.pi, d=2)
+    f = _centred_dft_2d(gs)
+    fi = f.conj().T / gs.size
+    pk = fi @ diag(psi_symbol(gs, (-1, 0))) @ f
+    pm = fi @ diag(psi_symbol(gs, (1, 0))) @ f
+    pcp = pk @ diag(spatial_symbol(gs, "chi", 0)) @ pm
+    return [
+        (E._chi_P_chi_op(g, (1, 0), 0, 2), g, False, cpc),
+        (E._P_chi_P_op(gs, (-1, 0), (1, 0), 0), gs, True, pcp),
+    ]
+
+
+def test_operator_norm_matches_dense_spectral_norm():
+    for normal, g, dft, dense in _dense_operators():
+        lam, steps, change = E._operator_norm(normal, g, seed=0, dft=dft)
+        assert lam == pytest.approx(np.linalg.norm(dense, 2), rel=1e-10)
+        assert 1 <= steps < 30 and change <= E._POWER_RTOL
+
+
+def test_operator_norm_early_stop_matches_full_run(monkeypatch):
+    stopped = [E._operator_norm(n, g, seed=3, dft=dft)[0] for n, g, dft, _ in _dense_operators()]
+    monkeypatch.setattr(E, "_POWER_RTOL", -1.0)  # no change is ever small enough: all 30 steps
+    full = [E._operator_norm(n, g, seed=3, dft=dft) for n, g, dft, _ in _dense_operators()]
+    for lam, (lam_full, steps, _) in zip(stopped, full):
+        assert steps == 30
+        assert lam == pytest.approx(lam_full, rel=1e-12)
+
+
+def test_operator_decay_report_convergence_fields():
+    g = SpectralGrid(m=16, L=8 * np.pi)
+    rep = E.verify_operator_decay(g, separations=(2, 4))
+    for name, norms in (("chi_P_chi", rep.chi_P_chi), ("P_chi_P", rep.P_chi_P)):
+        assert set(rep.iterations[name]) == set(norms) == set(rep.last_changes[name])
+        for key in norms:
+            assert 1 <= rep.iterations[name][key] <= 30
+            assert rep.last_changes[name][key] <= E._POWER_RTOL
+
+
 def test_operator_decay_infeasible_ranges():
     g = SpectralGrid(m=16, L=8.0)
     with pytest.raises(RegimeViolationError):

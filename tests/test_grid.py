@@ -38,6 +38,18 @@ def test_grid_invariants():
     assert g.x1d[0] == -16.0 and g.x1d[-1] == 14.0
 
 
+@pytest.mark.parametrize("name", ["x1d", "xi1d", "xi1d_fft", "x_squared", "xi_squared"])
+def test_cached_coordinates_are_read_only(name):
+    g = SpectralGrid(m=8, L=4.0)
+    f = random_field(g, 2)
+    before = weighted_lp_norm(f, Weight("powerlaw", 1), 2)
+    arr = getattr(g, name)
+    with pytest.raises(ValueError):
+        arr[...] = 0.0
+    assert getattr(g, name) is arr
+    assert weighted_lp_norm(f, Weight("powerlaw", 1), 2) == before
+
+
 def test_constant_maps_to_zero_mode(grid8):
     f = Field.physical(grid8, np.ones(grid8.shape))
     fh = to_frequency(f)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dlab.grid import FREQUENCY, Field, SpectralGrid, Trajectory, lp_norm, random_field
+from dlab.grid import FREQUENCY, PHYSICAL, Field, SpectralGrid, Trajectory, lp_norm, random_field
 from dlab.propagate import (
     duhamel,
+    duhamel_all,
     free_trajectory,
     half_wave_flow,
     schrodinger_flow,
@@ -188,6 +189,42 @@ def test_duhamel_subinterval_additivity(grid8):
     composed = schrodinger_flow(first, (end - mid) * dt).values + second.values
     scale = np.abs(full.values).max()
     assert np.abs(full.values - composed).max() <= 1e-6 * scale
+
+
+def _textbook_weights(n_frames, dt):
+    """Composite Simpson on an even interval count; an odd count closes its last panel with a trapezoid."""
+    n = n_frames - 1
+    w = np.zeros(n_frames)
+    if n <= 0:
+        return w
+    if n == 1:
+        return np.array([0.5, 0.5]) * dt
+    n_simpson = n if n % 2 == 0 else n - 1
+    w[0] += dt / 3.0
+    w[n_simpson] += dt / 3.0
+    w[1:n_simpson:2] += 4.0 * dt / 3.0
+    w[2:n_simpson:2] += 2.0 * dt / 3.0
+    if n_simpson != n:
+        w[n - 1] += 0.5 * dt
+        w[n] += 0.5 * dt
+    return w
+
+
+@pytest.mark.parametrize("domain", [FREQUENCY, PHYSICAL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_duhamel_all_matches_weighted_sum(grid8, n, domain):
+    dt = 0.07
+    h = Trajectory(grid8, 0.3, dt, tuple(random_field(grid8, 40 + j, domain=domain) for j in range(n)))
+    out = duhamel_all(h)
+    assert (out.t0, out.dt, out.n_frames, out.domain) == (h.t0, h.dt, n, domain)
+    hh = [fr.in_domain(FREQUENCY).values for fr in h.frames]
+    for k in range(n):
+        w = _textbook_weights(k + 1, dt)
+        ref = sum(w[j] * schrodinger_symbol(grid8, (k - j) * dt) * hh[j] for j in range(k + 1))
+        ref = Field(grid8, FREQUENCY, ref).in_domain(domain).values
+        got = out.frames[k].values
+        assert np.abs(got - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+        assert np.array_equal(duhamel(h, k).values, got)
 
 
 def test_duhamel_index_bound(grid8):
