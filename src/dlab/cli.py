@@ -11,6 +11,7 @@ experiment-level parallelism.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -154,6 +155,11 @@ class ExperimentConfig:
             unknown(ex, _EXPERIMENT_KEYS, f"experiments[{i}]")
             if ex.get("kind") not in ("verify", "ensemble", "solve"):
                 violations.append(f"experiments[{i}].kind must be verify|ensemble|solve")
+            elif ex["kind"] == "verify" and ex.get("name") not in _VERIFIER_NAMES:
+                violations.append(
+                    f"experiments[{i}].name {ex.get('name')!r} is not a verifier; "
+                    f"choose from {', '.join(_VERIFIER_NAMES)}"
+                )
         if violations:
             raise ConfigError(violations)
         return cls(
@@ -305,34 +311,29 @@ def _cmd_randomize(args) -> int:
     return 0
 
 
+# norm kind -> (trajectory, spec, interval, policy) -> value
+_NORM_KINDS = {
+    "strichartz": lambda v, s, i, pol: norms_mod.strichartz_norm(v, s["q"], s["r"], i),
+    "lateral": lambda v, s, i, pol: norms_mod.lateral_norm(v, s["p"], s["q"], s["axis"], i),
+    "XN": lambda v, s, i, pol: norms_mod.xn_norm(v, s["N"], i, pol),
+    "X": lambda v, s, i, pol: norms_mod.x_norm(v, i, pol),
+    "YN": lambda v, s, i, pol: norms_mod.yn_norm(v, s["N"], i, pol),
+    "Y": lambda v, s, i, pol: norms_mod.y_norm(v, i, pol),
+    "GN": lambda v, s, i, pol: norms_mod.gn_norm_upper(v, s["N"], i, pol),
+    "G": lambda v, s, i, pol: norms_mod.g_norm_upper(v, i, pol),
+    "Z": lambda v, s, i, pol: norms_mod.z_norm(v, i),
+    "LinfH1": lambda v, s, i, pol: norms_mod.linf_h1(v, i),
+}
+
+
 def _norm_from_spec(traj: Trajectory, spec: dict, pol: EpsilonPolicy):
     kind = spec.get("kind")
-    interval = tuple(spec["interval"]) if "interval" in spec else None
-    if kind == "strichartz":
-        val = norms_mod.strichartz_norm(traj, spec["q"], spec["r"], interval)
-    elif kind == "lateral":
-        val = norms_mod.lateral_norm(traj, spec["p"], spec["q"], spec["axis"], interval)
-    elif kind == "XN":
-        val = norms_mod.xn_norm(traj, spec["N"], interval, pol)
-    elif kind == "X":
-        val = norms_mod.x_norm(traj, interval, pol)
-    elif kind == "YN":
-        val = norms_mod.yn_norm(traj, spec["N"], interval, pol)
-    elif kind == "Y":
-        val = norms_mod.y_norm(traj, interval, pol)
-    elif kind == "GN":
-        val = norms_mod.gn_norm_upper(traj, spec["N"], interval, pol)
-    elif kind == "G":
-        val = norms_mod.g_norm_upper(traj, interval, pol)
-    elif kind == "Z":
-        val = norms_mod.z_norm(traj, interval)
-    elif kind == "LinfH1":
-        val = norms_mod.linf_h1(traj, interval)
-    else:
+    if kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    report = norms_mod.NormReport(
+    interval = tuple(spec["interval"]) if "interval" in spec else None
+    return norms_mod.NormReport(
         kind=kind,
-        value=float(val),
+        value=float(_NORM_KINDS[kind](traj, spec, interval, pol)),
         dt=traj.dt,
         frame_count=traj.n_frames,
         params={k: v for k, v in spec.items() if k != "kind"},
@@ -342,7 +343,6 @@ def _norm_from_spec(traj: Trajectory, spec: dict, pol: EpsilonPolicy):
         if kind in ("X", "Y", "G")
         else (),
     )
-    return report
 
 
 def _cmd_norms(args) -> int:
@@ -358,43 +358,45 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-_VERIFIER_NAMES = (
-    "unit_maximal",
-    "lateral_dyadic",
-    "local_smoothing",
-    "local_energy_decay",
-    "bernstein",
-    "radialish_sobolev",
-    "operator_decay",
-    "trilinear",
-    "duhamel_retarded",
-    "main_linear",
-)
+# verifier name -> its default grid (None: it builds its own lattices)
+_VERIFIER_GRIDS = {
+    "unit_maximal": None,
+    "lateral_dyadic": {"m": 32, "L": 4 * np.pi},
+    "local_smoothing": {"m": 32, "L": 4 * np.pi},
+    "local_energy_decay": {"m": 32, "L": 4 * np.pi},
+    "bernstein": {"m": 32, "L": 4.0},
+    "radialish_sobolev": {"m": 16, "L": 4 * np.pi},
+    "operator_decay": {"m": 32, "L": 8 * np.pi},
+    "trilinear": {"m": 32, "L": 2 * np.pi},
+    "duhamel_retarded": {"m": 16, "L": 2 * np.pi},
+    "main_linear": {"m": 16, "L": 2 * np.pi},
+}
+_VERIFIER_NAMES = tuple(_VERIFIER_GRIDS)
 
 
 def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
     """Dispatch one named estimate verifier; returns a JSON-ready report."""
+    if name not in _VERIFIER_GRIDS:
+        raise ValueError(f"unknown estimate {name!r}; choose from {_VERIFIER_NAMES}")
+    if _VERIFIER_GRIDS[name] is not None:
+        g = SpectralGrid(**params.pop("grid", _VERIFIER_GRIDS[name]))
     if name == "unit_maximal":
         rep, control = estimates.verify_unit_maximal(**params)
         return {"report": rep.to_dict(), "control": control.to_dict(), "passed": rep.passed}
     if name == "lateral_dyadic":
-        g = SpectralGrid(**params.pop("grid", {"m": 32, "L": 4 * np.pi}))
         p = params.pop("p")
         q = params.pop("q", None)
         q = np.inf if q in ("inf", None) else q
         rep = estimates.verify_lateral_dyadic(g, params.pop("N_list", (1.0, 2.0, 4.0)), p, q, **params)
         return {"report": rep.to_dict(), "passed": rep.passed}
     if name in ("local_smoothing", "local_energy_decay"):
-        g = SpectralGrid(**params.pop("grid", {"m": 32, "L": 4 * np.pi}))
         flow = "schrodinger" if name == "local_smoothing" else "halfwave"
         rep = estimates.verify_local_smoothing(g, flow=flow, **params)
         return {"report": rep.to_dict(), "passed": rep.passed}
     if name == "bernstein":
-        g = SpectralGrid(**params.pop("grid", {"m": 32, "L": 4.0}))
         rep = estimates.verify_bernstein(g, **params)
         return {"report": rep.to_dict(), "passed": rep.passed}
     if name == "radialish_sobolev":
-        g = SpectralGrid(**params.pop("grid", {"m": 16, "L": 4 * np.pi}))
         profiles = {
             "gaussian": RadialProfileSpec(kind="gaussian_bump", width=1.0),
             "powerlaw": RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6),
@@ -409,7 +411,6 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
             "passed": rep.radial_ok and rep.control_grows,
         }
     if name == "operator_decay":
-        g = SpectralGrid(**params.pop("grid", {"m": 32, "L": 8 * np.pi}))
         rep = estimates.verify_operator_decay(g, **params)
         return {
             "report": {
@@ -422,7 +423,6 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
             "passed": rep.ell_ok and rep.separation_ok,
         }
     if name == "trilinear":
-        g = SpectralGrid(**params.pop("grid", {"m": 32, "L": 2 * np.pi}))
         pol = EpsilonPolicy(eps=params.pop("eps", 0.05))
         bands = params.pop("bands", (1.0, 2.0))
         harness = estimates.TrilinearHarness(g, bands, seed=seed, pol=pol, **params.pop("harness", {}))
@@ -436,7 +436,6 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
             ok = ok and rep.passed
         return {"report": out, "passed": ok}
     if name == "duhamel_retarded":
-        g = SpectralGrid(**params.pop("grid", {"m": 16, "L": 2 * np.pi}))
         rep = estimates.verify_duhamel_retarded(g, params.pop("N", 2.0), seed=seed, **params)
         return {
             "report": {
@@ -447,10 +446,8 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
             "passed": rep.passed,
         }
     if name == "main_linear":
-        g = SpectralGrid(**params.pop("grid", {"m": 16, "L": 2 * np.pi}))
         rep = estimates.verify_main_linear(g, seed=seed, **params)
         return {"report": {"constants": rep.constants, "worst": rep.worst}, "passed": rep.passed}
-    raise ValueError(f"unknown estimate {name!r}; choose from {_VERIFIER_NAMES}")
 
 
 def _cmd_verify(args) -> int:
@@ -464,9 +461,7 @@ def _cmd_verify(args) -> int:
     rep = result.get("report", {})
     if args.csv and isinstance(rep, dict) and "abscissae" in rep:
         with open(args.csv, "w", newline="") as fh:
-            import csv as _csv
-
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["abscissa", "value"])
             for a, v in zip(rep["abscissae"], rep["values"]):
                 w.writerow([a, v])
@@ -502,23 +497,18 @@ def _cmd_solve(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     cfg = ExperimentConfig.from_dict(raw)
-    grid = cfg.grid
     f = cfg.load_field()
     run_cfg = solver_mod.NLSRunConfig(mu=+1, dt=cfg.dt, T=cfg.T)
     outdir = Path(cfg.output_dir)
-    if args.mode == "nls":
-        traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
-        masses, energies = solver_mod.nls_mass_energy_series(traj)
-        write_trajectory(traj, outdir, {"mass": masses, "energy": energies,
-                                        "config": cfg.canonical()})
-    elif args.mode == "forced":
-        spec = RandomizationSpec(seed=cfg.seed)
-        fw = randomize_schrodinger(f, spec, 0)
-        F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1).map_frames(
-            lambda fr: fr.in_domain("physical")
-        )
-        v0 = Field.zero(grid, "physical")
-        traj = solver_mod.splitstep_forced(v0, F, run_cfg)
+    if args.mode in ("nls", "forced"):
+        if args.mode == "nls":
+            traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
+        else:
+            fw = randomize_schrodinger(f, RandomizationSpec(seed=cfg.seed), 0)
+            F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1).map_frames(
+                lambda fr: fr.in_domain("physical")
+            )
+            traj = solver_mod.splitstep_forced(Field.zero(cfg.grid, "physical"), F, run_cfg)
         masses, energies = solver_mod.nls_mass_energy_series(traj)
         write_trajectory(traj, outdir, {"mass": masses, "energy": energies,
                                         "config": cfg.canonical()})

@@ -25,12 +25,14 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    _fft,
     lp_norm,
     sobolev_norm,
     to_physical,
 )
 from .norms import (
     EpsilonPolicy,
+    aggregate_bands,
     gn_norm_upper,
     lateral_norm,
     lateral_norms,
@@ -470,7 +472,7 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
     rng = np.random.default_rng(seed)
     z = np.fft.ifftshift(rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     if dft:
-        z = np.fft.fftn(z, out=z)
+        z = _fft(z, out=z)
     z /= np.sqrt(np.vdot(z, z).real)
     lam = 0.0
     for step in range(1, iters + 1):
@@ -495,13 +497,13 @@ def _chi_P_chi_op(grid: SpectralGrid, k, j: int, ell: int):
 
     def normal(z):
         w = chi_l * z
-        w = np.fft.fftn(w, out=w)
+        w = _fft(w, out=w)
         w *= psi
-        w = np.fft.ifftn(w, out=w)
+        w = _fft(w, inverse=True, out=w)
         w *= chi_j2
-        w = np.fft.fftn(w, out=w)
+        w = _fft(w, out=w)
         w *= psi
-        w = np.fft.ifftn(w, out=w)
+        w = _fft(w, inverse=True, out=w)
         w *= chi_l
         return w
 
@@ -518,13 +520,13 @@ def _P_chi_P_op(grid: SpectralGrid, k, m_cell, ell: int):
 
     def normal(y):
         w = psi_m * y
-        w = np.fft.ifftn(w, out=w)
+        w = _fft(w, inverse=True, out=w)
         w *= chi_l
-        w = np.fft.fftn(w, out=w)
+        w = _fft(w, out=w)
         w *= psi_k2
-        w = np.fft.ifftn(w, out=w)
+        w = _fft(w, inverse=True, out=w)
         w *= chi_l
-        w = np.fft.fftn(w, out=w)
+        w = _fft(w, out=w)
         w *= psi_m
         return w
 
@@ -748,6 +750,14 @@ def verify_trilinear(
     )
 
 
+def _enveloped_flow(f: Field, dt: float, n_frames: int, seed: int) -> Trajectory:
+    """Free Schrodinger frames of f, frame j scaled by a seeded envelope in [0.5, 1.5)."""
+    envelope = 0.5 + np.random.default_rng(seed).random(n_frames)
+    base = free_trajectory(f, 0.0, dt, n_frames)
+    return Trajectory(f.grid, 0.0, dt, tuple(
+        Field(f.grid, FREQUENCY, e * fr.values) for e, fr in zip(envelope, base.frames)))
+
+
 @dataclass
 class DuhamelRetardedReport:
     strichartz_constants: dict
@@ -771,16 +781,8 @@ def verify_duhamel_retarded(
     LHS norms of t -> int_0^t exp(i(t-s) Lap) P_N h ds; RHS is the lateral
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
     """
-    dt = T / (n_frames - 1)
-    f = shell_field(grid, N, seed=seed)
-    fN = Field(grid, FREQUENCY, f.values * band_symbol(grid, Band.dyadic(N)))
-    rng = np.random.default_rng(seed + 1)
-    envelope = 0.5 + rng.random(n_frames)
-    frames = []
-    base = free_trajectory(fN, 0.0, dt, n_frames)
-    for j in range(n_frames):
-        frames.append(Field(grid, FREQUENCY, envelope[j] * base.frames[j].values))
-    h = Trajectory(grid, 0.0, dt, tuple(frames))
+    fN = Field(grid, FREQUENCY, shell_field(grid, N, seed=seed).values * band_symbol(grid, Band.dyadic(N)))
+    h = _enveloped_flow(fN, T / (n_frames - 1), n_frames, seed + 1)
     retarded = duhamel_all(h).map_frames(lambda fr: fr.in_domain(PHYSICAL))
     h_phys = h.map_frames(lambda fr: fr.in_domain(PHYSICAL))
 
@@ -825,8 +827,6 @@ def verify_main_linear(
 
     for v solving the inhomogeneous flow with data v0 and forcing h.
     """
-    from .norms import aggregate_bands
-
     if bands is None:
         bands = aggregate_bands(grid)
     dt = T / (n_frames - 1)
@@ -835,32 +835,17 @@ def verify_main_linear(
         rng_seed = seed + 1000 * i
         N = bands[i % len(bands)]
         v0 = shell_field(grid, N, seed=rng_seed)
-        hf = shell_field(grid, N, seed=rng_seed + 7)
-        rng = np.random.default_rng(rng_seed + 13)
-        envelope = 0.5 + rng.random(n_frames)
-        base = free_trajectory(hf, 0.0, dt, n_frames)
-        h = Trajectory(
-            grid,
-            0.0,
-            dt,
-            tuple(
-                Field(grid, FREQUENCY, envelope[j] * base.frames[j].values)
-                for j in range(n_frames)
-            ),
-        )
+        h = _enveloped_flow(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
         vfree = free_trajectory(v0, 0.0, dt, n_frames)
-        frames = tuple(
+        v = Trajectory(grid, 0.0, dt, tuple(
             Field(grid, FREQUENCY, a.values - 1j * b.values)
             for a, b in zip(vfree.frames, duhamel_all(h).frames)
-        )
-        v = Trajectory(grid, 0.0, dt, frames).map_frames(lambda fr: fr.in_domain(PHYSICAL))
+        ))
         sym = band_symbol(grid, Band.dyadic(N))
-        vN = v.map_frames(
-            lambda fr: Field(grid, FREQUENCY, fr.in_domain(FREQUENCY).values * sym).in_domain(PHYSICAL)
-        )
+        vN = v.map_frames(lambda fr: to_physical(Field(grid, FREQUENCY, fr.values * sym)))
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
-        v0N = Field(grid, FREQUENCY, v0.values * sym)
-        rhs = N * lp_norm(to_physical(v0N), 2) + gn_norm_upper(h, N, pol=pol)
+        rhs = N * lp_norm(to_physical(Field(grid, FREQUENCY, v0.values * sym)), 2)
+        rhs += gn_norm_upper(h, N, pol=pol)
         consts.append(float(lhs / rhs))
     worst = float(max(consts))
     return MainLinearReport(constants=consts, worst=worst, passed=bool(worst <= cap))

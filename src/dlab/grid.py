@@ -9,6 +9,15 @@ The forward transform uses the Riemann-sum normalization
 so that discrete norms converge to their continuum counterparts as m grows at
 fixed L.  The inverse carries the matching (dxi/(2*pi))^d weight, making the
 pair mutually inverse on the lattice.
+
+No transform rolls its array: with the checkerboard S = (-1)^(n_1+...+n_d)
+and m/2 even (SpectralGrid's power-of-two m >= 8 guarantees it), a roll by
+m/2 is the phase S on the other side of the transform, so bit for bit
+
+    fftshift(fftn(ifftshift(x))) = S * fftn(S * x)  (likewise ifftn),
+    fftshift(fftn(x)) = fftn(S * x).
+
+Every transform of field values goes through ``_fft``, in place.
 """
 
 from __future__ import annotations
@@ -163,9 +172,6 @@ class Field:
     def zero(cls, grid: SpectralGrid, domain: str = PHYSICAL) -> "Field":
         return cls(grid, domain, np.zeros(grid.shape, dtype=np.complex128))
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, self.domain, values)
-
     def in_domain(self, domain: str) -> "Field":
         """Return this field transformed (if needed) into the given domain."""
         if self.domain == domain:
@@ -195,13 +201,53 @@ def _check_compatible(a: Field, b: Field):
         raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
 
 
+def _checkerboard(a: np.ndarray, axes, factor: float = 1.0) -> tuple:
+    """``(view, op)`` with ``view * op == factor * S * a``, S = (-1)^(index sum over ``axes``).
+
+    Each axis but the last of ``axes`` is viewed as (m/2, 2), so ``op`` holds
+    2^(k-1) m numbers, never a full m^k sign array.
+    """
+    last = max(axes)
+    shape, op_shape = [], []
+    for ax, n in enumerate(a.shape):
+        split = ax in axes and ax != last
+        shape += [n // 2, 2] if split else [n]
+        op_shape += [1, 2] if split else [n if ax == last else 1]
+    parity = np.indices(op_shape).sum(axis=0) % 2
+    return a.reshape(shape), np.where(parity, -factor, factor)
+
+
+def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool = False,
+         sign_out: bool = False, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """fftn (ifftn when ``inverse``) of ``values`` over ``axes`` (default all), in ``out``.
+
+    One pass fills ``out`` (new when None; ``out=values`` works in place),
+    times S when ``sign_in``; the transform runs in place; one last pass
+    applies S when ``sign_out`` and the scale, which the forward transform
+    multiplies by and the inverse divides by (both signs: the centred pair).
+    """
+    if axes is None:
+        axes = tuple(range(values.ndim))
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    if sign_in:
+        view, op = _checkerboard(values, axes)
+        np.multiply(view, op, out=out.reshape(view.shape))
+    elif out is not values:
+        np.copyto(out, values)
+    (np.fft.ifftn if inverse else np.fft.fftn)(out, axes=axes, out=out)
+    if sign_out or scale != 1.0:
+        view, op = _checkerboard(out, axes, scale) if sign_out else (out, scale)
+        (np.divide if inverse else np.multiply)(view, op, out=view)
+    return out
+
+
 def to_frequency(f: Field) -> Field:
     """Forward transform with Riemann-sum normalization dx^d * sum."""
     if f.domain != PHYSICAL:
         raise DomainMismatchError("to_frequency expects a physical-domain field")
     g = f.grid
-    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    return Field(g, FREQUENCY, vals * g.dx**g.d)
+    return Field(g, FREQUENCY, _fft(f.values, sign_in=True, sign_out=True, scale=g.dx**g.d))
 
 
 def to_physical(f: Field) -> Field:
@@ -209,8 +255,7 @@ def to_physical(f: Field) -> Field:
     if f.domain != FREQUENCY:
         raise DomainMismatchError("to_physical expects a frequency-domain field")
     g = f.grid
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(f.values)))
-    return Field(g, PHYSICAL, vals / g.dx**g.d)
+    return Field(g, PHYSICAL, _fft(f.values, True, sign_in=True, sign_out=True, scale=g.dx**g.d))
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
@@ -296,23 +341,16 @@ def _spectral_gradient(f: Field) -> tuple:
     sample whose index origin only multiplies its spectrum by a phase, which
     commutes with every Fourier multiplier, so the derivatives are
     ``ifftn(i xi_fft * fftn(u))`` on the centred array itself.  A
-    frequency-domain input is uncentred once and given that phase, (-1)^(k_1 +
-    ... + k_d), explicitly.
+    frequency-domain input is brought to the physical lattice first.
     """
     g = f.grid
-    if f.domain == PHYSICAL:
-        fh = np.fft.fftn(f.values, out=np.empty_like(f.values))
-    else:
-        fh = np.fft.ifftshift(f.values)
-        fh *= g.dx ** (-g.d)
-        for ax in range(g.d):
-            fh[(slice(None),) * ax + (slice(1, None, 2),)] *= -1.0
+    fh = _fft(f.in_domain(PHYSICAL).values)
     dfac = 1j * g.xi1d_fft
     dfac[g.m // 2] = 0.0
 
     def partial(ax: int, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(fh, broadcast_along(dfac, ax, g.d), out=out)
-        return np.fft.ifftn(out, out=out)
+        return _fft(out, inverse=True, out=out)
 
     return fh, partial
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FitRangeError, RegimeViolationError
+from .estimates import fit_loglog
 from .grid import PHYSICAL, Field, Trajectory, gradient_magnitude
 from .norms import EpsilonPolicy, strichartz_norm, y_norm
 from .propagate import free_trajectory
@@ -146,11 +147,7 @@ def moment_growth(statistic, p_list, Q: int, csv_path=None, values=None) -> Ense
     )
     positive = [p for p in usable if norms[p] > 0]
     if len(positive) >= 2:
-        xs = np.log(positive)
-        ys = np.log([norms[p] for p in positive])
-        A = np.vstack([xs, np.ones_like(xs)]).T
-        sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        stats.moment_slope, stats.moment_intercept = float(sol[0]), float(sol[1])
+        stats.moment_slope, stats.moment_intercept = fit_loglog(positive, [norms[p] for p in positive])
     elif len(positive) <= 1:
         stats.moment_slope = 0.0
     stats.check_invariants()

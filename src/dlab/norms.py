@@ -10,10 +10,11 @@ one peak per frame for the L^r sums of a Strichartz norm.
 
 Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
 several times.  They stack its frames once as a centered spectrum (a
-physical window takes one batched forward transform and one fftshift).
-Each projection multiplies the stack by the band symbol with the inverse
-transform's 1/dx^d folded in, inverse-transforms it with no centering
-shift, and reduces the result at once to |u|^2 in float64.
+physical window takes the checkerboard sign and one batched forward
+transform in place, with no roll; see grid.py).  Each projection multiplies
+the stack by the band symbol with the inverse transform's 1/dx^d folded in,
+inverse-transforms it with no centering shift, and reduces the result at
+once to |u|^2 in float64.
 Without the shifts a projected frame comes out cyclically shifted along
 each axis and, from a centered spectrum, with a sign (-1)^(n_1+...+n_d) on
 node n.  |u|^2 drops the sign, and every consumer of it is a sum or a
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExponentError, MemoryBudgetError
-from .grid import PHYSICAL, SpectralGrid, Trajectory
+from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft
 from .projections import Band, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -159,9 +160,9 @@ def _abs2(a: np.ndarray) -> np.ndarray:
 def _frame_powers(v: Trajectory, i0: int, i1: int):
     """|u|^2 of frames i0..i1, one frame at a time.
 
-    A frequency frame is inverse-transformed with no centering shift: its
-    nodes come out permuted and sign-modulated, which |u|^2 and every
-    whole-axis reduction of it do not see.
+    A frequency frame is inverse-transformed by ``grid._fft`` with neither
+    sign nor shift: its nodes come out permuted and sign-modulated, which
+    |u|^2 and every whole-axis reduction of it do not see.
     """
     g = v.grid
     for i in range(i0, i1 + 1):
@@ -169,7 +170,7 @@ def _frame_powers(v: Trajectory, i0: int, i1: int):
         if fr.domain == PHYSICAL:
             yield _abs2(fr.values)
         else:
-            s = _abs2(np.fft.ifftn(fr.values))
+            s = _abs2(_fft(fr.values, inverse=True))
             s *= g.dx ** (-2 * g.d)
             yield s
 
@@ -276,11 +277,12 @@ def _band_symbol_scaled(grid: SpectralGrid, N: float, axis=None) -> np.ndarray:
 class _BandStack:
     """Frames i0..i1 of a trajectory as one centered frequency stack, ready to project.
 
-    Physical frames are forward-transformed as stored, which gives their
-    spectrum in FFT order times a sign (-1)^(k_1+...+k_d) per mode; one
-    fftshift centers it.  A projection inverse-transforms with no centering
-    shift, so the projected frame comes out cyclically shifted and
-    sign-modulated, which |u|^2 and every whole-axis reduction of it do not see.
+    Physical frames are multiplied by the checkerboard S and
+    forward-transformed in place, which equals the fftshift of their plain
+    transform bit for bit (a centered spectrum up to the sign S per mode).  A
+    projection inverse-transforms with no centering shift, so the projected
+    frame comes out cyclically shifted and sign-modulated, which |u|^2 and
+    every whole-axis reduction of it do not see.
     """
 
     def __init__(self, v: Trajectory, i0: int, i1: int):
@@ -294,17 +296,14 @@ class _BandStack:
         self.axes = tuple(range(1, g.d + 1))
         stack = np.stack([v.frames[i].values for i in range(i0, i1 + 1)])
         if v.domain == PHYSICAL:
-            np.fft.fftn(stack, axes=self.axes, out=stack)
-            stack = np.fft.fftshift(stack, axes=self.axes)
-            stack *= g.dx**g.d
+            _fft(stack, axes=self.axes, sign_in=True, scale=g.dx**g.d, out=stack)
         self.freq = stack
         self.work = np.empty_like(stack)
 
     def power(self, symbol: np.ndarray) -> np.ndarray:
         """|u|^2 of the projection by a centered symbol that carries 1/dx^d."""
         np.multiply(self.freq, symbol, out=self.work)
-        np.fft.ifftn(self.work, axes=self.axes, out=self.work)
-        return _abs2(self.work)
+        return _abs2(_fft(self.work, inverse=True, axes=self.axes, out=self.work))
 
 
 def _band_window(v: Trajectory, N: float, interval) -> tuple:

@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .grid import FREQUENCY, Field, SpectralGrid, Trajectory, broadcast_along
+from .grid import FREQUENCY, Field, SpectralGrid, Trajectory, apply_multiplier, broadcast_along
 
 
 def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
@@ -39,20 +39,14 @@ def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def schrodinger_flow(f: Field, t: float) -> Field:
     """Free Schrodinger evolution over time t."""
-    fh = f.in_domain(FREQUENCY)
-    out = Field(f.grid, FREQUENCY, fh.values * schrodinger_symbol(f.grid, t))
-    return out.in_domain(f.domain)
+    return apply_multiplier(f, schrodinger_symbol(f.grid, t))
 
 
 def half_wave_flow(f: Field, t: float, sign: int = +1) -> Field:
     """Half-wave evolution exp(sign * i t |grad|)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    g = f.grid
-    fh = f.in_domain(FREQUENCY)
-    mod = np.sqrt(g.xi_squared)
-    out = Field(g, FREQUENCY, fh.values * np.exp(1j * sign * t * mod))
-    return out.in_domain(f.domain)
+    return apply_multiplier(f, np.exp(1j * sign * t * np.sqrt(f.grid.xi_squared)))
 
 
 def _sinc_multiplier(grid: SpectralGrid, t: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateDataError, NotRealError
-from .grid import FREQUENCY, Field, SpectralGrid, lp_norm
+from .grid import FREQUENCY, Field, SpectralGrid, apply_multiplier, lp_norm
 from .projections import active_cell_box, smoothstep, unit_cell_tables, unit_projection
 
 COMPLEX_GAUSSIAN = "complex_gaussian"
@@ -97,10 +97,7 @@ def randomize_schrodinger(f: Field, spec: RandomizationSpec, draw: int) -> Field
     mask = _active_mask(g, K, spec.active_set)
     if mask is not None:
         gbox = gbox * mask
-    fh = f.in_domain(FREQUENCY)
-    mult = _corner_multiplier(g, gbox, K)
-    out = Field(g, FREQUENCY, fh.values * mult)
-    return out.in_domain(f.domain)
+    return apply_multiplier(f, _corner_multiplier(g, gbox, K))
 
 
 def _lex_sign(grid_shape_box: tuple, K: int, d: int) -> np.ndarray:
@@ -170,10 +167,8 @@ def randomize_wave_pair(
         box0, box1 = box0 * mask, box1 * mask
     out = []
     for f, box in ((f0, box0), (f1, box1)):
-        fh = f.in_domain(FREQUENCY)
         mult = _corner_multiplier(g, box, K)
-        mult = 0.5 * (mult + _lattice_conjugate_reflection(g, mult))
-        out.append(Field(g, FREQUENCY, fh.values * mult).in_domain(f.domain))
+        out.append(apply_multiplier(f, 0.5 * (mult + _lattice_conjugate_reflection(g, mult))))
     return out[0], out[1]
 
 

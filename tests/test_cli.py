@@ -240,3 +240,22 @@ def test_cli_solve_nls(tmp_path):
     assert len(manifest["mass"]) == 3
     drift = abs(manifest["mass"][-1] - manifest["mass"][0]) / manifest["mass"][0]
     assert drift < 1e-8
+
+
+def test_run_unknown_verifier_rejected_before_any_experiment(tmp_path, capsys):
+    cfg = base_config(
+        output_dir=str(tmp_path / "out"),
+        experiments=[
+            {"kind": "verify", "name": "bernstein",
+             "params": {"grid": {"m": 16, "L": 4.0}, "N_list": [2.0, 4.0]}},
+            {"kind": "verify", "name": "no_such_verifier"},
+        ],
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("config error:")]
+    assert any("experiments[1]" in ln and "no_such_verifier" in ln for ln in lines)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()

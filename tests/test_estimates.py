@@ -287,3 +287,27 @@ def test_verifier_scaling_invariance(grid16):
     repa = E.verify_lateral_dyadic(grid16, (1.0, 2.0), 2, np.inf, 1, seed=3)
     repb = E.verify_lateral_dyadic(grid16, (1.0, 2.0), 2, np.inf, 1, seed=3)
     assert repa.slope == repb.slope  # deterministic given seeds
+
+
+def test_transform_paths_make_no_centering_roll(monkeypatch):
+    # the centred transforms, the band stack on physical input and the
+    # main-linear audit run without a single fftshift/ifftshift
+    from dlab.grid import random_field, to_frequency
+    from dlab.norms import xn_norm
+    from dlab.propagate import free_trajectory
+
+    g = SpectralGrid(m=8, L=2 * np.pi)
+    f = random_field(g, 2, band_limit=3.0)
+    traj = free_trajectory(f, 0.0, 0.05, 3)
+
+    def roll(*args, **kwargs):
+        raise AssertionError("centering roll on a transform path")
+
+    monkeypatch.setattr(np.fft, "fftshift", roll)
+    monkeypatch.setattr(np.fft, "ifftshift", roll)
+    back = to_physical(to_frequency(f))
+    assert np.abs(back.values - f.values).max() <= 1e-13 * np.abs(f.values).max()
+    phys = traj.map_frames(to_physical)
+    assert xn_norm(phys, 2.0) > 0
+    rep = E.verify_main_linear(g, n_samples=1, n_frames=5)
+    assert np.isfinite(rep.worst) and rep.worst > 0

@@ -1,0 +1,152 @@
+"""Golden-output lock for the spectral transform path and the pipelines built on it.
+
+``tests/golden.json`` holds outputs recorded before the transform path was
+rewritten.  Two kinds of entry:
+
+* ``hash`` entries are SHA-256 digests of the raw bytes of an array and must
+  match exactly: the centred transforms, the band stack's physical-input
+  spectrum and the split-step without dealiasing are bit-identical by design.
+* ``values`` entries are nested numbers compared at rtol 1e-9 (pipelines
+  whose floating-point order may change; other leaves compare exactly).
+
+Regenerate (only when a change of outputs is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dlab.cli import run_verifier
+from dlab.grid import PHYSICAL, SpectralGrid, random_field, to_frequency, to_physical
+from dlab.norms import _BandStack, g_norm_upper, x_norm, y_norm
+from dlab.propagate import free_trajectory
+from dlab.solver import NLSRunConfig, splitstep_nls
+
+GOLDEN = Path(__file__).with_name("golden.json")
+RTOL = 1e-9
+
+# the verify_run benchmark's reduced parameters, seed 12
+VERIFIERS = {
+    "main_linear": {"grid": {"m": 16, "L": 2 * np.pi}, "n_samples": 2},
+    "duhamel_retarded": {"grid": {"m": 16, "L": 2 * np.pi}, "n_frames": 65},
+    "operator_decay": {"grid": {"m": 16, "L": 8 * np.pi}, "separations": [2, 4]},
+    "bernstein": {"grid": {"m": 32, "L": 4.0}},
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _frames_digest(traj) -> str:
+    h = hashlib.sha256()
+    for fr in traj.frames:
+        h.update(np.ascontiguousarray(fr.values).tobytes())
+    return h.hexdigest()
+
+
+def _probe(traj) -> list:
+    """Per frame: mass and <r, u> for a fixed seeded complex r (any change shows)."""
+    g = traj.grid
+    rng = np.random.default_rng(99)
+    r = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    out = []
+    for fr in traj.frames:
+        z = np.vdot(r, fr.values)
+        out.append([float(np.sum(np.abs(fr.values) ** 2)), float(z.real), float(z.imag)])
+    return out
+
+
+def _norm_trajectory(domain: str):
+    g = SpectralGrid(m=8, L=2 * np.pi)  # one aggregate band, N = 2
+    f = random_field(g, seed=5, band_limit=3.0)
+    traj = free_trajectory(f, 0.0, 0.05, 5)
+    if domain == PHYSICAL:
+        traj = traj.map_frames(lambda fr: fr.in_domain(PHYSICAL))
+    return traj
+
+
+def _splitstep(dealias: bool):
+    g = SpectralGrid(m=8, L=8.0)
+    u0 = random_field(g, seed=3, band_limit=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return splitstep_nls(u0, NLSRunConfig(mu=+1, dt=0.01, T=0.1, dealias=dealias))
+
+
+def _case_transforms(m: int):
+    g = SpectralGrid(m=m, L=8.0)
+    f = random_field(g, seed=11)
+    fh = to_frequency(f)
+    back = to_physical(random_field(g, seed=12, domain="frequency"))
+    return {"to_frequency": _digest(fh.values), "to_physical": _digest(back.values)}
+
+
+CASES = {
+    **{f"verifier/{name}": (lambda name=name: ("values", run_verifier(
+        name, json.loads(json.dumps(VERIFIERS[name])), seed=12))) for name in VERIFIERS},
+    "splitstep/dealias": lambda: ("values", _probe(_splitstep(True))),
+    "splitstep/plain": lambda: ("hash", _frames_digest(_splitstep(False))),
+    **{f"norms/{dom}": (lambda dom=dom: ("values", {
+        "x": x_norm(_norm_trajectory(dom)),
+        "y": y_norm(_norm_trajectory(dom)),
+        "g": g_norm_upper(_norm_trajectory(dom)),
+    })) for dom in ("physical", "frequency")},
+    "band_stack/physical": lambda: ("hash", _digest(
+        _BandStack(_norm_trajectory(PHYSICAL), 0, 4).freq)),
+    **{f"transforms/m{m}": (lambda m=m: ("hash", _case_transforms(m))) for m in (8, 16)},
+}
+
+
+def _compare(got, want, path="") -> list:
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{path}: keys {sorted(got) if isinstance(got, dict) else got} != {sorted(want)}"]
+        return [b for k in want for b in _compare(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, (list, tuple)) or len(got) != len(want):
+            return [f"{path}: length differs"]
+        return [b for i, (a, w) in enumerate(zip(got, want)) for b in _compare(a, w, f"{path}[{i}]")]
+    if isinstance(want, float) and not isinstance(got, bool):
+        if math.isclose(float(got), want, rel_tol=RTOL, abs_tol=0.0) or got == want:
+            return []
+        return [f"{path}: {got!r} != {want!r} at rtol {RTOL}"]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def _json_ready(obj):
+    return json.loads(json.dumps(obj, default=float))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, golden):
+    kind, got = CASES[case]()
+    want = golden[case]
+    assert want["kind"] == kind
+    assert _compare(_json_ready(got), want["data"]) == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    out = {}
+    for name in sorted(CASES):
+        kind, data = CASES[name]()
+        out[name] = {"kind": kind, "data": _json_ready(data)}
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(out)} cases to {GOLDEN}")

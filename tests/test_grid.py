@@ -261,3 +261,19 @@ def test_xi1d_fft_is_the_fft_ordering_of_xi1d(grid8):
     assert np.array_equal(grid8.xi1d_fft, np.fft.ifftshift(grid8.xi1d))
     assert grid8.xi1d_fft[0] == 0.0
     assert grid8.xi1d_fft[grid8.m // 2] == -grid8.xi_max
+
+
+@pytest.mark.parametrize(
+    "m,d",
+    [(m, d) for m in (8, 16) for d in (1, 2, 4)] + [(32, 1), (32, 2), (32, 4)],
+)
+def test_centred_transforms_equal_textbook_shift_form_bitwise(m, d):
+    # the checkerboard path must reproduce fftshift(fftn(ifftshift(.))) * dx^d
+    # (and its inverse) exactly, not just to rounding
+    g = SpectralGrid(m=m, L=5.0, d=d)
+    f = random_field(g, 3)
+    want = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) * g.dx**d
+    assert np.array_equal(to_frequency(f).values, want)
+    h = random_field(g, 4, domain=FREQUENCY)
+    want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(h.values))) / g.dx**d
+    assert np.array_equal(to_physical(h).values, want)

@@ -390,3 +390,15 @@ def test_lateral_norm_matches_direct_formula(grid8, p, q):
             inner = (g.dx**3 * np.tensordot(w, np.sum(a**q, axis=others), axes=1)) ** (1.0 / q)
         expected = inner.max() if np.isinf(p) else (g.dx * np.sum(inner**p)) ** (1.0 / p)
         assert lateral_norm(v, p, q, ax) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_band_stack_physical_spectrum_is_shifted_fft_bitwise(m):
+    g = SpectralGrid(m=m, L=2 * np.pi)
+    v = free_trajectory(random_field(g, 8, band_limit=3.0), 0.0, 0.05, 3).map_frames(
+        lambda fr: fr.in_domain(PHYSICAL)
+    )
+    stack = np.stack([fr.values for fr in v.frames])
+    axes = tuple(range(1, g.d + 1))
+    want = np.fft.fftshift(np.fft.fftn(stack, axes=axes), axes=axes) * g.dx**g.d
+    assert np.array_equal(norms_mod._BandStack(v, 0, 2).freq, want)

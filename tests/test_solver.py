@@ -1,4 +1,5 @@
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dlab.grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    broadcast_along,
     lp_norm,
     random_field,
     sobolev_norm,
@@ -350,3 +352,46 @@ def test_scaling_lambda_two(gs, gaussian):
     rep = scaling_check(gaussian, 2.0, cfg)
     assert rep.h1_invariance_error <= 1e-10
     assert rep.matched_time_discrepancy <= 1e-3
+
+
+def _six_transform_splitstep(u0, cfg):
+    """The Strang step with a separate masked round trip after the nonlinear
+    rotation (fftn, mask, ifftn, then fftn, half step, mask, ifftn): the
+    reference for the four-transform step."""
+    g = u0.grid
+    xi = g.xi1d_fft
+    half = np.exp(-0.5j * cfg.dt * reduce(
+        np.add, (broadcast_along(xi**2, ax, g.d) for ax in range(g.d))))
+    keep = np.abs(xi) <= (2.0 / 3.0) * np.abs(xi).max()
+    mask = reduce(np.logical_and, (broadcast_along(keep, ax, g.d) for ax in range(g.d)))
+    u = u0.values.copy()
+    frames = [u.copy()]
+    for _ in range(cfg.n_steps):
+        u = np.fft.ifftn(np.fft.fftn(u) * half)
+        u = u * np.exp(-1j * cfg.mu * cfg.dt * np.abs(u) ** 2)
+        if cfg.dealias:
+            uh = np.fft.fftn(u)
+            uh *= mask
+            u = np.fft.ifftn(uh)
+        uh = np.fft.fftn(u) * half
+        if cfg.dealias:
+            uh *= mask
+        u = np.fft.ifftn(uh)
+        frames.append(u.copy())
+    return frames
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_splitstep_matches_six_transform_step(m, dealias):
+    g = SpectralGrid(m=m, L=8.0)
+    u0 = random_field(g, 21, band_limit=2.5)
+    cfg = NLSRunConfig(mu=-1, dt=0.01, T=0.1, dealias=dealias)
+    got = splitstep_nls(u0, cfg).frames
+    want = _six_transform_splitstep(u0, cfg)
+    assert len(got) == len(want)
+    for fr, ref in zip(got, want):
+        if dealias:
+            assert np.abs(fr.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        else:
+            assert np.array_equal(fr.values, ref)
