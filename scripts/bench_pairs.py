@@ -12,11 +12,18 @@ median, quartiles and values of every end-to-end metric in BENCHMARK.json,
 the correctness counts and the environment records the runs printed, and per
 metric the pairs the working tree wins.  Entries for other workloads or seeds
 already in the file are kept, so workloads can be run one invocation at a time.
+
+What "change" was is recorded next to ``parent``: HEAD's commit id, whether
+the tracked files differ from HEAD (staged or not; stage new files first)
+and the SHA-256 of ``git diff HEAD``, BENCH_*.json excluded.  A run whose
+parent has HEAD's tree on a clean working tree would compare the code with
+itself, so it stops with an error instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -31,10 +38,21 @@ METRICS = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 RUN_TIMEOUT_S = 600
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def change_identity() -> dict:
+    """HEAD's commit id, a dirty flag and the hash of the working tree's diff against HEAD."""
+    diff = git("diff", "HEAD", "--", ".", ":(exclude)BENCH_*.json")
+    return {"head": git("rev-parse", "HEAD").strip(), "dirty": bool(diff),
+            "diff_sha256": hashlib.sha256(diff.encode()).hexdigest()}
+
+
 def export_parent(rev: str, dest: Path) -> str:
     """Write the tree of ``rev`` into ``dest``; return its full commit id."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout.strip()
+    sha = git("rev-parse", rev).strip()
     archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -104,13 +122,19 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (quartiles need two runs)")
 
+    change = change_identity()
+    if not change["dirty"] and (git("rev-parse", f"{args.parent}^{{tree}}")
+                                == git("rev-parse", "HEAD^{tree}")):
+        ap.error(f"--parent {args.parent} has HEAD's tree and the working tree is clean: "
+                 "the run would compare the code with itself")
     out_path = ROOT / f"BENCH_{args.pr}.json"
     body = json.loads(out_path.read_text()) if out_path.exists() else {
         "pr": args.pr, "workloads": {}}
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         parent_dir = Path(tmp)
         sha = export_parent(args.parent, parent_dir)
-        body.update(parent=sha, command="perfbench/run.py --workload W --seed S --trace 0")
+        body.update(parent=sha, change=change,
+                    command="perfbench/run.py --workload W --seed S --trace 0")
         for seed in args.seeds:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -127,6 +151,7 @@ def main(argv=None) -> int:
                 "parent": side_record(runs["parent"]),
                 "change": side_record(runs["change"]),
                 "comparison": compare(runs["parent"], runs["change"]),
+                "change_diff_sha256": change["diff_sha256"],
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             }
             out_path.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")

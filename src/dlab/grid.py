@@ -221,10 +221,12 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
          sign_out: bool = False, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """fftn (ifftn when ``inverse``) of ``values`` over ``axes`` (default all), in ``out``.
 
-    One pass fills ``out`` (new when None; ``out=values`` works in place),
-    times S when ``sign_in``; the transform runs in place; one last pass
-    applies S when ``sign_out`` and the scale, which the forward transform
-    multiplies by and the inverse divides by (both signs: the centred pair).
+    ``out`` is new when None; ``out=values`` works in place.  When
+    ``sign_in``, one pass writes S * values into ``out`` and the transform
+    runs there in place; otherwise it reads ``values`` directly.  One last
+    pass applies S when ``sign_out`` and the scale, which the forward
+    transform multiplies by and the inverse divides by (both signs: the
+    centred pair).
     """
     if axes is None:
         axes = tuple(range(values.ndim))
@@ -233,9 +235,8 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
     if sign_in:
         view, op = _checkerboard(values, axes)
         np.multiply(view, op, out=out.reshape(view.shape))
-    elif out is not values:
-        np.copyto(out, values)
-    (np.fft.ifftn if inverse else np.fft.fftn)(out, axes=axes, out=out)
+        values = out
+    (np.fft.ifftn if inverse else np.fft.fftn)(values, axes=axes, out=out)
     if sign_out or scale != 1.0:
         view, op = _checkerboard(out, axes, scale) if sign_out else (out, scale)
         (np.divide if inverse else np.multiply)(view, op, out=view)
@@ -331,28 +332,32 @@ def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
 
 
 def _spectral_gradient(f: Field) -> tuple:
-    """Forward spectrum of a field and its partial derivatives, with no centering shift.
+    """Partial derivatives of a field, one axis at a time, with no centering shift.
 
-    Returns ``(fh, partial)``: ``fh`` is ``fftn`` of the centred physical
-    values (FFT order, no dx^d factor) and ``partial(ax, out=None)`` writes
-    d_{ax+1} f on the centred physical lattice into ``out`` (a new array when
-    None) with one ``ifftn``, so a caller that reduces the derivatives one at a
-    time holds a single derivative buffer.  A centred frame is a periodic
-    sample whose index origin only multiplies its spectrum by a phase, which
-    commutes with every Fourier multiplier, so the derivatives are
-    ``ifftn(i xi_fft * fftn(u))`` on the centred array itself.  A
+    Returns ``(partial, nyquist)``.  ``partial(ax, out=None)`` writes
+    d_{ax+1} f on the centred physical lattice into ``out`` (new when None)
+    with three passes along axis ``ax`` only: a 1D forward transform, i xi
+    with the unpaired Nyquist entry zeroed, a 1D inverse transform.  The
+    centred index origin only puts a phase on the spectrum, which commutes
+    with every multiplier.  Before zeroing, it stores in ``nyquist[ax]`` the
+    sum of |1D spectrum|^2 over the plane k_ax = m/2, so the full-|xi|^2 Hdot^1
+    norm is ``dx^d (sum |grad f|^2 + xi_max^2 / m * sum(nyquist))``.  A
     frequency-domain input is brought to the physical lattice first.
     """
     g = f.grid
-    fh = _fft(f.in_domain(PHYSICAL).values)
+    vals = f.in_domain(PHYSICAL).values
     dfac = 1j * g.xi1d_fft
     dfac[g.m // 2] = 0.0
+    nyquist = [0.0] * g.d
 
     def partial(ax: int, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(fh, broadcast_along(dfac, ax, g.d), out=out)
-        return _fft(out, inverse=True, out=out)
+        out = _fft(vals, axes=(ax,), out=out)
+        plane = out[(slice(None),) * ax + (g.m // 2,)]
+        nyquist[ax] = float(np.vdot(plane, plane).real)
+        out *= broadcast_along(dfac, ax, g.d)
+        return _fft(out, inverse=True, axes=(ax,), out=out)
 
-    return fh, partial
+    return partial, nyquist
 
 
 def gradient_fields(f: Field) -> list:
@@ -362,13 +367,13 @@ def gradient_fields(f: Field) -> list:
     convention: FFT index m/2, centred index 0) so differentiation maps real
     fields to real fields exactly.
     """
-    _, partial = _spectral_gradient(f)
+    partial, _ = _spectral_gradient(f)
     return [Field(f.grid, PHYSICAL, partial(ax)) for ax in range(f.grid.d)]
 
 
 def gradient_magnitude(f: Field) -> np.ndarray:
     """Pointwise |grad f| on the physical lattice."""
-    _, partial = _spectral_gradient(f)
+    partial, _ = _spectral_gradient(f)
     part = np.empty(f.grid.shape, dtype=np.complex128)
     acc = np.zeros(f.grid.shape)
     for ax in range(f.grid.d):

@@ -13,18 +13,20 @@ the change of variables u := F + v: when F solves the linear equation exactly
 on the grid (free flows here are exact multipliers), u solves the standard
 cubic NLS, so no separate splitting-error analysis is needed.
 
-The Morawetz audit makes one spectral pass per frame: one fftn and d = 4
-ifftn, taken on the centred physical frame with no centering shift.  From
-that spectrum and the four derivatives come the Morawetz action, the dm/dt
-right side (interior frames), ||v||_{Hdot^1} by Parseval on the same
-spectrum, and, with |v|^2, the bulk densities and ||v||_2; the forcing
-difference H is built once and feeds both the right side and ||H||_2.  The
-weight arrays 1/a, 1/a^3, Lap a, LapLap a are built once per audit call and
-dropped on return.  A frame holds its spectrum, one derivative buffer
-reused for the d axes, x.grad v and |grad v|^2 (3.5 complex m^d arrays, 56 MB
-at m = 32), all released before the next frame.  The energy audit
-shares the pass: energy, |grad v| and the Morawetz series of v come from one
-spectrum, so a frame costs 15 transforms (v, F and the flux W, 5 each).
+The Morawetz audit makes one spectral pass per frame: each of the d = 4
+derivatives is a 1D transform pair along its own axis, taken on the centred
+physical frame with no centering shift (8 axis passes where fftn + 4 ifftn
+make 20).  From the derivatives come the Morawetz action, the dm/dt right
+side (interior frames) and ||v||_{Hdot^1} by Parseval (plus the Nyquist
+planes the derivative zeroes), and, with rho = |v|^2, the bulk densities and
+||v||_2; the forcing difference H is built once in one buffer from rho and
+feeds both the right side and ||H||_2.  The weight arrays 1/a, 1/a^3, Lap a,
+LapLap a are built once per audit call and dropped on return.  A frame holds
+one derivative buffer reused for the d axes, x.grad v and |grad v|^2
+(2.5 complex m^d arrays, 40 MB at m = 32), all released before the next
+frame.  The energy audit shares the pass: energy, |grad v| and the Morawetz
+series of v come from it, so a frame costs 24 one-axis transforms (v, F
+and the flux W, 8 each).
 """
 
 from __future__ import annotations
@@ -86,13 +88,6 @@ class NLSRunConfig:
             )
 
 
-def _fft_order_xi2(grid: SpectralGrid) -> np.ndarray:
-    """|xi|^2 in plain FFT ordering (solver works unshifted for speed)."""
-    return reduce(
-        np.add, (broadcast_along(grid.xi1d_fft**2, ax, grid.d) for ax in range(grid.d))
-    )
-
-
 def _fft_order_dealias(grid: SpectralGrid) -> np.ndarray:
     xi = np.abs(grid.xi1d_fft)
     keep = xi <= (2.0 / 3.0) * xi.max()
@@ -109,7 +104,8 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
     """
     g = u0.grid
     cfg.check_phase_resolution(g)
-    xi2 = _fft_order_xi2(g)
+    # |xi|^2 in plain FFT ordering (the step works unshifted)
+    xi2 = reduce(np.add, (broadcast_along(g.xi1d_fft**2, ax, g.d) for ax in range(g.d)))
     half = np.exp(-0.5j * cfg.dt * xi2)
     mask = _fft_order_dealias(g) if cfg.dealias else None
 
@@ -308,13 +304,15 @@ def _inv_weight(grid: SpectralGrid, sigma: float) -> np.ndarray:
 
 
 def _frame_pass(v: Field) -> tuple:
-    """One frame's values, spectrum, x.grad v and |grad v|^2 from one fftn and d ifftn.
+    """One frame's values, ||v||_{Hdot^1}^2, x.grad v and |grad v|^2 from d per-axis passes.
 
-    Returns raveled arrays; the spectrum is the unnormalized FFT-order one of
-    ``grid._spectral_gradient``, so Parseval needs only |xi|^2 in FFT order.
+    Each derivative is one 1D transform pair along its axis
+    (``grid._spectral_gradient``); Hdot^1 is Parseval on the derivatives plus
+    the Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
+    ``sobolev_norm``.  Returns the arrays raveled.
     """
     g = v.grid
-    fh, partial = _spectral_gradient(v)
+    partial, nyquist = _spectral_gradient(v)
     grad2 = np.zeros(g.shape)
     xdot = np.zeros(g.shape, dtype=np.complex128)
     part = np.empty(g.shape, dtype=np.complex128)
@@ -323,13 +321,9 @@ def _frame_pass(v: Field) -> tuple:
         grad2 += _abs2(part)
         part *= broadcast_along(g.x1d, ax, g.d)
         xdot += part
+    h1_sq = g.dx**g.d * (float(grad2.sum()) + g.xi_max**2 / g.m * sum(nyquist))
     vals = v.in_domain(PHYSICAL).values.ravel()
-    return vals, fh.ravel(), xdot.ravel(), grad2.ravel()
-
-
-def _h1_squared(fh: np.ndarray, xi2: np.ndarray, grid: SpectralGrid) -> float:
-    """||v||_{Hdot^1}^2 by Parseval on a ``_frame_pass`` spectrum (raveled, FFT order)."""
-    return grid.dx**grid.d / grid.size * float(np.dot(_abs2(fh), xi2))
+    return vals, h1_sq, xdot.ravel(), grad2.ravel()
 
 
 def _action(vals: np.ndarray, xdot: np.ndarray, inv_a: np.ndarray, vol: float) -> float:
@@ -389,12 +383,17 @@ def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> f
     return float(np.sum(w * vals))
 
 
-def _forcing_difference(vv: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
-    """H = mu(|F+v|^2 (F+v) - |v|^2 v) from physical values."""
-    return mu * (_cubic(Fv + vv, 1) - _cubic(vv, 1))
+def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
+    """H = mu(|F+v|^2 (F+v) - rho v) from physical values and rho = |v|^2, in one buffer."""
+    H = Fv + vals
+    H *= _abs2(H)
+    H -= rho * vals
+    if mu != 1:
+        H *= mu
+    return H
 
 
-def _audit_frame(v, Fv, mu, weights, inv_a_quarter, xi2, interior: bool) -> tuple:
+def _audit_frame(v, Fv, mu, weights, inv_a_quarter, interior: bool) -> tuple:
     """Per-frame terms of ``morawetz_audit`` from one frame pass.
 
     Returns (action, ||v||_{Hdot^1}^2, ||v||_2^2, bulk density at sigma and at
@@ -403,12 +402,10 @@ def _audit_frame(v, Fv, mu, weights, inv_a_quarter, xi2, interior: bool) -> tupl
     """
     g = v.grid
     vol = g.dx**g.d
-    vals, fh, xdot, grad2 = _frame_pass(v)
-    h1_sq = _h1_squared(fh, xi2, g)
-    del fh
+    vals, h1_sq, xdot, grad2 = _frame_pass(v)
     rho = _abs2(vals)
     rho2 = rho * rho
-    H = None if Fv is None else _forcing_difference(vals, Fv, mu)
+    H = None if Fv is None else _forcing_difference(vals, rho, Fv, mu)
     return (
         _action(vals, xdot, weights[0], vol),
         h1_sq,
@@ -455,7 +452,6 @@ def morawetz_audit(
         raise ValueError("need at least three frames")
     weights = _weight_arrays(g, sigma)
     inv_a_quarter = _inv_weight(g, g.dx / 4.0)
-    xi2 = _fft_order_xi2(g).ravel()
     terms = np.array(
         [
             _audit_frame(
@@ -464,7 +460,6 @@ def morawetz_audit(
                 mu,
                 weights,
                 inv_a_quarter,
-                xi2,
                 0 < j < n - 1,
             )
             for j, fr in enumerate(run.frames)
@@ -540,7 +535,6 @@ def energy_growth_audit(
     sigma = g.dx / 2.0
     a = np.sqrt(g.x_squared + sigma**2)
     inv_a = 1.0 / a.ravel()
-    xi2 = _fft_order_xi2(g).ravel()
     vol = g.dx**g.d
     w = np.full(n, run.dt)
     w[0] = w[-1] = 0.5 * run.dt
@@ -571,10 +565,10 @@ def energy_growth_audit(
         quart = np.abs(np.abs(tot) ** 4 - np.abs(Fv) ** 4 - np.abs(vv) ** 4)
         group_quartic = max(group_quartic, vol * float(np.sum(quart)))
 
-        vals, vfh, xdot, grad2 = _frame_pass(vfr)
+        vals, h1_sq, xdot, grad2 = _frame_pass(vfr)
         vmag = np.sqrt(grad2).reshape(g.shape)
-        _, F_partial = _spectral_gradient(Fj)
-        _, W_partial = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
+        F_partial, _ = _spectral_gradient(Fj)
+        W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
         Fmag = np.zeros(g.shape)
         dot = np.zeros(g.shape, dtype=np.complex128)
         for ax in range(g.d):
@@ -585,7 +579,7 @@ def energy_growth_audit(
         group_gradient += w[j] * vol * float(np.sum(np.abs(dot)))
 
         absF, absv = np.abs(Fv), np.abs(vv)
-        evals[j] = 0.5 * _h1_squared(vfh, xi2, g) + 0.25 * vol * float(np.sum(absv**4))
+        evals[j] = 0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4))
         mor_series.append(_action(vals, xdot, inv_a, vol))
         term_vals["gv_FF_gF"] += w[j] * vol * float(np.sum(vmag * absF**2 * Fmag))
         term_vals["v_F_gF2"] += w[j] * vol * float(np.sum(absv * absF * Fmag**2))

@@ -11,7 +11,10 @@ rewritten.  Two kinds of entry:
 
 Regenerate (only when a change of outputs is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [CASE ...]
+
+which rewrites the named cases (every case when none is named) and keeps the
+other entries of the file as they are.
 """
 
 from __future__ import annotations
@@ -21,16 +24,32 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dlab.cli import run_verifier
-from dlab.grid import PHYSICAL, SpectralGrid, random_field, to_frequency, to_physical
+from dlab.grid import (
+    PHYSICAL,
+    Field,
+    SpectralGrid,
+    gradient_fields,
+    gradient_magnitude,
+    random_field,
+    to_frequency,
+    to_physical,
+)
 from dlab.norms import _BandStack, g_norm_upper, x_norm, y_norm
 from dlab.propagate import free_trajectory
-from dlab.solver import NLSRunConfig, splitstep_nls
+from dlab.solver import (
+    NLSRunConfig,
+    energy_growth_audit,
+    morawetz_audit,
+    splitstep_forced,
+    splitstep_nls,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-9
@@ -55,16 +74,17 @@ def _frames_digest(traj) -> str:
     return h.hexdigest()
 
 
-def _probe(traj) -> list:
-    """Per frame: mass and <r, u> for a fixed seeded complex r (any change shows)."""
-    g = traj.grid
+def _probe_array(a: np.ndarray) -> list:
+    """sum |a|^2 and <r, a> for a fixed seeded complex r (any change shows)."""
     rng = np.random.default_rng(99)
-    r = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    out = []
-    for fr in traj.frames:
-        z = np.vdot(r, fr.values)
-        out.append([float(np.sum(np.abs(fr.values) ** 2)), float(z.real), float(z.imag)])
-    return out
+    r = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+    z = np.vdot(r, a)
+    return [float(np.sum(np.abs(a) ** 2)), float(z.real), float(z.imag)]
+
+
+def _probe(traj) -> list:
+    """Per frame: ``_probe_array`` of its values."""
+    return [_probe_array(fr.values) for fr in traj.frames]
 
 
 def _norm_trajectory(domain: str):
@@ -82,6 +102,36 @@ def _splitstep(dealias: bool):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return splitstep_nls(u0, NLSRunConfig(mu=+1, dt=0.01, T=0.1, dealias=dealias))
+
+
+def _forced_run():
+    """A forced m=16 run of 6 steps whose v carries energy up to the Nyquist planes."""
+    g = SpectralGrid(m=16, L=8.0)
+    cfg = NLSRunConfig(mu=+1, dt=0.005, T=0.03, dealias=False)
+    F0 = Field.physical(g, 0.9 * np.exp(-g.x_squared / 2.0) * np.exp(1j * g.axis_coord(1)))
+    F = free_trajectory(F0, 0.0, cfg.dt, cfg.n_steps + 1).map_frames(
+        lambda fr: fr.in_domain(PHYSICAL)
+    )
+    return splitstep_forced(0.05 * random_field(g, seed=31), F, cfg), F
+
+
+def _case_energy_audit():
+    series, report = energy_growth_audit(*_forced_run())
+    return {"series": asdict(series), "report": asdict(report)}
+
+
+def _case_gradients():
+    g = SpectralGrid(m=8, L=6.0)
+    f = random_field(g, seed=17)  # not band-limited: the Nyquist planes carry energy
+    out = {}
+    for dom in ("physical", "frequency"):
+        fd = f.in_domain(dom)
+        mag = gradient_magnitude(fd)
+        out[dom] = {
+            "fields": [_probe_array(p.values) for p in gradient_fields(fd)],
+            "magnitude": _probe_array(mag) + [float(mag.max())],
+        }
+    return out
 
 
 def _case_transforms(m: int):
@@ -105,6 +155,9 @@ CASES = {
     "band_stack/physical": lambda: ("hash", _digest(
         _BandStack(_norm_trajectory(PHYSICAL), 0, 4).freq)),
     **{f"transforms/m{m}": (lambda m=m: ("hash", _case_transforms(m))) for m in (8, 16)},
+    "audit/morawetz": lambda: ("values", asdict(morawetz_audit(*_forced_run()))),
+    "audit/energy_growth": lambda: ("values", _case_energy_audit()),
+    "gradient/m8": lambda: ("values", _case_gradients()),
 }
 
 
@@ -142,11 +195,12 @@ def test_golden(case, golden):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    out = {}
-    for name in sorted(CASES):
+    names = sys.argv[2:] or sorted(CASES)
+    if sys.argv[1:2] != ["--write"] or not set(names) <= set(CASES):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [CASE ...]")
+    out = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in names:
         kind, data = CASES[name]()
         out[name] = {"kind": kind, "data": _json_ready(data)}
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(out)} cases to {GOLDEN}")
+    print(f"wrote {len(names)} cases to {GOLDEN}")

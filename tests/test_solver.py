@@ -12,6 +12,8 @@ from dlab.grid import (
     SpectralGrid,
     Trajectory,
     broadcast_along,
+    gradient_fields,
+    gradient_magnitude,
     lp_norm,
     random_field,
     sobolev_norm,
@@ -395,3 +397,49 @@ def test_splitstep_matches_six_transform_step(m, dealias):
             assert np.abs(fr.values - ref).max() <= 1e-12 * np.abs(ref).max()
         else:
             assert np.array_equal(fr.values, ref)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_audit_hdot1_keeps_the_nyquist_planes(m):
+    # un-band-limited frames: a Gaussian's Nyquist planes hold ~e^-79 of its
+    # energy, these hold a visible share, which |grad v|^2 alone misses
+    # (the derivative multiplier zeroes the Nyquist entry)
+    g = SpectralGrid(m=m, L=8.0)
+    run, F = (
+        Trajectory(g, 0.0, 0.01, tuple(scale * random_field(g, s) for s in seeds))
+        for scale, seeds in ((1.0, (41, 42, 43)), (0.1, (44, 45, 46)))
+    )
+    h1_sq = [sobolev_norm(fr, 1.0, homogeneous=True) ** 2 for fr in run.frames]
+    grad_sq = [g.dx**g.d * float(np.sum(gradient_magnitude(fr) ** 2)) for fr in run.frames]
+    assert all(gr < 0.95 * h for gr, h in zip(grad_sq, h1_sq))
+    series, _ = energy_growth_audit(run, F)
+    quartic = [0.25 * lp_norm(fr, 4) ** 4 for fr in run.frames]
+    assert [e - q for e, q in zip(series.energy, quartic)] == pytest.approx(
+        [0.5 * h for h in h1_sq], rel=1e-12
+    )
+    assert series.energy == pytest.approx([energy(fr) for fr in run.frames], rel=1e-12)
+    rep = morawetz_audit(run)
+    assert rep.morawetz_rhs == pytest.approx(linf_h1(run) * linf_l2(run), rel=1e-12)
+
+
+def test_audits_and_gradients_make_no_multi_axis_transform(gs, gaussian, monkeypatch):
+    # every derivative is a 1D transform pair along its own axis
+    run, F = _forced_run(gs, gaussian, 0.005, 2)
+    frame = run.frames[1]
+
+    def one_axis(transform):
+        def checked(a, *args, axes=None, **kwargs):
+            if axes is None or len(axes) != 1:
+                raise AssertionError(f"transform over axes {axes}")
+            return transform(a, *args, axes=axes, **kwargs)
+
+        return checked
+
+    monkeypatch.setattr(np.fft, "fftn", one_axis(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", one_axis(np.fft.ifftn))
+    rep = morawetz_audit(run, F)
+    assert np.isfinite(rep.constant) and rep.bulk > 0.0
+    series, _ = energy_growth_audit(run, F)
+    assert np.isfinite(series.energy).all()
+    assert len(gradient_fields(frame)) == gs.d
+    assert np.isfinite(gradient_magnitude(frame)).all()
