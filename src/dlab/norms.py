@@ -11,27 +11,46 @@ one peak per frame for the L^r sums of a Strichartz norm.
 Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
 several times.  They stack its frames once as a centered spectrum (a
 physical window takes the checkerboard sign and one batched forward
-transform in place, with no roll; see grid.py).  Each projection multiplies
-the stack by the band symbol with the inverse transform's 1/dx^d folded in,
-inverse-transforms it with no centering shift, and reduces the result at
-once to |u|^2 in float64.
+transform in place, with no roll; see grid.py).  The band projection
+multiplies the stack by the band symbol with the inverse transform's 1/dx^d
+folded in, inverse-transforms it with no centering shift, and reduces the
+result at once to |u|^2 in float64.
 Without the shifts a projected frame comes out cyclically shifted along
 each axis and, from a centered spectrum, with a sign (-1)^(n_1+...+n_d) on
 node n.  |u|^2 drops the sign, and every consumer of it is a sum or a
-maximum over whole axes, so the permutation leaves every value unchanged.  On one |u|^2 stack:
+maximum over whole axes, so the permutation leaves every value unchanged.
+A directional projection P_{N,e_l} P_N u starts from P_N u instead of the
+spectrum: a 1D forward transform along axis l, the 1D directional factor,
+a 1D inverse transform along l.  fft_l(ifftn(G)) is the inverse transform
+of G over the other axes, at the same index positions, so the factor
+multiplies the centered frequencies it would have multiplied in G: the
+same operator in 2 axis passes instead of a 4-axis inverse transform.
+On one |u|^2 stack:
 
 * Strichartz pairs with the same r share one pass of per-frame L^r sums;
 * lateral norms with the same (p, q) share one time-weighted power array
   W = sum_j w_j (|u_j| / peak)^q; the lateral norm along x_l is built from
   the marginal of W over the other spatial axes.
 
+Underflow guard.  At the Y norm's q = 4/eps a large share of the terms
+(|u_j| / peak)^q underflows to zero or to a subnormal, where np.power is
+some thirty times slower.  In a frame with a base below
+c = (1e-300)^(1/q), the power pass therefore clamps the bases at c and
+zeroes the clamped terms, each of which is below 1e-300 where the largest
+term is 1; other frames are powered as they are.  Each marginal of W then
+lacks at most 1e-300 * sum_j w_j * m^(d-1); when a marginal on a requested
+axis is smaller than 1e16 times that, the unguarded power pass is taken
+instead, so every marginal keeps a relative error below 1e-16.
+
 Memory: the kernel holds the complex frequency stack, one complex work
-stack and the float64 |u|^2 stack of the current projection.  Its window
-guard counts the float64 stack against _STACK_LIMIT and raises
-MemoryBudgetError beyond it.  The public strichartz_norm, lateral_norm and
-lateral_norms stream over an existing trajectory frame by frame instead and
-build no window stack; a lateral norm with finite q takes two passes, the
-peak and then the sums.
+stack and the float64 |u|^2 stack of the current projection.  Once P_N u
+is in the work stack, the directional projections take the frequency stack
+as their buffer, so a Y norm holds no third complex stack; the band stack
+is spent after them.  The window guard counts the float64 stack against
+_STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
+strichartz_norm, lateral_norm and lateral_norms stream over an existing
+trajectory frame by frame instead and build no window stack; a lateral norm
+with finite q takes two passes, the peak and then the sums.
 """
 
 from __future__ import annotations
@@ -203,13 +222,42 @@ def _strichartz(powers, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
     return out
 
 
+# a clamped power term is below this, where the window's largest term is 1
+_POWER_FLOOR = 1e-300
+
+
+def _power_sum(powers, w: np.ndarray, peak2: float, q: float, floor: float) -> np.ndarray:
+    """W = sum_j w_j (s_j / peak2)^(q/2), every term below ``floor`` taken as 0.
+
+    In a frame with a base below c = floor^(2/q) the base is clamped at c
+    before the power, so no term underflows, and the clamped terms are then
+    zeroed; floor = 0 leaves every term as it is.
+    """
+    c = floor ** (2.0 / q)
+    W = 0.0
+    for wt, s in zip(w, powers):
+        t = s / peak2
+        clamp = t.min() < c
+        if clamp:
+            keep = t >= c
+            np.maximum(t, c, out=t)
+        np.power(t, 0.5 * q, out=t)
+        if clamp:
+            t *= keep
+        t *= wt
+        W += t
+    return W
+
+
 def _lateral(powers, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes) -> list:
     """Lateral L^{p,q}_{e_l} norms for each axis l in axes from |u|^2 frames.
 
     ``powers()`` returns a fresh iterator over the window's |u|^2 frames.  With
     finite q one power pass builds W = sum_j w_j (|u_j|/peak)^q under one peak
     over the window; the inner (t, x') norm along x_l is its marginal over the
-    other axes, so every axis shares that pass.
+    other axes, so every axis shares that pass.  The pass drops terms below
+    _POWER_FLOOR and is redone without dropping when a marginal is too small
+    to bound the relative error by 1e-16 (see the module docstring).
     """
     d = grid.d
     others = [tuple(a for a in range(d) if a != ax - 1) for ax in axes]
@@ -222,14 +270,14 @@ def _lateral(powers, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes
         peak2 = max(s.max() for s in powers())
         if peak2 == 0.0:
             return [0.0] * len(axes)
-        W = np.zeros(grid.shape)
-        for wt, s in zip(w, powers()):
-            t = s / peak2
-            np.power(t, 0.5 * q, out=t)
-            t *= wt
-            W += t
+        W = _power_sum(powers(), w, peak2, q, _POWER_FLOOR)
+        margs = [W.sum(axis=o) for o in others]
+        dropped = _POWER_FLOOR * float(np.sum(w)) * grid.m ** (d - 1)  # per marginal, at most
+        if min(mg.min() for mg in margs) < 1e16 * dropped:
+            W = _power_sum(powers(), w, peak2, q, 0.0)
+            margs = [W.sum(axis=o) for o in others]
         vol_inner = grid.dx ** (d - 1)
-        inners = [np.sqrt(peak2) * (vol_inner * W.sum(axis=o)) ** (1.0 / q) for o in others]
+        inners = [np.sqrt(peak2) * (vol_inner * mg) ** (1.0 / q) for mg in margs]
     return [_power_mean(inner, grid.dx, p) for inner in inners]
 
 
@@ -266,14 +314,6 @@ def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval=None) ->
     return _lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, (axis,))[0]
 
 
-def _band_symbol_scaled(grid: SpectralGrid, N: float, axis=None) -> np.ndarray:
-    """P_N, times P_{N,e_axis} when axis is set, times the inverse transform's 1/dx^d."""
-    sym = band_symbol(grid, Band.dyadic(N)) * grid.dx ** (-grid.d)
-    if axis is not None:
-        sym *= band_symbol(grid, Band.directional(N, axis))
-    return sym
-
-
 class _BandStack:
     """Frames i0..i1 of a trajectory as one centered frequency stack, ready to project.
 
@@ -293,6 +333,7 @@ class _BandStack:
                 f"window of {n} frames on m={g.m}^{g.d} needs {n * g.size * 8} bytes of "
                 f"|u|^2 stack, over the norm limit of {_STACK_LIMIT}"
             )
+        self.grid = g
         self.axes = tuple(range(1, g.d + 1))
         stack = np.stack([v.frames[i].values for i in range(i0, i1 + 1)])
         if v.domain == PHYSICAL:
@@ -305,12 +346,21 @@ class _BandStack:
         np.multiply(self.freq, symbol, out=self.work)
         return _abs2(_fft(self.work, inverse=True, axes=self.axes, out=self.work))
 
+    def band_powers(self, N: float):
+        """Yield |P_N u|^2, then |P_{N,e_l} P_N u|^2 for l = 1..d.
 
-def _band_window(v: Trajectory, N: float, interval) -> tuple:
-    """(band stack of the window, |P_N u|^2 stack, trapezoid weights)."""
-    i0, i1, w = _window(v, interval)
-    bs = _BandStack(v, i0, i1)
-    return bs, bs.power(_band_symbol_scaled(v.grid, N)), w
+        Each directional stack is taken from P_N u, left in ``work``, along
+        axis l alone, in the frequency stack's buffer: the band stack is
+        spent from the first of them on, and ``freq`` is dropped so that no
+        later ``power`` can read the overwritten spectrum.
+        """
+        g = self.grid
+        yield self.power(band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d))
+        buf, self.freq = self.freq, None
+        for ax in self.axes:
+            _fft(self.work, axes=(ax,), out=buf)
+            buf *= band_symbol(g, Band.directional(N, ax))
+            yield _abs2(_fft(buf, inverse=True, axes=(ax,), out=buf))
 
 
 def aggregate_bands(grid: SpectralGrid) -> list:
@@ -331,7 +381,8 @@ def xn_norm(v: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
         + sum_axes N^(-1/2+eps) ||P_N v||_{lateral (4/(2-eps), 4/eps)}.
     """
     g = v.grid
-    _, S, w = _band_window(v, N, interval)
+    i0, i1, w = _window(v, interval)
+    S = next(_BandStack(v, i0, i1).band_powers(N))  # the stack is freed here
     total = N * sum(_strichartz(lambda: S, w, g, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
     p, q = pol.x_lateral_pq
     total += N ** (-0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))
@@ -346,7 +397,9 @@ def yn_norm(F: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
         + sum_axes N^(-1/6) ||P_N F||_{lateral (4/(2-eps), 4/eps)}.
     """
     g = F.grid
-    bs, S, w = _band_window(F, N, interval)
+    i0, i1, w = _window(F, interval)
+    powers = _BandStack(F, i0, i1).band_powers(N)
+    S = next(powers)
     japN = (1.0 + N * N) ** 0.5
     wN = japN ** (1.0 / 3.0 + 3.0 * pol.eps)
     total = wN * sum(_strichartz(lambda: S, w, g, [(3, 6), (6, 6)]))
@@ -354,8 +407,7 @@ def yn_norm(F: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
     total += N ** (-1.0 / 6.0) * sum(_lateral(lambda: S, w, g, p_mx, q_mx, range(1, g.d + 1)))
     del S  # hold one |u|^2 stack at a time
     p_ls, q_ls = pol.y_smoothing_pq
-    for ax in range(1, g.d + 1):
-        S_dir = bs.power(_band_symbol_scaled(g, N, ax))
+    for ax, S_dir in zip(range(1, g.d + 1), powers):
         total += wN * N ** (0.5 - pol.eps) * _lateral(lambda: S_dir, w, g, p_ls, q_ls, (ax,))[0]
     return float(total)
 
@@ -368,7 +420,8 @@ def gn_norm_upper(h: Trajectory, N: float, interval=None, pol: EpsilonPolicy = E
     upper bound (reported as such wherever it enters a NormReport).
     """
     g = h.grid
-    _, S, w = _band_window(h, N, interval)
+    i0, i1, w = _window(h, interval)
+    S = next(_BandStack(h, i0, i1).band_powers(N))  # the stack is freed here
     term1 = N * _strichartz(lambda: S, w, g, [(1, 2)])[0]
     p, q = pol.g_lateral_pq
     term2 = N ** (0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))

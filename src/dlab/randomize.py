@@ -4,9 +4,9 @@ wave-pair randomization, and radial test-profile generators.
 A draw multiplies each unit-cell piece P_k f by an i.i.d. coefficient g_k with
 E g = 0 and E |g|^2 = 1.  Coefficients come from a counter-based generator
 (Philox) keyed by (seed, draw), so ensembles are reproducible independently of
-execution order.  Because at most two translates of the 1D profile are nonzero
-at any frequency, the randomized multiplier sum_k g_k psi(xi - k) is assembled
-from 2^d corner gathers instead of a loop over cells.
+execution order.  The randomized multiplier sum_k g_k psi(xi - k) is separable
+in the cell index, so it is one matrix product per axis of the coefficient
+box, instead of a loop over cells.
 """
 
 from __future__ import annotations
@@ -72,19 +72,24 @@ def _active_mask(grid: SpectralGrid, K: int, active_set) -> np.ndarray | None:
 
 
 def _corner_multiplier(grid: SpectralGrid, gbox: np.ndarray, K: int) -> np.ndarray:
-    """sum_k g_k psi(xi - k) on the lattice via the 2^d corner gathers."""
+    """sum_k g_k psi(xi - k) on the lattice as the mode products G x_1 A x_2 A ... x_d A.
+
+    psi(xi - k) = prod_l phi1(xi_l - k_l) is separable, so the sum over the
+    coefficient box G (cells k in [-K, K]^d) contracts one axis at a time with
+    the (m, 2K+1) matrix A[i, k] = phi1(xi_i - k): a tensordot per axis
+    (Kolda & Bader, SIAM Rev. 2009).  Row i of A holds the two weights of
+    the cells floor(xi_i) and floor(xi_i) + 1 from ``unit_cell_tables``; every
+    other translate of phi1 vanishes at xi_i.
+    """
     n0, w0, w1 = unit_cell_tables(grid)
-    mult = np.zeros(grid.shape, dtype=np.complex128)
-    weights = (w0, w1)
-    for corner in product((0, 1), repeat=grid.d):
-        w = np.ones(grid.shape)
-        idx1d = []
-        for ax, b in enumerate(corner):
-            shape = [1] * grid.d
-            shape[ax] = grid.m
-            w = w * weights[b].reshape(shape)
-            idx1d.append(np.clip(n0 + b + K, 0, 2 * K))
-        mult += w * gbox[np.ix_(*idx1d)]
+    rows = np.arange(grid.m)
+    A = np.zeros((grid.m, 2 * K + 1))
+    A[rows, n0 + K] = w0
+    A[rows, n0 + 1 + K] = w1
+    mult = gbox
+    for _ in range(grid.d):
+        # contract the leading cell axis; the new lattice axis goes last
+        mult = np.tensordot(mult, A, axes=(0, 1))
     return mult
 
 

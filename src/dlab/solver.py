@@ -528,7 +528,8 @@ def energy_growth_audit(
     Evaluates int |d_t E| dt by finite differences, the quartic and gradient
     right-side groups, the five schematic flux terms against their exact
     Holder majorants, the mass bound, and the measured-norm energy-growth
-    bound (with the unknown absolute constant set to 1).
+    bound (with the unknown absolute constant set to 1).  Without forcing
+    both groups vanish and their ratio ``group_constant`` is nan.
     """
     g = run.grid
     n = run.n_frames
@@ -567,16 +568,17 @@ def energy_growth_audit(
 
         vals, h1_sq, xdot, grad2 = _frame_pass(vfr)
         vmag = np.sqrt(grad2).reshape(g.shape)
-        F_partial, _ = _spectral_gradient(Fj)
-        W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
         Fmag = np.zeros(g.shape)
-        dot = np.zeros(g.shape, dtype=np.complex128)
-        for ax in range(g.d):
-            F_partial(ax, Fpart)
-            Fmag += _abs2(Fpart)
-            dot += W_partial(ax, Wpart) * np.conj(Fpart)
-        Fmag = np.sqrt(Fmag)
-        group_gradient += w[j] * vol * float(np.sum(np.abs(dot)))
+        if F is not None:  # without forcing grad F = 0: no gradient group, no F terms
+            F_partial, _ = _spectral_gradient(Fj)
+            W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
+            dot = np.zeros(g.shape, dtype=np.complex128)
+            for ax in range(g.d):
+                F_partial(ax, Fpart)
+                Fmag += _abs2(Fpart)
+                dot += W_partial(ax, Wpart) * np.conj(Fpart)
+            Fmag = np.sqrt(Fmag)
+            group_gradient += w[j] * vol * float(np.sum(np.abs(dot)))
 
         absF, absv = np.abs(Fv), np.abs(vv)
         evals[j] = 0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4))
@@ -643,13 +645,12 @@ def energy_growth_audit(
         np.exp(min(F_L3L6**3 + wF**2 + gF_L2L4**2, 500.0))
         * (E0 + 1.0 + m0 + F_Li2**2 + F4**4)
     )
+    groups = group_quartic + group_gradient  # both vanish without forcing: no ratio
     report = EnergyGrowthReport(
         integrated_dtE=integrated,
         group_quartic=float(group_quartic),
         group_gradient=float(group_gradient),
-        group_constant=float(
-            integrated / max(group_quartic + group_gradient, np.finfo(float).tiny)
-        ),
+        group_constant=float(integrated / groups) if groups > 0.0 else float("nan"),
         term_values={k: float(x) for k, x in term_vals.items()},
         term_majorants={k: float(x) for k, x in majorants.items()},
         terms_ok=bool(terms_ok),

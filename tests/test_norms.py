@@ -402,3 +402,102 @@ def test_band_stack_physical_spectrum_is_shifted_fft_bitwise(m):
     axes = tuple(range(1, g.d + 1))
     want = np.fft.fftshift(np.fft.fftn(stack, axes=axes), axes=axes) * g.dx**g.d
     assert np.array_equal(norms_mod._BandStack(v, 0, 2).freq, want)
+
+
+def _count_transforms(monkeypatch):
+    """Record (kind, axes) of every np.fft.fftn / ifftn call from here on."""
+    calls = []
+
+    def counted(kind, transform):
+        def wrapper(a, *args, axes=None, **kwargs):
+            calls.append((kind, tuple(axes) if axes is not None else None))
+            return transform(a, *args, axes=axes, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted("fwd", np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted("inv", np.fft.ifftn))
+    return calls
+
+
+@pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
+def test_yn_norm_directional_projections_are_one_axis_pairs(grid8, domain, monkeypatch):
+    # one 4D inverse transform for P_N, then a 1D pair along each axis l for P_{N,e_l}
+    v = _traj8(grid8, domain)
+    calls = _count_transforms(monkeypatch)
+    yn_norm(v, 1.0)
+    stack_axes = (1, 2, 3, 4)
+    want = [("fwd", stack_axes)] if domain == PHYSICAL else []
+    want.append(("inv", stack_axes))
+    for ax in stack_axes:
+        want += [("fwd", (ax,)), ("inv", (ax,))]
+    assert calls == want
+
+
+def test_band_stack_is_spent_after_directional_powers(grid8):
+    bs = norms_mod._BandStack(_traj8(grid8, FREQUENCY), 0, 2)
+    stacks = list(bs.band_powers(1.0))
+    assert len(stacks) == 1 + grid8.d
+    assert bs.freq is None
+
+
+def _enveloped_traj(grid, sigma, seed=5, n=5):
+    """Frames exp(-|x|^2 / (2 sigma^2)) times a random modulation: |u| spans many decades."""
+    rng = np.random.default_rng(seed)
+    env = np.exp(-grid.x_squared / (2.0 * sigma**2))
+    frames = tuple(
+        Field.physical(grid, env * (1.0 + 0.5 * rng.random(grid.shape)) * np.exp(1j * rng.random(grid.shape)))
+        for _ in range(n)
+    )
+    return Trajectory(grid, 0.0, 0.1, frames)
+
+
+def _spy_power_sums(monkeypatch):
+    floors = []
+    orig = norms_mod._power_sum
+
+    def spy(powers, w, peak2, q, floor):
+        floors.append(floor)
+        return orig(powers, w, peak2, q, floor)
+
+    monkeypatch.setattr(norms_mod, "_power_sum", spy)
+    return floors
+
+
+def _unguarded_lateral_norms(v, p, q, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(norms_mod, "_POWER_FLOOR", 0.0)
+        return lateral_norms(v, p, q)
+
+
+def test_lateral_underflow_guard_matches_unguarded_power(grid8, monkeypatch):
+    p, q = 4.0 / 1.98, 200.0
+    v = _enveloped_traj(grid8, 3.5)
+    s = np.abs(np.stack([fr.values for fr in v.frames])) ** 2
+    with np.errstate(under="ignore"):
+        underflow = np.mean((s / s.max()) ** (q / 2) < np.finfo(float).tiny)
+    assert 0.1 <= underflow <= 0.2
+    expected = _unguarded_lateral_norms(v, p, q, monkeypatch)
+    floors = _spy_power_sums(monkeypatch)
+    got = lateral_norms(v, p, q)
+    assert floors == [norms_mod._POWER_FLOOR]  # guarded pass only, no fallback
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
+def test_lateral_underflow_guard_falls_back_on_tiny_slice(grid8, monkeypatch):
+    # every term of the x_1 = -L/2 slice lies just below the clamp: the guarded pass
+    # drops the whole slice, while its unguarded marginal is small but not 0
+    p, q = 4.0 / 1.98, 200.0
+    v = _enveloped_traj(grid8, 4.0)
+    s = np.abs(np.stack([fr.values for fr in v.frames])) ** 2
+    scale = np.ones(grid8.shape)
+    scale[0] = np.sqrt(10**-3.02 * s.max() / s[:, 0].max())
+    v = v.map_frames(lambda fr: Field.physical(grid8, fr.values * scale))
+    t = (s[:, 0] * scale[0] ** 2) / s.max()
+    assert (t < norms_mod._POWER_FLOOR ** (2.0 / q)).all()
+    assert np.sum(t ** (q / 2)) > 0.0
+    expected = _unguarded_lateral_norms(v, p, q, monkeypatch)
+    floors = _spy_power_sums(monkeypatch)
+    got = lateral_norms(v, p, q)
+    assert floors == [norms_mod._POWER_FLOOR, 0.0]
+    assert got == expected

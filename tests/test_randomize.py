@@ -3,10 +3,11 @@ import pytest
 
 from dlab.errors import DegenerateDataError, NotRealError
 from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, sobolev_norm, to_physical
-from dlab.projections import unit_projection
+from dlab.projections import active_cell_box, psi_symbol, unit_projection
 from dlab.randomize import (
     RadialProfileSpec,
     RandomizationSpec,
+    _corner_multiplier,
     compute_active_set,
     make_radial_data,
     projected_mass_sum,
@@ -49,6 +50,20 @@ def test_empty_active_set_raises(gridr, bumpdata):
     spec = RandomizationSpec(seed=1, active_set=())
     with pytest.raises(DegenerateDataError):
         randomize_schrodinger(bumpdata, spec, 0)
+
+
+def test_multiplier_is_the_sum_over_cells():
+    # oracle: sum_k g_k psi(xi - k), one full psi symbol per cell of the box
+    g = SpectralGrid(m=8, L=4 * np.pi)
+    K = active_cell_box(g)
+    rng = np.random.default_rng(4)
+    box = rng.standard_normal((2 * K + 1,) * g.d) + 1j * rng.standard_normal((2 * K + 1,) * g.d)
+    expected = np.zeros(g.shape, dtype=complex)
+    for idx in np.ndindex(box.shape):
+        expected += box[idx] * psi_symbol(g, [i - K for i in idx])
+    got = _corner_multiplier(g, box, K)
+    assert got.shape == g.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
 
 
 def _freq_mass(field):

@@ -443,3 +443,39 @@ def test_audits_and_gradients_make_no_multi_axis_transform(gs, gaussian, monkeyp
     assert np.isfinite(series.energy).all()
     assert len(gradient_fields(frame)) == gs.d
     assert np.isfinite(gradient_magnitude(frame)).all()
+
+
+def test_energy_growth_audit_unforced_differentiates_v_only(monkeypatch):
+    # without forcing only v is differentiated: one 1D pair per axis and frame
+    g = SpectralGrid(m=8, L=8.0)
+    run = Trajectory(g, 0.0, 0.01, tuple(random_field(g, s) for s in (51, 52, 53)))
+    calls = []
+
+    def counted(transform):
+        def wrapper(a, *args, axes=None, **kwargs):
+            calls.append(tuple(axes))
+            return transform(a, *args, axes=axes, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    series, rep = energy_growth_audit(run, None)
+    assert len(calls) == 2 * g.d * run.n_frames
+    assert all(len(axes) == 1 for axes in calls)
+    assert rep.group_gradient == 0.0
+    assert all(v == 0.0 for v in rep.term_values.values())
+    assert series.energy == pytest.approx([energy(fr) for fr in run.frames], rel=1e-12)
+
+
+def test_energy_growth_audit_unforced_group_constant_is_nan():
+    # both right-side groups vanish without forcing, so their ratio is undefined;
+    # random (non-solution) frames make int |dE/dt| large
+    g = SpectralGrid(m=8, L=8.0)
+    run = Trajectory(g, 0.0, 0.01, tuple(random_field(g, s) for s in (61, 62, 63, 64)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = energy_growth_audit(run, None)
+    assert rep.group_quartic == rep.group_gradient == 0.0
+    assert rep.integrated_dtE > 0.0
+    assert np.isnan(rep.group_constant)
