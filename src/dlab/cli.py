@@ -13,34 +13,25 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import estimates, montecarlo, norms as norms_mod, solver as solver_mod
 from .errors import ConfigError, DLabError
-from .grid import (
-    Field,
-    SpectralGrid,
-    Trajectory,
-    parse_grid_flag,
-    read_snapshot,
-    write_snapshot,
-)
+from .grid import Field, SpectralGrid, Trajectory, parse_grid_flag, read_snapshot, write_snapshot
 from .norms import EpsilonPolicy
 from .projections import Band, dyadic_projection, unit_projection
 from .propagate import free_trajectory, wave_flow
-from .randomize import (
-    RadialProfileSpec,
-    RandomizationSpec,
-    compute_active_set,
-    make_radial_data,
-    randomize_schrodinger,
-)
+from .randomize import (RadialProfileSpec, RandomizationSpec, compute_active_set,
+                        make_radial_data, randomize_schrodinger)
 
 SCHEMA_VERSION = 1
 
@@ -65,23 +56,39 @@ def write_report(path, body: dict) -> None:
 
 # ---------------------------------------------------------------- config
 
-_GRID_KEYS = {"m", "L"}
-_TIME_KEYS = {"T", "dt"}
-_EPS_KEYS = {"eps", "s"}
-_DATA_KEYS = {"profile", "snapshot"}
-_PROFILE_KEYS = {"kind", "target_s", "ep0", "cutoff", "width", "inner", "outer"}
-_EXPERIMENT_KEYS = {"kind", "name", "params", "id"}
-_TOP_KEYS = {
-    "schema_version",
-    "grid",
-    "time",
-    "epsilon",
-    "data",
-    "seed",
-    "draws",
-    "experiments",
-    "output_dir",
+# a key maps to None, or to the keys of its (object) value
+_CONFIG_KEYS = {
+    **dict.fromkeys(("schema_version", "seed", "draws", "experiments", "output_dir")),
+    "grid": dict.fromkeys(("m", "L")),
+    "time": dict.fromkeys(("T", "dt")),
+    "epsilon": dict.fromkeys(("eps", "s")),
+    "data": {"snapshot": None, "profile": dict.fromkeys(
+        ("kind", "target_s", "ep0", "cutoff", "width", "inner", "outer"))},
 }
+_EXPERIMENT_KEYS = dict.fromkeys(("kind", "name", "params", "id"))
+
+
+def _unknown_keys(where: str, obj, spec: dict) -> list:
+    """Violations for the keys of obj that spec does not name, at every depth."""
+    if not isinstance(obj, dict):
+        return [f"{where} must be an object"]
+    out = []
+    for k, v in obj.items():
+        if k not in spec:
+            # T, Q, seed and pol reach a run from the config, never from params
+            why = " (set by the config)" if k in ("T", "Q", "seed", "pol") else ""
+            out.append(f"unknown key {k!r} in {where}{why}; expected {', '.join(sorted(spec))}")
+        elif spec[k] is not None:
+            out += _unknown_keys(f"{where}.{k}", v, spec[k])
+    return out
+
+
+def _build(violations: list, where: str, make):
+    """make(), or None with a violation when it rejects its arguments."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        violations.append(f"{where}: {exc}")
 
 
 @dataclass
@@ -97,31 +104,20 @@ class ExperimentConfig:
     draws: int
     experiments: list
     output_dir: str
-    raw: dict = dc_field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        violations = []
-
-        def unknown(keys, allowed, where):
-            for k in keys:
-                if k not in allowed:
-                    violations.append(f"unknown key {k!r} in {where}")
-
-        unknown(raw, _TOP_KEYS, "top level")
+        if not isinstance(raw, dict):
+            raise ConfigError(["the config must be a JSON object"])
+        violations = _unknown_keys("config", raw, _CONFIG_KEYS)
         if raw.get("schema_version") != SCHEMA_VERSION:
             violations.append(
                 f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
             )
         gd = raw.get("grid", {})
-        unknown(gd, _GRID_KEYS, "grid")
-        grid = None
-        try:
-            grid = SpectralGrid(m=int(gd.get("m", 16)), L=float(gd.get("L", 32.0)))
-        except (ValueError, TypeError) as exc:
-            violations.append(f"grid: {exc}")
+        grid = _build(violations, "grid",
+                      lambda: SpectralGrid(m=int(gd.get("m", 16)), L=float(gd.get("L", 32.0))))
         td = raw.get("time", {})
-        unknown(td, _TIME_KEYS, "time")
         T = float(td.get("T", 4.0))
         dt = float(td.get("dt", 0.25))
         if T <= 0 or dt <= 0:
@@ -129,20 +125,11 @@ class ExperimentConfig:
         elif abs(T / dt - round(T / dt)) > 1e-8:
             violations.append("time: T must be an integer multiple of dt")
         ed = raw.get("epsilon", {})
-        unknown(ed, _EPS_KEYS, "epsilon")
-        pol = None
-        try:
-            pol = EpsilonPolicy(eps=float(ed.get("eps", 0.05)), s=ed.get("s"))
-        except (ValueError, TypeError) as exc:
-            violations.append(f"epsilon: {exc}")
+        pol = _build(violations, "epsilon",
+                     lambda: EpsilonPolicy(eps=float(ed.get("eps", 0.05)), s=ed.get("s")))
         dd = raw.get("data", {})
-        unknown(dd, _DATA_KEYS, "data")
         if "profile" in dd:
-            unknown(dd["profile"], _PROFILE_KEYS, "data.profile")
-            try:
-                RadialProfileSpec(**dd["profile"])
-            except (ValueError, TypeError) as exc:
-                violations.append(f"data.profile: {exc}")
+            _build(violations, "data.profile", lambda: RadialProfileSpec(**dd["profile"]))
         seed = raw.get("seed", 0)
         draws = raw.get("draws", 1)
         if not isinstance(seed, int) or not isinstance(draws, int) or draws < 0:
@@ -152,28 +139,10 @@ class ExperimentConfig:
             violations.append("experiments must be a list")
             experiments = []
         for i, ex in enumerate(experiments):
-            unknown(ex, _EXPERIMENT_KEYS, f"experiments[{i}]")
-            if ex.get("kind") not in ("verify", "ensemble", "solve"):
-                violations.append(f"experiments[{i}].kind must be verify|ensemble|solve")
-            elif ex["kind"] == "verify" and ex.get("name") not in _VERIFIER_NAMES:
-                violations.append(
-                    f"experiments[{i}].name {ex.get('name')!r} is not a verifier; "
-                    f"choose from {', '.join(_VERIFIER_NAMES)}"
-                )
+            violations += _experiment_violations(i, ex)
         if violations:
             raise ConfigError(violations)
-        return cls(
-            grid=grid,
-            T=T,
-            dt=dt,
-            pol=pol,
-            data=dd,
-            seed=seed,
-            draws=draws,
-            experiments=experiments,
-            output_dir=raw.get("output_dir", "dlab_out"),
-            raw=raw,
-        )
+        return cls(grid, T, dt, pol, dd, seed, draws, experiments, raw.get("output_dir", "dlab_out"))
 
     def canonical(self) -> dict:
         return {
@@ -205,14 +174,8 @@ def write_trajectory(traj: Trajectory, outdir, extra: dict | None = None) -> Non
         name = f"frame_{j:05d}.dlab"
         write_snapshot(fr, outdir / name)
         names.append(name)
-    manifest = {
-        "grid": {"m": traj.grid.m, "L": traj.grid.L, "d": traj.grid.d},
-        "t0": traj.t0,
-        "dt": traj.dt,
-        "frames": names,
-    }
-    if extra:
-        manifest.update(extra)
+    grid = {"m": traj.grid.m, "L": traj.grid.L, "d": traj.grid.d}
+    manifest = {"grid": grid, "t0": traj.t0, "dt": traj.dt, "frames": names, **(extra or {})}
     write_report(outdir / "manifest.json", manifest)
 
 
@@ -226,28 +189,24 @@ def read_trajectory(outdir) -> Trajectory:
 
 # ------------------------------------------------------------ commands
 
-def _cmd_evolve(args) -> int:
-    grid = parse_grid_flag(args.grid) if args.grid else None
+def _datum(args, profile: RadialProfileSpec) -> Field:
+    """The ``--in`` snapshot, else ``profile`` on the ``--grid`` box."""
     if args.input:
-        f = read_snapshot(args.input)
-        grid = f.grid
-    else:
-        f = make_radial_data(RadialProfileSpec(kind="gaussian_bump", width=1.0), grid)
+        return read_snapshot(args.input)
+    return make_radial_data(profile, parse_grid_flag(args.grid))
+
+
+def _cmd_evolve(args) -> int:
+    f = _datum(args, RadialProfileSpec(kind="gaussian_bump", width=1.0))
+    grid = f.grid
     n = int(round(args.t / args.dt)) + 1
     if args.flow == "wave":
         f2 = Field.zero(grid, "physical") if not args.input2 else read_snapshot(args.input2)
-        frames, frames_t = [], []
-        for j in range(n):
-            u, ut = wave_flow(f, f2, j * args.dt)
-            frames.append(u.in_domain("physical"))
-            frames_t.append(ut.in_domain("physical"))
-        traj = Trajectory(grid, 0.0, args.dt, tuple(frames))
-        write_trajectory(traj, args.out, {"flow": "wave"})
-        write_trajectory(
-            Trajectory(grid, 0.0, args.dt, tuple(frames_t)),
-            str(args.out) + "_dt",
-            {"flow": "wave_dt"},
-        )
+        pairs = [wave_flow(f, f2, j * args.dt) for j in range(n)]
+        for k, suffix in enumerate(("", "_dt")):  # u, then its time derivative
+            frames = tuple(pair[k].in_domain("physical") for pair in pairs)
+            write_trajectory(Trajectory(grid, 0.0, args.dt, frames), f"{args.out}{suffix}",
+                             {"flow": f"wave{suffix}"})
     else:
         flow = "schrodinger" if args.flow == "schrodinger" else "halfwave"
         traj = free_trajectory(f, 0.0, args.dt, n, flow=flow).map_frames(
@@ -281,14 +240,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_randomize(args) -> int:
-    grid = parse_grid_flag(args.grid)
-    if args.input:
-        f = read_snapshot(args.input)
-        grid = f.grid
-    else:
-        f = make_radial_data(
-            RadialProfileSpec(kind="fourier_powerlaw", target_s=args.s), grid
-        )
+    f = _datum(args, RadialProfileSpec(kind="fourier_powerlaw", target_s=args.s))
     spec = RandomizationSpec(seed=args.seed, law=args.law)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -298,14 +250,8 @@ def _cmd_randomize(args) -> int:
         name = f"draw_{draw:05d}.dlab"
         write_snapshot(fw.in_domain("physical"), outdir / name)
         names.append(name)
-    manifest = {
-        "seed": args.seed,
-        "law": args.law,
-        "draws": args.draws,
-        "active_cells": len(compute_active_set(f)),
-        "grid": {"m": grid.m, "L": grid.L},
-        "files": names,
-    }
+    manifest = {"seed": args.seed, "law": args.law, "draws": args.draws, "files": names,
+                "active_cells": len(compute_active_set(f)), "grid": {"m": f.grid.m, "L": f.grid.L}}
     write_report(outdir / "manifest.json", manifest)
     print(f"wrote {args.draws} draws to {outdir}")
     return 0
@@ -346,8 +292,7 @@ def _norm_from_spec(traj: Trajectory, spec: dict, pol: EpsilonPolicy):
 
 
 def _cmd_norms(args) -> int:
-    with open(args.spec) as fh:
-        specs = json.load(fh)
+    specs = _read_json(args.spec)
     if isinstance(specs, dict):
         specs = [specs]
     traj = read_trajectory(args.traj)
@@ -358,178 +303,248 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-# verifier name -> its default grid (None: it builds its own lattices)
-_VERIFIER_GRIDS = {
-    "unit_maximal": None,
-    "lateral_dyadic": {"m": 32, "L": 4 * np.pi},
-    "local_smoothing": {"m": 32, "L": 4 * np.pi},
-    "local_energy_decay": {"m": 32, "L": 4 * np.pi},
-    "bernstein": {"m": 32, "L": 4.0},
-    "radialish_sobolev": {"m": 16, "L": 4 * np.pi},
-    "operator_decay": {"m": 32, "L": 8 * np.pi},
-    "trilinear": {"m": 32, "L": 2 * np.pi},
-    "duhamel_retarded": {"m": 16, "L": 2 * np.pi},
-    "main_linear": {"m": 16, "L": 2 * np.pi},
+# ---------------------------------------------------------- experiments
+
+def _kwargs(fn, *supplied, **nested) -> dict:
+    """Params keys an experiment may set: fn's arguments less those the run
+    supplies itself or JSON cannot express (spec format of _unknown_keys)."""
+    return {**dict.fromkeys(inspect.signature(fn).parameters.keys() - set(supplied)), **nested}
+
+
+class _Verifier(NamedTuple):
+    grid: dict | None  # default grid; None: the verifier builds its own lattices
+    call: Callable  # (grid, params, seed) -> JSON-ready result holding "passed"
+    params: dict  # the params keys it takes, see _kwargs
+    required: tuple = ()
+
+
+def _fit(rep) -> dict:
+    return {"report": rep.to_dict(), "passed": rep.passed}
+
+
+def _unit_maximal(g, params, seed) -> dict:
+    rep, control = estimates.verify_unit_maximal(**params)
+    return {"report": rep.to_dict(), "control": control.to_dict(), "passed": rep.passed}
+
+
+def _lateral_dyadic(g, params, seed) -> dict:
+    p, q = params.pop("p"), params.pop("q", None)
+    q = np.inf if q in ("inf", None) else q
+    N_list = params.pop("N_list", (1.0, 2.0, 4.0))
+    return _fit(estimates.verify_lateral_dyadic(g, N_list, p, q, **params))
+
+
+def _radialish_sobolev(g, params, seed) -> dict:
+    profiles = {"gaussian": RadialProfileSpec(kind="gaussian_bump", width=1.0),
+                "powerlaw": RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6)}
+    rep = estimates.verify_radialish_sobolev(g, profiles, **params)
+    report = {"ratios": rep.ratios, "interpolated": rep.interpolated_ratios,
+              "control": rep.control_ratios}
+    return {"report": report, "passed": rep.radial_ok and rep.control_grows}
+
+
+def _operator_decay(g, params, seed) -> dict:
+    rep = estimates.verify_operator_decay(g, **params)
+    report = {"chi_P_chi": rep.chi_P_chi, "P_chi_P": rep.P_chi_P, "ell_drops": rep.ell_drop_factors,
+              "separation_drops": rep.separation_drop_factors, "deviations": rep.deviations}
+    return {"report": report, "passed": rep.ell_ok and rep.separation_ok}
+
+
+def _trilinear(g, params, seed) -> dict:
+    pol = EpsilonPolicy(eps=params.pop("eps", 0.05))
+    harness = estimates.TrilinearHarness(
+        g, params.pop("bands", (1.0, 2.0)), seed=seed, pol=pol, **params.pop("harness", {})
+    )
+    configs = params.pop("configs", [(2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1),
+                                     (1, 2, 1, 1), (1, 1, 1, 1)])
+    caps = params.pop("caps", {})
+    reps = {case: estimates.verify_trilinear(case, configs, harness, caps.get(case, 10.0))
+            for case in estimates.TRILINEAR_CASES}
+    out = {case: {"ratios": r.ratios, "cap": r.cap, "max_ratio": r.max_ratio, "passed": r.passed}
+           for case, r in reps.items()}
+    return {"report": out, "passed": all(r.passed for r in reps.values())}
+
+
+def _duhamel_retarded(g, params, seed) -> dict:
+    rep = estimates.verify_duhamel_retarded(g, params.pop("N", 2.0), seed=seed, **params)
+    report = {"strichartz_constants": rep.strichartz_constants,
+              "maximal_constant": rep.maximal_constant, "max_constant": rep.max_constant}
+    return {"report": report, "passed": rep.passed}
+
+
+def _main_linear(g, params, seed) -> dict:
+    rep = estimates.verify_main_linear(g, seed=seed, **params)
+    return {"report": {"constants": rep.constants, "worst": rep.worst}, "passed": rep.passed}
+
+
+# Only trilinear, duhamel_retarded and main_linear receive the config seed.
+_BOX, _TORUS = {"m": 32, "L": 4 * np.pi}, {"m": 16, "L": 2 * np.pi}
+_VERIFIERS = {
+    "unit_maximal": _Verifier(None, _unit_maximal, _kwargs(
+        estimates.verify_unit_maximal, "grid1", "grid3", "control_grid")),
+    "lateral_dyadic": _Verifier(
+        _BOX, _lateral_dyadic, _kwargs(estimates.verify_lateral_dyadic), ("p",)),
+    "local_smoothing": _Verifier(_BOX, lambda g, params, seed: _fit(estimates.verify_local_smoothing(
+        g, flow="schrodinger", **params)), _kwargs(estimates.verify_local_smoothing, "flow")),
+    "local_energy_decay": _Verifier(_BOX, lambda g, params, seed: _fit(estimates.verify_local_smoothing(
+        g, flow="halfwave", **params)), _kwargs(estimates.verify_local_smoothing, "flow")),
+    "bernstein": _Verifier({"m": 32, "L": 4.0}, lambda g, params, seed: _fit(
+        estimates.verify_bernstein(g, **params)), _kwargs(estimates.verify_bernstein)),
+    "radialish_sobolev": _Verifier({"m": 16, "L": 4 * np.pi}, _radialish_sobolev, _kwargs(
+        estimates.verify_radialish_sobolev, "profiles")),
+    "operator_decay": _Verifier({"m": 32, "L": 8 * np.pi}, _operator_decay, _kwargs(
+        estimates.verify_operator_decay, "separation_grid")),
+    "trilinear": _Verifier({"m": 32, "L": 2 * np.pi}, _trilinear, {
+        **dict.fromkeys(("grid", "eps", "bands", "configs")),
+        "caps": dict.fromkeys(estimates.TRILINEAR_CASES),
+        "harness": _kwargs(estimates.TrilinearHarness, "grid", "bands", "seed", "pol")}),
+    "duhamel_retarded": _Verifier(_TORUS, _duhamel_retarded, _kwargs(
+        estimates.verify_duhamel_retarded, "seed", "pol")),
+    "main_linear": _Verifier(_TORUS, _main_linear, _kwargs(
+        estimates.verify_main_linear, "seed", "pol")),
 }
-_VERIFIER_NAMES = tuple(_VERIFIER_GRIDS)
+_ENSEMBLE_PARAMS = _kwargs(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T")
+_SOLVE_MODES = ("nls", "forced", "picard")
+_NAMES = {"verify": tuple(_VERIFIERS), "ensemble": montecarlo.ENSEMBLE_KINDS, "solve": _SOLVE_MODES}
+
+
+def _experiment_violations(i: int, ex) -> list:
+    """Every violation in one experiment entry: its keys, kind, name and params."""
+    where = f"experiments[{i}]"
+    out = _unknown_keys(where, ex, _EXPERIMENT_KEYS)
+    if not isinstance(ex, dict):
+        return out
+    kind, params = ex.get("kind"), ex.get("params", {})
+    name = ex.get("name", "nls" if kind == "solve" else None)
+    if not isinstance(kind, str) or kind not in _NAMES:
+        return out + [f"{where}.kind must be {'|'.join(_NAMES)}"]
+    if name not in _NAMES[kind]:
+        out.append(f"{where}.name {name!r} is not a {kind} name; "
+                   f"choose from {', '.join(_NAMES[kind])}")
+        if kind != "solve":
+            return out
+    given = params if isinstance(params, dict) else {}
+    if kind == "verify":
+        spec, required = _VERIFIERS[name].params, _VERIFIERS[name].required
+        out += [f"{where}.params.{k} is required" for k in required if k not in given]
+        if "grid" in given and "grid" in spec:
+            _build(out, f"{where}.params.grid", lambda: SpectralGrid(**given["grid"]))
+    elif kind == "ensemble":
+        spec = _ENSEMBLE_PARAMS
+    else:
+        spec = {"mu": None}
+        if given.get("mu", +1) not in (+1, -1):
+            out.append(f"{where}.params.mu must be +1 or -1, got {given['mu']!r}")
+    return out + _unknown_keys(f"{where}.params", params, spec)
 
 
 def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
-    """Dispatch one named estimate verifier; returns a JSON-ready report."""
-    if name not in _VERIFIER_GRIDS:
-        raise ValueError(f"unknown estimate {name!r}; choose from {_VERIFIER_NAMES}")
-    if _VERIFIER_GRIDS[name] is not None:
-        g = SpectralGrid(**params.pop("grid", _VERIFIER_GRIDS[name]))
-    if name == "unit_maximal":
-        rep, control = estimates.verify_unit_maximal(**params)
-        return {"report": rep.to_dict(), "control": control.to_dict(), "passed": rep.passed}
-    if name == "lateral_dyadic":
-        p = params.pop("p")
-        q = params.pop("q", None)
-        q = np.inf if q in ("inf", None) else q
-        rep = estimates.verify_lateral_dyadic(g, params.pop("N_list", (1.0, 2.0, 4.0)), p, q, **params)
-        return {"report": rep.to_dict(), "passed": rep.passed}
-    if name in ("local_smoothing", "local_energy_decay"):
-        flow = "schrodinger" if name == "local_smoothing" else "halfwave"
-        rep = estimates.verify_local_smoothing(g, flow=flow, **params)
-        return {"report": rep.to_dict(), "passed": rep.passed}
-    if name == "bernstein":
-        rep = estimates.verify_bernstein(g, **params)
-        return {"report": rep.to_dict(), "passed": rep.passed}
-    if name == "radialish_sobolev":
-        profiles = {
-            "gaussian": RadialProfileSpec(kind="gaussian_bump", width=1.0),
-            "powerlaw": RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6),
-        }
-        rep = estimates.verify_radialish_sobolev(g, profiles, **params)
-        return {
-            "report": {
-                "ratios": rep.ratios,
-                "interpolated": rep.interpolated_ratios,
-                "control": rep.control_ratios,
-            },
-            "passed": rep.radial_ok and rep.control_grows,
-        }
-    if name == "operator_decay":
-        rep = estimates.verify_operator_decay(g, **params)
-        return {
-            "report": {
-                "chi_P_chi": rep.chi_P_chi,
-                "P_chi_P": rep.P_chi_P,
-                "ell_drops": rep.ell_drop_factors,
-                "separation_drops": rep.separation_drop_factors,
-                "deviations": rep.deviations,
-            },
-            "passed": rep.ell_ok and rep.separation_ok,
-        }
-    if name == "trilinear":
-        pol = EpsilonPolicy(eps=params.pop("eps", 0.05))
-        bands = params.pop("bands", (1.0, 2.0))
-        harness = estimates.TrilinearHarness(g, bands, seed=seed, pol=pol, **params.pop("harness", {}))
-        configs = params.pop("configs", [(2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1), (1, 2, 1, 1), (1, 1, 1, 1)])
-        caps = params.pop("caps", {})
-        out = {}
-        ok = True
-        for case in estimates.TRILINEAR_CASES:
-            rep = estimates.verify_trilinear(case, configs, harness, caps.get(case, 10.0))
-            out[case] = {"ratios": rep.ratios, "cap": rep.cap, "max_ratio": rep.max_ratio, "passed": rep.passed}
-            ok = ok and rep.passed
-        return {"report": out, "passed": ok}
-    if name == "duhamel_retarded":
-        rep = estimates.verify_duhamel_retarded(g, params.pop("N", 2.0), seed=seed, **params)
-        return {
-            "report": {
-                "strichartz_constants": rep.strichartz_constants,
-                "maximal_constant": rep.maximal_constant,
-                "max_constant": rep.max_constant,
-            },
-            "passed": rep.passed,
-        }
-    if name == "main_linear":
-        rep = estimates.verify_main_linear(g, seed=seed, **params)
-        return {"report": {"constants": rep.constants, "worst": rep.worst}, "passed": rep.passed}
+    """Run one named estimate verifier; returns a JSON-ready report."""
+    if name not in _VERIFIERS:
+        raise ValueError(f"unknown estimate {name!r}; choose from {tuple(_VERIFIERS)}")
+    v = _VERIFIERS[name]
+    return v.call(SpectralGrid(**params.pop("grid", v.grid)) if v.grid else None, params, seed)
+
+
+def _solve(cfg: ExperimentConfig, mode: str, mu: int) -> tuple:
+    """(trajectory, result, passed) of one NLS, forced-NLS or Picard solve."""
+    f = cfg.load_field()
+    if mode == "picard":
+        pcfg = solver_mod.PicardConfig(tau=cfg.T, dt=cfg.dt, mu=mu)
+        traj, rec = solver_mod.picard_iterate(f.in_domain("physical"), None, pcfg, cfg.pol)
+        contraction = {"distances": rec.distances, "ratios": rec.ratios,
+                       "converged": rec.converged, "residual": rec.fixed_point_residual}
+        return traj, {"contraction": contraction}, rec.converged
+    run_cfg = solver_mod.NLSRunConfig(mu=mu, dt=cfg.dt, T=cfg.T)
+    if mode == "nls":
+        traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
+    else:
+        fw = randomize_schrodinger(f, RandomizationSpec(seed=cfg.seed), 0)
+        F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1)
+        F = F.map_frames(lambda fr: fr.in_domain("physical"))
+        traj = solver_mod.splitstep_forced(Field.zero(cfg.grid, "physical"), F, run_cfg)
+    masses, energies = solver_mod.nls_mass_energy_series(traj)
+    drift = abs(masses[-1] - masses[0]) / max(masses[0], 1e-300)
+    # a forced run passes when it completes: the mass of v is not conserved
+    passed = mode == "forced" or bool(drift < 1e-10)
+    return traj, {"mass": masses, "energy": energies, "mass_drift": drift}, passed
+
+
+def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict) -> tuple:
+    """Run experiment i of a validated config: (report entry, the solve's
+    trajectory or None).  A DLabError inside it is re-raised naming it."""
+    kind, name = ex["kind"], ex.get("name", "nls")
+    params = dict(ex.get("params", {}))
+    exp_id = ex.get("id", f"{kind}_{i}")
+    traj = None
+    try:
+        if kind == "verify":
+            result = run_verifier(name, params, seed=cfg.seed)
+            passed = result["passed"]
+        elif kind == "ensemble":
+            stats = montecarlo.as_norm_ensemble(
+                name, cfg.load_field(), s=params.pop("s", cfg.pol.s or 0.5), pol=cfg.pol,
+                Q=cfg.draws, seed=cfg.seed, T=cfg.T, **params
+            )
+            result, passed = stats.to_dict(), bool(stats.tail_slope < 0)
+        else:
+            traj, result, passed = _solve(cfg, name, params.get("mu", +1))
+    except DLabError as exc:
+        raise DLabError(f"experiments[{i}] ({exp_id}): {exc}") from exc
+    return {"id": exp_id, "seed": cfg.seed, "kind": kind, "name": name,
+            "result": result, "passed": passed}, traj
+
+
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
+def _run_single(ex: dict, **config) -> dict:
+    """Validate a config holding only experiment ex, run it, print its result."""
+    cfg = ExperimentConfig.from_dict({"schema_version": SCHEMA_VERSION, **config, "experiments": [ex]})
+    report = _run_experiment(cfg, 0, ex)[0]
+    print(json.dumps(report["result"], indent=2, sort_keys=True, default=float))
+    return report
 
 
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.config:
-        with open(args.config) as fh:
-            params = json.load(fh)
-    result = run_verifier(args.estimate, params, seed=args.seed)
-    out = args.out or f"verify_{args.estimate}.json"
-    write_report(out, {"estimate": args.estimate, "result": result})
+    params = _read_json(args.config) if args.config else {}
+    report = _run_single({"kind": "verify", "name": args.estimate, "id": args.estimate,
+                          "params": params}, seed=args.seed)
+    result = report["result"]
+    write_report(args.out or f"verify_{args.estimate}.json",
+                 {"estimate": args.estimate, "result": result})
     rep = result.get("report", {})
     if args.csv and isinstance(rep, dict) and "abscissae" in rep:
         with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["abscissa", "value"])
-            for a, v in zip(rep["abscissae"], rep["values"]):
-                w.writerow([a, v])
-    print(json.dumps(result, indent=2, sort_keys=True, default=float))
-    return 0 if result["passed"] else 2
+            csv.writer(fh).writerows([("abscissa", "value"), *zip(rep["abscissae"], rep["values"])])
+    return 0 if report["passed"] else 2
 
 
 def _cmd_ensemble(args) -> int:
     grid = parse_grid_flag(args.grid)
-    f = make_radial_data(
-        RadialProfileSpec(kind="fourier_powerlaw", target_s=args.s), grid
+    params = {"s": args.s, "alpha": args.alpha, "n_frames": args.frames,
+              "exploratory": args.exploratory, "csv_path": args.csv}
+    report = _run_single(
+        {"kind": "ensemble", "name": args.stat, "id": args.stat, "params": params},
+        grid={"m": grid.m, "L": grid.L}, time={"T": args.T, "dt": args.T},
+        epsilon={"eps": args.eps}, seed=args.seed, draws=args.draws,
+        data={"profile": {"kind": "fourier_powerlaw", "target_s": args.s}},
     )
-    pol = EpsilonPolicy(eps=args.eps)
-    stats = montecarlo.as_norm_ensemble(
-        args.stat,
-        f,
-        s=args.s,
-        pol=pol,
-        Q=args.draws,
-        seed=args.seed,
-        alpha=args.alpha,
-        T=args.T,
-        n_frames=args.frames,
-        exploratory=args.exploratory,
-        csv_path=args.csv,
-    )
-    write_report(args.out or f"ensemble_{args.stat}.json", stats.to_dict())
-    print(json.dumps(stats.to_dict(), indent=2, sort_keys=True, default=float))
-    return 0
+    write_report(args.out or f"ensemble_{args.stat}.json", report["result"])
+    return 0 if report["passed"] else 2
 
 
 def _cmd_solve(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    cfg = ExperimentConfig.from_dict(raw)
-    f = cfg.load_field()
-    run_cfg = solver_mod.NLSRunConfig(mu=+1, dt=cfg.dt, T=cfg.T)
-    outdir = Path(cfg.output_dir)
-    if args.mode in ("nls", "forced"):
-        if args.mode == "nls":
-            traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
-        else:
-            fw = randomize_schrodinger(f, RandomizationSpec(seed=cfg.seed), 0)
-            F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1).map_frames(
-                lambda fr: fr.in_domain("physical")
-            )
-            traj = solver_mod.splitstep_forced(Field.zero(cfg.grid, "physical"), F, run_cfg)
-        masses, energies = solver_mod.nls_mass_energy_series(traj)
-        write_trajectory(traj, outdir, {"mass": masses, "energy": energies,
-                                        "config": cfg.canonical()})
-    else:  # picard
-        pcfg = solver_mod.PicardConfig(tau=cfg.T, dt=cfg.dt)
-        traj, record = solver_mod.picard_iterate(f.in_domain("physical"), None, pcfg, cfg.pol)
-        write_trajectory(
-            traj,
-            outdir,
-            {
-                "contraction": {
-                    "distances": record.distances,
-                    "ratios": record.ratios,
-                    "converged": record.converged,
-                    "residual": record.fixed_point_residual,
-                },
-                "config": cfg.canonical(),
-            },
-        )
-    print(f"wrote trajectory to {outdir}")
-    return 0
+    cfg = ExperimentConfig.from_dict(_read_json(args.config))
+    report, traj = _run_experiment(cfg, 0, {"kind": "solve", "name": args.mode, "id": args.mode})
+    write_trajectory(traj, cfg.output_dir, {**report["result"], "config": cfg.canonical()})
+    print(f"wrote trajectory to {cfg.output_dir}")
+    return 0 if report["passed"] else 2
 
 
 def report_merge(paths) -> dict:
@@ -562,82 +577,43 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def run(config_path) -> int:
-    """Execute the experiments named in a config file.
-
-    Exit code 0 on pass, 2 on verification failure, 1 on error.
-    """
+def _guarded(fn, *args) -> int:
+    """fn(*args); a DLabError ends as its message lines and exit code 1."""
     try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-        cfg = ExperimentConfig.from_dict(raw)
+        return fn(*args)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except DLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    failed = False
 
-    def run_one(i_ex):
-        i, ex = i_ex
-        kind = ex["kind"]
-        params = dict(ex.get("params", {}))
-        exp_id = ex.get("id", f"{kind}_{i}")
-        if kind == "verify":
-            result = run_verifier(ex["name"], params, seed=cfg.seed)
-            return {"id": exp_id, "seed": cfg.seed, "kind": kind,
-                    "name": ex["name"], "result": result, "passed": result["passed"]}
-        if kind == "ensemble":
-            f = cfg.load_field()
-            stats = montecarlo.as_norm_ensemble(
-                ex["name"], f, s=params.pop("s", cfg.pol.s or 0.5), pol=cfg.pol,
-                Q=cfg.draws, seed=cfg.seed, T=cfg.T, **params
-            )
-            ok = bool(stats.tail_slope < 0)
-            return {"id": exp_id, "seed": cfg.seed, "kind": kind, "name": ex["name"],
-                    "result": stats.to_dict(), "passed": ok}
-        # solve
-        f = cfg.load_field()
-        run_cfg = solver_mod.NLSRunConfig(mu=params.pop("mu", +1), dt=cfg.dt, T=cfg.T)
-        traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
-        masses, energies = solver_mod.nls_mass_energy_series(traj)
-        drift = abs(masses[-1] - masses[0]) / max(masses[0], 1e-300)
-        return {"id": exp_id, "seed": cfg.seed, "kind": kind,
-                "result": {"mass_drift": drift, "energy": energies},
-                "passed": bool(drift < 1e-10)}
+def run(config_path) -> int:
+    """Execute the experiments of a config file: exit 0 on pass, 2 on a failed check, 1 on error."""
+    return _guarded(_run, config_path)
+
+
+def _run(config_path) -> int:
+    cfg = ExperimentConfig.from_dict(_read_json(config_path))
+
+    def one(item):
+        return _run_experiment(cfg, *item)[0]
 
     threads = int(os.environ.get("DLAB_THREADS", "1"))
     items = list(enumerate(cfg.experiments))
-    try:
-        if threads > 1 and len(items) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    if threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(run_one, items))
-        else:
-            reports = [run_one(it) for it in items]
-    except DLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    failed = any(not r["passed"] for r in reports)
-    write_report(
-        outdir / "report.json",
-        {"config": cfg.canonical(), "reports": reports},
-    )
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            reports = list(pool.map(one, items))
+    else:
+        reports = [one(it) for it in items]
+    write_report(Path(cfg.output_dir) / "report.json", {"config": cfg.canonical(), "reports": reports})
     for r in reports:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['id']}")
-    return 2 if failed else 0
-
-
-def _cmd_run(args) -> int:
-    return run(args.config)
+    return 0 if all(r["passed"] for r in reports) else 2
 
 
 def main(argv=None) -> int:
@@ -678,7 +654,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("verify", help="run a named estimate verifier")
-    p.add_argument("--estimate", required=True, choices=_VERIFIER_NAMES)
+    p.add_argument("--estimate", required=True, choices=tuple(_VERIFIERS))
     p.add_argument("--config", default=None, help="JSON parameter overrides")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -701,7 +677,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("solve", help="run the NLS / forced NLS / Picard solver")
-    p.add_argument("--mode", choices=("nls", "forced", "picard"), required=True)
+    p.add_argument("--mode", choices=_SOLVE_MODES, required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -712,18 +688,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="execute experiments from a config file")
     p.add_argument("config")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=lambda args: _run(args.config))
 
     args = ap.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return 1
-    except DLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _guarded(args.func, args)
 
 
 if __name__ == "__main__":

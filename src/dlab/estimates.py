@@ -29,6 +29,7 @@ from .grid import (
     lp_norm,
     sobolev_norm,
     to_physical,
+    trapezoid_weights,
 )
 from .norms import (
     EpsilonPolicy,
@@ -81,12 +82,16 @@ class ScalingFitReport:
         }
 
 
-def fit_loglog(xs, ys) -> tuple:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
+def fit_line(xs, ys) -> tuple:
+    """Least-squares (slope, intercept) of the line through the points (xs, ys)."""
+    xs = np.asarray(xs, dtype=float)
     A = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    sol, *_ = np.linalg.lstsq(A, np.asarray(ys, dtype=float), rcond=None)
     return float(sol[0]), float(sol[1])
+
+
+def fit_loglog(xs, ys) -> tuple:
+    return fit_line(np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float)))
 
 
 def _report(name, xs, ys, predicted, window, metadata=None) -> ScalingFitReport:
@@ -334,8 +339,7 @@ def verify_local_smoothing(
             traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames, flow="halfwave")
         else:
             raise ValueError(flow)
-        w = np.full(traj.n_frames, traj.dt)
-        w[0] = w[-1] = 0.5 * traj.dt
+        w = trapezoid_weights(traj.n_frames, traj.dt)
         masked_sums = {R: np.zeros(traj.n_frames) for R in R_list}
         masks = {R: r_phys <= R for R in R_list}
         for jf, fr in enumerate(traj.frames):

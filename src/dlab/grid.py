@@ -324,6 +324,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def trapezoid_weights(n: int, dt: float) -> np.ndarray:
+    """Trapezoid-rule weights of n frames dt apart; a single frame spans no time."""
+    w = np.full(n, dt if n > 1 else 0.0)
+    w[0] = w[-1] = 0.5 * w[0]
+    return w
+
+
 def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
     """View of a 1D array that broadcasts along array axis ``axis`` (0-based) of a d-array."""
     shape = [1] * d

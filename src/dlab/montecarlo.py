@@ -5,21 +5,24 @@ norms of free evolutions of randomized data.
 Draws are keyed by (seed, draw) through a counter-based generator, so results
 are bit-for-bit reproducible regardless of execution order or thread count.
 Per-draw statistics stream to CSV (one row per draw) so an ensemble can be
-extended without recomputing earlier draws.
+extended without recomputing earlier draws; an ensemble's CSV carries its
+fingerprint, and draws are never reused under a different one.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FitRangeError, RegimeViolationError
-from .estimates import fit_loglog
-from .grid import PHYSICAL, Field, Trajectory, gradient_magnitude
+from .errors import DLabError, FitRangeError, RegimeViolationError
+from .estimates import fit_line, fit_loglog
+from .grid import PHYSICAL, Field, Trajectory, gradient_magnitude, trapezoid_weights
 from .norms import EpsilonPolicy, strichartz_norm, y_norm
 from .propagate import free_trajectory
 from .randomize import RandomizationSpec, _philox, randomize_schrodinger, randomize_wave_pair
@@ -83,23 +86,39 @@ class EnsembleStats:
         }
 
 
-def _load_csv(path) -> dict:
+def _load_csv(path, header) -> dict:
     out = {}
     if path and Path(path).exists():
         with open(path, newline="") as fh:
+            first = fh.readline().rstrip("\r\n")
+            stored = first if first.startswith("#") else None
+            if stored != header:
+                raise DLabError(
+                    f"{path} holds draws cached under another key: "
+                    f"{stored or 'no key'} != {header or 'no key'}"
+                )
+            if stored is None:
+                fh.seek(0)
             for row in csv.reader(fh):
                 if row and row[0] != "draw":
                     out[int(row[0])] = float(row[1])
     return out
 
 
-def evaluate_draws(statistic, Q: int, csv_path=None, threads: int | None = None) -> np.ndarray:
+def evaluate_draws(
+    statistic, Q: int, csv_path=None, threads: int | None = None, key: dict | None = None
+) -> np.ndarray:
     """values[draw] = statistic(draw) for draw in 0..Q-1, resuming from CSV.
+
+    ``key`` fingerprints the statistic; a fresh CSV records it in a ``#`` line
+    above the ``draw,value`` rows, and a CSV written under any other key (or
+    none) raises DLabError instead of lending its draws.
 
     Thread-count independence: each draw is keyed by its index, and assembly
     is positional, so any execution order yields identical output.
     """
-    cached = _load_csv(csv_path)
+    header = None if key is None else "# " + json.dumps(key, sort_keys=True, separators=(",", ":"))
+    cached = _load_csv(csv_path, header)
     missing = [d for d in range(Q) if d not in cached]
     if threads is None:
         threads = int(os.environ.get("DLAB_THREADS", "1"))
@@ -119,6 +138,8 @@ def evaluate_draws(statistic, Q: int, csv_path=None, threads: int | None = None)
             with open(csv_path, "a", newline="") as fh:
                 w = csv.writer(fh)
                 if fresh:
+                    if header:
+                        fh.write(header + "\r\n")
                     w.writerow(["draw", "value"])
                 for d in sorted(missing):
                     w.writerow([d, repr(results[d])])
@@ -168,18 +189,15 @@ def tail_fit(
         raise FitRangeError(
             f"tail fit needs >= 2 bins with >= {min_exceedances} exceedances"
         )
-    xs = np.array([l * l for l in usable])
-    ys = np.log([exceed[l] / Q for l in usable])
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    slope, intercept = fit_line([l * l for l in usable], np.log([exceed[l] / Q for l in usable]))
     stats = EnsembleStats(
         name="tail_fit",
         Q=Q,
         values=values,
         lambda_grid=[float(l) for l in lambda_grid],
         exceedances=exceed,
-        tail_slope=float(sol[0]),
-        tail_intercept=float(sol[1]),
+        tail_slope=slope,
+        tail_intercept=intercept,
         tail_fit_lambdas=usable,
     )
     stats.check_invariants()
@@ -231,9 +249,7 @@ def _weighted_sup_series(traj: Trajectory, alpha: float, with_gradient: bool) ->
 
 
 def _l2_time(series: np.ndarray, dt: float) -> float:
-    w = np.full(series.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float(np.sqrt(np.sum(w * series**2)))
+    return float(np.sqrt(np.sum(trapezoid_weights(series.size, dt) * series**2)))
 
 
 def make_norm_statistic(
@@ -300,7 +316,12 @@ def as_norm_ensemble(
     problems = _check_regime(which, s, alpha, pol, exploratory)
     spec = RandomizationSpec(seed=seed, law=law)
     stat = make_norm_statistic(which, f, spec, T=T, n_frames=n_frames, alpha=alpha, pol=pol)
-    values = evaluate_draws(stat, Q, csv_path)
+    # the cached draws' fingerprint; "schema" versions the CSV cache format
+    key = {"schema": 1, "statistic": which, "seed": seed, "law": law,
+           "grid": [f.grid.m, f.grid.L, f.grid.d], "T": float(T), "n_frames": int(n_frames),
+           "alpha": float(alpha), "eps": float(pol.eps),
+           "data": hashlib.sha256(f.domain.encode() + f.values.tobytes()).hexdigest()}
+    values = evaluate_draws(stat, Q, csv_path, key=key)
     # keep only quantiles whose exceedance count clears the populated-bin rule;
     # for small Q fall back to the two highest feasible quantiles
     feasible = [q for q in quantiles if (1.0 - q) * Q >= 30]

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExponentError, MemoryBudgetError
-from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft
+from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft, trapezoid_weights
 from .projections import Band, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -150,12 +150,7 @@ def _window(v: Trajectory, interval) -> tuple:
         if tb < ta:
             raise ValueError(f"empty interval [{ta}, {tb}]")
         i0, i1 = v.frame_index(ta), v.frame_index(tb)
-    n = i1 - i0 + 1
-    w = np.zeros(n)
-    if n > 1:
-        w[:] = v.dt
-        w[0] = w[-1] = 0.5 * v.dt
-    return i0, i1, w
+    return i0, i1, trapezoid_weights(i1 - i0 + 1, v.dt)
 
 
 def _power_mean(values: np.ndarray, weights, q: float) -> float:

@@ -48,6 +48,7 @@ from .grid import (
     broadcast_along,
     lp_norm,
     sobolev_norm,
+    trapezoid_weights,
 )
 from .norms import EpsilonPolicy, _abs2, x_norm
 from .propagate import duhamel_all, schrodinger_flow
@@ -378,9 +379,7 @@ def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> f
             for fr in v.frames
         ]
     )
-    w = np.full(v.n_frames, v.dt)
-    w[0] = w[-1] = 0.5 * v.dt
-    return float(np.sum(w * vals))
+    return float(np.sum(trapezoid_weights(v.n_frames, v.dt) * vals))
 
 
 def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
@@ -467,8 +466,7 @@ def morawetz_audit(
     )
     mvals, h1_sq, l2_sq, bulk_d, bulk_quarter_d, h_l2, rhs = terms.T
     rhs = rhs[1:-1]
-    w = np.full(n, run.dt)
-    w[0] = w[-1] = 0.5 * run.dt
+    w = trapezoid_weights(n, run.dt)
     bulk = float(np.sum(w * bulk_d))
     bulk_quarter = float(np.sum(w * bulk_quarter_d))
 
@@ -537,8 +535,7 @@ def energy_growth_audit(
     a = np.sqrt(g.x_squared + sigma**2)
     inv_a = 1.0 / a.ravel()
     vol = g.dx**g.d
-    w = np.full(n, run.dt)
-    w[0] = w[-1] = 0.5 * run.dt
+    w = trapezoid_weights(n, run.dt)
 
     zero = Field.zero(g, PHYSICAL)
     Ffr = (lambda j: F.frames[j].in_domain(PHYSICAL)) if F is not None else (lambda j: zero)

@@ -1,0 +1,181 @@
+"""One experiment path: `dlab run` and the verify/ensemble/solve subcommands
+share the verifier registry, the pass rules and the upfront config check."""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dlab import cli
+from dlab.cli import ExperimentConfig, main, run
+from dlab.montecarlo import EnsembleStats, evaluate_draws
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def config(tmp_path, experiments, **overrides):
+    cfg = {
+        "schema_version": 1,
+        "grid": {"m": 8, "L": 8.0},
+        "time": {"T": 0.1, "dt": 0.05},
+        "epsilon": {"eps": 0.05},
+        "data": {"profile": {"kind": "gaussian_bump", "width": 0.4}},
+        "seed": 3,
+        "draws": 2,
+        "experiments": experiments,
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if any experiment starts."""
+    started = []
+    monkeypatch.setattr(cli, "_run_experiment", lambda *a: started.append(a) or 1 / 0)
+    return started
+
+
+def test_every_violation_reported_before_any_experiment(tmp_path, capsys, no_compute):
+    path = config(tmp_path, [
+        {"kind": "verify", "name": "bernstein", "params": {"bogus": 1}},
+        {"kind": "ensemble", "name": "no_such_statistic"},
+        {"kind": "ensemble", "name": "Y", "params": {"T": 1.0}},
+        {"kind": "solve", "name": "bogus"},
+        {"kind": "solve", "params": {"mu": 2}},
+    ])
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert all(ln.startswith("config error: ") for ln in lines)
+    assert len(lines) == 5
+    for i, word in enumerate(("bogus", "no_such_statistic", "'T'", "bogus", "mu")):
+        assert any(f"experiments[{i}]" in ln and word in ln for ln in lines), (i, err)
+    assert "Traceback" not in err
+    assert no_compute == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_nested_and_required_params_checked(tmp_path, capsys, no_compute):
+    path = config(tmp_path, [
+        {"kind": "verify", "name": "trilinear", "params": {"harness": {"seed": 4}}},
+        {"kind": "verify", "name": "lateral_dyadic", "params": {"grid": {"m": 12, "L": 1.0}}},
+        {"kind": "verify", "name": "main_linear", "params": {"seed": 1}},
+    ])
+    assert run(path) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert any("experiments[0].params.harness" in ln and "'seed'" in ln for ln in lines)
+    assert any("experiments[1].params.p is required" in ln for ln in lines)
+    assert any("experiments[1].params.grid" in ln and "power of two" in ln for ln in lines)
+    assert any("experiments[2].params" in ln and "'seed'" in ln for ln in lines)
+    assert no_compute == []
+
+
+def test_verify_subcommand_rejects_unknown_param(tmp_path, capsys, no_compute):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"grid": {"m": 16, "L": 4.0}, "bogus": 1}))
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--estimate", "bernstein", "--config", str(params), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if "bogus" in ln][0].startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists() and no_compute == []
+
+
+def test_error_inside_an_experiment_names_it(tmp_path, capsys):
+    # the weighted gradient bound needs s > 1/2: a RegimeViolationError at run time
+    path = config(tmp_path, [{"kind": "ensemble", "name": "weighted_grad_L2Linf", "id": "wg",
+                              "params": {"s": 0.5}}])
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (wg): ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_ensemble_csv_of_another_key_is_an_error(tmp_path, capsys):
+    csv_path = tmp_path / "draws.csv"
+    evaluate_draws(lambda d: 1.0, 2, csv_path=csv_path)  # written under no key
+    path = config(tmp_path, [{"kind": "ensemble", "name": "L3L6", "id": "l3l6",
+                              "params": {"csv_path": str(csv_path)}}])
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (l3l6): ") and "another key" in err
+
+
+def test_run_solve_picard_carries_contraction_record(tmp_path):
+    path = config(tmp_path, [{"kind": "solve", "name": "picard", "id": "pic"}])
+    code = run(path)
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]
+    record = rep["result"]["contraction"]
+    assert rep["name"] == "picard" and record["distances"]
+    assert rep["passed"] is record["converged"]
+    assert code == (0 if record["converged"] else 2)
+
+
+def test_solve_subcommand_and_run_share_the_solve(tmp_path, monkeypatch):
+    calls = []
+    shared = cli._run_experiment
+    monkeypatch.setattr(cli, "_run_experiment", lambda *a: calls.append(a[2]) or shared(*a))
+    path = config(tmp_path, [{"kind": "solve", "id": "nls"}])
+    assert main(["solve", "--mode", "nls", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert run(path) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]
+    assert rep["result"]["mass"] == manifest["mass"]
+    assert rep["result"]["energy"] == manifest["energy"]
+    assert [ex.get("name", "nls") for ex in calls] == ["nls", "nls"]
+
+
+def test_solve_mu_reaches_the_solver(tmp_path):
+    energies = {}
+    for mu in (+1, -1):
+        path = config(tmp_path, [{"kind": "solve", "params": {"mu": mu}}])
+        assert run(path) == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]
+        energies[mu] = rep["result"]["energy"]
+    assert energies[+1] != energies[-1]
+
+
+def test_ensemble_subcommand_applies_the_pass_rule(tmp_path, monkeypatch):
+    slope = {}
+
+    def fake_ensemble(which, f, s, pol, Q, seed, T, **kw):
+        return EnsembleStats(name=which, Q=Q, values=np.ones(Q), tail_slope=slope["value"])
+
+    monkeypatch.setattr(cli.montecarlo, "as_norm_ensemble", fake_ensemble)
+    argv = ["ensemble", "--stat", "Y", "--draws", "4", "--seed", "1", "--grid", "8,8.0",
+            "--out", str(tmp_path / "e.json")]
+    slope["value"] = -1.0
+    assert main(argv) == 0
+    slope["value"] = 0.5
+    assert main(argv) == 2
+
+
+def test_run_report_independent_of_thread_count(tmp_path, monkeypatch):
+    path = config(tmp_path, [
+        {"kind": "verify", "name": "bernstein",
+         "params": {"grid": {"m": 16, "L": 4.0}, "N_list": [2.0, 4.0]}},
+        {"kind": "verify", "name": "local_smoothing",
+         "params": {"grid": {"m": 16, "L": 4 * np.pi}, "N_list": [1.0, 2.0],
+                    "R_list": [1.0, 2.0], "n_frames": 6}},
+    ])
+    bodies = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DLAB_THREADS", threads)
+        assert run(path) in (0, 2)
+        bodies.append((tmp_path / "out" / "report.json").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_readme_example_config_is_valid():
+    text = README.read_text()
+    block = re.search(r"Example config:\s*```json\n(.*?)```", text, re.S)
+    assert block, "README lost its example config"
+    cfg = ExperimentConfig.from_dict(json.loads(block.group(1)))
+    assert {ex["kind"] for ex in cfg.experiments} == {"verify", "ensemble", "solve"}

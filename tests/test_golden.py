@@ -54,12 +54,24 @@ from dlab.solver import (
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-9
 
-# the verify_run benchmark's reduced parameters, seed 12
+# seed 12; the first four at the verify_run benchmark's reduced parameters,
+# the others at reduced grids and lists (about 3 s together)
 VERIFIERS = {
     "main_linear": {"grid": {"m": 16, "L": 2 * np.pi}, "n_samples": 2},
     "duhamel_retarded": {"grid": {"m": 16, "L": 2 * np.pi}, "n_frames": 65},
     "operator_decay": {"grid": {"m": 16, "L": 8 * np.pi}, "separations": [2, 4]},
     "bernstein": {"grid": {"m": 32, "L": 4.0}},
+    "unit_maximal": {"k_list": [10, 14], "control_N": [1.0, 2.0], "n_frames_control": 6},
+    "lateral_dyadic": {"grid": {"m": 16, "L": 4 * np.pi}, "p": 2, "q": "inf",
+                       "N_list": [1.0, 2.0], "n_frames": 6},
+    "local_smoothing": {"grid": {"m": 16, "L": 4 * np.pi}, "N_list": [1.0, 2.0],
+                        "R_list": [1.0, 2.0], "n_frames": 6},
+    "local_energy_decay": {"grid": {"m": 16, "L": 4 * np.pi}, "N_list": [1.0, 2.0],
+                           "R_list": [0.5, 1.0], "T0": 4.0, "n_frames": 6},
+    "radialish_sobolev": {"grid": {"m": 8, "L": 4 * np.pi}, "N_list": [1.0],
+                          "control_shifts": [0.0, 2.0]},
+    "trilinear": {"grid": {"m": 16, "L": 2 * np.pi}, "bands": [1.0, 2.0],
+                  "harness": {"T": 0.2, "n_frames": 5}, "configs": [[2, 2, 2, 2], [2, 2, 1, 1]]},
 }
 
 

@@ -277,3 +277,11 @@ def test_centred_transforms_equal_textbook_shift_form_bitwise(m, d):
     h = random_field(g, 4, domain=FREQUENCY)
     want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(h.values))) / g.dx**d
     assert np.array_equal(to_physical(h).values, want)
+
+
+def test_trapezoid_weights():
+    from dlab.grid import trapezoid_weights
+
+    assert trapezoid_weights(3, 0.5).tolist() == [0.25, 0.5, 0.25]
+    assert trapezoid_weights(2, 0.5).tolist() == [0.25, 0.25]
+    assert trapezoid_weights(1, 0.5).tolist() == [0.0]  # a single frame spans no time

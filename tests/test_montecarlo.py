@@ -3,7 +3,7 @@ from math import lgamma
 import numpy as np
 import pytest
 
-from dlab.errors import FitRangeError, RegimeViolationError
+from dlab.errors import DLabError, FitRangeError, RegimeViolationError
 from dlab.grid import SpectralGrid
 from dlab.montecarlo import (
     EnsembleStats,
@@ -194,3 +194,30 @@ def test_z_norm_ensemble_median_stable():
     assert np.isfinite(vals).all() and (vals > 0).all()
     q25, q75 = np.quantile(vals, [0.25, 0.75])
     assert q75 / q25 < 2.0
+
+
+def test_csv_resume_refuses_draws_of_another_key(tmp_path):
+    path = tmp_path / "draws.csv"
+    key = {"statistic": "counter", "seed": 1}
+    first = evaluate_draws(lambda d: float(d + 1), 3, csv_path=path, key=key)
+    assert list(first) == [1.0, 2.0, 3.0]
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# ") and lines[1] == "draw,value" and len(lines) == 5
+    # the same key resumes without calling the statistic
+    assert list(evaluate_draws(lambda d: 1 / 0, 3, csv_path=path, key=key)) == [1.0, 2.0, 3.0]
+    for other in ({"statistic": "constant", "seed": 1}, None):
+        with pytest.raises(DLabError, match="another key"):
+            evaluate_draws(lambda d: 999.0, 3, csv_path=path, key=other)
+
+
+def test_ensemble_fingerprint_covers_the_statistic(tmp_path):
+    g = SpectralGrid(m=8, L=8.0)
+    f = make_radial_data(RadialProfileSpec(kind="fourier_powerlaw", target_s=0.5), g)
+    path = tmp_path / "draws.csv"
+    kw = dict(s=0.5, pol=EpsilonPolicy(eps=0.05), Q=2, seed=4, n_frames=3, csv_path=path)
+    with pytest.raises(FitRangeError):  # two draws cannot fit a tail; they are cached first
+        as_norm_ensemble("LinfL2", f, **kw)
+    with pytest.raises(DLabError, match="another key"):
+        as_norm_ensemble("LinfL4", f, **kw)
+    with pytest.raises(FitRangeError):  # same fingerprint: the cached draws are reused
+        as_norm_ensemble("LinfL2", f, **kw)
