@@ -5,7 +5,8 @@ rewritten.  Two kinds of entry:
 
 * ``hash`` entries are SHA-256 digests of the raw bytes of an array and must
   match exactly: the centred transforms, the band stack's physical-input
-  spectrum and the split-step without dealiasing are bit-identical by design.
+  spectrum, the split-step without dealiasing and all-times Duhamel are
+  bit-identical by design.
 * ``values`` entries are nested numbers compared at rtol 1e-9 (pipelines
   whose floating-point order may change; other leaves compare exactly).
 
@@ -32,21 +33,27 @@ import pytest
 
 from dlab.cli import run_verifier
 from dlab.grid import (
+    FREQUENCY,
     PHYSICAL,
     Field,
     SpectralGrid,
+    Trajectory,
     gradient_fields,
     gradient_magnitude,
     random_field,
     to_frequency,
     to_physical,
 )
-from dlab.norms import _BandStack, g_norm_upper, x_norm, y_norm
-from dlab.propagate import free_trajectory
+from dlab.montecarlo import ENSEMBLE_KINDS, linear_gaussian_statistic, make_norm_statistic, moment_growth
+from dlab.norms import EpsilonPolicy, _BandStack, g_norm_upper, x_norm, y_norm
+from dlab.propagate import duhamel_all, free_trajectory
+from dlab.randomize import RadialProfileSpec, RandomizationSpec, make_radial_data
 from dlab.solver import (
     NLSRunConfig,
+    PicardConfig,
     energy_growth_audit,
     morawetz_audit,
+    picard_iterate,
     splitstep_forced,
     splitstep_nls,
 )
@@ -146,6 +153,36 @@ def _case_gradients():
     return out
 
 
+def _case_picard():
+    """A forced m=8 Picard solve on 5 frames: the iterate's probes and its ContractionRecord."""
+    g = SpectralGrid(m=8, L=2 * np.pi)
+    v0 = 0.05 * random_field(g, seed=21, band_limit=3.0)
+    F = free_trajectory(0.05 * random_field(g, seed=22, band_limit=3.0), 0.0, 0.05, 5)
+    traj, record = picard_iterate(v0, F, PicardConfig(tau=0.2, dt=0.05))
+    return {"probes": _probe(traj), "record": asdict(record)}
+
+
+def _case_ensemble(which: str):
+    """Three draws of one ensemble statistic at m=8 (real data: the wave kinds need it)."""
+    g = SpectralGrid(m=8, L=4 * np.pi)
+    f = make_radial_data(RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6), g)
+    stat = make_norm_statistic(which, f, RandomizationSpec(seed=4), T=1.0, n_frames=5,
+                               pol=EpsilonPolicy(eps=0.02, s=0.6))
+    return [stat(d) for d in range(3)]
+
+
+def _case_moment_growth():
+    stat = linear_gaussian_statistic(np.linspace(0.5, 1.5, 7), seed=3)
+    mg = moment_growth(stat, (1, 2, 4, 8), 40)
+    return {"lp_norms": mg.lp_norms, "skipped_p": mg.skipped_p,
+            "slope": mg.moment_slope, "intercept": mg.moment_intercept}
+
+
+def _duhamel_input(domain: str):
+    g = SpectralGrid(m=8, L=6.0)
+    return Trajectory(g, 0.3, 0.1, tuple(random_field(g, 40 + j, domain=domain) for j in range(6)))
+
+
 def _case_transforms(m: int):
     g = SpectralGrid(m=m, L=8.0)
     f = random_field(g, seed=11)
@@ -170,6 +207,12 @@ CASES = {
     "audit/morawetz": lambda: ("values", asdict(morawetz_audit(*_forced_run()))),
     "audit/energy_growth": lambda: ("values", _case_energy_audit()),
     "gradient/m8": lambda: ("values", _case_gradients()),
+    "picard/forced": lambda: ("values", _case_picard()),
+    **{f"ensemble/{which}": (lambda which=which: ("values", _case_ensemble(which)))
+       for which in ENSEMBLE_KINDS},
+    "ensemble/moment_growth": lambda: ("values", _case_moment_growth()),
+    **{f"duhamel/{dom}": (lambda dom=dom: ("hash", _frames_digest(duhamel_all(_duhamel_input(dom)))))
+       for dom in (PHYSICAL, FREQUENCY)},
 }
 
 
