@@ -11,7 +11,7 @@ import csv
 
 import numpy as np
 
-from dlab.estimates import Grid1D, fit_loglog, unit_maximal_tensor_ratio
+from dlab.estimates import fit_loglog, unit_maximal_tensor_ratio
 from dlab.grid import SpectralGrid
 
 
@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--csv", default="unit_maximal_points.csv")
     args = ap.parse_args()
 
-    g1 = Grid1D(args.m1, 2 * np.pi / args.dxi1)
+    g1 = SpectralGrid(args.m1, 2 * np.pi / args.dxi1, d=1)
     g3 = SpectralGrid(m=16, L=2 * np.pi / 0.5, d=3)
     print(f"1D box {g1.L:.1f} (xi_max {g1.m * g1.dxi / 2:.0f}), window T={args.T}")
     points = []

@@ -114,26 +114,28 @@ class ExperimentConfig:
             violations.append(
                 f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
             )
-        gd = raw.get("grid", {})
+        # a section that is not an object is already a violation; read it as empty
+        gd, td, ed, dd = (raw.get(k) if isinstance(raw.get(k), dict) else {}
+                          for k in ("grid", "time", "epsilon", "data"))
         grid = _build(violations, "grid",
                       lambda: SpectralGrid(m=int(gd.get("m", 16)), L=float(gd.get("L", 32.0))))
-        td = raw.get("time", {})
-        T = float(td.get("T", 4.0))
-        dt = float(td.get("dt", 0.25))
+        # an unreadable time section is reported by _build; (1, 1) adds no second violation
+        T, dt = _build(violations, "time",
+                       lambda: (float(td.get("T", 4.0)), float(td.get("dt", 0.25)))) or (1.0, 1.0)
         if T <= 0 or dt <= 0:
             violations.append("time: T and dt must be positive")
         elif abs(T / dt - round(T / dt)) > 1e-8:
             violations.append("time: T must be an integer multiple of dt")
-        ed = raw.get("epsilon", {})
         pol = _build(violations, "epsilon",
                      lambda: EpsilonPolicy(eps=float(ed.get("eps", 0.05)), s=ed.get("s")))
-        dd = raw.get("data", {})
         if "profile" in dd:
             _build(violations, "data.profile", lambda: RadialProfileSpec(**dd["profile"]))
         seed = raw.get("seed", 0)
         draws = raw.get("draws", 1)
         if not isinstance(seed, int) or not isinstance(draws, int) or draws < 0:
             violations.append("seed must be an int and draws a nonnegative int")
+        if not isinstance(raw.get("output_dir", ""), str):
+            violations.append("output_dir must be a string")
         experiments = raw.get("experiments", [])
         if not isinstance(experiments, list):
             violations.append("experiments must be a list")
@@ -209,9 +211,7 @@ def _cmd_evolve(args) -> int:
                              {"flow": f"wave{suffix}"})
     else:
         flow = "schrodinger" if args.flow == "schrodinger" else "halfwave"
-        traj = free_trajectory(f, 0.0, args.dt, n, flow=flow).map_frames(
-            lambda fr: fr.in_domain("physical")
-        )
+        traj = free_trajectory(f, 0.0, args.dt, n, flow=flow).in_domain("physical")
         write_trajectory(traj, args.out, {"flow": args.flow})
     print(f"wrote {n} frames to {args.out}")
     return 0
@@ -460,8 +460,7 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: int) -> tuple:
         traj = solver_mod.splitstep_nls(f.in_domain("physical"), run_cfg)
     else:
         fw = randomize_schrodinger(f, RandomizationSpec(seed=cfg.seed), 0)
-        F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1)
-        F = F.map_frames(lambda fr: fr.in_domain("physical"))
+        F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1).in_domain("physical")
         traj = solver_mod.splitstep_forced(Field.zero(cfg.grid, "physical"), F, run_cfg)
     masses, energies = solver_mod.nls_mass_energy_series(traj)
     drift = abs(masses[-1] - masses[0]) / max(masses[0], 1e-300)

@@ -25,7 +25,9 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    _centred_transform,
     _fft,
+    broadcast_along,
     lp_norm,
     sobolev_norm,
     to_physical,
@@ -161,8 +163,7 @@ def verify_lateral_dyadic(
             sym = band_symbol(grid, Band.directional(N, axis))
             f = Field(grid, FREQUENCY, f.values * sym)
         T = _dyadic_window(T0, N)
-        traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames)
-        traj = traj.map_frames(lambda fr: fr.in_domain(PHYSICAL))
+        traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames).in_domain(PHYSICAL)
         vals.append(lateral_norm(traj, p, q, axis))
     pred = 4.0 / p - 0.5
     meta = {
@@ -173,33 +174,9 @@ def verify_lateral_dyadic(
     return _report(f"lateral_dyadic_p{p}_q{q}", list(N_list), vals, pred, 0.2, meta)
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """1D companion lattice used by the tensor-factorized maximal evaluator."""
-
-    m: int
-    L: float
-
-    @property
-    def dx(self):
-        return self.L / self.m
-
-    @property
-    def dxi(self):
-        return 2.0 * np.pi / self.L
-
-    @property
-    def xi(self):
-        return self.dxi * (np.arange(self.m) - self.m // 2)
-
-
-def _phys_1d(fh: np.ndarray, dx: float) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(fh))) / dx
-
-
 def unit_maximal_tensor_ratio(
     k_abs: float,
-    g1: Grid1D,
+    g1: SpectralGrid,
     grid3: SpectralGrid,
     T: float,
     n_fine: int = 600,
@@ -209,14 +186,13 @@ def unit_maximal_tensor_ratio(
 
     For product data fhat = a(xi_1 - k) b(xi') the free evolution factors, so
     sup over (t, x') of |u| equals max_t |u_a(t, x_1)| * max_{x'} |u_b(t, x')|,
-    which this computes without a 4D lattice.  The transverse factor varies
-    slowly and is sampled on a coarse ladder, the 1D transport factor on a
-    fine one.
+    which this computes without a 4D lattice (``g1`` is a d = 1 grid).  The
+    transverse factor varies slowly and is sampled on a coarse ladder, the 1D
+    transport factor on a fine one.
     """
     from .projections import phi1
 
-    xi1 = g1.xi
-    a_hat = phi1(xi1 - k_abs).astype(np.complex128)
+    a_hat = Field(g1, FREQUENCY, phi1(g1.xi1d - k_abs))
     b_hat = Field(
         grid3,
         FREQUENCY,
@@ -226,7 +202,7 @@ def unit_maximal_tensor_ratio(
             * phi1(grid3.axis_coord(3, frequency=True))
         ).astype(np.complex128),
     )
-    l2_a = np.sqrt((g1.dxi / (2 * np.pi)) * np.sum(np.abs(a_hat) ** 2))
+    l2_a = np.sqrt((g1.dxi / (2 * np.pi)) * np.sum(np.abs(a_hat.values) ** 2))
     l2_b = np.sqrt(
         (grid3.dxi / (2 * np.pi)) ** 3 * np.sum(np.abs(b_hat.values) ** 2)
     )
@@ -242,8 +218,8 @@ def unit_maximal_tensor_ratio(
     Mb_fine = np.interp(fine_t, coarse_t, Mb)
     smax = np.zeros(g1.m)
     for t, mb in zip(fine_t, Mb_fine):
-        ua = _phys_1d(a_hat * np.exp(-1j * t * xi1**2), g1.dx)
-        smax = np.maximum(smax, np.abs(ua) * mb)
+        ua = schrodinger_flow(a_hat, t).in_domain(PHYSICAL)
+        smax = np.maximum(smax, np.abs(ua.values) * mb)
     val = np.sqrt(g1.dx * np.sum(smax**2))
     return float(val / (l2_a * l2_b))
 
@@ -253,7 +229,7 @@ def verify_unit_maximal(
     axis: int = 1,
     min_fit_absk: float = 10.0,
     T: float = 1.5,
-    grid1: Grid1D = Grid1D(4096, 2.0 * np.pi / 0.05),
+    grid1: SpectralGrid = SpectralGrid(4096, 2.0 * np.pi / 0.05, d=1),
     grid3: SpectralGrid | None = None,
     control_grid: SpectralGrid | None = None,
     control_N=(1.0, 2.0, 4.0),
@@ -681,9 +657,7 @@ class TrilinearHarness:
             for kind in ("v", "F"):
                 f = shell_field(grid, N, seed=seed + 37 * i + (0 if kind == "v" else 1))
                 fN = Field(grid, FREQUENCY, f.values * band_symbol(grid, Band.dyadic(N)))
-                traj = free_trajectory(fN, 0.0, dt, n_frames).map_frames(
-                    lambda fr: fr.in_domain(PHYSICAL)
-                )
+                traj = free_trajectory(fN, 0.0, dt, n_frames).in_domain(PHYSICAL)
                 norm = (
                     xn_norm(traj, N, pol=self.pol)
                     if kind == "v"
@@ -707,19 +681,12 @@ class TrilinearHarness:
             rhs *= norm
         rhs *= _trilinear_gain(case, N, N1, N2, N3, self.pol.eps)
         g = self.grid
-        prod_frames = tuple(
-            Field.physical(
-                g, a.values * b.values * c.values
-            )
-            for a, b, c in zip(trajs[0].frames, trajs[1].frames, trajs[2].frames)
-        )
-        prod = Trajectory(g, 0.0, trajs[0].dt, prod_frames)
-        sym = band_symbol(g, Band.dyadic(N))
-        projected = prod.map_frames(
-            lambda fr: Field(g, FREQUENCY, fr.in_domain(FREQUENCY).values * sym).in_domain(
-                PHYSICAL
-            )
-        )
+        # P_N of the pointwise product, in place in one stack
+        prod = trajs[0].values * trajs[1].values * trajs[2].values
+        _centred_transform(prod, g, FREQUENCY, out=prod)
+        prod *= band_symbol(g, Band.dyadic(N))
+        _centred_transform(prod, g, PHYSICAL, out=prod)
+        projected = Trajectory.from_values(g, 0.0, trajs[0].dt, PHYSICAL, prod)
         if case in ("vvv", "vFv", "vvF", "vFF"):
             lhs = N * strichartz_norm(projected, 1, 2)
         else:
@@ -758,8 +725,8 @@ def _enveloped_flow(f: Field, dt: float, n_frames: int, seed: int) -> Trajectory
     """Free Schrodinger frames of f, frame j scaled by a seeded envelope in [0.5, 1.5)."""
     envelope = 0.5 + np.random.default_rng(seed).random(n_frames)
     base = free_trajectory(f, 0.0, dt, n_frames)
-    return Trajectory(f.grid, 0.0, dt, tuple(
-        Field(f.grid, FREQUENCY, e * fr.values) for e, fr in zip(envelope, base.frames)))
+    return Trajectory.from_values(f.grid, 0.0, dt, FREQUENCY,
+                                  base.values * broadcast_along(envelope, 0, f.grid.d + 1))
 
 
 @dataclass
@@ -787,8 +754,8 @@ def verify_duhamel_retarded(
     """
     fN = Field(grid, FREQUENCY, shell_field(grid, N, seed=seed).values * band_symbol(grid, Band.dyadic(N)))
     h = _enveloped_flow(fN, T / (n_frames - 1), n_frames, seed + 1)
-    retarded = duhamel_all(h).map_frames(lambda fr: fr.in_domain(PHYSICAL))
-    h_phys = h.map_frames(lambda fr: fr.in_domain(PHYSICAL))
+    retarded = duhamel_all(h).in_domain(PHYSICAL)
+    h_phys = h.in_domain(PHYSICAL)
 
     p_g, q_g = pol.g_lateral_pq
     rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(h_phys, p_g, q_g))
@@ -841,12 +808,10 @@ def verify_main_linear(
         v0 = shell_field(grid, N, seed=rng_seed)
         h = _enveloped_flow(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
         vfree = free_trajectory(v0, 0.0, dt, n_frames)
-        v = Trajectory(grid, 0.0, dt, tuple(
-            Field(grid, FREQUENCY, a.values - 1j * b.values)
-            for a, b in zip(vfree.frames, duhamel_all(h).frames)
-        ))
+        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
+                                   vfree.values - 1j * duhamel_all(h).values)
         sym = band_symbol(grid, Band.dyadic(N))
-        vN = v.map_frames(lambda fr: to_physical(Field(grid, FREQUENCY, fr.values * sym)))
+        vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * sym).in_domain(PHYSICAL)
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
         rhs = N * lp_norm(to_physical(Field(grid, FREQUENCY, v0.values * sym)), 2)
         rhs += gn_norm_upper(h, N, pol=pol)

@@ -18,17 +18,27 @@ m/2 is the phase S on the other side of the transform, so bit for bit
     fftshift(fftn(x)) = fftn(S * x).
 
 Every transform of field values goes through ``_fft``, in place.
+
+A ``Trajectory`` is one read-only C-contiguous complex128 array ``values`` of
+shape ``(n_frames, *grid.shape)`` plus one domain tag for all its rows.  Its
+``frames`` are ``Field`` views of those rows: nothing is copied, and writing
+through a view or through ``values`` raises.  ``Trajectory.in_domain``
+converts the whole stack with one transform over the spatial axes, bit for
+bit what converting frame by frame gives.  Producers build the stack
+themselves and hand it over with ``Trajectory.from_values``; the public
+constructor copies a sequence of fields into a new stack.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DLabError,
     DomainMismatchError,
     InvalidExponentError,
     SnapshotFormatError,
@@ -243,20 +253,30 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
     return out
 
 
+def _centred_transform(values: np.ndarray, grid: SpectralGrid, domain: str,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The centred transform into ``domain`` over the last ``grid.d`` axes of ``values``.
+
+    Every leading index (a frame of a stack) is transformed on its own;
+    ``out=values`` converts in place.
+    """
+    axes = tuple(range(values.ndim - grid.d, values.ndim))
+    return _fft(values, domain == PHYSICAL, axes, sign_in=True, sign_out=True,
+                scale=grid.dx**grid.d, out=out)
+
+
 def to_frequency(f: Field) -> Field:
     """Forward transform with Riemann-sum normalization dx^d * sum."""
     if f.domain != PHYSICAL:
         raise DomainMismatchError("to_frequency expects a physical-domain field")
-    g = f.grid
-    return Field(g, FREQUENCY, _fft(f.values, sign_in=True, sign_out=True, scale=g.dx**g.d))
+    return Field(f.grid, FREQUENCY, _centred_transform(f.values, f.grid, FREQUENCY))
 
 
 def to_physical(f: Field) -> Field:
     """Inverse transform; mutually inverse with :func:`to_frequency`."""
     if f.domain != FREQUENCY:
         raise DomainMismatchError("to_physical expects a frequency-domain field")
-    g = f.grid
-    return Field(g, PHYSICAL, _fft(f.values, True, sign_in=True, sign_out=True, scale=g.dx**g.d))
+    return Field(f.grid, PHYSICAL, _centred_transform(f.values, f.grid, PHYSICAL))
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
@@ -388,53 +408,91 @@ def gradient_magnitude(f: Field) -> np.ndarray:
     return np.sqrt(acc)
 
 
-@dataclass(frozen=True)
+def _stack_fields(grid: SpectralGrid, fields, n: int) -> tuple:
+    """(domain, stack) of n fields on ``grid`` sharing one domain, each written into its row."""
+    values = None
+    for i, fr in enumerate(fields):
+        if fr.grid != grid:
+            raise ValueError("all frames must share the trajectory grid")
+        if values is None:
+            domain, values = fr.domain, np.empty((n, *grid.shape), dtype=np.complex128)
+        elif fr.domain != domain:
+            raise DomainMismatchError("all frames must share one domain tag")
+        values[i] = fr.values
+    return domain, values
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
-    """Uniformly sampled time sequence of fields on one grid."""
+    """Uniformly sampled time sequence of fields on one grid: one read-only
+    ``(n_frames, *grid.shape)`` stack ``values`` in ``domain`` (module docstring)."""
 
     grid: SpectralGrid
     t0: float
     dt: float
-    frames: tuple
+    domain: str
+    values: np.ndarray = dc_field(repr=False)
 
-    def __post_init__(self):
-        if not self.frames:
+    def __init__(self, grid: SpectralGrid, t0: float, dt: float, frames):
+        """Copy a nonempty sequence of fields on ``grid``, all in one domain, into one stack."""
+        frames = tuple(frames)
+        if not frames:
             raise ValueError("trajectory needs at least one frame")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        dom = self.frames[0].domain
-        for fr in self.frames:
-            if fr.grid != self.grid:
-                raise ValueError("all frames must share the trajectory grid")
-            if fr.domain != dom:
-                raise DomainMismatchError("all frames must share one domain tag")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        self._adopt(grid, t0, dt, *_stack_fields(grid, frames, len(frames)))
 
-    @property
-    def domain(self) -> str:
-        return self.frames[0].domain
+    @classmethod
+    def from_values(cls, grid: SpectralGrid, t0: float, dt: float, domain: str,
+                    values: np.ndarray) -> "Trajectory":
+        """The trajectory of a ``(n_frames, *grid.shape)`` stack, which it takes over and makes read-only."""
+        traj = object.__new__(cls)
+        traj._adopt(grid, t0, dt, domain, values)
+        return traj
+
+    def _adopt(self, grid, t0, dt, domain, values) -> None:
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+        if domain not in (PHYSICAL, FREQUENCY) or not len(values) or values.shape[1:] != grid.shape:
+            raise ValueError(f"no {domain!r} trajectory of {values.shape} values on {grid}")
+        values.flags.writeable = False
+        for name, val in zip(("grid", "t0", "dt", "domain", "values"), (grid, t0, dt, domain, values)):
+            object.__setattr__(self, name, val)
+
+    @cached_property
+    def frames(self) -> tuple:
+        """Read-only ``Field`` views of the rows of ``values``."""
+        return tuple(Field(self.grid, self.domain, row) for row in self.values)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return len(self.values)
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.frames))
+        return self.t0 + self.dt * np.arange(self.n_frames)
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * (len(self.frames) - 1)
+        return self.t0 + self.dt * (self.n_frames - 1)
 
     def frame_index(self, t: float) -> int:
         idx = (t - self.t0) / self.dt
         i = int(round(idx))
-        if abs(idx - i) > 1e-9 or not 0 <= i < len(self.frames):
+        if abs(idx - i) > 1e-9 or not 0 <= i < self.n_frames:
             raise ValueError(f"time {t} is not a frame time of this trajectory")
         return i
 
+    def in_domain(self, domain: str) -> "Trajectory":
+        """This trajectory in the given domain: one transform of the whole stack."""
+        if domain == self.domain:
+            return self
+        return Trajectory.from_values(self.grid, self.t0, self.dt, domain,
+                                      _centred_transform(self.values, self.grid, domain))
+
     def map_frames(self, func) -> "Trajectory":
-        return Trajectory(self.grid, self.t0, self.dt, tuple(func(fr) for fr in self.frames))
+        """The trajectory of func(frame) for every frame, each result written into one new stack."""
+        stacked = _stack_fields(self.grid, map(func, self.frames), self.n_frames)
+        return Trajectory.from_values(self.grid, self.t0, self.dt, *stacked)
 
 
 def write_snapshot(field: Field, path) -> None:
@@ -483,8 +541,11 @@ def random_field(
 
 
 def parse_grid_flag(text: str, d: int = 4) -> SpectralGrid:
-    """Parse the CLI ``--grid m,L`` flag."""
+    """Parse the CLI ``--grid m,L`` flag; a malformed one raises DLabError."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("--grid expects 'm,L'")
-    return SpectralGrid(m=int(parts[0]), L=float(parts[1]), d=d)
+    try:
+        if len(parts) != 2:
+            raise ValueError("expected 'm,L'")
+        return SpectralGrid(m=int(parts[0]), L=float(parts[1]), d=d)
+    except ValueError as exc:
+        raise DLabError(f"--grid {text!r}: {exc}") from None

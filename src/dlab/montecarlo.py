@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DLabError, FitRangeError, RegimeViolationError
 from .estimates import fit_line, fit_loglog
 from .grid import PHYSICAL, Field, Trajectory, gradient_magnitude, trapezoid_weights
-from .norms import EpsilonPolicy, strichartz_norm, y_norm
+from .norms import EpsilonPolicy, _power_mean, strichartz_norm, y_norm
 from .propagate import free_trajectory
 from .randomize import RandomizationSpec, _philox, randomize_schrodinger, randomize_wave_pair
 
@@ -158,10 +158,7 @@ def moment_growth(statistic, p_list, Q: int, csv_path=None, values=None) -> Ense
     usable, skipped = [], []
     for p in p_list:
         (usable if Q >= 10 * p else skipped).append(float(p))
-    norms = {}
-    for p in usable:
-        peak = values.max(initial=0.0)
-        norms[p] = 0.0 if peak == 0 else float(peak * np.mean((values / peak) ** p) ** (1.0 / p))
+    norms = {p: _power_mean(values, 1.0 / values.size, p) for p in usable}
     stats = EnsembleStats(
         name="moment_growth", Q=Q, values=values, p_list=usable, lp_norms=norms,
         skipped_p=skipped,
@@ -248,10 +245,6 @@ def _weighted_sup_series(traj: Trajectory, alpha: float, with_gradient: bool) ->
     return out
 
 
-def _l2_time(series: np.ndarray, dt: float) -> float:
-    return float(np.sqrt(np.sum(trapezoid_weights(series.size, dt) * series**2)))
-
-
 def make_norm_statistic(
     which: str,
     f: Field,
@@ -266,6 +259,7 @@ def make_norm_statistic(
     if which not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble statistic {which!r}")
     dt = T / (n_frames - 1)
+    l2_weights = trapezoid_weights(n_frames, dt)
 
     def statistic(draw: int) -> float:
         if which.startswith("wave_"):
@@ -284,9 +278,9 @@ def make_norm_statistic(
         if which == "LinfL2":
             return strichartz_norm(traj, np.inf, 2)
         if which == "weighted_grad_L2Linf":
-            return _l2_time(_weighted_sup_series(traj, alpha, True), dt)
+            return _power_mean(_weighted_sup_series(traj, alpha, True), l2_weights, 2)
         if which in ("weighted_L2Linf", "wave_L2Linf"):
-            return _l2_time(_weighted_sup_series(traj, alpha, False), dt)
+            return _power_mean(_weighted_sup_series(traj, alpha, False), l2_weights, 2)
         raise ValueError(which)
 
     return statistic

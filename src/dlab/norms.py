@@ -9,9 +9,9 @@ intermediate overflows: one peak over the whole window for a lateral norm,
 one peak per frame for the L^r sums of a Strichartz norm.
 
 Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
-several times.  They stack its frames once as a centered spectrum (a
-physical window takes the checkerboard sign and one batched forward
-transform in place, with no roll; see grid.py).  The band projection
+several times.  They take its rows of the trajectory's frame stack once as a
+centered spectrum (a physical window takes the checkerboard sign and one
+batched forward transform, with no roll; see grid.py).  The band projection
 multiplies the stack by the band symbol with the inverse transform's 1/dx^d
 folded in, inverse-transforms it with no centering shift, and reduces the
 result at once to |u|^2 in float64.
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExponentError, MemoryBudgetError
-from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft, trapezoid_weights
+from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft, lp_norm, sobolev_norm, trapezoid_weights
 from .projections import Band, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -179,12 +179,11 @@ def _frame_powers(v: Trajectory, i0: int, i1: int):
     |u|^2 and every whole-axis reduction of it do not see.
     """
     g = v.grid
-    for i in range(i0, i1 + 1):
-        fr = v.frames[i]
-        if fr.domain == PHYSICAL:
-            yield _abs2(fr.values)
+    for row in v.values[i0 : i1 + 1]:
+        if v.domain == PHYSICAL:
+            yield _abs2(row)
         else:
-            s = _abs2(_fft(fr.values, inverse=True))
+            s = _abs2(_fft(row, inverse=True))
             s *= g.dx ** (-2 * g.d)
             yield s
 
@@ -312,9 +311,10 @@ def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval=None) ->
 class _BandStack:
     """Frames i0..i1 of a trajectory as one centered frequency stack, ready to project.
 
-    Physical frames are multiplied by the checkerboard S and
-    forward-transformed in place, which equals the fftshift of their plain
-    transform bit for bit (a centered spectrum up to the sign S per mode).  A
+    Frequency rows are copied.  Physical rows are multiplied by the
+    checkerboard S into a new stack and forward-transformed in place, which
+    equals the fftshift of their plain transform bit for bit (a centered
+    spectrum up to the sign S per mode).  A
     projection inverse-transforms with no centering shift, so the projected
     frame comes out cyclically shifted and sign-modulated, which |u|^2 and
     every whole-axis reduction of it do not see.
@@ -330,11 +330,12 @@ class _BandStack:
             )
         self.grid = g
         self.axes = tuple(range(1, g.d + 1))
-        stack = np.stack([v.frames[i].values for i in range(i0, i1 + 1)])
+        rows = v.values[i0 : i1 + 1]
         if v.domain == PHYSICAL:
-            _fft(stack, axes=self.axes, sign_in=True, scale=g.dx**g.d, out=stack)
-        self.freq = stack
-        self.work = np.empty_like(stack)
+            self.freq = _fft(rows, axes=self.axes, sign_in=True, scale=g.dx**g.d)
+        else:
+            self.freq = rows.copy()
+        self.work = np.empty_like(self.freq)
 
     def power(self, symbol: np.ndarray) -> np.ndarray:
         """|u|^2 of the projection by a centered symbol that carries 1/dx^d."""
@@ -470,8 +471,6 @@ def z_norm(F: Trajectory, interval=None) -> float:
 
 def linf_h1(v: Trajectory, interval=None) -> float:
     """sup over frames of the homogeneous H^1 norm."""
-    from .grid import sobolev_norm
-
     i0, i1, _ = _window(v, interval)
     return max(
         sobolev_norm(v.frames[i], 1.0, homogeneous=True) for i in range(i0, i1 + 1)
@@ -479,8 +478,6 @@ def linf_h1(v: Trajectory, interval=None) -> float:
 
 
 def linf_l2(v: Trajectory, interval=None) -> float:
-    from .grid import lp_norm
-
     i0, i1, _ = _window(v, interval)
     return max(
         lp_norm(v.frames[i].in_domain(PHYSICAL), 2) for i in range(i0, i1 + 1)

@@ -25,7 +25,8 @@ import itertools
 
 import numpy as np
 
-from .grid import FREQUENCY, Field, SpectralGrid, Trajectory, apply_multiplier, broadcast_along
+from .grid import (FREQUENCY, Field, SpectralGrid, Trajectory, _centred_transform, apply_multiplier,
+                   broadcast_along)
 
 
 def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
@@ -89,19 +90,19 @@ def free_trajectory(
     f: Field, t0: float, dt: float, n_frames: int, flow: str = "schrodinger", sign: int = +1
 ) -> Trajectory:
     """Sample a free flow on a uniform time lattice (frames in frequency domain)."""
+    if flow not in ("schrodinger", "halfwave"):
+        raise ValueError(f"unknown flow {flow!r}")
     g = f.grid
-    fh = f.in_domain(FREQUENCY)
-    frames = []
-    for j in range(n_frames):
+    fh = f.in_domain(FREQUENCY).values
+    values = np.empty((n_frames, *g.shape), dtype=np.complex128)
+    for j, row in enumerate(values):
         t = t0 + j * dt
         if flow == "schrodinger":
             sym = schrodinger_symbol(g, t)
-        elif flow == "halfwave":
-            sym = np.exp(1j * sign * t * np.sqrt(g.xi_squared))
         else:
-            raise ValueError(f"unknown flow {flow!r}")
-        frames.append(Field(g, FREQUENCY, fh.values * sym))
-    return Trajectory(g, t0, dt, tuple(frames))
+            sym = np.exp(1j * sign * t * np.sqrt(g.xi_squared))
+        np.multiply(fh, sym, out=row)
+    return Trajectory.from_values(g, t0, dt, FREQUENCY, values)
 
 
 def _duhamel_values(h: Trajectory):
@@ -157,5 +158,9 @@ def duhamel(h: Trajectory, t_index: int) -> Field:
 def duhamel_all(h: Trajectory) -> Trajectory:
     """:func:`duhamel` at every frame index, as a trajectory in ``h``'s domain and time lattice."""
     g = h.grid
-    frames = tuple(Field(g, FREQUENCY, v).in_domain(h.domain) for v in _duhamel_values(h))
-    return Trajectory(g, h.t0, h.dt, frames)
+    values = np.empty_like(h.values)
+    for row, v in zip(values, _duhamel_values(h)):
+        row[...] = v
+    if h.domain != FREQUENCY:
+        _centred_transform(values, g, h.domain, out=values)
+    return Trajectory.from_values(g, h.t0, h.dt, h.domain, values)

@@ -50,8 +50,8 @@ from .grid import (
     sobolev_norm,
     trapezoid_weights,
 )
-from .norms import EpsilonPolicy, _abs2, x_norm
-from .propagate import duhamel_all, schrodinger_flow
+from .norms import EpsilonPolicy, _abs2, _power_mean, x_norm
+from .propagate import duhamel_all, free_trajectory, schrodinger_flow
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class NLSRunConfig:
         if phase > np.pi:
             warnings.warn(
                 f"dt*max|xi|^2 = {phase:.3g} exceeds pi; kinetic phases wrap",
-                stacklevel=3,
+                stacklevel=4,  # the caller of splitstep_nls/splitstep_forced (via _splitstep)
             )
 
 
@@ -97,12 +97,8 @@ def _fft_order_dealias(grid: SpectralGrid) -> np.ndarray:
     )
 
 
-def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
-    """Strang split-step integration; physical-domain snapshot frames.
-
-    Raises BlowupDetected (carrying the partial trajectory) when the max norm
-    exceeds cfg.blowup_factor times its initial value or turns non-finite.
-    """
+def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
+    """The physical snapshot stack of a Strang split-step run (see splitstep_nls), writable."""
     g = u0.grid
     cfg.check_phase_resolution(g)
     # |xi|^2 in plain FFT ordering (the step works unshifted)
@@ -112,8 +108,9 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
 
     u = u0.in_domain(PHYSICAL).values.copy()
     guard = cfg.blowup_factor * max(float(np.abs(u).max()), np.finfo(float).tiny)
-    frames = [Field.physical(g, u.copy())]
-    snap_dt = cfg.dt * cfg.snapshot_stride
+    frames = np.empty((cfg.n_steps // cfg.snapshot_stride + 1, *g.shape), dtype=np.complex128)
+    frames[0] = u
+    count = 1
 
     for step in range(1, cfg.n_steps + 1):
         _fft(u, out=u)
@@ -132,17 +129,30 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             peak = float(np.abs(u).max())
         if not np.isfinite(peak) or peak > guard:
-            partial = Trajectory(g, 0.0, snap_dt, tuple(frames)) if frames else None
+            partial = Trajectory.from_values(g, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
+                                             frames[:count])
             raise BlowupDetected(step, partial, peak)
         if step % cfg.snapshot_stride == 0:
-            frames.append(Field.physical(g, u.copy()))
-    return Trajectory(g, 0.0, snap_dt, tuple(frames))
+            frames[count] = u
+            count += 1
+    return frames
+
+
+def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
+    """Strang split-step integration; physical-domain snapshot frames.
+
+    Raises BlowupDetected (carrying the partial trajectory) when the max norm
+    exceeds cfg.blowup_factor times its initial value or turns non-finite.
+    """
+    return Trajectory.from_values(u0.grid, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
+                                  _splitstep(u0, cfg))
 
 
 def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     """Forced cubic NLS via u := F + v evolved as standard NLS, then v = u - F.
 
-    F must be sampled exactly at the snapshot times of the run.
+    F must be sampled exactly at the snapshot times of the run.  v is taken
+    from the u stack in place, so the run holds one stack besides F.
     """
     g = v0.grid
     snap_dt = cfg.dt * cfg.snapshot_stride
@@ -154,13 +164,10 @@ def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     if F.grid != g:
         raise ValueError("forcing lives on a different grid")
     F0 = F.frames[0].in_domain(PHYSICAL)
-    u0 = Field.physical(g, F0.values + v0.in_domain(PHYSICAL).values)
-    run = splitstep_nls(u0, cfg)
-    frames = tuple(
-        Field.physical(g, run.frames[j].values - F.frames[j].in_domain(PHYSICAL).values)
-        for j in range(run.n_frames)
-    )
-    return Trajectory(g, 0.0, snap_dt, frames)
+    v = _splitstep(Field.physical(g, F0.values + v0.in_domain(PHYSICAL).values), cfg)
+    for row, Fj in zip(v, F.frames):
+        row -= Fj.in_domain(PHYSICAL).values
+    return Trajectory.from_values(g, 0.0, snap_dt, PHYSICAL, v)
 
 
 @dataclass(frozen=True)
@@ -202,17 +209,6 @@ def _cubic(values: np.ndarray, mu: int) -> np.ndarray:
     return mu * (np.abs(values) ** 2) * values
 
 
-def _picard_sweep(free, Fphys, v, pcfg, g):
-    """One application of the Duhamel map Phi."""
-    n = pcfg.n_frames
-    hyb = []
-    for j in range(n):
-        tot = v[j] if Fphys is None else Fphys[j] + v[j]
-        hyb.append(Field.physical(g, _cubic(tot, pcfg.mu)))
-    integral = duhamel_all(Trajectory(g, 0.0, pcfg.dt, tuple(hyb)))
-    return [free[j] - 1j * fr.values for j, fr in enumerate(integral.frames)]
-
-
 def picard_iterate(
     v0: Field,
     F: Trajectory | None,
@@ -226,25 +222,28 @@ def picard_iterate(
     """
     g = v0.grid
     n = pcfg.n_frames
-    free = [
-        schrodinger_flow(v0, j * pcfg.dt).in_domain(PHYSICAL).values for j in range(n)
-    ]
+    free = free_trajectory(v0, 0.0, pcfg.dt, n).in_domain(PHYSICAL).values
     Fphys = None
     if F is not None:
         if F.grid != g or abs(F.t0) > 1e-12 or abs(F.dt - pcfg.dt) > 1e-12 or F.n_frames < n:
             raise ValueError("forcing frames misaligned with the Picard lattice")
-        Fphys = [F.frames[j].in_domain(PHYSICAL).values for j in range(n)]
+        Fphys = F.in_domain(PHYSICAL).values[:n]
+
+    def sweep(v):  # one application of the Duhamel map Phi to the physical frame stack v
+        tot = v if Fphys is None else Fphys + v
+        h = Trajectory.from_values(g, 0.0, pcfg.dt, PHYSICAL, _cubic(tot, pcfg.mu))
+        return free - 1j * duhamel_all(h).values
+
+    def x_distance(a, b) -> float:
+        return float(x_norm(Trajectory.from_values(g, 0.0, pcfg.dt, PHYSICAL, a - b), pol=pol))
 
     record = ContractionRecord()
-    v = [f.copy() for f in free]
+    v = free
     rising = 0
     for it in range(1, pcfg.max_iterations + 1):
-        v_new = _picard_sweep(free, Fphys, v, pcfg, g)
-        diff = Trajectory(
-            g, 0.0, pcfg.dt, tuple(Field.physical(g, a - b) for a, b in zip(v_new, v))
-        )
-        d = x_norm(diff, pol=pol)
-        record.distances.append(float(d))
+        v_new = sweep(v)
+        d = x_distance(v_new, v)
+        record.distances.append(d)
         record.iterations = it
         if len(record.distances) >= 2 and record.distances[-2] > 0:
             rho = record.distances[-1] / record.distances[-2]
@@ -260,13 +259,8 @@ def picard_iterate(
         if d < pcfg.tolerance:
             record.converged = True
             break
-    traj = Trajectory(g, 0.0, pcfg.dt, tuple(Field.physical(g, a) for a in v))
-    check = _picard_sweep(free, Fphys, v, pcfg, g)
-    resid = Trajectory(
-        g, 0.0, pcfg.dt, tuple(Field.physical(g, a - b) for a, b in zip(check, v))
-    )
-    record.fixed_point_residual = float(x_norm(resid, pol=pol))
-    return traj, record
+    record.fixed_point_residual = x_distance(sweep(v), v)
+    return Trajectory.from_values(g, 0.0, pcfg.dt, PHYSICAL, v), record
 
 
 def energy(v: Field) -> float:
@@ -451,19 +445,11 @@ def morawetz_audit(
         raise ValueError("need at least three frames")
     weights = _weight_arrays(g, sigma)
     inv_a_quarter = _inv_weight(g, g.dx / 4.0)
-    terms = np.array(
-        [
-            _audit_frame(
-                fr,
-                None if F is None else F.frames[j].in_domain(PHYSICAL).values.ravel(),
-                mu,
-                weights,
-                inv_a_quarter,
-                0 < j < n - 1,
-            )
-            for j, fr in enumerate(run.frames)
-        ]
-    )
+    Fvals = None if F is None else F.in_domain(PHYSICAL).values.reshape(F.n_frames, -1)
+    terms = np.array([
+        _audit_frame(fr, None if F is None else Fvals[j], mu, weights, inv_a_quarter, 0 < j < n - 1)
+        for j, fr in enumerate(run.frames)
+    ])
     mvals, h1_sq, l2_sq, bulk_d, bulk_quarter_d, h_l2, rhs = terms.T
     rhs = rhs[1:-1]
     w = trapezoid_weights(n, run.dt)
@@ -537,8 +523,7 @@ def energy_growth_audit(
     vol = g.dx**g.d
     w = trapezoid_weights(n, run.dt)
 
-    zero = Field.zero(g, PHYSICAL)
-    Ffr = (lambda j: F.frames[j].in_domain(PHYSICAL)) if F is not None else (lambda j: zero)
+    Fs = (Field.zero(g, PHYSICAL),) * n if F is None else F.in_domain(PHYSICAL).frames
 
     group_quartic = 0.0
     group_gradient = 0.0
@@ -557,7 +542,7 @@ def energy_growth_audit(
 
     for j in range(n):
         vfr = run.frames[j].in_domain(PHYSICAL)
-        Fj = Ffr(j)
+        Fj = Fs[j]
         vv, Fv = vfr.values, Fj.values
         tot = Fv + vv
         quart = np.abs(np.abs(tot) ** 4 - np.abs(Fv) ** 4 - np.abs(vv) ** 4)
@@ -601,18 +586,11 @@ def energy_growth_audit(
     fd = np.abs(evals[2:] - evals[:-2]) / (2.0 * run.dt)
     integrated = float(np.sum(fd) * run.dt) if n > 2 else 0.0
 
-    def l2t(series):
-        return float(np.sqrt(np.sum(w * np.asarray(series) ** 2)))
-
-    def l3t(series):
-        arr = np.asarray(series)
-        return float(np.sum(w * arr**3) ** (1.0 / 3.0))
-
-    F_L2Linf = l2t(t_int["F_L2Linf"])
-    gF_L2L4 = l2t(t_int["gF_L2L4"])
-    wgF = l2t(t_int["wgF_L2Linf"])
-    wF = l2t(t_int["wF_L2Linf"])
-    F_L3L6 = l3t(t_int["F_L3L6"])
+    F_L2Linf = _power_mean(t_int["F_L2Linf"], w, 2)
+    gF_L2L4 = _power_mean(t_int["gF_L2L4"], w, 2)
+    wgF = _power_mean(t_int["wgF_L2Linf"], w, 2)
+    wF = _power_mean(t_int["wF_L2Linf"], w, 2)
+    F_L3L6 = _power_mean(t_int["F_L3L6"], w, 3)
     bulk = float(np.sum(w * np.asarray(bulk_density)))
 
     gv, v4, F4 = sup_quant["gv_Li2"], sup_quant["v_Li4"], sup_quant["F_Li4"]
@@ -626,11 +604,7 @@ def energy_growth_audit(
     slack = 1.0 + 1e-9
     terms_ok = all(term_vals[k] <= majorants[k] * slack + 1e-30 for k in term_vals)
 
-    F_Li2 = (
-        max(np.sqrt(vol * np.sum(np.abs(Ffr(j).values) ** 2)) for j in range(n))
-        if F is not None
-        else 0.0
-    )
+    F_Li2 = max(np.sqrt(vol * np.sum(np.abs(Fs[j].values) ** 2)) for j in range(n))
     mass_lhs = float(np.sqrt(max(mass_series)))
     mass_rhs = float(np.sqrt(mass_total_series[0]) + F_Li2)
     mass_ok = mass_lhs <= mass_rhs * (1.0 + 1e-8)

@@ -259,3 +259,31 @@ def test_run_unknown_verifier_rejected_before_any_experiment(tmp_path, capsys):
     assert any("experiments[1]" in ln and "no_such_verifier" in ln for ln in lines)
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, where",
+    [({"time": [1]}, "config.time must be an object"), ({"time": {"T": "x"}}, "time: could not convert")],
+)
+def test_run_malformed_section_is_a_config_error(tmp_path, capsys, section, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "grid": {"m": 12}, **section}))
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert all(ln.startswith("config error: ") for ln in lines)
+    assert any(where in ln for ln in lines) and any(ln.startswith("config error: grid:") for ln in lines)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["12", "12,4", "8,x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["randomize", "--seed", "1", "--draws", "1"], ["evolve", "--flow", "schrodinger", "--t", "0.1", "--dt", "0.1"],
+     ["ensemble", "--stat", "L3L6", "--draws", "1", "--seed", "1"]],
+)
+def test_bad_grid_flag_is_one_error_line(tmp_path, capsys, argv, flag):
+    assert main([*argv, "--grid", flag, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --grid '{flag}'") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

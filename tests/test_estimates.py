@@ -76,7 +76,7 @@ def test_unit_maximal_perpendicular_controls_flat():
     # k perpendicular to the measured axis: transport hides inside the sup
     # block, so the observed ratio is k-flat; the |k|^(1/2) bound still holds
     g3 = SpectralGrid(m=16, L=2 * np.pi / 0.5, d=3)
-    g1 = E.Grid1D(2048, 2 * np.pi / 0.1)
+    g1 = SpectralGrid(2048, 2 * np.pi / 0.1, d=1)
     vals = {}
     for k in (10.0, 20.0):
         # modulation lives in the transverse block: evaluate the axis factor at k=0

@@ -285,3 +285,46 @@ def test_trapezoid_weights():
     assert trapezoid_weights(3, 0.5).tolist() == [0.25, 0.5, 0.25]
     assert trapezoid_weights(2, 0.5).tolist() == [0.25, 0.25]
     assert trapezoid_weights(1, 0.5).tolist() == [0.0]  # a single frame spans no time
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
+def test_trajectory_in_domain_is_frame_by_frame_bitwise(m, domain):
+    from dlab.grid import Trajectory
+
+    g = SpectralGrid(m=m, L=6.0)
+    frames = tuple(random_field(g, 60 + j, domain=domain) for j in range(5))
+    traj = Trajectory(g, 0.2, 0.1, frames)
+    other = FREQUENCY if domain == PHYSICAL else PHYSICAL
+    moved = traj.in_domain(other)
+    assert moved.domain == other and (moved.t0, moved.dt) == (0.2, 0.1)
+    assert traj.in_domain(domain) is traj
+    for fr, got in zip(frames, moved.frames):
+        assert got.domain == other
+        assert np.array_equal(got.values, fr.in_domain(other).values)
+    back = moved.in_domain(domain)
+    for fr, got in zip(moved.frames, back.frames):
+        assert np.array_equal(got.values, fr.in_domain(domain).values)
+
+
+def test_trajectory_is_one_read_only_stack(grid8):
+    from dlab.grid import Trajectory
+
+    frames = [random_field(grid8, s) for s in range(3)]
+    traj = Trajectory(grid8, 0.0, 0.1, frames)
+    assert traj.values.shape == (3, *grid8.shape) and traj.values.flags.c_contiguous
+    for i, fr in enumerate(traj.frames):
+        assert np.shares_memory(fr.values, traj.values)
+        assert np.array_equal(fr.values, frames[i].values)
+    with pytest.raises(ValueError):
+        traj.values[0, 0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.frames[1].values[0, 0, 0, 0] = 1.0
+    # map_frames writes its results into a new stack; the source stays as it was
+    doubled = traj.map_frames(lambda fr: 2.0 * fr)
+    assert np.array_equal(doubled.values, 2.0 * traj.values)
+    assert np.array_equal(traj.values[0], frames[0].values)
+    with pytest.raises(DomainMismatchError):
+        Trajectory(grid8, 0.0, 0.1, [frames[0], frames[1].in_domain(FREQUENCY)])
+    with pytest.raises(ValueError):
+        Trajectory(grid8, 0.0, 0.1, [frames[0], random_field(SpectralGrid(m=8, L=5.0), 0)])
