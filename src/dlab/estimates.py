@@ -27,7 +27,6 @@ from .grid import (
     Trajectory,
     _centred_transform,
     _fft,
-    broadcast_along,
     lp_norm,
     sobolev_norm,
     to_physical,
@@ -50,7 +49,7 @@ from .projections import (
     psi_symbol,
     spatial_symbol,
 )
-from .propagate import duhamel_all, free_trajectory, schrodinger_flow
+from .propagate import _duhamel_values, duhamel_all, free_trajectory, schrodinger_flow, schrodinger_symbol
 from .randomize import compute_active_set
 
 
@@ -721,12 +720,13 @@ def verify_trilinear(
     )
 
 
-def _enveloped_flow(f: Field, dt: float, n_frames: int, seed: int) -> Trajectory:
-    """Free Schrodinger frames of f, frame j scaled by a seeded envelope in [0.5, 1.5)."""
+def _enveloped_frames(f: Field, dt: float, n_frames: int, seed: int):
+    """Yield the frequency values of the free Schrodinger frames of f, frame j
+    scaled by a seeded envelope in [0.5, 1.5)."""
     envelope = 0.5 + np.random.default_rng(seed).random(n_frames)
-    base = free_trajectory(f, 0.0, dt, n_frames)
-    return Trajectory.from_values(f.grid, 0.0, dt, FREQUENCY,
-                                  base.values * broadcast_along(envelope, 0, f.grid.d + 1))
+    fh = f.in_domain(FREQUENCY).values
+    for j, e in enumerate(envelope):
+        yield e * (fh * schrodinger_symbol(f.grid, j * dt))
 
 
 @dataclass
@@ -753,12 +753,19 @@ def verify_duhamel_retarded(
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
     """
     fN = Field(grid, FREQUENCY, shell_field(grid, N, seed=seed).values * band_symbol(grid, Band.dyadic(N)))
-    h = _enveloped_flow(fN, T / (n_frames - 1), n_frames, seed + 1)
-    retarded = duhamel_all(h).in_domain(PHYSICAL)
-    h_phys = h.in_domain(PHYSICAL)
+    dt = T / (n_frames - 1)
+
+    def physical(rows) -> Trajectory:  # a stack of frequency rows, converted in place
+        values = np.fromiter(rows, (np.complex128, grid.shape), n_frames)
+        return Trajectory.from_values(grid, 0.0, dt, PHYSICAL,
+                                      _centred_transform(values, grid, PHYSICAL, out=values))
+
+    def hhat():  # h is generated twice, never stored: one frame stack is held at a time
+        return _enveloped_frames(fN, dt, n_frames, seed + 1)
 
     p_g, q_g = pol.g_lateral_pq
-    rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(h_phys, p_g, q_g))
+    rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(physical(hhat()), p_g, q_g))
+    retarded = physical(_duhamel_values(hhat(), grid, dt))
     stri = {}
     for q, r in strichartz_pairs:
         lhs = N * strichartz_norm(retarded, q, r)
@@ -806,10 +813,11 @@ def verify_main_linear(
         rng_seed = seed + 1000 * i
         N = bands[i % len(bands)]
         v0 = shell_field(grid, N, seed=rng_seed)
-        h = _enveloped_flow(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
-        vfree = free_trajectory(v0, 0.0, dt, n_frames)
-        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
-                                   vfree.values - 1j * duhamel_all(h).values)
+        hhat = _enveloped_frames(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
+        h = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
+                                   np.fromiter(hhat, (np.complex128, grid.shape), n_frames))
+        vfree = free_trajectory(v0, 0.0, dt, n_frames).values
+        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, vfree - 1j * duhamel_all(h).values)
         sym = band_symbol(grid, Band.dyadic(N))
         vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * sym).in_domain(PHYSICAL)
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)

@@ -105,8 +105,9 @@ def free_trajectory(
     return Trajectory.from_values(g, t0, dt, FREQUENCY, values)
 
 
-def _duhamel_values(h: Trajectory):
-    """Yield the quadrature of the Duhamel integral at frames 0, 1, 2, ... (frequency domain).
+def _duhamel_values(hhat, grid: SpectralGrid, dt: float):
+    """Yield the quadrature of the Duhamel integral at frames 0, 1, 2, ... (frequency domain)
+    of the forcing whose frames, dt apart, ``hhat`` yields as frequency values.
 
     The k-th value is sum_j w_j exp(-i (t_k - t_j)|xi|^2) hhat_j with the
     composite weights on frames 0..k: Simpson (dt/3)(1, 4, 2, ..., 4, 1) when
@@ -119,17 +120,14 @@ def _duhamel_values(h: Trajectory):
     Each value costs a fixed number of frame operations, and frames are read
     only as far as the caller iterates.
     """
-    g = h.grid
-    dt = h.dt
-    step = schrodinger_symbol(g, dt)  # exp(-i dt |xi|^2)
+    step = schrodinger_symbol(grid, dt)  # exp(-i dt |xi|^2)
     third, half = dt / 3.0, 0.5 * dt
     c_odd, c_even = 4.0 * dt / 3.0, 2.0 * dt / 3.0
     running = prev_out = prev_h = None
-    for k, frame in enumerate(h.frames):
-        hk = frame.in_domain(FREQUENCY).values
+    for k, hk in enumerate(hhat):
         if k == 0:
             running = third * hk
-            out = np.zeros(g.shape, dtype=np.complex128)
+            out = np.zeros(grid.shape, dtype=np.complex128)
         else:
             running *= step
             running += (c_odd if k % 2 else c_even) * hk
@@ -151,16 +149,16 @@ def duhamel(h: Trajectory, t_index: int) -> Field:
     """
     if not 0 <= t_index < h.n_frames:
         raise ValueError(f"t_index {t_index} beyond trajectory of {h.n_frames} frames")
-    values = next(itertools.islice(_duhamel_values(h), t_index, None))
+    hhat = (fr.in_domain(FREQUENCY).values for fr in h.frames)
+    values = next(itertools.islice(_duhamel_values(hhat, h.grid, h.dt), t_index, None))
     return Field(h.grid, FREQUENCY, values).in_domain(h.domain)
 
 
 def duhamel_all(h: Trajectory) -> Trajectory:
     """:func:`duhamel` at every frame index, as a trajectory in ``h``'s domain and time lattice."""
     g = h.grid
-    values = np.empty_like(h.values)
-    for row, v in zip(values, _duhamel_values(h)):
-        row[...] = v
+    hhat = (fr.in_domain(FREQUENCY).values for fr in h.frames)
+    values = np.fromiter(_duhamel_values(hhat, g, h.dt), (np.complex128, g.shape), h.n_frames)
     if h.domain != FREQUENCY:
         _centred_transform(values, g, h.domain, out=values)
     return Trajectory.from_values(g, h.t0, h.dt, h.domain, values)

@@ -110,7 +110,6 @@ def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
     guard = cfg.blowup_factor * max(float(np.abs(u).max()), np.finfo(float).tiny)
     frames = np.empty((cfg.n_steps // cfg.snapshot_stride + 1, *g.shape), dtype=np.complex128)
     frames[0] = u
-    count = 1
 
     for step in range(1, cfg.n_steps + 1):
         _fft(u, out=u)
@@ -130,11 +129,10 @@ def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
             peak = float(np.abs(u).max())
         if not np.isfinite(peak) or peak > guard:
             partial = Trajectory.from_values(g, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
-                                             frames[:count])
+                                             frames[: (step - 1) // cfg.snapshot_stride + 1])
             raise BlowupDetected(step, partial, peak)
         if step % cfg.snapshot_stride == 0:
-            frames[count] = u
-            count += 1
+            frames[step // cfg.snapshot_stride] = u
     return frames
 
 

@@ -279,8 +279,11 @@ def test_run_malformed_section_is_a_config_error(tmp_path, capsys, section, wher
 @pytest.mark.parametrize("flag", ["12", "12,4", "8,x"])
 @pytest.mark.parametrize(
     "argv",
-    [["randomize", "--seed", "1", "--draws", "1"], ["evolve", "--flow", "schrodinger", "--t", "0.1", "--dt", "0.1"],
-     ["ensemble", "--stat", "L3L6", "--draws", "1", "--seed", "1"]],
+    [
+        ["randomize", "--seed", "1", "--draws", "1"],
+        ["evolve", "--flow", "schrodinger", "--t", "0.1", "--dt", "0.1"],
+        ["ensemble", "--stat", "L3L6", "--draws", "1", "--seed", "1"],
+    ],
 )
 def test_bad_grid_flag_is_one_error_line(tmp_path, capsys, argv, flag):
     assert main([*argv, "--grid", flag, "--out", str(tmp_path / "out")]) == 1
