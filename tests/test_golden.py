@@ -20,10 +20,13 @@ other entries of the file as they are.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlab.cli import run_verifier
+from dlab.cli import main, run_verifier, write_trajectory
 from dlab.grid import (
     FREQUENCY,
     PHYSICAL,
@@ -191,7 +194,66 @@ def _case_transforms(m: int):
     return {"to_frequency": _digest(fh.values), "to_physical": _digest(back.values)}
 
 
+NORM_SPECS = [
+    {"kind": "strichartz", "q": 2, "r": 4, "interval": [0.0, 0.1]},
+    {"kind": "lateral", "p": 4, "q": 4, "axis": 2},
+    {"kind": "XN", "N": 2.0},
+    {"kind": "X"},
+    {"kind": "YN", "N": 2.0, "interval": [0.05, 0.2]},
+    {"kind": "Y"},
+    {"kind": "GN", "N": 2.0},
+    {"kind": "G"},
+    {"kind": "Z"},
+    {"kind": "LinfH1"},
+]
+
+RUN_CONFIG = {
+    "schema_version": 1,
+    "grid": {"m": 8, "L": 4 * np.pi},
+    "time": {"T": 0.1, "dt": 0.05},
+    "epsilon": {"eps": 0.02, "s": 0.6},
+    "data": {"profile": {"kind": "fourier_powerlaw", "target_s": 0.6}},
+    "seed": 5,
+    "draws": 60,
+    "experiments": [
+        {"kind": "verify", "name": "bernstein", "id": "bern",
+         "params": {"grid": {"m": 16, "L": 4.0}, "N_list": [2.0, 4.0]}},
+        {"kind": "ensemble", "name": "L3L6", "id": "l3l6", "params": {"n_frames": 5}},
+        {"kind": "solve", "name": "nls", "id": "nls"},
+        {"kind": "solve", "name": "forced", "id": "forced", "params": {"mu": -1}},
+        {"kind": "solve", "name": "picard", "id": "picard"},
+    ],
+}
+
+
+def _cli(argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 2)
+
+
+def _case_cli_norms():
+    """Every `dlab norms` kind on a 5-frame m=8 trajectory directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_trajectory(_norm_trajectory(PHYSICAL), tmp / "traj")
+        (tmp / "spec.json").write_text(json.dumps(NORM_SPECS))
+        _cli(["norms", "--spec", str(tmp / "spec.json"), "--traj", str(tmp / "traj"),
+              "--out", str(tmp / "norms.json")])
+        return json.loads((tmp / "norms.json").read_text())["reports"]
+
+
+def _case_cli_run():
+    """`dlab run` on an m=8 config holding a verify, an ensemble and the three solves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**RUN_CONFIG, "output_dir": str(Path(tmp) / "out")}))
+        _cli(["run", str(path)])
+        return json.loads((Path(tmp) / "out" / "report.json").read_text())["reports"]
+
+
 CASES = {
+    "cli/norms": lambda: ("values", _case_cli_norms()),
+    "cli/run": lambda: ("values", _case_cli_run()),
     **{f"verifier/{name}": (lambda name=name: ("values", run_verifier(
         name, json.loads(json.dumps(VERIFIERS[name])), seed=12))) for name in VERIFIERS},
     "splitstep/dealias": lambda: ("values", _probe(_splitstep(True))),
