@@ -1,8 +1,8 @@
 """Command-line entry point: evolve, project, randomize, norms, verify,
 ensemble, solve, report, and config-driven experiment runs.
 
-Configs are strict JSON: schema-versioned, unknown keys are errors, and every
-violated constraint is reported at once.  Artifacts embed the resolved config
+Configs are strict JSON: schema-versioned, unknown or mistyped keys are errors,
+and every violation is reported at once.  Artifacts embed the resolved config
 and a content hash; reruns with the same config and seed reproduce the JSON
 and CSV bodies byte for byte (no timestamps are written).  DLAB_THREADS caps
 experiment-level parallelism.
@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
+import types
 from collections.abc import Callable
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import estimates, montecarlo, norms as norms_mod, solver as solver_mod
-from .errors import ConfigError, DLabError
+from .errors import ConfigError, DLabError, FlagError
 from .grid import Field, SpectralGrid, Trajectory, parse_grid_flag, read_snapshot, write_snapshot
 from .norms import EpsilonPolicy
 from .projections import Band, dyadic_projection, unit_projection
@@ -36,62 +39,139 @@ from .randomize import (RadialProfileSpec, RandomizationSpec, compute_active_set
 SCHEMA_VERSION = 1
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
 def write_report(path, body: dict) -> None:
-    body = dict(body)
-    body["schema_version"] = SCHEMA_VERSION
-    body["content_hash"] = content_hash({k: v for k, v in body.items() if k != "content_hash"})
+    body = {k: v for k, v in body.items() if k != "content_hash"} | {"schema_version": SCHEMA_VERSION}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-# ---------------------------------------------------------------- config
-
-# a key maps to None, or to the keys of its (object) value
-_CONFIG_KEYS = {
-    **dict.fromkeys(("schema_version", "seed", "draws", "experiments", "output_dir")),
-    "grid": dict.fromkeys(("m", "L")),
-    "time": dict.fromkeys(("T", "dt")),
-    "epsilon": dict.fromkeys(("eps", "s")),
-    "data": {"snapshot": None, "profile": dict.fromkeys(
-        ("kind", "target_s", "ep0", "cutoff", "width", "inner", "outer"))},
-}
-_EXPERIMENT_KEYS = dict.fromkeys(("kind", "name", "params", "id"))
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DLabError(f"cannot read {path}: {exc}") from None
 
 
-def _unknown_keys(where: str, obj, spec: dict) -> list:
-    """Violations for the keys of obj that spec does not name, at every depth."""
-    if not isinstance(obj, dict):
-        return [f"{where} must be an object"]
-    out = []
-    for k, v in obj.items():
-        if k not in spec:
+# ---------------------------------------------------------------- schema
+
+_NOT = object()  # _typed's "not of that type"
+
+
+class _Schema(NamedTuple):
+    """A JSON object's keys with their types (a _Schema types an object value), the keys
+    it must hold, and ``build``, which makes its value from them and may reject it."""
+
+    types: dict
+    required: tuple = ()
+    build: Callable | None = None
+
+
+def _schema(fn, *supplied, **defaults) -> _Schema:
+    """fn's parameters (a function, partial or dataclass) less those the run supplies.  A
+    key's type is its annotation, else its default's (a tuple is a list of numbers); it is
+    required with no default in fn or ``defaults``, the run's.  A dataclass is built."""
+    hints = get_type_hints(getattr(fn, "func", fn), include_extras=True)
+    types, required = {}, []
+    for name, p in inspect.signature(fn).parameters.items():
+        if name not in supplied:
+            default = defaults.get(name, p.default)
+            tp = hints.get(name, list[float] if isinstance(default, tuple) else type(default))
+            if get_origin(tp) is Annotated:  # Annotated[dict, S]: an object of _Schema S
+                tp = tp.__metadata__[0]
+            types[name] = _GRID if tp is SpectralGrid else tp  # a grid is the object {m, L}
+            required += [name] if default is p.empty else []
+    return _Schema(types, tuple(required), fn if dataclasses.is_dataclass(fn) else None)
+
+
+_GRID = _schema(SpectralGrid, "d")  # the lab's boxes are 4D
+
+
+def _typed(value, tp):
+    """value as an argument of type tp takes it ("inf"/"-inf" as floats), or _NOT."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):
+        return next((v for v in (_typed(value, a) for a in args) if v is not _NOT), _NOT)
+    if origin is Literal:
+        return value if any(value == a and type(value) is type(a) for a in args) else _NOT
+    if origin in (list, tuple):
+        sized = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, (list, tuple)) or sized and len(value) != len(args):
+            return _NOT
+        items = [_typed(v, args[0]) for v in value]
+        return _NOT if any(v is _NOT for v in items) else items
+    if tp is float and isinstance(value, str):
+        return {"inf": math.inf, "-inf": -math.inf}.get(value, _NOT)
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    return value if ok and (tp is bool or not isinstance(value, bool)) else _NOT
+
+
+def _conform(where: str, value, tp, out: list):
+    """value as the call takes it: typed by _typed, or an object checked against its
+    _Schema and built.  Violations go to ``out``, and the result is then _NOT."""
+    if not isinstance(tp, _Schema):
+        got = _typed(value, tp)
+        if got is _NOT:
+            name = tp.__name__ if type(tp) is type else str(tp).replace("typing.", "")  # as annotated
+            out.append(f"{where} must be {'an object' if tp is dict else name}, got {value!r}")
+        return got
+    if not isinstance(value, dict):
+        out.append(f"{where} must be an object, got {value!r}")
+        return _NOT
+    n, args = len(out), {}
+    for k, v in value.items():
+        if k in tp.types:
+            got = _conform(f"{where}.{k}", v, tp.types[k], out)
+            args[k] = v if got is _NOT else got
+        else:
             # T, Q, seed and pol reach a run from the config, never from params
             why = " (set by the config)" if k in ("T", "Q", "seed", "pol") else ""
-            out.append(f"unknown key {k!r} in {where}{why}; expected {', '.join(sorted(spec))}")
-        elif spec[k] is not None:
-            out += _unknown_keys(f"{where}.{k}", v, spec[k])
-    return out
+            out.append(f"unknown key {k!r} in {where}{why}; expected {', '.join(sorted(tp.types))}")
+    missing = [k for k in tp.required if k not in value]
+    out += [f"{where}.{k} is required" for k in missing]
+    if tp.build and not missing and set(value) <= set(tp.types):
+        try:  # a mistyped value goes in as given: the builder's own check of it shows too
+            args = tp.build(**args)
+        except ValueError as exc:
+            out.append(f"{where}: {exc}")
+        except TypeError:  # only a mistyped value, reported above, raises it
+            pass
+    return args if len(out) == n else _NOT
 
 
-def _build(violations: list, where: str, make):
-    """make(), or None with a violation when it rejects its arguments."""
-    try:
-        return make()
-    except (TypeError, ValueError) as exc:
-        violations.append(f"{where}: {exc}")
+def _checked(where: str, value, schema: _Schema):
+    """The call arguments of ``value``; any violation raises ConfigError."""
+    out = []
+    args = _conform(where, value, schema, out)
+    if out:
+        raise ConfigError(out)
+    return args
 
 
-@dataclass
+# ---------------------------------------------------------------- config
+
+def _time(T: float = 4.0, dt: float = 0.25) -> tuple:
+    """The config's time section: (T, dt), frames dt apart on [0, T]."""
+    T, dt = float(T), float(dt)
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValueError("T and dt must be positive")
+    if abs(T / dt - round(T / dt)) > 1e-8:
+        raise ValueError("T must be an integer multiple of dt")
+    return T, dt
+
+
+_PROFILE = _schema(RadialProfileSpec)
+_SECTIONS = {"grid": _GRID, "time": _schema(_time)._replace(build=_time),
+             "epsilon": _schema(EpsilonPolicy), "data": _Schema({"snapshot": str, "profile": _PROFILE})}
+_CONFIG = _Schema({**dict.fromkeys(_SECTIONS, dict), "schema_version": Literal[1], "seed": int,
+                   "draws": int, "experiments": list, "output_dir": str}, ("schema_version",))
+
+
+@dataclasses.dataclass
 class ExperimentConfig:
     """Parsed, validated experiment configuration."""
 
@@ -107,63 +187,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(["the config must be a JSON object"])
-        violations = _unknown_keys("config", raw, _CONFIG_KEYS)
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            violations.append(
-                f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-            )
+        out = []
+        if _conform("config", raw, _CONFIG, out) is _NOT and not isinstance(raw, dict):
+            raise ConfigError(out)
         # a section that is not an object is already a violation; read it as empty
-        gd, td, ed, dd = (raw.get(k) if isinstance(raw.get(k), dict) else {}
-                          for k in ("grid", "time", "epsilon", "data"))
-        grid = _build(violations, "grid",
-                      lambda: SpectralGrid(m=int(gd.get("m", 16)), L=float(gd.get("L", 32.0))))
-        # an unreadable time section is reported by _build; (1, 1) adds no second violation
-        T, dt = _build(violations, "time",
-                       lambda: (float(td.get("T", 4.0)), float(td.get("dt", 0.25)))) or (1.0, 1.0)
-        if T <= 0 or dt <= 0:
-            violations.append("time: T and dt must be positive")
-        elif abs(T / dt - round(T / dt)) > 1e-8:
-            violations.append("time: T must be an integer multiple of dt")
-        pol = _build(violations, "epsilon",
-                     lambda: EpsilonPolicy(eps=float(ed.get("eps", 0.05)), s=ed.get("s")))
-        if "profile" in dd:
-            _build(violations, "data.profile", lambda: RadialProfileSpec(**dd["profile"]))
-        seed = raw.get("seed", 0)
+        given = {k: raw.get(k) if isinstance(raw.get(k), dict) else {} for k in _SECTIONS}
+        grid = _conform("grid", {"m": 16, "L": 32.0, **given["grid"]}, _GRID, out)
+        time = _conform("time", given["time"], _SECTIONS["time"], out)
+        pol = _conform("epsilon", given["epsilon"], _SECTIONS["epsilon"], out)
+        _conform("data", given["data"], _SECTIONS["data"], out)
         draws = raw.get("draws", 1)
-        if not isinstance(seed, int) or not isinstance(draws, int) or draws < 0:
-            violations.append("seed must be an int and draws a nonnegative int")
-        if not isinstance(raw.get("output_dir", ""), str):
-            violations.append("output_dir must be a string")
+        if isinstance(draws, int) and draws < 0:
+            out.append(f"config.draws must be nonnegative, got {draws}")
         experiments = raw.get("experiments", [])
-        if not isinstance(experiments, list):
-            violations.append("experiments must be a list")
-            experiments = []
-        for i, ex in enumerate(experiments):
-            violations += _experiment_violations(i, ex)
-        if violations:
-            raise ConfigError(violations)
-        return cls(grid, T, dt, pol, dd, seed, draws, experiments, raw.get("output_dir", "dlab_out"))
+        for i, ex in enumerate(experiments if isinstance(experiments, list) else []):
+            out += _experiment_violations(i, ex)
+        if out:
+            raise ConfigError(out)
+        return cls(SpectralGrid(grid.m, float(grid.L)), *time, EpsilonPolicy(float(pol.eps), pol.s),
+                   given["data"], raw.get("seed", 0), draws, experiments,
+                   raw.get("output_dir", "dlab_out"))
 
     def canonical(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "grid": {"m": self.grid.m, "L": self.grid.L},
-            "time": {"T": self.T, "dt": self.dt},
-            "epsilon": {"eps": self.pol.eps, "s": self.pol.s},
-            "data": self.data,
-            "seed": self.seed,
-            "draws": self.draws,
-            "experiments": self.experiments,
-            "output_dir": self.output_dir,
-        }
+        return {"schema_version": SCHEMA_VERSION, "grid": {"m": self.grid.m, "L": self.grid.L},
+                "time": {"T": self.T, "dt": self.dt}, "epsilon": {"eps": self.pol.eps, "s": self.pol.s},
+                "data": self.data, "seed": self.seed, "draws": self.draws,
+                "experiments": self.experiments, "output_dir": self.output_dir}
 
     def load_field(self) -> Field:
         if "snapshot" in self.data:
             return read_snapshot(self.data["snapshot"])
         profile = self.data.get("profile", {"kind": "gaussian_bump", "width": 1.0})
-        return make_radial_data(RadialProfileSpec(**profile), self.grid)
+        return make_radial_data(_checked("data.profile", profile, _PROFILE), self.grid)
 
 
 # ------------------------------------------------------- trajectory I/O
@@ -171,20 +226,17 @@ class ExperimentConfig:
 def write_trajectory(traj: Trajectory, outdir, extra: dict | None = None) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for j, fr in enumerate(traj.frames):
-        name = f"frame_{j:05d}.dlab"
+    names = [f"frame_{j:05d}.dlab" for j in range(traj.n_frames)]
+    for name, fr in zip(names, traj.frames):
         write_snapshot(fr, outdir / name)
-        names.append(name)
     grid = {"m": traj.grid.m, "L": traj.grid.L, "d": traj.grid.d}
-    manifest = {"grid": grid, "t0": traj.t0, "dt": traj.dt, "frames": names, **(extra or {})}
-    write_report(outdir / "manifest.json", manifest)
+    write_report(outdir / "manifest.json",
+                 {"grid": grid, "t0": traj.t0, "dt": traj.dt, "frames": names, **(extra or {})})
 
 
 def read_trajectory(outdir) -> Trajectory:
     outdir = Path(outdir)
-    with open(outdir / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(outdir / "manifest.json")
     frames = tuple(read_snapshot(outdir / name) for name in manifest["frames"])
     return Trajectory(frames[0].grid, manifest["t0"], manifest["dt"], frames)
 
@@ -199,40 +251,43 @@ def _datum(args, profile: RadialProfileSpec) -> Field:
 
 
 def _cmd_evolve(args) -> int:
+    if not (0 <= args.t < math.inf and 0 < args.dt < math.inf):
+        raise DLabError(f"--t must be >= 0 and --dt > 0, got --t {args.t} --dt {args.dt}")
     f = _datum(args, RadialProfileSpec(kind="gaussian_bump", width=1.0))
-    grid = f.grid
     n = int(round(args.t / args.dt)) + 1
     if args.flow == "wave":
-        f2 = Field.zero(grid, "physical") if not args.input2 else read_snapshot(args.input2)
+        f2 = Field.zero(f.grid, "physical") if not args.input2 else read_snapshot(args.input2)
         pairs = [wave_flow(f, f2, j * args.dt) for j in range(n)]
         for k, suffix in enumerate(("", "_dt")):  # u, then its time derivative
             frames = tuple(pair[k].in_domain("physical") for pair in pairs)
-            write_trajectory(Trajectory(grid, 0.0, args.dt, frames), f"{args.out}{suffix}",
+            write_trajectory(Trajectory(f.grid, 0.0, args.dt, frames), f"{args.out}{suffix}",
                              {"flow": f"wave{suffix}"})
     else:
-        flow = "schrodinger" if args.flow == "schrodinger" else "halfwave"
-        traj = free_trajectory(f, 0.0, args.dt, n, flow=flow).in_domain("physical")
+        traj = free_trajectory(f, 0.0, args.dt, n, flow=args.flow).in_domain("physical")
         write_trajectory(traj, args.out, {"flow": args.flow})
     print(f"wrote {n} frames to {args.out}")
     return 0
 
 
 def parse_band(text: str) -> Band:
+    """Parse the CLI ``--band`` flag; a malformed one raises FlagError."""
     kind, _, rest = text.partition(":")
-    if kind == "unit":
-        return Band.unit(tuple(int(c) for c in rest.split(",")))
-    if kind == "directional":
-        nval, _, axis = rest.partition(",axis=")
-        return Band.directional(float(nval), int(axis))
-    table = {"dyadic": Band.dyadic, "leq": Band.leq, "gt": Band.gt, "fattened": Band.fattened}
-    if kind not in table:
-        raise ValueError(f"unknown band spec {text!r}")
-    return table[kind](float(rest))
+    try:
+        if kind == "unit":
+            return Band.unit(tuple(int(c) for c in rest.split(",")))
+        if kind == "directional":
+            nval, _, axis = rest.partition(",axis=")
+            return Band.directional(float(nval), int(axis))
+        if kind not in ("dyadic", "leq", "gt", "fattened"):
+            raise ValueError(f"unknown band kind {kind!r}")
+        return getattr(Band, kind)(float(rest))
+    except ValueError as exc:
+        raise FlagError(f"--band {text!r}: {exc}") from None
 
 
 def _cmd_project(args) -> int:
-    f = read_snapshot(args.input)
     band = parse_band(args.band)
+    f = read_snapshot(args.input)
     out = unit_projection(f, band.k) if band.kind == "unit" else dyadic_projection(f, band)
     write_snapshot(out, args.out)
     print(f"projected {args.input} through {args.band} -> {args.out}")
@@ -244,12 +299,9 @@ def _cmd_randomize(args) -> int:
     spec = RandomizationSpec(seed=args.seed, law=args.law)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for draw in range(args.draws):
-        fw = randomize_schrodinger(f, spec, draw)
-        name = f"draw_{draw:05d}.dlab"
-        write_snapshot(fw.in_domain("physical"), outdir / name)
-        names.append(name)
+    names = [f"draw_{draw:05d}.dlab" for draw in range(args.draws)]
+    for draw, name in enumerate(names):
+        write_snapshot(randomize_schrodinger(f, spec, draw).in_domain("physical"), outdir / name)
     manifest = {"seed": args.seed, "law": args.law, "draws": args.draws, "files": names,
                 "active_cells": len(compute_active_set(f)), "grid": {"m": f.grid.m, "L": f.grid.L}}
     write_report(outdir / "manifest.json", manifest)
@@ -257,47 +309,36 @@ def _cmd_randomize(args) -> int:
     return 0
 
 
-# norm kind -> (trajectory, spec, interval, policy) -> value
+# a norms spec's kind -> the norm it evaluates; its other keys are the norm's
+# arguments less the trajectory, pol (from --eps) and bands
 _NORM_KINDS = {
-    "strichartz": lambda v, s, i, pol: norms_mod.strichartz_norm(v, s["q"], s["r"], i),
-    "lateral": lambda v, s, i, pol: norms_mod.lateral_norm(v, s["p"], s["q"], s["axis"], i),
-    "XN": lambda v, s, i, pol: norms_mod.xn_norm(v, s["N"], i, pol),
-    "X": lambda v, s, i, pol: norms_mod.x_norm(v, i, pol),
-    "YN": lambda v, s, i, pol: norms_mod.yn_norm(v, s["N"], i, pol),
-    "Y": lambda v, s, i, pol: norms_mod.y_norm(v, i, pol),
-    "GN": lambda v, s, i, pol: norms_mod.gn_norm_upper(v, s["N"], i, pol),
-    "G": lambda v, s, i, pol: norms_mod.g_norm_upper(v, i, pol),
-    "Z": lambda v, s, i, pol: norms_mod.z_norm(v, i),
-    "LinfH1": lambda v, s, i, pol: norms_mod.linf_h1(v, i),
+    "strichartz": norms_mod.strichartz_norm, "lateral": norms_mod.lateral_norm,
+    "XN": norms_mod.xn_norm, "X": norms_mod.x_norm, "YN": norms_mod.yn_norm, "Y": norms_mod.y_norm,
+    "GN": norms_mod.gn_norm_upper, "G": norms_mod.g_norm_upper, "Z": norms_mod.z_norm,
+    "LinfH1": norms_mod.linf_h1,
 }
 
 
-def _norm_from_spec(traj: Trajectory, spec: dict, pol: EpsilonPolicy):
-    kind = spec.get("kind")
-    if kind not in _NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    interval = tuple(spec["interval"]) if "interval" in spec else None
-    return norms_mod.NormReport(
-        kind=kind,
-        value=float(_NORM_KINDS[kind](traj, spec, interval, pol)),
-        dt=traj.dt,
-        frame_count=traj.n_frames,
-        params={k: v for k, v in spec.items() if k != "kind"},
-        band=spec.get("N"),
-        upper_bound=kind in ("GN", "G"),
-        truncated_bands=tuple(norms_mod.aggregate_bands(traj.grid))
-        if kind in ("X", "Y", "G")
-        else (),
-    )
-
-
 def _cmd_norms(args) -> int:
-    specs = _read_json(args.spec)
-    if isinstance(specs, dict):
-        specs = [specs]
+    specs, out, calls = _read_json(args.spec), [], []
+    pol = _conform("--eps", {"eps": args.eps}, _SECTIONS["epsilon"], out)
+    for i, spec in enumerate(specs if isinstance(specs, list) else [specs]):
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        fn = _NORM_KINDS.get(kind) if isinstance(kind, str) else None
+        if fn is None:
+            out.append(f"spec[{i}].kind must be one of {', '.join(_NORM_KINDS)}, got {kind!r}")
+            continue
+        params, sig = {k: v for k, v in spec.items() if k != "kind"}, inspect.signature(fn).parameters
+        kw = _conform(f"spec[{i}]", params, _schema(fn, next(iter(sig)), "pol", "bands"), out)
+        calls.append((kind, fn, params, kw | {"pol": pol} if "pol" in sig and kw is not _NOT else kw))
+    if out:
+        raise ConfigError(out)
     traj = read_trajectory(args.traj)
-    pol = EpsilonPolicy(eps=args.eps)
-    reports = [_norm_from_spec(traj, spec, pol).to_dict() for spec in specs]
+    reports = [norms_mod.NormReport(
+        kind=kind, value=float(fn(traj, **kw)), dt=traj.dt, frame_count=traj.n_frames, params=params,
+        band=params.get("N"), upper_bound=kind in ("GN", "G"),
+        truncated_bands=tuple(norms_mod.aggregate_bands(traj.grid)) if kind in ("X", "Y", "G") else (),
+    ).to_dict() for kind, fn, params, kw in calls]
     write_report(args.out, {"reports": reports})
     print(json.dumps(reports, indent=2, sort_keys=True))
     return 0
@@ -305,148 +346,79 @@ def _cmd_norms(args) -> int:
 
 # ---------------------------------------------------------- experiments
 
-def _kwargs(fn, *supplied, **nested) -> dict:
-    """Params keys an experiment may set: fn's arguments less those the run
-    supplies itself or JSON cannot express (spec format of _unknown_keys)."""
-    return {**dict.fromkeys(inspect.signature(fn).parameters.keys() - set(supplied)), **nested}
-
-
-class _Verifier(NamedTuple):
-    grid: dict | None  # default grid; None: the verifier builds its own lattices
-    call: Callable  # (grid, params, seed) -> JSON-ready result holding "passed"
-    params: dict  # the params keys it takes, see _kwargs
-    required: tuple = ()
-
-
 def _fit(rep) -> dict:
     return {"report": rep.to_dict(), "passed": rep.passed}
 
 
-def _unit_maximal(g, params, seed) -> dict:
-    rep, control = estimates.verify_unit_maximal(**params)
-    return {"report": rep.to_dict(), "control": control.to_dict(), "passed": rep.passed}
+def _fields(*names, passed=lambda rep: rep.passed, **renamed) -> Callable:
+    """rep -> {"report": {name: rep.<name>, key: rep.<renamed[key]>}, "passed": passed(rep)}."""
+    keys = {**dict(zip(names, names)), **renamed}
+    return lambda rep: {"report": {k: getattr(rep, a) for k, a in keys.items()}, "passed": passed(rep)}
 
 
-def _lateral_dyadic(g, params, seed) -> dict:
-    p, q = params.pop("p"), params.pop("q", None)
-    q = np.inf if q in ("inf", None) else q
-    N_list = params.pop("N_list", (1.0, 2.0, 4.0))
-    return _fit(estimates.verify_lateral_dyadic(g, N_list, p, q, **params))
+class _Verifier(NamedTuple):
+    fn: str | Callable  # the estimate the params reach; a name is looked up in estimates per call
+    defaults: dict  # the run's own defaults for params ("grid": the default box)
+    fixed: dict = {}  # arguments the run passes itself
+    result: Callable = _fit  # fn's return value -> JSON-ready result holding "passed"
+    supplied: tuple = ()  # fn's arguments no params key sets; "seed" is the config seed
+
+    @property
+    def call(self) -> Callable:
+        return partial(vars(estimates).get(self.fn, self.fn), **self.fixed)
+
+    @property
+    def schema(self) -> _Schema:
+        return _schema(self.call, *self.supplied, *self.fixed, **self.defaults)
 
 
-def _radialish_sobolev(g, params, seed) -> dict:
-    profiles = {"gaussian": RadialProfileSpec(kind="gaussian_bump", width=1.0),
-                "powerlaw": RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6)}
-    rep = estimates.verify_radialish_sobolev(g, profiles, **params)
-    report = {"ratios": rep.ratios, "interpolated": rep.interpolated_ratios,
-              "control": rep.control_ratios}
-    return {"report": report, "passed": rep.radial_ok and rep.control_grows}
+_CAPS = _Schema(dict.fromkeys(estimates.TRILINEAR_CASES, float))
+_HARNESS = _schema(estimates.TrilinearHarness.__init__, "self", "grid", "bands", "seed", "pol")
+_CONFIGS = ((2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1), (1, 2, 1, 1), (1, 1, 1, 1))
 
 
-def _operator_decay(g, params, seed) -> dict:
-    rep = estimates.verify_operator_decay(g, **params)
-    report = {"chi_P_chi": rep.chi_P_chi, "P_chi_P": rep.P_chi_P, "ell_drops": rep.ell_drop_factors,
-              "separation_drops": rep.separation_drop_factors, "deviations": rep.deviations}
-    return {"report": report, "passed": rep.ell_ok and rep.separation_ok}
-
-
-def _trilinear(g, params, seed) -> dict:
-    pol = EpsilonPolicy(eps=params.pop("eps", 0.05))
-    harness = estimates.TrilinearHarness(
-        g, params.pop("bands", (1.0, 2.0)), seed=seed, pol=pol, **params.pop("harness", {})
-    )
-    configs = params.pop("configs", [(2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1),
-                                     (1, 2, 1, 1), (1, 1, 1, 1)])
-    caps = params.pop("caps", {})
-    reps = {case: estimates.verify_trilinear(case, configs, harness, caps.get(case, 10.0))
+def _trilinear(grid: SpectralGrid, seed: int, eps: float = 0.05, bands=(1.0, 2.0),
+               configs: list[tuple[float, float, float, float]] = _CONFIGS,
+               caps: Annotated[dict, _CAPS] = {}, harness: Annotated[dict, _HARNESS] = {}) -> dict:
+    """Every trilinear case over one shared harness, each against its cap (default 10)."""
+    h = estimates.TrilinearHarness(grid, bands, seed=seed, pol=EpsilonPolicy(eps=eps), **harness)
+    reps = {case: estimates.verify_trilinear(case, configs, h, caps.get(case, 10.0))
             for case in estimates.TRILINEAR_CASES}
-    out = {case: {"ratios": r.ratios, "cap": r.cap, "max_ratio": r.max_ratio, "passed": r.passed}
+    out = {case: {k: getattr(r, k) for k in ("ratios", "cap", "max_ratio", "passed")}
            for case, r in reps.items()}
     return {"report": out, "passed": all(r.passed for r in reps.values())}
 
 
-def _duhamel_retarded(g, params, seed) -> dict:
-    rep = estimates.verify_duhamel_retarded(g, params.pop("N", 2.0), seed=seed, **params)
-    report = {"strichartz_constants": rep.strichartz_constants,
-              "maximal_constant": rep.maximal_constant, "max_constant": rep.max_constant}
-    return {"report": report, "passed": rep.passed}
-
-
-def _main_linear(g, params, seed) -> dict:
-    rep = estimates.verify_main_linear(g, seed=seed, **params)
-    return {"report": {"constants": rep.constants, "worst": rep.worst}, "passed": rep.passed}
-
-
-# Only trilinear, duhamel_retarded and main_linear receive the config seed.
 _BOX, _TORUS = {"m": 32, "L": 4 * np.pi}, {"m": 16, "L": 2 * np.pi}
 _VERIFIERS = {
-    "unit_maximal": _Verifier(None, _unit_maximal, _kwargs(
-        estimates.verify_unit_maximal, "grid1", "grid3", "control_grid")),
-    "lateral_dyadic": _Verifier(
-        _BOX, _lateral_dyadic, _kwargs(estimates.verify_lateral_dyadic), ("p",)),
-    "local_smoothing": _Verifier(_BOX, lambda g, params, seed: _fit(estimates.verify_local_smoothing(
-        g, flow="schrodinger", **params)), _kwargs(estimates.verify_local_smoothing, "flow")),
-    "local_energy_decay": _Verifier(_BOX, lambda g, params, seed: _fit(estimates.verify_local_smoothing(
-        g, flow="halfwave", **params)), _kwargs(estimates.verify_local_smoothing, "flow")),
-    "bernstein": _Verifier({"m": 32, "L": 4.0}, lambda g, params, seed: _fit(
-        estimates.verify_bernstein(g, **params)), _kwargs(estimates.verify_bernstein)),
-    "radialish_sobolev": _Verifier({"m": 16, "L": 4 * np.pi}, _radialish_sobolev, _kwargs(
-        estimates.verify_radialish_sobolev, "profiles")),
-    "operator_decay": _Verifier({"m": 32, "L": 8 * np.pi}, _operator_decay, _kwargs(
-        estimates.verify_operator_decay, "separation_grid")),
-    "trilinear": _Verifier({"m": 32, "L": 2 * np.pi}, _trilinear, {
-        **dict.fromkeys(("grid", "eps", "bands", "configs")),
-        "caps": dict.fromkeys(estimates.TRILINEAR_CASES),
-        "harness": _kwargs(estimates.TrilinearHarness, "grid", "bands", "seed", "pol")}),
-    "duhamel_retarded": _Verifier(_TORUS, _duhamel_retarded, _kwargs(
-        estimates.verify_duhamel_retarded, "seed", "pol")),
-    "main_linear": _Verifier(_TORUS, _main_linear, _kwargs(
-        estimates.verify_main_linear, "seed", "pol")),
+    "unit_maximal": _Verifier("verify_unit_maximal", {}, {}, lambda reps: {
+        "report": reps[0].to_dict(), "control": reps[1].to_dict(), "passed": reps[0].passed},
+        ("grid1", "grid3", "control_grid")),
+    "lateral_dyadic": _Verifier("verify_lateral_dyadic",
+                                {"grid": _BOX, "N_list": (1.0, 2.0, 4.0), "q": "inf"}),
+    "local_smoothing": _Verifier("verify_local_smoothing", {"grid": _BOX}, {"flow": "schrodinger"}),
+    "local_energy_decay": _Verifier("verify_local_smoothing", {"grid": _BOX}, {"flow": "halfwave"}),
+    "bernstein": _Verifier("verify_bernstein", {"grid": {"m": 32, "L": 4.0}}),
+    "radialish_sobolev": _Verifier(
+        "verify_radialish_sobolev", {"grid": {"m": 16, "L": 4 * np.pi}},
+        {"profiles": {"gaussian": RadialProfileSpec(kind="gaussian_bump", width=1.0),
+                      "powerlaw": RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6)}},
+        _fields("ratios", interpolated="interpolated_ratios", control="control_ratios",
+                passed=lambda r: r.radial_ok and r.control_grows)),
+    "operator_decay": _Verifier(
+        "verify_operator_decay", {"grid": {"m": 32, "L": 8 * np.pi}}, {},
+        _fields("chi_P_chi", "P_chi_P", "deviations", ell_drops="ell_drop_factors",
+                separation_drops="separation_drop_factors",
+                passed=lambda r: r.ell_ok and r.separation_ok), ("separation_grid",)),
+    "trilinear": _Verifier(_trilinear, {"grid": {"m": 32, "L": 2 * np.pi}}, {}, dict, ("seed",)),
+    "duhamel_retarded": _Verifier("verify_duhamel_retarded", {"grid": _TORUS, "N": 2.0}, {}, _fields(
+        "strichartz_constants", "maximal_constant", "max_constant"), ("seed", "pol")),
+    "main_linear": _Verifier("verify_main_linear", {"grid": _TORUS}, {}, _fields("constants", "worst"),
+                             ("seed", "pol")),
 }
-_ENSEMBLE_PARAMS = _kwargs(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T")
-_SOLVE_MODES = ("nls", "forced", "picard")
-_NAMES = {"verify": tuple(_VERIFIERS), "ensemble": montecarlo.ENSEMBLE_KINDS, "solve": _SOLVE_MODES}
 
 
-def _experiment_violations(i: int, ex) -> list:
-    """Every violation in one experiment entry: its keys, kind, name and params."""
-    where = f"experiments[{i}]"
-    out = _unknown_keys(where, ex, _EXPERIMENT_KEYS)
-    if not isinstance(ex, dict):
-        return out
-    kind, params = ex.get("kind"), ex.get("params", {})
-    name = ex.get("name", "nls" if kind == "solve" else None)
-    if not isinstance(kind, str) or kind not in _NAMES:
-        return out + [f"{where}.kind must be {'|'.join(_NAMES)}"]
-    if name not in _NAMES[kind]:
-        out.append(f"{where}.name {name!r} is not a {kind} name; "
-                   f"choose from {', '.join(_NAMES[kind])}")
-        if kind != "solve":
-            return out
-    given = params if isinstance(params, dict) else {}
-    if kind == "verify":
-        spec, required = _VERIFIERS[name].params, _VERIFIERS[name].required
-        out += [f"{where}.params.{k} is required" for k in required if k not in given]
-        if "grid" in given and "grid" in spec:
-            _build(out, f"{where}.params.grid", lambda: SpectralGrid(**given["grid"]))
-    elif kind == "ensemble":
-        spec = _ENSEMBLE_PARAMS
-    else:
-        spec = {"mu": None}
-        if given.get("mu", +1) not in (+1, -1):
-            out.append(f"{where}.params.mu must be +1 or -1, got {given['mu']!r}")
-    return out + _unknown_keys(f"{where}.params", params, spec)
-
-
-def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
-    """Run one named estimate verifier; returns a JSON-ready report."""
-    if name not in _VERIFIERS:
-        raise ValueError(f"unknown estimate {name!r}; choose from {tuple(_VERIFIERS)}")
-    v = _VERIFIERS[name]
-    return v.call(SpectralGrid(**params.pop("grid", v.grid)) if v.grid else None, params, seed)
-
-
-def _solve(cfg: ExperimentConfig, mode: str, mu: int) -> tuple:
+def _solve(cfg: ExperimentConfig, mode: str, mu: Literal[1, -1] = 1) -> tuple:
     """(trajectory, result, passed) of one NLS, forced-NLS or Picard solve."""
     f = cfg.load_field()
     if mode == "picard":
@@ -469,37 +441,63 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: int) -> tuple:
     return traj, {"mass": masses, "energy": energies, "mass_drift": drift}, passed
 
 
+# an ensemble's params are as_norm_ensemble's keywords; s defaults to the config's epsilon s
+_ENSEMBLE = _schema(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T", s=None)
+_SOLVE = _schema(_solve, "cfg", "mode")
+_EXPERIMENT = _Schema({"kind": Literal["verify", "ensemble", "solve"], "name": str, "params": dict,
+                       "id": str}, ("kind",))
+_NAMES = {"verify": tuple(_VERIFIERS), "ensemble": montecarlo.ENSEMBLE_KINDS,
+          "solve": ("nls", "forced", "picard")}
+
+
+def _experiment_violations(i: int, ex) -> list:
+    """Every violation in one experiment entry: its keys, kind, name and params."""
+    where, out = f"experiments[{i}]", []
+    _conform(where, ex, _EXPERIMENT, out)
+    kind = ex.get("kind") if isinstance(ex, dict) else None
+    if not isinstance(kind, str) or kind not in _NAMES:
+        return out
+    name = ex.get("name", "nls" if kind == "solve" else None)
+    if name not in _NAMES[kind]:
+        out.append(f"{where}.name {name!r} is not a {kind} name; "
+                   f"choose from {', '.join(_NAMES[kind])}")
+        if kind != "solve":
+            return out
+    schema = {"ensemble": _ENSEMBLE, "solve": _SOLVE}.get(kind) or _VERIFIERS[name].schema
+    _conform(f"{where}.params", ex.get("params", {}), schema, out)
+    return out
+
+
+def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
+    """Run one named estimate verifier; returns a JSON-ready report."""
+    if name not in _VERIFIERS:
+        raise ValueError(f"unknown estimate {name!r}; choose from {tuple(_VERIFIERS)}")
+    v = _VERIFIERS[name]
+    args = _checked(f"{name} params", {**v.defaults, **params}, v.schema)
+    return v.result(v.call(**args, **({"seed": seed} if "seed" in v.supplied else {})))
+
+
 def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict) -> tuple:
     """Run experiment i of a validated config: (report entry, the solve's
     trajectory or None).  A DLabError inside it is re-raised naming it."""
-    kind, name = ex["kind"], ex.get("name", "nls")
-    params = dict(ex.get("params", {}))
-    exp_id = ex.get("id", f"{kind}_{i}")
-    traj = None
+    kind, name, params = ex["kind"], ex.get("name", "nls"), ex.get("params", {})
+    exp_id, traj = ex.get("id", f"{kind}_{i}"), None
+    where = f"experiments[{i}].params"
     try:
         if kind == "verify":
             result = run_verifier(name, params, seed=cfg.seed)
             passed = result["passed"]
         elif kind == "ensemble":
-            stats = montecarlo.as_norm_ensemble(
-                name, cfg.load_field(), s=params.pop("s", cfg.pol.s or 0.5), pol=cfg.pol,
-                Q=cfg.draws, seed=cfg.seed, T=cfg.T, **params
-            )
+            args = {"s": cfg.pol.s or 0.5, **_checked(where, params, _ENSEMBLE)}
+            stats = montecarlo.as_norm_ensemble(name, cfg.load_field(), pol=cfg.pol, Q=cfg.draws,
+                                                seed=cfg.seed, T=cfg.T, **args)
             result, passed = stats.to_dict(), bool(stats.tail_slope < 0)
         else:
-            traj, result, passed = _solve(cfg, name, params.get("mu", +1))
+            traj, result, passed = _solve(cfg, name, **_checked(where, params, _SOLVE))
     except DLabError as exc:
         raise DLabError(f"experiments[{i}] ({exp_id}): {exc}") from exc
     return {"id": exp_id, "seed": cfg.seed, "kind": kind, "name": name,
             "result": result, "passed": passed}, traj
-
-
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError([str(exc)]) from exc
 
 
 def _run_single(ex: dict, **config) -> dict:
@@ -548,18 +546,18 @@ def _cmd_solve(args) -> int:
 
 def report_merge(paths) -> dict:
     """Merge report files: deduplicate by (experiment id, seed), stable order."""
-    merged = {}
-    schema = None
+    merged, schema = {}, None
     for path in paths:
-        with open(path) as fh:
-            body = json.load(fh)
+        body = _read_json(path)
+        reports = body.get("reports", []) if isinstance(body, dict) else None
+        if not isinstance(reports, list) or not all(isinstance(r, dict) for r in reports):
+            raise DLabError(f"{path} is not a report file")
         if schema is None:
             schema = body.get("schema_version")
         elif body.get("schema_version") != schema:
-            raise DLabError(
-                f"schema mismatch: {path} has {body.get('schema_version')}, expected {schema}"
-            )
-        for rep in body.get("reports", []):
+            raise DLabError(f"schema mismatch: {path} has {body.get('schema_version')}, "
+                            f"expected {schema}")
+        for rep in reports:
             key = (rep.get("id"), rep.get("seed"))
             if key in merged:
                 print(f"warning: duplicate report {key}; keeping first", file=sys.stderr)
@@ -581,8 +579,7 @@ def _guarded(fn, *args) -> int:
     try:
         return fn(*args)
     except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
+        print("\n".join(f"config error: {v}" for v in exc.violations), file=sys.stderr)
     except DLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
@@ -610,8 +607,7 @@ def _run(config_path) -> int:
         reports = [one(it) for it in items]
     write_report(Path(cfg.output_dir) / "report.json", {"config": cfg.canonical(), "reports": reports})
     for r in reports:
-        status = "pass" if r["passed"] else "FAIL"
-        print(f"[{status}] {r['id']}")
+        print(f"[{'pass' if r['passed'] else 'FAIL'}] {r['id']}")
     return 0 if all(r["passed"] for r in reports) else 2
 
 
@@ -627,13 +623,11 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="input", default=None, help="input snapshot")
     p.add_argument("--in2", dest="input2", default=None, help="second wave datum")
     p.add_argument("--out", default="evolve_out")
-    p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("project", help="apply a frequency projection to a snapshot")
     p.add_argument("--band", required=True, help="e.g. dyadic:1, unit:1,0,0,0, directional:2,axis=1")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("randomize", help="emit randomized draws of a datum")
     p.add_argument("--seed", type=int, required=True)
@@ -643,14 +637,12 @@ def main(argv=None) -> int:
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--out", default="randomize_out")
-    p.set_defaults(func=_cmd_randomize)
 
     p = sub.add_parser("norms", help="evaluate space-time norms on a trajectory directory")
     p.add_argument("--spec", required=True, help="JSON file with one spec or a list")
     p.add_argument("--traj", required=True)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--out", default="norms_out.json")
-    p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("verify", help="run a named estimate verifier")
     p.add_argument("--estimate", required=True, choices=tuple(_VERIFIERS))
@@ -658,7 +650,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="write raw fit points")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ensemble", help="run an almost-sure-bound ensemble")
     p.add_argument("--stat", required=True, choices=montecarlo.ENSEMBLE_KINDS)
@@ -673,24 +664,23 @@ def main(argv=None) -> int:
     p.add_argument("--exploratory", action="store_true")
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("solve", help="run the NLS / forced NLS / Picard solver")
-    p.add_argument("--mode", choices=_SOLVE_MODES, required=True)
+    p.add_argument("--mode", choices=_NAMES["solve"], required=True)
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("report", help="merge report JSON files")
     p.add_argument("--out", required=True)
     p.add_argument("inputs", nargs="+")
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("run", help="execute experiments from a config file")
     p.add_argument("config")
-    p.set_defaults(func=lambda args: _run(args.config))
 
     args = ap.parse_args(argv)
-    return _guarded(args.func, args)
+    commands = {"evolve": _cmd_evolve, "project": _cmd_project, "randomize": _cmd_randomize,
+                "norms": _cmd_norms, "verify": _cmd_verify, "ensemble": _cmd_ensemble,
+                "solve": _cmd_solve, "report": _cmd_report, "run": lambda args: _run(args.config)}
+    return _guarded(commands[args.command], args)
 
 
 if __name__ == "__main__":

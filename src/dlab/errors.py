@@ -69,3 +69,7 @@ class SnapshotFormatError(DLabError):
 
 class MemoryBudgetError(DLabError):
     """A computation would hold more memory than its budget allows."""
+
+
+class FlagError(DLabError, ValueError):
+    """Malformed command-line flag value (``--grid``, ``--band``)."""

@@ -27,6 +27,7 @@ from .grid import (
     Trajectory,
     _centred_transform,
     _fft,
+    _read_only,
     lp_norm,
     sobolev_norm,
     to_physical,
@@ -127,11 +128,11 @@ def shell_field(grid: SpectralGrid, N: float, seed: int | None = None,
     if seed is not None:
         rng = np.random.default_rng(seed)
         vals = vals * np.exp(2j * np.pi * rng.random(grid.shape))
-    f = Field(grid, FREQUENCY, vals)
+    f = Field(grid, FREQUENCY, _read_only(vals))
     n2 = lp_norm(to_physical(f), 2)
     if n2 == 0:
         raise DegenerateDataError(f"shell at N={N} has no lattice support")
-    return Field(grid, FREQUENCY, vals / n2)
+    return Field(grid, FREQUENCY, _read_only(vals / n2))
 
 
 def _dyadic_window(T0: float, N: float) -> float:
@@ -160,7 +161,7 @@ def verify_lateral_dyadic(
         f = shell_field(grid, N, seed=seed)
         if p >= q and not np.isinf(q):
             sym = band_symbol(grid, Band.directional(N, axis))
-            f = Field(grid, FREQUENCY, f.values * sym)
+            f = Field(grid, FREQUENCY, _read_only(f.values * sym))
         T = _dyadic_window(T0, N)
         traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames).in_domain(PHYSICAL)
         vals.append(lateral_norm(traj, p, q, axis))
@@ -229,8 +230,8 @@ def verify_unit_maximal(
     min_fit_absk: float = 10.0,
     T: float = 1.5,
     grid1: SpectralGrid = SpectralGrid(4096, 2.0 * np.pi / 0.05, d=1),
-    grid3: SpectralGrid | None = None,
-    control_grid: SpectralGrid | None = None,
+    grid3: SpectralGrid = SpectralGrid(m=16, L=2.0 * np.pi / 0.5, d=3),
+    control_grid: SpectralGrid = SpectralGrid(m=32, L=4.0 * np.pi, d=4),
     control_N=(1.0, 2.0, 4.0),
     control_T0: float = 1.2,
     n_frames_control: int = 20,
@@ -242,8 +243,6 @@ def verify_unit_maximal(
     through the generic 4D lateral-norm path and must separate by >= 0.5 in
     fitted slope.
     """
-    if grid3 is None:
-        grid3 = SpectralGrid(m=16, L=2.0 * np.pi / 0.5, d=3)
     ks, vals, reported = [], [], {}
     for k in k_list:
         ratio = unit_maximal_tensor_ratio(float(abs(k)), grid1, grid3, T)
@@ -264,8 +263,6 @@ def verify_unit_maximal(
     }
     rep = _report("unit_maximal", ks, vals, 0.5, 0.15, meta)
 
-    if control_grid is None:
-        control_grid = SpectralGrid(m=32, L=4.0 * np.pi, d=4)
     control = verify_lateral_dyadic(
         control_grid, control_N, 2, np.inf, axis, control_T0, n_frames_control
     )
@@ -655,7 +652,7 @@ class TrilinearHarness:
         for i, N in enumerate(self.bands):
             for kind in ("v", "F"):
                 f = shell_field(grid, N, seed=seed + 37 * i + (0 if kind == "v" else 1))
-                fN = Field(grid, FREQUENCY, f.values * band_symbol(grid, Band.dyadic(N)))
+                fN = Field(grid, FREQUENCY, _read_only(f.values * band_symbol(grid, Band.dyadic(N))))
                 traj = free_trajectory(fN, 0.0, dt, n_frames).in_domain(PHYSICAL)
                 norm = (
                     xn_norm(traj, N, pol=self.pol)
@@ -744,7 +741,7 @@ def verify_duhamel_retarded(
     T: float = 0.75,
     n_frames: int = 13,
     seed: int = 0,
-    strichartz_pairs=((np.inf, 2.0), (2.0, 4.0)),
+    strichartz_pairs: tuple[tuple[float, float], ...] = ((np.inf, 2.0), (2.0, 4.0)),
     cap: float = 100.0,
 ) -> DuhamelRetardedReport:
     """Both sides of the retarded-Duhamel bounds for band-limited forcing.
@@ -797,7 +794,7 @@ def verify_main_linear(
     n_frames: int = 13,
     seed: int = 0,
     cap: float = 50.0,
-    bands=None,
+    bands: list[float] | None = None,
 ) -> MainLinearReport:
     """Inequality audit of the band-wise linear estimate
 
@@ -821,7 +818,7 @@ def verify_main_linear(
         sym = band_symbol(grid, Band.dyadic(N))
         vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * sym).in_domain(PHYSICAL)
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
-        rhs = N * lp_norm(to_physical(Field(grid, FREQUENCY, v0.values * sym)), 2)
+        rhs = N * lp_norm(to_physical(Field(grid, FREQUENCY, _read_only(v0.values * sym))), 2)
         rhs += gn_norm_upper(h, N, pol=pol)
         consts.append(float(lhs / rhs))
     worst = float(max(consts))
@@ -841,9 +838,9 @@ def verify_bernstein(
     vals, flat = [], []
     for N in N_list:
         ind = ((r >= N) & (r <= 2.0 * N)).astype(np.complex128)
-        f = Field(grid, FREQUENCY, ind)
+        f = Field(grid, FREQUENCY, _read_only(ind))
         fN = to_physical(
-            Field(grid, FREQUENCY, f.values * band_symbol(grid, Band.dyadic(N)))
+            Field(grid, FREQUENCY, _read_only(f.values * band_symbol(grid, Band.dyadic(N))))
         )
         lo = lp_norm(fN, r_low)
         vals.append(lp_norm(fN, r_high) / lo)

@@ -37,12 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DLabError,
-    DomainMismatchError,
-    InvalidExponentError,
-    SnapshotFormatError,
-)
+from .errors import DLabError, DomainMismatchError, FlagError, InvalidExponentError, SnapshotFormatError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -148,8 +143,9 @@ class SpectralGrid:
 class Field:
     """One complex scalar function on the grid, tagged with its domain.
 
-    Immutable value object: ``values`` is a read-only C-contiguous complex
-    array of shape ``grid.shape`` (row-major, x1 slowest).
+    Immutable value object: ``values`` is a read-only C-contiguous complex array of
+    shape ``grid.shape`` (row-major, x1 slowest), copied from a writable input and
+    adopted from a read-only one (a trajectory row, or a fresh array made read-only).
     """
 
     grid: SpectralGrid
@@ -159,7 +155,8 @@ class Field:
     def __post_init__(self):
         if self.domain not in (PHYSICAL, FREQUENCY):
             raise ValueError(f"unknown domain tag {self.domain!r}")
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
+        writable = not isinstance(self.values, np.ndarray) or self.values.flags.writeable
+        arr = np.array(self.values, dtype=np.complex128, order="C", copy=True if writable else None)
         if arr.shape != self.grid.shape:
             if arr.size == self.grid.size:
                 arr = arr.reshape(self.grid.shape)
@@ -180,7 +177,7 @@ class Field:
 
     @classmethod
     def zero(cls, grid: SpectralGrid, domain: str = PHYSICAL) -> "Field":
-        return cls(grid, domain, np.zeros(grid.shape, dtype=np.complex128))
+        return cls(grid, domain, _read_only(np.zeros(grid.shape, dtype=np.complex128)))
 
     def in_domain(self, domain: str) -> "Field":
         """Return this field transformed (if needed) into the given domain."""
@@ -192,14 +189,14 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         _check_compatible(self, other)
-        return Field(self.grid, self.domain, self.values + other.values)
+        return Field(self.grid, self.domain, _read_only(self.values + other.values))
 
     def __sub__(self, other: "Field") -> "Field":
         _check_compatible(self, other)
-        return Field(self.grid, self.domain, self.values - other.values)
+        return Field(self.grid, self.domain, _read_only(self.values - other.values))
 
     def __mul__(self, scalar: complex) -> "Field":
-        return Field(self.grid, self.domain, self.values * scalar)
+        return Field(self.grid, self.domain, _read_only(self.values * scalar))
 
     __rmul__ = __mul__
 
@@ -269,20 +266,20 @@ def to_frequency(f: Field) -> Field:
     """Forward transform with Riemann-sum normalization dx^d * sum."""
     if f.domain != PHYSICAL:
         raise DomainMismatchError("to_frequency expects a physical-domain field")
-    return Field(f.grid, FREQUENCY, _centred_transform(f.values, f.grid, FREQUENCY))
+    return Field(f.grid, FREQUENCY, _read_only(_centred_transform(f.values, f.grid, FREQUENCY)))
 
 
 def to_physical(f: Field) -> Field:
     """Inverse transform; mutually inverse with :func:`to_frequency`."""
     if f.domain != FREQUENCY:
         raise DomainMismatchError("to_physical expects a frequency-domain field")
-    return Field(f.grid, PHYSICAL, _centred_transform(f.values, f.grid, PHYSICAL))
+    return Field(f.grid, PHYSICAL, _read_only(_centred_transform(f.values, f.grid, PHYSICAL)))
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     """Apply a Fourier multiplier, returning the field in the caller's domain."""
     fh = f.in_domain(FREQUENCY)
-    out = Field(f.grid, FREQUENCY, fh.values * symbol)
+    out = Field(f.grid, FREQUENCY, _read_only(fh.values * symbol))
     return out.in_domain(f.domain)
 
 
@@ -325,7 +322,7 @@ def weighted_lp_norm(f: Field, w: Weight, r: float) -> float:
     """lp_norm of w(x) * f(x)."""
     if f.domain != PHYSICAL:
         raise DomainMismatchError("weighted_lp_norm expects a physical-domain field")
-    weighted = Field(f.grid, PHYSICAL, f.values * w.evaluate(f.grid))
+    weighted = Field(f.grid, PHYSICAL, _read_only(f.values * w.evaluate(f.grid)))
     return lp_norm(weighted, r)
 
 
@@ -395,7 +392,7 @@ def gradient_fields(f: Field) -> list:
     fields to real fields exactly.
     """
     partial, _ = _spectral_gradient(f)
-    return [Field(f.grid, PHYSICAL, partial(ax)) for ax in range(f.grid.d)]
+    return [Field(f.grid, PHYSICAL, _read_only(partial(ax))) for ax in range(f.grid.d)]
 
 
 def gradient_magnitude(f: Field) -> np.ndarray:
@@ -508,22 +505,25 @@ def write_snapshot(field: Field, path) -> None:
 
 def read_snapshot(path) -> Field:
     """Read a binary snapshot back into a physical-domain field."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise SnapshotFormatError("truncated header")
-        magic, version, d, m, L = _HEADER.unpack(raw)
-        if magic != _SNAPSHOT_MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}")
-        if version != _SNAPSHOT_VERSION:
-            raise SnapshotFormatError(f"unsupported version {version}")
-        grid = SpectralGrid(m=m, L=L, d=d)
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = memoryview(fh.read())
+    except OSError as exc:
+        raise DLabError(f"cannot read snapshot: {exc}") from None
+    if len(raw) < _HEADER.size:
+        raise SnapshotFormatError("truncated header")
+    magic, version, d, m, L = _HEADER.unpack_from(raw)
+    if magic != _SNAPSHOT_MAGIC:
+        raise SnapshotFormatError(f"bad magic {magic!r}")
+    if version != _SNAPSHOT_VERSION:
+        raise SnapshotFormatError(f"unsupported version {version}")
+    grid = SpectralGrid(m=m, L=L, d=d)
+    data = raw[_HEADER.size:]
     expected = grid.size * 16
     if len(data) != expected:
         raise SnapshotFormatError(f"payload {len(data)} bytes, expected {expected}")
     values = np.frombuffer(data, dtype="<c16").astype(np.complex128)
-    return Field.physical(grid, values.reshape(grid.shape))
+    return Field.physical(grid, _read_only(values.reshape(grid.shape)))
 
 
 def random_field(
@@ -532,20 +532,20 @@ def random_field(
     """Reproducible complex Gaussian test field, optionally band-limited."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = Field(grid, domain, vals)
+    f = Field(grid, domain, _read_only(vals))
     if band_limit is not None:
         mask = grid.xi_squared <= band_limit**2
         fh = f.in_domain(FREQUENCY)
-        f = Field(grid, FREQUENCY, fh.values * mask).in_domain(domain)
+        f = Field(grid, FREQUENCY, _read_only(fh.values * mask)).in_domain(domain)
     return f
 
 
 def parse_grid_flag(text: str, d: int = 4) -> SpectralGrid:
-    """Parse the CLI ``--grid m,L`` flag; a malformed one raises DLabError."""
+    """Parse the CLI ``--grid m,L`` flag; a malformed one raises FlagError."""
     parts = [p.strip() for p in text.split(",")]
     try:
         if len(parts) != 2:
             raise ValueError("expected 'm,L'")
         return SpectralGrid(m=int(parts[0]), L=float(parts[1]), d=d)
     except ValueError as exc:
-        raise DLabError(f"--grid {text!r}: {exc}") from None
+        raise FlagError(f"--grid {text!r}: {exc}") from None

@@ -135,6 +135,7 @@ def evaluate_draws(
                 results[d] = float(statistic(d))
         if csv_path:
             fresh = not Path(csv_path).exists()
+            Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
             with open(csv_path, "a", newline="") as fh:
                 w = csv.writer(fh)
                 if fresh:
@@ -298,7 +299,7 @@ def as_norm_ensemble(
     n_frames: int = 17,
     law: str = "complex_gaussian",
     exploratory: bool = False,
-    csv_path=None,
+    csv_path: str | None = None,
     p_list=(2, 4, 8),
     quantiles=(0.5, 0.6, 0.7, 0.8, 0.85),
 ) -> EnsembleStats:

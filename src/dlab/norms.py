@@ -66,6 +66,7 @@ from .projections import Band, band_symbol
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
 # kernel's complex stacks take four times as much
 _STACK_LIMIT = 3 * 10**8
+Interval = tuple[float, float] | None  # a window [ta, tb] of frame times; None: all frames
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,14 @@ def _check_exponents(**exps) -> None:
         raise InvalidExponentError(f"exponents must be >= 1, got {got}")
 
 
-def strichartz_norm(v: Trajectory, q: float, r: float, interval=None) -> float:
+def strichartz_norm(v: Trajectory, q: float, r: float, interval: Interval = None) -> float:
     """L^q_t L^r_x norm over the window by trapezoid quadrature over frames."""
     _check_exponents(q=q, r=r)
     i0, i1, w = _window(v, interval)
     return _strichartz(lambda: _frame_powers(v, i0, i1), w, v.grid, [(q, r)])[0]
 
 
-def lateral_norms(v: Trajectory, p: float, q: float, interval=None) -> tuple:
+def lateral_norms(v: Trajectory, p: float, q: float, interval: Interval = None) -> tuple:
     """Lateral L^{p,q}_{e_l} norms along every axis l = 1..d, sharing one power pass."""
     _check_exponents(p=p, q=q)
     i0, i1, w = _window(v, interval)
@@ -297,7 +298,7 @@ def lateral_norms(v: Trajectory, p: float, q: float, interval=None) -> tuple:
     return tuple(_lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, range(1, g.d + 1)))
 
 
-def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval=None) -> float:
+def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval: Interval = None) -> float:
     """Lateral L^{p,q}_{e_axis} norm: x_axis outermost at exponent p, the
     (t, x') block inner at exponent q."""
     g = v.grid
@@ -370,7 +371,8 @@ def aggregate_bands(grid: SpectralGrid) -> list:
     return out
 
 
-def xn_norm(v: Trajectory, N: float, interval=None, pol: EpsilonPolicy = EpsilonPolicy()) -> float:
+def xn_norm(v: Trajectory, N: float, interval: Interval = None,
+            pol: EpsilonPolicy = EpsilonPolicy()) -> float:
     """Dyadic solution-space building block at band N:
 
         N ||P_N v||_{L2 L4} + N ||P_N v||_{L3 L3} + N ||P_N v||_{L6 L12/5}
@@ -385,7 +387,8 @@ def xn_norm(v: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
     return float(total)
 
 
-def yn_norm(F: Trajectory, N: float, interval=None, pol: EpsilonPolicy = EpsilonPolicy()) -> float:
+def yn_norm(F: Trajectory, N: float, interval: Interval = None,
+            pol: EpsilonPolicy = EpsilonPolicy()) -> float:
     """Dyadic forcing-space building block at band N:
 
         <N>^(1/3+3eps) ( ||P_N F||_{L3 L6} + ||P_N F||_{L6 L6} )
@@ -408,7 +411,8 @@ def yn_norm(F: Trajectory, N: float, interval=None, pol: EpsilonPolicy = Epsilon
     return float(total)
 
 
-def gn_norm_upper(h: Trajectory, N: float, interval=None, pol: EpsilonPolicy = EpsilonPolicy()) -> float:
+def gn_norm_upper(h: Trajectory, N: float, interval: Interval = None,
+                  pol: EpsilonPolicy = EpsilonPolicy()) -> float:
     """Upper bound on the dyadic nonlinearity-space norm at band N.
 
     The true norm is an infimum over splittings P_N h = h1 + h2; this takes
@@ -433,22 +437,23 @@ def _aggregate(fn, v, interval, pol, bands) -> float:
     return float(np.sqrt(total))
 
 
-def x_norm(v, interval=None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
+def x_norm(v, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
     """l^2 aggregate of xn_norm over the grid-resolved dyadic bands."""
     return _aggregate(xn_norm, v, interval, pol, bands)
 
 
-def y_norm(F, interval=None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
+def y_norm(F, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
     """l^2 aggregate of yn_norm over the grid-resolved dyadic bands."""
     return _aggregate(yn_norm, F, interval, pol, bands)
 
 
-def g_norm_upper(h, interval=None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
+def g_norm_upper(h, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(),
+                 bands=None) -> float:
     """l^2 aggregate of the per-band gn_norm_upper minima (an upper bound)."""
     return _aggregate(gn_norm_upper, h, interval, pol, bands)
 
 
-def z_norm(F: Trajectory, interval=None) -> float:
+def z_norm(F: Trajectory, interval: Interval = None) -> float:
     """||F||_{L3 L6} + ||<x>^(1/2) F||_{L2 Linf} + ||grad F||_{L2 L4}."""
     g = F.grid
     i0, i1, w = _window(F, interval)
@@ -469,7 +474,7 @@ def z_norm(F: Trajectory, interval=None) -> float:
     return float(term1 + term2 + term3)
 
 
-def linf_h1(v: Trajectory, interval=None) -> float:
+def linf_h1(v: Trajectory, interval: Interval = None) -> float:
     """sup over frames of the homogeneous H^1 norm."""
     i0, i1, _ = _window(v, interval)
     return max(
@@ -477,7 +482,7 @@ def linf_h1(v: Trajectory, interval=None) -> float:
     )
 
 
-def linf_l2(v: Trajectory, interval=None) -> float:
+def linf_l2(v: Trajectory, interval: Interval = None) -> float:
     i0, i1, _ = _window(v, interval)
     return max(
         lp_norm(v.frames[i].in_domain(PHYSICAL), 2) for i in range(i0, i1 + 1)
@@ -499,7 +504,7 @@ def divisibility_check(
     breakpoints,
     which: str = "X",
     pol: EpsilonPolicy = EpsilonPolicy(),
-    interval=None,
+    interval: Interval = None,
 ) -> DivisibilityReport:
     """Check the time-divisibility inequality
 

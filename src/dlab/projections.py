@@ -241,7 +241,7 @@ def spatial_cutoff(f: Field, kind: str, j: int) -> Field:
     if kind not in ("chi", "chi_leq", "chi_gt", "chi_fattened"):
         raise ValueError(f"unknown spatial cutoff kind {kind!r}")
     phys = f.in_domain("physical")
-    out = Field(f.grid, "physical", phys.values * _spatial_symbol_cached(f.grid, kind, j))
+    out = Field(f.grid, "physical", _read_only(phys.values * _spatial_symbol_cached(f.grid, kind, j)))
     return out.in_domain(f.domain)
 
 

@@ -25,8 +25,8 @@ import itertools
 
 import numpy as np
 
-from .grid import (FREQUENCY, Field, SpectralGrid, Trajectory, _centred_transform, apply_multiplier,
-                   broadcast_along)
+from .grid import (FREQUENCY, Field, SpectralGrid, Trajectory, _centred_transform, _read_only,
+                   apply_multiplier, broadcast_along)
 
 
 def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
@@ -69,8 +69,8 @@ def wave_flow(f0: Field, f1: Field, t: float) -> tuple:
     f1h = f1.in_domain(FREQUENCY)
     mod = np.sqrt(g.xi_squared)
     c = np.cos(t * mod)
-    u = Field(g, FREQUENCY, c * f0h.values + _sinc_multiplier(g, t) * f1h.values)
-    ut = Field(g, FREQUENCY, -mod * np.sin(t * mod) * f0h.values + c * f1h.values)
+    u = Field(g, FREQUENCY, _read_only(c * f0h.values + _sinc_multiplier(g, t) * f1h.values))
+    ut = Field(g, FREQUENCY, _read_only(-mod * np.sin(t * mod) * f0h.values + c * f1h.values))
     return u.in_domain(f0.domain), ut.in_domain(f1.domain)
 
 
@@ -151,7 +151,7 @@ def duhamel(h: Trajectory, t_index: int) -> Field:
         raise ValueError(f"t_index {t_index} beyond trajectory of {h.n_frames} frames")
     hhat = (fr.in_domain(FREQUENCY).values for fr in h.frames)
     values = next(itertools.islice(_duhamel_values(hhat, h.grid, h.dt), t_index, None))
-    return Field(h.grid, FREQUENCY, values).in_domain(h.domain)
+    return Field(h.grid, FREQUENCY, _read_only(values)).in_domain(h.domain)
 
 
 def duhamel_all(h: Trajectory) -> Trajectory:

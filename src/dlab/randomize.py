@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateDataError, NotRealError
-from .grid import FREQUENCY, Field, SpectralGrid, apply_multiplier, lp_norm
+from .grid import FREQUENCY, Field, SpectralGrid, _read_only, apply_multiplier, lp_norm
 from .projections import active_cell_box, smoothstep, unit_cell_tables, unit_projection
 
 COMPLEX_GAUSSIAN = "complex_gaussian"
@@ -262,7 +262,7 @@ class RadialProfileSpec:
 def make_radial_data(spec: RadialProfileSpec, grid: SpectralGrid) -> Field:
     """Field with fhat(xi) = rho(|xi|), returned in the frequency domain."""
     r = np.sqrt(grid.xi_squared)
-    return Field(grid, FREQUENCY, spec.radial_profile(r).astype(np.complex128))
+    return Field(grid, FREQUENCY, _read_only(spec.radial_profile(r).astype(np.complex128)))
 
 
 def radial_symmetry_residual(f: Field) -> float:

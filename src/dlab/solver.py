@@ -44,6 +44,7 @@ from .grid import (
     SpectralGrid,
     Trajectory,
     _fft,
+    _read_only,
     _spectral_gradient,
     broadcast_along,
     lp_norm,
@@ -162,7 +163,7 @@ def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     if F.grid != g:
         raise ValueError("forcing lives on a different grid")
     F0 = F.frames[0].in_domain(PHYSICAL)
-    v = _splitstep(Field.physical(g, F0.values + v0.in_domain(PHYSICAL).values), cfg)
+    v = _splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)), cfg)
     for row, Fj in zip(v, F.frames):
         row -= Fj.in_domain(PHYSICAL).values
     return Trajectory.from_values(g, 0.0, snap_dt, PHYSICAL, v)

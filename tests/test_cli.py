@@ -290,3 +290,25 @@ def test_bad_grid_flag_is_one_error_line(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: --grid '{flag}'") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--out", "{tmp}/merged.json", "{tmp}/missing.json"],
+        ["report", "--out", "{tmp}/merged.json", "{tmp}/not_json.json"],
+        ["norms", "--spec", "{tmp}/spec.json", "--traj", "{tmp}/missing", "--out", "{tmp}/n.json"],
+        ["project", "--band", "dyadic:1", "--in", "{tmp}/missing.dlab", "--out", "{tmp}/o.dlab"],
+        ["project", "--band", "bogus:1", "--in", "{tmp}/snap.dlab", "--out", "{tmp}/o.dlab"],
+        ["project", "--band", "unit:1,x", "--in", "{tmp}/snap.dlab", "--out", "{tmp}/o.dlab"],
+        ["evolve", "--flow", "schrodinger", "--t", "0.1", "--dt", "0", "--out", "{tmp}/ev"],
+    ],
+)
+def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "not_json.json").write_text("{not json")
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "Z"}))
+    write_snapshot(random_field(SpectralGrid(m=8, L=8.0), 1), tmp_path / "snap.dlab")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.dlab").exists() and not (tmp_path / "ev").exists()

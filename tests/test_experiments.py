@@ -1,6 +1,7 @@
 """One experiment path: `dlab run` and the verify/ensemble/solve subcommands
 share the verifier registry, the pass rules and the upfront config check."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 from dlab import cli
-from dlab.cli import ExperimentConfig, main, run
+from dlab.cli import ExperimentConfig, main, read_trajectory, run, write_trajectory
+from dlab.grid import SpectralGrid, random_field
 from dlab.montecarlo import EnsembleStats, evaluate_draws
+from dlab.norms import lateral_norm, strichartz_norm
+from dlab.propagate import free_trajectory
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -179,3 +183,79 @@ def test_readme_example_config_is_valid():
     assert block, "README lost its example config"
     cfg = ExperimentConfig.from_dict(json.loads(block.group(1)))
     assert {ex["kind"] for ex in cfg.experiments} == {"verify", "ensemble", "solve"}
+
+
+def _norm_keys():
+    """(kind, key) of every `dlab norms` spec key: its norm's arguments less
+    the trajectory, pol and bands."""
+    return [(kind, key) for kind, fn in cli._NORM_KINDS.items()
+            for key in list(inspect.signature(fn).parameters)[1:] if key not in ("pol", "bands")]
+
+
+# the keys each norms kind requires, at valid values
+NORM_REQUIRED = {"strichartz": {"q": 2, "r": 4}, "lateral": {"p": 4, "q": 4, "axis": 1},
+                 "XN": {"N": 2.0}, "YN": {"N": 2.0}, "GN": {"N": 2.0}}
+
+
+@pytest.mark.parametrize("kind, name, key", [
+    *[("verify", name, key) for name, v in cli._VERIFIERS.items() for key in v.schema.types],
+    *[("ensemble", "Y", key) for key in cli._ENSEMBLE.types],
+    *[("solve", "nls", key) for key in cli._SOLVE.types],
+    *[("norms", kind, key) for kind, key in _norm_keys()],
+])
+def test_wrong_typed_key_is_one_config_error(tmp_path, capsys, no_compute, kind, name, key):
+    value = 1 if key in ("law", "csv_path") else "x"  # a string is right only for these
+    if kind == "norms":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": name, **NORM_REQUIRED.get(name, {}), key: value}))
+        code = main(["norms", "--spec", str(spec), "--traj", str(tmp_path / "traj"),
+                     "--out", str(tmp_path / "norms.json")])
+        where = f"spec[0].{key}"
+    else:
+        params = {"p": 2, key: value} if name == "lateral_dyadic" else {key: value}
+        code = run(config(tmp_path, [{"kind": kind, "name": name, "params": params}]))
+        where = f"experiments[0].params.{key}"
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith(f"config error: {where} must be ") and repr(value) in lines[0]
+    assert no_compute == [] and not (tmp_path / "norms.json").exists()
+
+
+def test_inf_is_accepted_for_every_float_exponent(tmp_path):
+    path = config(tmp_path, [
+        {"kind": "verify", "name": "lateral_dyadic",
+         "params": {"grid": {"m": 16, "L": 4 * np.pi}, "p": "inf", "q": 2, "N_list": [1.0, 2.0],
+                    "n_frames": 6}},
+        {"kind": "verify", "name": "bernstein",
+         "params": {"grid": {"m": 16, "L": 4.0}, "N_list": [2.0, 4.0], "r_low": 2, "r_high": "inf"}},
+    ])
+    assert run(path) in (0, 2)
+    reports = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    assert reports[0]["result"]["report"]["name"] == "lateral_dyadic_pinf_q2"
+    assert reports[1]["result"]["report"]["predicted"] == 2.0  # 4/r_low - 4/inf
+    ExperimentConfig.from_dict(json.loads(config(tmp_path, [
+        {"kind": "verify", "name": "lateral_dyadic", "params": {"p": 2, "q": "-inf"}},
+        {"kind": "verify", "name": "duhamel_retarded",
+         "params": {"strichartz_pairs": [["inf", 2.0], [2.0, 4.0]]}},
+        {"kind": "ensemble", "name": "Y", "params": {"s": 0.6, "alpha": "inf"}},
+    ]).read_text()))
+    # a norms spec takes "inf" for its exponents and evaluates as with a float inf
+    g = SpectralGrid(m=8, L=8.0)
+    traj = free_trajectory(random_field(g, 5, band_limit=2.0), 0.0, 0.05, 3).in_domain("physical")
+    write_trajectory(traj, tmp_path / "traj")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "strichartz", "q": "inf", "r": 2},
+                                {"kind": "lateral", "p": "inf", "q": 2, "axis": 1}]))
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--spec", str(spec), "--traj", str(tmp_path / "traj"), "--out", str(out)]) == 0
+    values = [rep["value"] for rep in json.loads(out.read_text())["reports"]]
+    back = read_trajectory(tmp_path / "traj")
+    assert values == [strichartz_norm(back, np.inf, 2), lateral_norm(back, np.inf, 2, 1)]
+
+
+def test_example_configs_are_valid(no_compute):
+    paths = sorted((README.parent / "configs").glob("*.json"))
+    assert [p.name for p in paths] == ["ensembles_s04.json", "ensembles_s06.json", "exponent_fits.json"]
+    for path in paths:
+        assert ExperimentConfig.from_dict(json.loads(path.read_text())).experiments
+    assert no_compute == []

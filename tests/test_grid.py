@@ -328,3 +328,18 @@ def test_trajectory_is_one_read_only_stack(grid8):
         Trajectory(grid8, 0.0, 0.1, [frames[0], frames[1].in_domain(FREQUENCY)])
     with pytest.raises(ValueError):
         Trajectory(grid8, 0.0, 0.1, [frames[0], random_field(SpectralGrid(m=8, L=5.0), 0)])
+
+
+def test_field_copies_a_writable_input_and_adopts_a_read_only_one(grid8):
+    from dlab.propagate import free_trajectory
+
+    a = np.ones(grid8.shape, dtype=np.complex128)
+    Field.physical(grid8, a)
+    assert a.flags.writeable  # the caller's array is left as it was
+    b = np.zeros(grid8.size, dtype=np.complex128)
+    f = Field.physical(grid8, b.reshape(grid8.shape))
+    b[0] = 7
+    assert f.values[0, 0, 0, 0] == 0  # no later write to the input reaches the field
+    traj = free_trajectory(random_field(grid8, 1), 0.0, 0.1, 3)
+    for i in range(traj.n_frames):
+        assert np.shares_memory(traj.frames[i].values, traj.values)
