@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -297,7 +298,7 @@ def as_norm_ensemble(
     alpha: float = 0.5,
     T: float = 4.0,
     n_frames: int = 17,
-    law: str = "complex_gaussian",
+    law: Literal["complex_gaussian", "bernoulli"] = "complex_gaussian",
     exploratory: bool = False,
     csv_path: str | None = None,
     p_list=(2, 4, 8),
