@@ -50,7 +50,14 @@ from dlab.grid import (
 from dlab.montecarlo import ENSEMBLE_KINDS, linear_gaussian_statistic, make_norm_statistic, moment_growth
 from dlab.norms import EpsilonPolicy, _BandStack, g_norm_upper, x_norm, y_norm
 from dlab.propagate import duhamel_all, free_trajectory
-from dlab.randomize import RadialProfileSpec, RandomizationSpec, make_radial_data
+from dlab.estimates import square_function
+from dlab.randomize import (
+    RadialProfileSpec,
+    RandomizationSpec,
+    compute_active_set,
+    make_radial_data,
+    projected_mass_sum,
+)
 from dlab.solver import (
     NLSRunConfig,
     PicardConfig,
@@ -181,6 +188,28 @@ def _case_moment_growth():
             "slope": mg.moment_slope, "intercept": mg.moment_intercept}
 
 
+def _cell_bump():
+    """The band-limited radial bump of ``test_randomize.py`` (m=16, L=4 pi)."""
+    g = SpectralGrid(m=16, L=4 * np.pi)
+    return make_radial_data(RadialProfileSpec(kind="gaussian_bump", width=0.8), g)
+
+
+def _case_active_set():
+    """Per threshold: the number of active cells and the digest of the cell list, in order."""
+    out = {}
+    for th in (1e-14, 1e-8, 1e-4, 1e-2):
+        cells = compute_active_set(_cell_bump(), rel_threshold=th)
+        out[repr(th)] = {"count": len(cells), "sha256": _digest(np.array(cells, dtype=np.int64))}
+    return out
+
+
+def _case_projected_mass_sum():
+    f = _cell_bump()
+    cells = compute_active_set(f, rel_threshold=1e-2)
+    return {"cells": len(cells), "physical": projected_mass_sum(f.in_domain(PHYSICAL), cells),
+            "frequency": projected_mass_sum(f, cells)}
+
+
 def _duhamel_input(domain: str):
     g = SpectralGrid(m=8, L=6.0)
     return Trajectory(g, 0.3, 0.1, tuple(random_field(g, 40 + j, domain=domain) for j in range(6)))
@@ -270,6 +299,9 @@ CASES = {
     "audit/energy_growth": lambda: ("values", _case_energy_audit()),
     "gradient/m8": lambda: ("values", _case_gradients()),
     "picard/forced": lambda: ("values", _case_picard()),
+    "cells/active_set": lambda: ("values", _case_active_set()),
+    "cells/square_function": lambda: ("hash", _digest(square_function(_cell_bump()))),
+    "cells/projected_mass_sum": lambda: ("values", _case_projected_mass_sum()),
     **{f"ensemble/{which}": (lambda which=which: ("values", _case_ensemble(which)))
        for which in ENSEMBLE_KINDS},
     "ensemble/moment_growth": lambda: ("values", _case_moment_growth()),
