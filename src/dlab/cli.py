@@ -235,10 +235,16 @@ def write_trajectory(traj: Trajectory, outdir, extra: dict | None = None) -> Non
 
 
 def read_trajectory(outdir) -> Trajectory:
-    outdir = Path(outdir)
-    manifest = _read_json(outdir / "manifest.json")
-    frames = tuple(read_snapshot(outdir / name) for name in manifest["frames"])
-    return Trajectory(frames[0].grid, manifest["t0"], manifest["dt"], frames)
+    path = Path(outdir) / "manifest.json"
+    manifest = _read_json(path)
+    get = manifest.get if isinstance(manifest, dict) else lambda key: None
+    names, t0, dt = get("frames"), get("t0"), get("dt")
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+            and all(type(x) in (int, float) and math.isfinite(x) for x in (t0, dt)) and dt > 0):
+        raise DLabError(f"{path}: needs 'frames', a nonempty list of file names, "
+                        f"a number 't0' and a positive number 'dt'")
+    frames = tuple(read_snapshot(path.parent / name) for name in names)
+    return Trajectory(frames[0].grid, t0, dt, frames)
 
 
 # ------------------------------------------------------------ commands

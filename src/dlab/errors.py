@@ -73,3 +73,7 @@ class MemoryBudgetError(DLabError):
 
 class FlagError(DLabError, ValueError):
     """Malformed command-line flag value (``--grid``, ``--band``)."""
+
+
+class ParameterRangeError(DLabError, ValueError):
+    """A parameter of the right type outside the domain of the function it reaches."""

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegenerateDataError, InvalidExponentError, RegimeViolationError
+from .errors import (DegenerateDataError, InvalidExponentError, ParameterRangeError,
+                     RegimeViolationError)
 from .grid import (
     FREQUENCY,
     PHYSICAL,
@@ -27,7 +28,9 @@ from .grid import (
     Trajectory,
     _centred_transform,
     _fft,
+    _power_mean,
     _read_only,
+    broadcast_along,
     lp_norm,
     sobolev_norm,
     to_physical,
@@ -35,6 +38,7 @@ from .grid import (
 )
 from .norms import (
     EpsilonPolicy,
+    _abs2,
     aggregate_bands,
     gn_norm_upper,
     lateral_norm,
@@ -47,6 +51,9 @@ from .norms import (
 from .projections import (
     Band,
     band_symbol,
+    directional_projection,
+    dyadic_projection,
+    phi1,
     psi_symbol,
     spatial_symbol,
 )
@@ -160,8 +167,7 @@ def verify_lateral_dyadic(
     for N in N_list:
         f = shell_field(grid, N, seed=seed)
         if p >= q and not np.isinf(q):
-            sym = band_symbol(grid, Band.directional(N, axis))
-            f = Field(grid, FREQUENCY, _read_only(f.values * sym))
+            f = directional_projection(f, N, axis)
         T = _dyadic_window(T0, N)
         traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames).in_domain(PHYSICAL)
         vals.append(lateral_norm(traj, p, q, axis))
@@ -190,30 +196,12 @@ def unit_maximal_tensor_ratio(
     transverse factor varies slowly and is sampled on a coarse ladder, the 1D
     transport factor on a fine one.
     """
-    from .projections import phi1
-
-    a_hat = Field(g1, FREQUENCY, phi1(g1.xi1d - k_abs))
-    b_hat = Field(
-        grid3,
-        FREQUENCY,
-        (
-            phi1(grid3.axis_coord(1, frequency=True))
-            * phi1(grid3.axis_coord(2, frequency=True))
-            * phi1(grid3.axis_coord(3, frequency=True))
-        ).astype(np.complex128),
-    )
-    l2_a = np.sqrt((g1.dxi / (2 * np.pi)) * np.sum(np.abs(a_hat.values) ** 2))
-    l2_b = np.sqrt(
-        (grid3.dxi / (2 * np.pi)) ** 3 * np.sum(np.abs(b_hat.values) ** 2)
-    )
+    a_hat = Field(g1, FREQUENCY, psi_symbol(g1, (k_abs,)))
+    b_hat = Field(grid3, FREQUENCY, psi_symbol(grid3, (0,) * grid3.d))
+    l2_a, l2_b = sobolev_norm(a_hat, 0.0), sobolev_norm(b_hat, 0.0)
 
     coarse_t = np.linspace(0.0, T, n_coarse)
-    Mb = np.array(
-        [
-            np.abs(schrodinger_flow(b_hat, t).in_domain(PHYSICAL).values).max()
-            for t in coarse_t
-        ]
-    )
+    Mb = np.array([lp_norm(schrodinger_flow(b_hat, t).in_domain(PHYSICAL), np.inf) for t in coarse_t])
     fine_t = np.linspace(0.0, T, n_fine)
     Mb_fine = np.interp(fine_t, coarse_t, Mb)
     smax = np.zeros(g1.m)
@@ -337,32 +325,20 @@ def square_function(f: Field, cells=None) -> np.ndarray:
     """(sum_k |P_k f|^2)^(1/2) on the physical lattice over the active cells.
 
     Tight loop: one cached 1D profile per axis, one multiplier product and one
-    inverse transform per cell.
+    centred inverse transform per cell, whose output sign |P_k f|^2 does not see.
     """
     if cells is None:
         cells = compute_active_set(f, rel_threshold=1e-8)
     g = f.grid
-    from .projections import phi1
-
     fh = f.in_domain(FREQUENCY).values
-    xi = g.xi1d
-    k_range = sorted({c for k in cells for c in k})
-    profile = {c: phi1(xi - c) for c in k_range}
-    shapes = []
-    for ax in range(g.d):
-        shape = [1] * g.d
-        shape[ax] = g.m
-        shapes.append(tuple(shape))
+    profile = {c: phi1(g.xi1d - c) for c in {c for k in cells for c in k}}
     acc = np.zeros(g.shape)
-    inv = 1.0 / g.dx**g.d
     for k in cells:
-        sym = fh * profile[k[0]].reshape(shapes[0])
-        for ax in range(1, g.d):
-            sym = sym * profile[k[ax]].reshape(shapes[ax])
-        piece = np.fft.ifftn(np.fft.ifftshift(sym))
-        acc += np.abs(piece) ** 2
-    # fftshift commutes with |.|^2 accumulation; shift once at the end
-    return np.sqrt(np.fft.fftshift(acc)) * inv
+        sym = fh
+        for ax, c in enumerate(k):
+            sym = sym * broadcast_along(profile[c], ax, g.d)
+        acc += _abs2(_fft(sym, inverse=True, sign_in=True, out=sym))
+    return np.sqrt(acc) * (1.0 / g.dx**g.d)
 
 
 @dataclass
@@ -399,10 +375,9 @@ def verify_radialish_sobolev(
         lhs = float((w32 * sq).max())
         ratios[name] = lhs / sobolev_norm(f, delta)
         for N in N_list:
-            fN = Field(grid, FREQUENCY, f.in_domain(FREQUENCY).values * band_symbol(grid, Band.dyadic(N)))
-            sqN = square_function(fN)
+            fN = dyadic_projection(f, Band.dyadic(N))
             wN = grid.x_squared ** (0.75 * (1.0 - 2.0 / r_interp))
-            lhsN = (grid.dx**grid.d * np.sum((wN * sqN) ** r_interp)) ** (1.0 / r_interp)
+            lhsN = _power_mean(wN * square_function(fN), grid.dx**grid.d, r_interp)
             denom = N**delta * lp_norm(to_physical(fN), 2)
             if denom > 1e-14:
                 interp[(name, float(N))] = float(lhsN / denom)
@@ -432,13 +407,11 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
                    dft: bool = False) -> tuple:
     """L2 -> L2 norm of an operator T by power iteration on its normal operator T*T.
 
-    ``normal`` maps an array in FFT order (the physical lattice, or its DFT
-    when ``dft``) to T*T applied to it.  The start is a seeded complex
-    Gaussian on the centred physical lattice, uncentred once (and passed
-    through ``fftn`` when ``dft``, which under the unitary DFT is the same
-    vector), then normalized.  Step i gives the estimate
-    lam_i = sqrt(|<z, T*T z>|) for the current unit vector z.  The iteration
-    stops at the first step with |lam_i - lam_{i-1}| <= 1e-12 lam_i
+    ``normal`` maps an array on the centred lattice, or its plain DFT when
+    ``dft``, to T*T applied to it.  The start is a seeded complex Gaussian
+    (passed through the DFT when ``dft``), normalized.  Step i gives the
+    estimate lam_i = sqrt(|<z, T*T z>|) for the current unit vector z.  The
+    iteration stops at the first step with |lam_i - lam_{i-1}| <= 1e-12 lam_i
     (``_POWER_RTOL``; lam_0 = 0), or after ``iters`` steps.
 
     Returns ``(lam, steps, last_change)``: the last estimate, the number of
@@ -446,7 +419,7 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
     step (0 when lam is 0).
     """
     rng = np.random.default_rng(seed)
-    z = np.fft.ifftshift(rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if dft:
         z = _fft(z, out=z)
     z /= np.sqrt(np.vdot(z, z).real)
@@ -464,49 +437,42 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
     return lam, step, change
 
 
-def _chi_P_chi_op(grid: SpectralGrid, k, j: int, ell: int):
-    """T*T for T = chi_j P_k chi_ell: chi_ell F^-1 psi_k F chi_j^2 F^-1 psi_k F chi_ell,
-    acting on the physical lattice in FFT order (4 transforms per call)."""
-    chi_l = np.fft.ifftshift(spatial_symbol(grid, "chi", ell))
-    chi_j2 = np.fft.ifftshift(spatial_symbol(grid, "chi", j)) ** 2
-    psi = np.fft.ifftshift(psi_symbol(grid, k))
+def _sandwich_op(outer: np.ndarray, inner: np.ndarray, middle: np.ndarray,
+                 inverse_first: bool = False):
+    """z -> outer U^-1 inner U middle U^-1 inner U (outer z): a normal operator, 4 transforms a call.
+
+    U is the plain DFT (the inverse DFT when ``inverse_first``) of ``grid._fft``
+    applied to centred arrays, and the multipliers are centred.  The centred
+    transform is S U S for the checkerboard S (``grid`` module docstring), and
+    S commutes with every multiplier, so this operator is S N S for the N of
+    the centred transforms: a unitary conjugate, with the same norm.
+    """
+    steps = ((inner, inverse_first), (middle, not inverse_first),
+             (inner, inverse_first), (outer, not inverse_first))
 
     def normal(z):
-        w = chi_l * z
-        w = _fft(w, out=w)
-        w *= psi
-        w = _fft(w, inverse=True, out=w)
-        w *= chi_j2
-        w = _fft(w, out=w)
-        w *= psi
-        w = _fft(w, inverse=True, out=w)
-        w *= chi_l
+        w = outer * z
+        for sym, inverse in steps:
+            w = _fft(w, inverse=inverse, out=w)
+            w *= sym
         return w
 
     return normal
+
+
+def _chi_P_chi_op(grid: SpectralGrid, k, j: int, ell: int):
+    """T*T for T = chi_j P_k chi_ell on the physical lattice:
+    chi_ell F^-1 psi_k F chi_j^2 F^-1 psi_k F chi_ell."""
+    return _sandwich_op(spatial_symbol(grid, "chi", ell), psi_symbol(grid, k),
+                        spatial_symbol(grid, "chi", j) ** 2)
 
 
 def _P_chi_P_op(grid: SpectralGrid, k, m_cell, ell: int):
-    """T*T for T = P_k chi_ell P_m in DFT coordinates (FFT order), where it is
-    psi_m F chi_ell F^-1 psi_k^2 F chi_ell F^-1 psi_m (4 transforms per call);
-    iterate it with ``_operator_norm(..., dft=True)``."""
-    chi_l = np.fft.ifftshift(spatial_symbol(grid, "chi", ell))
-    psi_k2 = np.fft.ifftshift(psi_symbol(grid, k)) ** 2
-    psi_m = np.fft.ifftshift(psi_symbol(grid, m_cell))
-
-    def normal(y):
-        w = psi_m * y
-        w = _fft(w, inverse=True, out=w)
-        w *= chi_l
-        w = _fft(w, out=w)
-        w *= psi_k2
-        w = _fft(w, inverse=True, out=w)
-        w *= chi_l
-        w = _fft(w, out=w)
-        w *= psi_m
-        return w
-
-    return normal
+    """T*T for T = P_k chi_ell P_m in DFT coordinates:
+    psi_m F chi_ell F^-1 psi_k^2 F chi_ell F^-1 psi_m; iterate it with
+    ``_operator_norm(..., dft=True)``."""
+    return _sandwich_op(psi_symbol(grid, m_cell), spatial_symbol(grid, "chi", ell),
+                        psi_symbol(grid, k) ** 2, inverse_first=True)
 
 
 @dataclass
@@ -555,8 +521,7 @@ def verify_operator_decay(
     for ell in ell_list:
         if 2.0**ell > grid.L / 2.0 + 1e-9:
             raise RegimeViolationError(f"spatial scale 2^{ell} exceeds the box")
-        normal = _chi_P_chi_op(grid, tuple(k), j, ell)
-        runs["chi_P_chi"][int(ell)] = _operator_norm(normal, grid, seed)
+        runs["chi_P_chi"][int(ell)] = _operator_norm(_chi_P_chi_op(grid, tuple(k), j, ell), grid, seed)
     for sep in separations:
         kk = (-(sep // 2), 0, 0, 0)
         mm = (sep - sep // 2, 0, 0, 0)
@@ -652,7 +617,7 @@ class TrilinearHarness:
         for i, N in enumerate(self.bands):
             for kind in ("v", "F"):
                 f = shell_field(grid, N, seed=seed + 37 * i + (0 if kind == "v" else 1))
-                fN = Field(grid, FREQUENCY, _read_only(f.values * band_symbol(grid, Band.dyadic(N))))
+                fN = dyadic_projection(f, Band.dyadic(N))
                 traj = free_trajectory(fN, 0.0, dt, n_frames).in_domain(PHYSICAL)
                 norm = (
                     xn_norm(traj, N, pol=self.pol)
@@ -663,11 +628,11 @@ class TrilinearHarness:
 
     def evaluate(self, case: str, N, N1, N2, N3) -> float:
         if case not in TRILINEAR_CASES:
-            raise ValueError(f"unknown trilinear case {case!r}")
+            raise ParameterRangeError(f"unknown trilinear case {case!r}")
         if not (N2 <= N1 and N3 <= N2):
-            raise ValueError("frequency ordering violated: need N1 >= N2 >= N3")
+            raise ParameterRangeError("frequency ordering violated: need N1 >= N2 >= N3")
         if N > 8.0 * N1:
-            raise ValueError("output band exceeds the product support (need N <~ N1)")
+            raise ParameterRangeError("output band exceeds the product support (need N <~ N1)")
         kinds = tuple(case)
         trajs, rhs = [], 1.0
         for kind, Nin in zip(kinds, (N1, N2, N3)):
@@ -749,7 +714,7 @@ def verify_duhamel_retarded(
     LHS norms of t -> int_0^t exp(i(t-s) Lap) P_N h ds; RHS is the lateral
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
     """
-    fN = Field(grid, FREQUENCY, shell_field(grid, N, seed=seed).values * band_symbol(grid, Band.dyadic(N)))
+    fN = dyadic_projection(shell_field(grid, N, seed=seed), Band.dyadic(N))
     dt = T / (n_frames - 1)
 
     def physical(rows) -> Trajectory:  # a stack of frequency rows, converted in place
@@ -818,7 +783,7 @@ def verify_main_linear(
         sym = band_symbol(grid, Band.dyadic(N))
         vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * sym).in_domain(PHYSICAL)
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
-        rhs = N * lp_norm(to_physical(Field(grid, FREQUENCY, _read_only(v0.values * sym))), 2)
+        rhs = N * lp_norm(to_physical(dyadic_projection(v0, Band.dyadic(N))), 2)
         rhs += gn_norm_upper(h, N, pol=pol)
         consts.append(float(lhs / rhs))
     worst = float(max(consts))
@@ -835,16 +800,11 @@ def verify_bernstein(
     against 4/r1 - 4/r2 for shell-indicator data, with the L2/L2 flat control
     embedded in the metadata."""
     r = np.sqrt(grid.xi_squared)
-    vals, flat = [], []
+    vals = []
     for N in N_list:
         ind = ((r >= N) & (r <= 2.0 * N)).astype(np.complex128)
-        f = Field(grid, FREQUENCY, _read_only(ind))
-        fN = to_physical(
-            Field(grid, FREQUENCY, _read_only(f.values * band_symbol(grid, Band.dyadic(N))))
-        )
-        lo = lp_norm(fN, r_low)
-        vals.append(lp_norm(fN, r_high) / lo)
-        flat.append(lo / lo)
+        fN = to_physical(dyadic_projection(Field.frequency(grid, _read_only(ind)), Band.dyadic(N)))
+        vals.append(lp_norm(fN, r_high) / lp_norm(fN, r_low))
     pred = 4.0 / r_low - 4.0 / r_high
     rep = _report("bernstein_dyadic", list(N_list), vals, pred, 0.1,
                   {"control": "L2/L2 ratio is identically 1 (slope 0)"})

@@ -17,7 +17,8 @@ m/2 is the phase S on the other side of the transform, so bit for bit
     fftshift(fftn(ifftshift(x))) = S * fftn(S * x)  (likewise ifftn),
     fftshift(fftn(x)) = fftn(S * x).
 
-Every transform of field values goes through ``_fft``, in place.
+Every transform in the package goes through ``_fft``; no other module calls
+numpy's fft.
 
 A ``Trajectory`` is one read-only C-contiguous complex128 array ``values`` of
 shape ``(n_frames, *grid.shape)`` plus one domain tag for all its rows.  Its
@@ -289,15 +290,22 @@ def lp_norm(f: Field, r: float) -> float:
         raise DomainMismatchError("lp_norm expects a physical-domain field")
     if r < 1:
         raise InvalidExponentError(f"exponent must satisfy r >= 1, got {r}")
-    a = np.abs(f.values)
-    if np.isinf(r):
-        return float(a.max())
     g = f.grid
-    peak = a.max()
+    return _power_mean(np.abs(f.values), g.dx**g.d, r)
+
+
+def _power_mean(values: np.ndarray, weights, q: float) -> float:
+    """(sum_j w_j values_j^q)^(1/q) of nonnegative values; q = inf gives the max.
+
+    The peak is scaled out before powering, so no intermediate overflows at large q.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isinf(q):
+        return float(values.max(initial=0.0))
+    peak = values.max(initial=0.0)
     if peak == 0.0:
         return 0.0
-    # scale out the peak before powering to avoid overflow at large r
-    return float(peak * (g.dx**g.d * np.sum((a / peak) ** r)) ** (1.0 / r))
+    return float(peak * (np.sum(weights * (values / peak) ** q)) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

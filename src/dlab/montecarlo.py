@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import DLabError, FitRangeError, RegimeViolationError
 from .estimates import fit_line, fit_loglog
-from .grid import PHYSICAL, Field, Trajectory, gradient_magnitude, trapezoid_weights
-from .norms import EpsilonPolicy, _power_mean, strichartz_norm, y_norm
+from .grid import PHYSICAL, Field, Trajectory, _power_mean, gradient_magnitude, trapezoid_weights
+from .norms import EpsilonPolicy, strichartz_norm, y_norm
 from .propagate import free_trajectory
-from .randomize import RandomizationSpec, _philox, randomize_schrodinger, randomize_wave_pair
+from .randomize import (RandomizationSpec, _draw_box, _philox, randomize_schrodinger,
+                        randomize_wave_pair)
 
 ENSEMBLE_KINDS = (
     "Y",
@@ -206,15 +207,9 @@ def tail_fit(
 def linear_gaussian_statistic(c, seed: int, law: str = "complex_gaussian"):
     """draw -> |sum_k c_k g_k| with the package's counter-based coefficients."""
     c = np.asarray(c, dtype=complex)
-    n = c.size
 
     def statistic(draw: int) -> float:
-        rng = _philox(seed, draw)
-        pair = rng.standard_normal(size=(n, 2))
-        if law == "bernoulli":
-            pair = np.where(pair >= 0, 1.0, -1.0)
-        g = (pair[:, 0] + 1j * pair[:, 1]) / np.sqrt(2.0)
-        return float(np.abs(np.sum(c * g)))
+        return float(np.abs(np.sum(c * _draw_box(_philox(seed, draw), (c.size,), law))))
 
     return statistic
 

@@ -59,8 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidExponentError, MemoryBudgetError
-from .grid import PHYSICAL, SpectralGrid, Trajectory, _fft, lp_norm, sobolev_norm, trapezoid_weights
+from .errors import InvalidExponentError, MemoryBudgetError, ParameterRangeError
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, _fft, _power_mean, lp_norm, sobolev_norm,
+                   trapezoid_weights)
 from .projections import Band, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -80,11 +81,11 @@ class EpsilonPolicy:
 
     def __post_init__(self):
         if not 0 < self.eps < 2:
-            raise ValueError(f"eps must lie in (0, 2), got {self.eps}")
+            raise ParameterRangeError(f"eps must lie in (0, 2), got {self.eps}")
         if self.s is not None and self.s > 1.0 / 3.0:
             cap = (self.s - 1.0 / 3.0) / 3.0
             if self.eps > cap + 1e-12:
-                raise ValueError(
+                raise ParameterRangeError(
                     f"eps={self.eps} violates eps <= (s - 1/3)/3 = {cap:.4g} at s={self.s}"
                 )
 
@@ -152,17 +153,6 @@ def _window(v: Trajectory, interval) -> tuple:
             raise ValueError(f"empty interval [{ta}, {tb}]")
         i0, i1 = v.frame_index(ta), v.frame_index(tb)
     return i0, i1, trapezoid_weights(i1 - i0 + 1, v.dt)
-
-
-def _power_mean(values: np.ndarray, weights, q: float) -> float:
-    """(sum_j w_j values_j^q)^(1/q) with a peak guard; q = inf gives max."""
-    values = np.asarray(values, dtype=float)
-    if np.isinf(q):
-        return float(values.max(initial=0.0))
-    peak = values.max(initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    return float(peak * (np.sum(weights * (values / peak) ** q)) ** (1.0 / q))
 
 
 def _abs2(a: np.ndarray) -> np.ndarray:
@@ -468,7 +458,7 @@ def z_norm(F: Trajectory, interval: Interval = None) -> float:
         sup_w[j] = (jap * np.abs(F.frames[i].in_domain(PHYSICAL).values)).max()
         bs = _BandStack(F, i, i)
         gmag2 = sum(bs.power(sym) for sym in grad_syms)
-        grad_l4[j] = (vol * np.sum(gmag2**2)) ** 0.25
+        grad_l4[j] = _power_mean(np.sqrt(gmag2), vol, 4)
     term2 = _power_mean(sup_w, w, 2)
     term3 = _power_mean(grad_l4, w, 2)
     return float(term1 + term2 + term3)

@@ -19,7 +19,7 @@ so the partition identities are exact on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -266,19 +266,31 @@ def unit_cell_tables(grid: SpectralGrid) -> tuple:
     return _read_only(n0), _read_only(w0), _read_only(w1)
 
 
+@lru_cache(maxsize=8)
+def cell_matrix(grid: SpectralGrid) -> np.ndarray:
+    """The read-only (m, 2K + 1) matrix A[i, k + K] = phi1(xi_i - k), K = ``active_cell_box``.
+
+    Row i holds the weights of the cells floor(xi_i) and floor(xi_i) + 1 from
+    ``unit_cell_tables``; every other translate of phi1 vanishes at xi_i.
+    """
+    n0, w0, w1 = unit_cell_tables(grid)
+    K = active_cell_box(grid)
+    rows = np.arange(grid.m)
+    A = np.zeros((grid.m, 2 * K + 1))
+    A[rows, n0 + K] = w0
+    A[rows, n0 + 1 + K] = w1
+    return _read_only(A)
+
+
 def active_cell_box(grid: SpectralGrid) -> int:
     """Half-width K of the integer cell box [-K, K]^d that can meet the lattice."""
     return int(np.floor(grid.xi_max)) + 2
 
 
 def partition_of_unity_residual(grid: SpectralGrid) -> float:
-    """max_xi |sum_k psi(xi - k) - 1| over the grid (sum over contributing cells)."""
-    total = np.ones(grid.shape)
-    for ax in range(1, grid.d + 1):
-        n0, w0, w1 = unit_cell_tables(grid)
-        shape = [1] * grid.d
-        shape[ax - 1] = grid.m
-        total = total * (w0 + w1).reshape(shape)
+    """max_xi |sum_k psi(xi - k) - 1| over the grid: the row sums of ``cell_matrix``
+    multiplied over the axes."""
+    total = reduce(np.multiply, np.ix_(*(cell_matrix(grid).sum(axis=1),) * grid.d))
     return float(np.max(np.abs(total - 1.0)))
 
 

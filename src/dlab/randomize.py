@@ -6,19 +6,20 @@ E g = 0 and E |g|^2 = 1.  Coefficients come from a counter-based generator
 (Philox) keyed by (seed, draw), so ensembles are reproducible independently of
 execution order.  The randomized multiplier sum_k g_k psi(xi - k) is separable
 in the cell index, so it is one matrix product per axis of the coefficient
-box, instead of a loop over cells.
+box with the cell matrix A[i, k] = phi1(xi_i - k), instead of a loop over
+cells; the per-cell masses of the active set are |fhat|^2 contracted with A^2
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateDataError, NotRealError
 from .grid import FREQUENCY, Field, SpectralGrid, _read_only, apply_multiplier, lp_norm
-from .projections import active_cell_box, smoothstep, unit_cell_tables, unit_projection
+from .projections import active_cell_box, cell_matrix, smoothstep, unit_projection
 
 COMPLEX_GAUSSIAN = "complex_gaussian"
 BERNOULLI = "bernoulli"
@@ -71,26 +72,25 @@ def _active_mask(grid: SpectralGrid, K: int, active_set) -> np.ndarray | None:
     return mask
 
 
+def _mode_products(t: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """t x_1 A x_2 A ... x_d A: every axis of t contracted with the columns of A.
+
+    One tensordot per axis (Kolda & Bader, SIAM Rev. 2009); each contracts
+    the leading axis and puts the new one last, so the axes keep their order.
+    """
+    for _ in range(t.ndim):
+        t = np.tensordot(t, A, axes=(0, 1))
+    return t
+
+
 def _corner_multiplier(grid: SpectralGrid, gbox: np.ndarray, K: int) -> np.ndarray:
     """sum_k g_k psi(xi - k) on the lattice as the mode products G x_1 A x_2 A ... x_d A.
 
     psi(xi - k) = prod_l phi1(xi_l - k_l) is separable, so the sum over the
-    coefficient box G (cells k in [-K, K]^d) contracts one axis at a time with
-    the (m, 2K+1) matrix A[i, k] = phi1(xi_i - k): a tensordot per axis
-    (Kolda & Bader, SIAM Rev. 2009).  Row i of A holds the two weights of
-    the cells floor(xi_i) and floor(xi_i) + 1 from ``unit_cell_tables``; every
-    other translate of phi1 vanishes at xi_i.
+    coefficient box G (cells k in [-K, K]^d, K = ``active_cell_box(grid)``)
+    contracts one axis at a time with the cell matrix A = ``cell_matrix(grid)``.
     """
-    n0, w0, w1 = unit_cell_tables(grid)
-    rows = np.arange(grid.m)
-    A = np.zeros((grid.m, 2 * K + 1))
-    A[rows, n0 + K] = w0
-    A[rows, n0 + 1 + K] = w1
-    mult = gbox
-    for _ in range(grid.d):
-        # contract the leading cell axis; the new lattice axis goes last
-        mult = np.tensordot(mult, A, axes=(0, 1))
-    return mult
+    return _mode_products(gbox, cell_matrix(grid))
 
 
 def randomize_schrodinger(f: Field, spec: RandomizationSpec, draw: int) -> Field:
@@ -185,32 +185,19 @@ def symmetric_coefficient_box(spec: RandomizationSpec, draw: int, grid: Spectral
 
 
 def compute_active_set(f: Field, rel_threshold: float = 1e-14) -> tuple:
-    """Cells k with ||psi(. - k) fhat||_2 above the relative threshold.
+    """Cells k with ||psi(. - k) fhat||_2 above the relative threshold, in lexicographic order.
 
-    Follows the box ||k||_inf <= m*dxi/2 + 2 intersected with cells carrying
-    mass; evaluated with one scatter-add pass per corner pattern.
+    Searches the box ||k||_inf <= K = ``active_cell_box``; the squared masses
+    sum_xi psi(xi - k)^2 |fhat(xi)|^2 of all its cells are the mode products of
+    |fhat|^2 with A^2, A = ``cell_matrix``.
     """
     g = f.grid
-    K = active_cell_box(g)
-    fh = f.in_domain(FREQUENCY)
-    w2 = np.abs(fh.values) ** 2
-    n0, w0, w1 = unit_cell_tables(g)
-    weights = (w0, w1)
-    mass = np.zeros((2 * K + 1,) * g.d)
-    for corner in product((0, 1), repeat=g.d):
-        w = np.ones(g.shape)
-        idx1d = []
-        for ax, b in enumerate(corner):
-            shape = [1] * g.d
-            shape[ax] = g.m
-            w = w * weights[b].reshape(shape) ** 2
-            idx1d.append(np.clip(n0 + b + K, 0, 2 * K))
-        mesh = np.meshgrid(*idx1d, indexing="ij")
-        flat = np.ravel_multi_index([mm.ravel() for mm in mesh], mass.shape)
-        np.add.at(mass.reshape(-1), flat, (w * w2).ravel())
+    w2 = np.abs(f.in_domain(FREQUENCY).values) ** 2
     total = float(np.sum(w2))
     if total == 0.0:
         return ()
+    mass = _mode_products(w2, (cell_matrix(g) ** 2).T)
+    K = active_cell_box(g)
     keep = np.argwhere(mass > (rel_threshold**2) * total)
     return tuple(tuple(int(c) - K for c in row) for row in keep)
 

@@ -32,7 +32,7 @@ and the flux W, 8 each).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -44,6 +44,7 @@ from .grid import (
     SpectralGrid,
     Trajectory,
     _fft,
+    _power_mean,
     _read_only,
     _spectral_gradient,
     broadcast_along,
@@ -51,7 +52,7 @@ from .grid import (
     sobolev_norm,
     trapezoid_weights,
 )
-from .norms import EpsilonPolicy, _abs2, _power_mean, x_norm
+from .norms import EpsilonPolicy, _abs2, x_norm
 from .propagate import duhamel_all, free_trajectory, schrodinger_flow
 
 
@@ -712,15 +713,7 @@ def scaling_check(u0: Field, lam: float, cfg: NLSRunConfig) -> ScalingReport:
     h1_b = sobolev_norm(u0_2, 1.0, homogeneous=True)
 
     run1 = splitstep_nls(u0, cfg)
-    cfg2 = NLSRunConfig(
-        mu=cfg.mu,
-        dt=cfg.dt / lam**2,
-        T=cfg.T / lam**2,
-        dealias=cfg.dealias,
-        snapshot_stride=cfg.snapshot_stride,
-        blowup_factor=cfg.blowup_factor,
-    )
-    run2 = splitstep_nls(u0_2, cfg2)
+    run2 = splitstep_nls(u0_2, replace(cfg, dt=cfg.dt / lam**2, T=cfg.T / lam**2))
     worst = 0.0
     for f1, f2 in zip(run1.frames, run2.frames):
         diff = f2.values - lam * f1.values

@@ -312,3 +312,17 @@ def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "o.dlab").exists() and not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("manifest", [{"frames": 3}, {"frames": ["frame_00000.dlab"], "t0": 0.0}])
+def test_malformed_trajectory_manifest_is_one_error_line(tmp_path, capsys, manifest):
+    g = SpectralGrid(m=8, L=8.0)
+    write_trajectory(Trajectory(g, 0.0, 0.1, [random_field(g, 1)]), tmp_path / "traj")
+    (tmp_path / "traj" / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "Z"}))
+    argv = ["norms", "--spec", str(tmp_path / "spec.json"), "--traj", str(tmp_path / "traj"),
+            "--out", str(tmp_path / "n.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and not (tmp_path / "n.json").exists()

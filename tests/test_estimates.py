@@ -311,3 +311,22 @@ def test_transform_paths_make_no_centering_roll(monkeypatch):
     assert xn_norm(phys, 2.0) > 0
     rep = E.verify_main_linear(g, n_samples=1, n_frames=5)
     assert np.isfinite(rep.worst) and rep.worst > 0
+
+
+def test_operator_decay_and_square_function_make_no_centering_roll(monkeypatch):
+    # the operator-norm kernels and the square function transform centred
+    # arrays through grid._fft, never through an fftshift/ifftshift roll
+    from dlab.grid import random_field
+
+    g = SpectralGrid(m=8, L=8 * np.pi)
+    f = random_field(g, 4, domain=FREQUENCY, band_limit=1.5)
+
+    def roll(*args, **kwargs):
+        raise AssertionError("centering roll on a transform path")
+
+    monkeypatch.setattr(np.fft, "fftshift", roll)
+    monkeypatch.setattr(np.fft, "ifftshift", roll)
+    rep = E.verify_operator_decay(g, separations=(2,))
+    assert min(rep.chi_P_chi.values()) > 0 and rep.P_chi_P[2] > 0
+    sq = E.square_function(f)
+    assert np.isfinite(sq).all() and sq.max() > 0

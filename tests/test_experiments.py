@@ -102,6 +102,20 @@ def test_error_inside_an_experiment_names_it(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"eps": 5}, "eps must lie in (0, 2), got 5"),
+    ({"configs": [[1, 1, 2, 1]]}, "frequency ordering violated"),
+])
+def test_parameter_outside_its_domain_is_one_error_line(tmp_path, capsys, params, message):
+    # right type, wrong value: raised inside the verifier, not by the schema
+    path = config(tmp_path, [{"kind": "verify", "name": "trilinear",
+                              "params": {"grid": {"m": 8, "L": 2 * np.pi}, **params}}])
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (verify_0): ") and message in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_ensemble_csv_of_another_key_is_an_error(tmp_path, capsys):
     csv_path = tmp_path / "draws.csv"
     evaluate_draws(lambda d: 1.0, 2, csv_path=csv_path)  # written under no key

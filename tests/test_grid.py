@@ -343,3 +343,16 @@ def test_field_copies_a_writable_input_and_adopts_a_read_only_one(grid8):
     traj = free_trajectory(random_field(grid8, 1), 0.0, 0.1, 3)
     for i in range(traj.n_frames):
         assert np.shares_memory(traj.frames[i].values, traj.values)
+
+
+def test_only_grid_calls_numpy_fft():
+    # every transform goes through grid._fft; no other module names numpy's fft
+    import re
+    from pathlib import Path
+
+    import dlab
+
+    src = Path(dlab.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "grid.py" and re.search(r"\b(np|numpy)\.fft\b", p.read_text())]
+    assert callers == []

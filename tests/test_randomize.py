@@ -206,3 +206,25 @@ def test_annulus_projection_leakage():
 def test_active_set_of_zero_field(gridr):
     z = Field.zero(gridr, FREQUENCY)
     assert compute_active_set(z) == ()
+
+
+def test_active_set_matches_per_cell_parseval_mass():
+    # oracle: ||psi(. - k) fhat||_2^2 cell by cell from full psi symbols, on a
+    # spectrum decaying over many decades so the two thresholds keep different sets
+    from itertools import product
+
+    from dlab.grid import random_field
+
+    g = SpectralGrid(m=8, L=4 * np.pi)
+    fh = random_field(g, 6, domain=FREQUENCY).values * np.exp(-2.0 * g.xi_squared)
+    f = Field(g, FREQUENCY, fh)
+    w2 = np.abs(fh) ** 2
+    K = active_cell_box(g)
+    cells = product(range(-K, K + 1), repeat=g.d)
+    mass = {k: float(np.sum(psi_symbol(g, k) ** 2 * w2)) for k in cells}
+    sets = []
+    for th in (1e-14, 1e-8):
+        want = tuple(k for k, m in mass.items() if m > th**2 * w2.sum())
+        assert compute_active_set(f, rel_threshold=th) == want
+        sets.append(want)
+    assert len(sets[1]) < len(sets[0]) < len(mass)
