@@ -244,7 +244,10 @@ def read_trajectory(outdir) -> Trajectory:
         raise DLabError(f"{path}: needs 'frames', a nonempty list of file names, "
                         f"a number 't0' and a positive number 'dt'")
     frames = tuple(read_snapshot(path.parent / name) for name in names)
-    return Trajectory(frames[0].grid, t0, dt, frames)
+    try:
+        return Trajectory(frames[0].grid, t0, dt, frames)
+    except ValueError as exc:  # frames on different grids
+        raise DLabError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------ commands

@@ -314,10 +314,15 @@ def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "o.dlab").exists() and not (tmp_path / "ev").exists()
 
 
-@pytest.mark.parametrize("manifest", [{"frames": 3}, {"frames": ["frame_00000.dlab"], "t0": 0.0}])
+@pytest.mark.parametrize("manifest", [
+    {"frames": 3},
+    {"frames": ["frame_00000.dlab"], "t0": 0.0},
+    {"frames": ["frame_00000.dlab", "m16.dlab"], "t0": 0.0, "dt": 0.1},
+])
 def test_malformed_trajectory_manifest_is_one_error_line(tmp_path, capsys, manifest):
     g = SpectralGrid(m=8, L=8.0)
     write_trajectory(Trajectory(g, 0.0, 0.1, [random_field(g, 1)]), tmp_path / "traj")
+    write_snapshot(random_field(SpectralGrid(m=16, L=8.0), 1), tmp_path / "traj" / "m16.dlab")
     (tmp_path / "traj" / "manifest.json").write_text(json.dumps(manifest))
     (tmp_path / "spec.json").write_text(json.dumps({"kind": "Z"}))
     argv = ["norms", "--spec", str(tmp_path / "spec.json"), "--traj", str(tmp_path / "traj"),
