@@ -11,6 +11,8 @@ from dlab.grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    Weight,
+    _power_mean,
     broadcast_along,
     gradient_fields,
     gradient_magnitude,
@@ -18,7 +20,7 @@ from dlab.grid import (
     random_field,
     sobolev_norm,
 )
-from dlab.norms import linf_h1, linf_l2
+from dlab.norms import linf_h1, linf_l2, strichartz_norm
 from dlab.propagate import free_trajectory
 from dlab.solver import (
     ContractionRecord,
@@ -297,6 +299,42 @@ def test_energy_growth_audit_series_match_public_calls(gs, gaussian):
     assert series.morawetz == pytest.approx(
         [morawetz_action(fr, gs.dx / 2.0) for fr in run.frames], rel=1e-12
     )
+
+
+def test_energy_growth_audit_norms_match_public_calls(gs, gaussian):
+    # oracle: the Holder majorants, mass bound, growth bound and bulk rebuilt
+    # from the public norms, gradients and weights
+    run, F = _forced_run(gs, gaussian, 0.005, 4)
+    series, rep = energy_growth_audit(run, F)
+    vol = gs.dx**gs.d
+    w = np.full(run.n_frames, run.dt)
+    w[0] = w[-1] = 0.5 * run.dt
+    gradF = [gradient_magnitude(fr) for fr in F.frames]
+    sqrt_a = (gs.x_squared + (gs.dx / 2.0) ** 2) ** 0.25
+    jap = Weight("japanese", 0.5).evaluate(gs)
+    gv = max(np.sqrt(vol * np.sum(gradient_magnitude(fr) ** 2)) for fr in run.frames)
+    v4 = strichartz_norm(run, np.inf, 4)
+    F4 = strichartz_norm(F, np.inf, 4)
+    F_L2Linf = strichartz_norm(F, 2, np.inf)
+    gF = _power_mean([_power_mean(gm, vol, 4) for gm in gradF], w, 2)
+    wgF = _power_mean([(sqrt_a * gm).max() for gm in gradF], w, 2)
+    wF = _power_mean([(jap * np.abs(fr.values)).max() for fr in F.frames], w, 2)
+    bulk = morawetz_bulk(run)
+    majorants = {
+        "gv_FF_gF": gv * F4 * F_L2Linf * gF,
+        "v_F_gF2": v4 * F4 * gF**2,
+        "gv_v_F_gF": gv * v4 * F_L2Linf * gF,
+        "v2_gF2": v4**2 * gF**2,
+        "v2_gv_gF": np.sqrt(bulk) * gv * wgF,
+    }
+    assert rep.term_majorants == pytest.approx(majorants, rel=1e-12)
+    F_Li2 = strichartz_norm(F, np.inf, 2)
+    u0 = Field.physical(gs, F.frames[0].values + run.frames[0].values)
+    assert rep.mass_rhs == pytest.approx(lp_norm(u0, 2) + F_Li2, rel=1e-12)
+    exponent = strichartz_norm(F, 3, 6) ** 3 + wF**2 + gF**2
+    level = energy(run.frames[0]) + 1.0 + mass(run.frames[0]) + F_Li2**2 + F4**4
+    assert rep.growth_bound == pytest.approx(np.exp(exponent) * level, rel=1e-12)
+    assert series.bulk == pytest.approx(bulk, rel=1e-12)
 
 
 def test_energy_growth_audit_unforced_conservation(gs, gaussian):
