@@ -3,11 +3,13 @@
 
 Uses the tensor-factorized exact evaluation (1D transport factor times 3D
 transverse factor), which reaches modulations far beyond what a full 4D
-lattice can resolve.  Writes the raw points to CSV and prints the fit.
+lattice can resolve.  Writes the raw points to CSV and prints the fit; exits
+with status 1 when fewer than two |k| fit the box.
 """
 
 import argparse
 import csv
+import sys
 
 import numpy as np
 
@@ -36,6 +38,8 @@ def main():
         ratio = unit_maximal_tensor_ratio(k, g1, g3, args.T)
         points.append((k, ratio))
         print(f"|k|={k:5.1f}: ratio {ratio:.5f}")
+    if len(points) < 2:
+        sys.exit(f"{len(points)} of {len(args.k)} |k| fit the box; a slope needs at least two")
     slope, _ = fit_loglog([p[0] for p in points], [p[1] for p in points])
     print(f"fitted slope: {slope:.4f} (statement: 1/2)")
     with open(args.csv, "w", newline="") as fh:

@@ -343,11 +343,11 @@ def _cmd_norms(args) -> int:
     if out:
         raise ConfigError(out)
     traj = read_trajectory(args.traj)
-    reports = [norms_mod.NormReport(
+    reports = [dataclasses.asdict(norms_mod.NormReport(
         kind=kind, value=float(fn(traj, **kw)), dt=traj.dt, frame_count=traj.n_frames, params=params,
         band=params.get("N"), upper_bound=kind in ("GN", "G"),
         truncated_bands=tuple(norms_mod.aggregate_bands(traj.grid)) if kind in ("X", "Y", "G") else (),
-    ).to_dict() for kind, fn, params, kw in calls]
+    )) for kind, fn, params, kw in calls]
     write_report(args.out, {"reports": reports})
     print(json.dumps(reports, indent=2, sort_keys=True))
     return 0
@@ -356,7 +356,7 @@ def _cmd_norms(args) -> int:
 # ---------------------------------------------------------- experiments
 
 def _fit(rep) -> dict:
-    return {"report": rep.to_dict(), "passed": rep.passed}
+    return {"report": dataclasses.asdict(rep), "passed": rep.passed}
 
 
 def _fields(*names, passed=lambda rep: rep.passed, **renamed) -> Callable:
@@ -401,8 +401,7 @@ def _trilinear(grid: SpectralGrid, seed: int, eps: float = 0.05, bands=(1.0, 2.0
 _BOX, _TORUS = {"m": 32, "L": 4 * np.pi}, {"m": 16, "L": 2 * np.pi}
 _VERIFIERS = {
     "unit_maximal": _Verifier("verify_unit_maximal", {}, {}, lambda reps: {
-        "report": reps[0].to_dict(), "control": reps[1].to_dict(), "passed": reps[0].passed},
-        ("grid1", "grid3", "control_grid")),
+        **_fit(reps[0]), "control": dataclasses.asdict(reps[1])}, ("grid1", "grid3", "control_grid")),
     "lateral_dyadic": _Verifier("verify_lateral_dyadic",
                                 {"grid": _BOX, "N_list": (1.0, 2.0, 4.0), "q": "inf"}),
     "local_smoothing": _Verifier("verify_local_smoothing", {"grid": _BOX}, {"flow": "schrodinger"}),

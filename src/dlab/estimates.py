@@ -76,20 +76,6 @@ class ScalingFitReport:
     c_obs: float
     metadata: dict = dc_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "abscissae": [float(a) for a in self.abscissae],
-            "values": [float(v) for v in self.values],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "predicted": self.predicted,
-            "window": self.window,
-            "passed": self.passed,
-            "c_obs": self.c_obs,
-            "metadata": self.metadata,
-        }
-
 
 def fit_line(xs, ys) -> tuple:
     """Least-squares (slope, intercept) of the line through the points (xs, ys)."""
@@ -108,7 +94,7 @@ def _report(name, xs, ys, predicted, window, metadata=None) -> ScalingFitReport:
     c_obs = float(np.max(np.asarray(ys) / np.asarray(xs, dtype=float) ** predicted))
     return ScalingFitReport(
         name=name,
-        abscissae=list(xs),
+        abscissae=[float(a) for a in xs],
         values=[float(y) for y in ys],
         slope=slope,
         intercept=intercept,

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DLabError, FitRangeError, RegimeViolationError
 from .estimates import fit_line, fit_loglog
-from .grid import PHYSICAL, Field, Trajectory, _power_mean, gradient_magnitude, trapezoid_weights
-from .norms import EpsilonPolicy, strichartz_norm, y_norm
+from .grid import PHYSICAL, Field, _power_mean
+from .norms import EpsilonPolicy, _weighted_sup, strichartz_norm, y_norm
 from .propagate import free_trajectory
 from .randomize import (RandomizationSpec, _draw_box, _philox, randomize_schrodinger,
                         randomize_wave_pair)
@@ -230,18 +230,6 @@ def _check_regime(which: str, s: float, alpha: float, pol: EpsilonPolicy, explor
     return problems
 
 
-def _weighted_sup_series(traj: Trajectory, alpha: float, with_gradient: bool) -> np.ndarray:
-    g = traj.grid
-    w = (1.0 + g.x_squared) ** (alpha / 2.0)
-    out = np.empty(traj.n_frames)
-    for j, fr in enumerate(traj.frames):
-        if with_gradient:
-            out[j] = float((w * gradient_magnitude(fr)).max())
-        else:
-            out[j] = float((w * np.abs(fr.in_domain(PHYSICAL).values)).max())
-    return out
-
-
 def make_norm_statistic(
     which: str,
     f: Field,
@@ -256,7 +244,6 @@ def make_norm_statistic(
     if which not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble statistic {which!r}")
     dt = T / (n_frames - 1)
-    l2_weights = trapezoid_weights(n_frames, dt)
 
     def statistic(draw: int) -> float:
         if which.startswith("wave_"):
@@ -275,9 +262,9 @@ def make_norm_statistic(
         if which == "LinfL2":
             return strichartz_norm(traj, np.inf, 2)
         if which == "weighted_grad_L2Linf":
-            return _power_mean(_weighted_sup_series(traj, alpha, True), l2_weights, 2)
+            return _weighted_sup(traj, alpha, gradient=True)
         if which in ("weighted_L2Linf", "wave_L2Linf"):
-            return _power_mean(_weighted_sup_series(traj, alpha, False), l2_weights, 2)
+            return _weighted_sup(traj, alpha)
         raise ValueError(which)
 
     return statistic

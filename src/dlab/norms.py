@@ -59,9 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidExponentError, MemoryBudgetError, ParameterRangeError
-from .grid import (PHYSICAL, SpectralGrid, Trajectory, _fft, _power_mean, lp_norm, sobolev_norm,
-                   trapezoid_weights)
+from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _fft, _power_mean, gradient_magnitude,
+                   lp_norm, sobolev_norm, trapezoid_weights)
 from .projections import Band, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -122,18 +122,6 @@ class NormReport:
     band: float | None = None
     upper_bound: bool = False
     truncated_bands: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "dt": self.dt,
-            "frame_count": self.frame_count,
-            "params": self.params,
-            "band": self.band,
-            "upper_bound": self.upper_bound,
-            "truncated_bands": list(self.truncated_bands),
-        }
 
 
 def is_admissible(q: float, r: float, tol: float = 1e-9) -> bool:
@@ -351,13 +339,20 @@ class _BandStack:
 
 
 def aggregate_bands(grid: SpectralGrid) -> list:
-    """Dyadic N contributing to the aggregate norms: 2*dxi <= N <= m*dxi/4."""
+    """Dyadic N contributing to the aggregate norms: 2*dxi <= N <= m*dxi/4.
+
+    A grid with no such N raises BandUnresolvedError: an aggregate over no
+    band would read as 0.
+    """
     lo, hi = 2.0 * grid.dxi, grid.m * grid.dxi / 4.0
     j = int(np.ceil(np.log2(lo) - 1e-9))
     out = []
     while 2.0**j <= hi * (1 + 1e-9):
         out.append(2.0**j)
         j += 1
+    if not out:
+        raise BandUnresolvedError(f"no dyadic band N with {lo:.4g} <= N <= {hi:.4g} "
+                                  f"on the grid m={grid.m}, L={grid.L:.4g}")
     return out
 
 
@@ -443,25 +438,30 @@ def g_norm_upper(h, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolic
     return _aggregate(gn_norm_upper, h, interval, pol, bands)
 
 
+def _weighted_sup(v: Trajectory, alpha: float, interval: Interval = None,
+                  gradient: bool = False) -> float:
+    """||<x>^alpha u||_{L2 Linf} over the window, of |grad u| when ``gradient``:
+    the per-frame sup of the weighted modulus, then the L2 trapezoid mean."""
+    i0, i1, w = _window(v, interval)
+    weight = Weight("japanese", alpha).evaluate(v.grid)
+    sups = [
+        (weight * (gradient_magnitude(fr) if gradient else np.abs(fr.in_domain(PHYSICAL).values))).max()
+        for fr in v.frames[i0 : i1 + 1]
+    ]
+    return _power_mean(sups, w, 2)
+
+
 def z_norm(F: Trajectory, interval: Interval = None) -> float:
     """||F||_{L3 L6} + ||<x>^(1/2) F||_{L2 Linf} + ||grad F||_{L2 L4}."""
     g = F.grid
     i0, i1, w = _window(F, interval)
-    term1 = strichartz_norm(F, 3, 6, interval)
-
-    jap = (1.0 + g.x_squared) ** 0.25
     grad_syms = [1j * g.axis_coord(ax, frequency=True) * g.dx ** (-g.d) for ax in range(1, g.d + 1)]
-    sup_w = np.empty(i1 - i0 + 1)
     grad_l4 = np.empty(i1 - i0 + 1)
-    vol = g.dx**g.d
     for j, i in enumerate(range(i0, i1 + 1)):
-        sup_w[j] = (jap * np.abs(F.frames[i].in_domain(PHYSICAL).values)).max()
         bs = _BandStack(F, i, i)
-        gmag2 = sum(bs.power(sym) for sym in grad_syms)
-        grad_l4[j] = _power_mean(np.sqrt(gmag2), vol, 4)
-    term2 = _power_mean(sup_w, w, 2)
-    term3 = _power_mean(grad_l4, w, 2)
-    return float(term1 + term2 + term3)
+        grad_l4[j] = _power_mean(np.sqrt(sum(bs.power(sym) for sym in grad_syms)), g.dx**g.d, 4)
+    return float(strichartz_norm(F, 3, 6, interval) + _weighted_sup(F, 0.5, interval)
+                 + _power_mean(grad_l4, w, 2))
 
 
 def linf_h1(v: Trajectory, interval: Interval = None) -> float:

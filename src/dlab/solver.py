@@ -52,7 +52,7 @@ from .grid import (
     sobolev_norm,
     trapezoid_weights,
 )
-from .norms import EpsilonPolicy, _abs2, x_norm
+from .norms import EpsilonPolicy, _abs2, _weighted_sup, _window, strichartz_norm, x_norm
 from .propagate import duhamel_all, free_trajectory, schrodinger_flow
 
 
@@ -148,6 +148,15 @@ def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
                                   _splitstep(u0, cfg))
 
 
+def _check_forcing(F: Trajectory, grid: SpectralGrid, t0: float, dt: float, n: int) -> None:
+    """Raise ValueError unless F lives on ``grid`` with frame j at t0 + j dt for every j < n."""
+    if F.grid != grid:
+        raise ValueError(f"forcing lives on {F.grid}, not on {grid}")
+    if abs(F.t0 - t0) > 1e-12 or abs(F.dt - dt) > 1e-12 or F.n_frames < n:
+        raise ValueError(f"forcing frames misaligned: need t0={t0}, dt={dt}, >= {n} frames, "
+                         f"got t0={F.t0}, dt={F.dt}, {F.n_frames} frames")
+
+
 def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     """Forced cubic NLS via u := F + v evolved as standard NLS, then v = u - F.
 
@@ -156,13 +165,7 @@ def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     """
     g = v0.grid
     snap_dt = cfg.dt * cfg.snapshot_stride
-    n_snap = cfg.n_steps // cfg.snapshot_stride + 1
-    if abs(F.t0) > 1e-12 or abs(F.dt - snap_dt) > 1e-12 or F.n_frames < n_snap:
-        raise ValueError(
-            f"forcing frames misaligned: need t0=0, dt={snap_dt}, >= {n_snap} frames"
-        )
-    if F.grid != g:
-        raise ValueError("forcing lives on a different grid")
+    _check_forcing(F, g, 0.0, snap_dt, cfg.n_steps // cfg.snapshot_stride + 1)
     F0 = F.frames[0].in_domain(PHYSICAL)
     v = _splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)), cfg)
     for row, Fj in zip(v, F.frames):
@@ -225,8 +228,7 @@ def picard_iterate(
     free = free_trajectory(v0, 0.0, pcfg.dt, n).in_domain(PHYSICAL).values
     Fphys = None
     if F is not None:
-        if F.grid != g or abs(F.t0) > 1e-12 or abs(F.dt - pcfg.dt) > 1e-12 or F.n_frames < n:
-            raise ValueError("forcing frames misaligned with the Picard lattice")
+        _check_forcing(F, g, 0.0, pcfg.dt, n)
         Fphys = F.in_domain(PHYSICAL).values[:n]
 
     def sweep(v):  # one application of the Duhamel map Phi to the physical frame stack v
@@ -276,6 +278,12 @@ def mass(v: Field) -> float:
     return float(lp_norm(v.in_domain(PHYSICAL), 2) ** 2)
 
 
+def _reg_weight(grid: SpectralGrid, sigma: float | None) -> np.ndarray:
+    """The regularized Lin-Strauss weight a = (|x|^2 + sigma^2)^(1/2) on the lattice;
+    sigma None is half a grid cell."""
+    return np.sqrt(grid.x_squared + (grid.dx / 2.0 if sigma is None else sigma) ** 2)
+
+
 def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     """1/a, 1/a^3, Lap a and LapLap a of the regularized Lin-Strauss weight
     a = (|x|^2 + s^2)^(1/2), raveled.
@@ -286,16 +294,11 @@ def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     if grid.d != 4:
         raise ValueError("Morawetz diagnostics are defined for d = 4")
     r2 = grid.x_squared.ravel()
-    a = np.sqrt(r2 + sigma**2)
+    a = _reg_weight(grid, sigma).ravel()
     inv_a3 = a**-3
     lap_a = (3.0 * r2 + 4.0 * sigma**2) * inv_a3
     bilap_a = -24.0 * inv_a3 + 36.0 * r2 * a**-5 - 15.0 * r2**2 * a**-7
     return 1.0 / a, inv_a3, lap_a, bilap_a
-
-
-def _inv_weight(grid: SpectralGrid, sigma: float) -> np.ndarray:
-    """1/a for a = (|x|^2 + sigma^2)^(1/2), raveled."""
-    return 1.0 / np.sqrt(grid.x_squared.ravel() + sigma**2)
 
 
 def _frame_pass(v: Field) -> tuple:
@@ -345,10 +348,8 @@ def morawetz_action(v: Field, sigma: float | None = None) -> float:
     regularized at that scale.
     """
     g = v.grid
-    if sigma is None:
-        sigma = g.dx / 2.0
     vals, _, xdot, _ = _frame_pass(v)
-    return _action(vals, xdot, _inv_weight(g, sigma), g.dx**g.d)
+    return _action(vals, xdot, 1.0 / _reg_weight(g, sigma).ravel(), g.dx**g.d)
 
 
 def morawetz_dmdt_rhs(v: Field, H: Field | None, sigma: float) -> float:
@@ -362,18 +363,14 @@ def morawetz_dmdt_rhs(v: Field, H: Field | None, sigma: float) -> float:
 
 
 def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> float:
-    """int_I int |v|^4 / a_sigma dx dt (trapezoid in t); always nonnegative."""
+    """int_I int |v|^4 / a_sigma dx dt (trapezoid in t) over the window; always
+    nonnegative.  sigma defaults to half a grid cell."""
     g = v.grid
-    if sigma is None:
-        sigma = g.dx / 2.0
-    a = np.sqrt(g.x_squared + sigma**2)
-    vals = np.array(
-        [
-            g.dx**g.d * np.sum(np.abs(fr.in_domain(PHYSICAL).values) ** 4 / a)
-            for fr in v.frames
-        ]
-    )
-    return float(np.sum(trapezoid_weights(v.n_frames, v.dt) * vals))
+    i0, i1, w = _window(v, interval)
+    a = _reg_weight(g, sigma)
+    vals = [g.dx**g.d * np.sum(np.abs(fr.in_domain(PHYSICAL).values) ** 4 / a)
+            for fr in v.frames[i0 : i1 + 1]]
+    return float(np.sum(w * vals))
 
 
 def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
@@ -434,17 +431,22 @@ def morawetz_audit(
     """Finite-difference d/dt of the Morawetz action versus the analytic
     identity, plus the bulk inequality with its recorded constant.
 
-    The identity holds for every sigma; the check runs at sigma = 3 dx (the
-    smallest choice whose bilaplacian spike the lattice can quadrature), while
-    the bulk and action diagnostics keep the half-cell regularization.
+    The identity holds for every sigma; the audit runs at one sigma,
+    ``sigma_identity`` or by default 3 dx (the smallest choice whose
+    bilaplacian spike the lattice can quadrature).  The action behind
+    ``dmdt_fd``, the right side and the report's ``bulk`` all use it;
+    ``sigma_quarter_bulk`` is the bulk at dx/4.  Frame j of F forces frame j
+    of the run; a forcing that does not line up raises ValueError.
     """
     g = run.grid
     sigma = sigma_identity if sigma_identity is not None else 3.0 * g.dx
     n = run.n_frames
     if n < 3:
         raise ValueError("need at least three frames")
+    if F is not None:
+        _check_forcing(F, g, run.t0, run.dt, n)
     weights = _weight_arrays(g, sigma)
-    inv_a_quarter = _inv_weight(g, g.dx / 4.0)
+    inv_a_quarter = 1.0 / _reg_weight(g, g.dx / 4.0).ravel()
     Fvals = None if F is None else F.in_domain(PHYSICAL).values.reshape(F.n_frames, -1)
     terms = np.array([
         _audit_frame(fr, None if F is None else Fvals[j], mu, weights, inv_a_quarter, 0 < j < n - 1)
@@ -504,6 +506,47 @@ class EnergyGrowthReport:
     growth_ok: bool
 
 
+_FLUX_TERMS = ("gv_FF_gF", "v_F_gF2", "gv_v_F_gF", "v2_gF2", "v2_gv_gF")
+
+
+def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndarray) -> tuple:
+    """Per-frame terms of ``energy_growth_audit``: (energy, action, ||grad v||_2,
+    ||v||_2^2, ||F+v||_2^2, the x-integrals of the quartic group, gradient group
+    and five flux densities, ||grad F||_4, sup a^(1/2) |grad F|).  Without a
+    forcing frame Ff every term of F is 0 and neither F nor W is differentiated.
+    """
+    g = v.grid
+    vol = g.dx**g.d
+    vv = v.values
+    vals, h1_sq, xdot, grad2 = _frame_pass(v)
+    vmag = np.sqrt(grad2).reshape(g.shape)
+    absv = np.abs(vv)
+    mass_v = vol * float(np.sum(absv**2))
+    head = (0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4)), _action(vals, xdot, inv_a, vol),
+            np.sqrt(vol * float(np.sum(vmag**2))), mass_v)
+    if Ff is None:  # grad F = 0: no group, no flux term, and F + v = v
+        return (*head, mass_v) + (0.0,) * 9
+    Fv = Ff.values
+    tot = Fv + vv
+    absF = np.abs(Fv)
+    F_partial, _ = _spectral_gradient(Ff)
+    W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
+    Fpart, Wpart = np.empty_like(tot), np.empty_like(tot)
+    Fmag = np.zeros(g.shape)
+    dot = np.zeros(g.shape, dtype=np.complex128)
+    for ax in range(g.d):
+        F_partial(ax, Fpart)
+        Fmag += _abs2(Fpart)
+        dot += W_partial(ax, Wpart) * np.conj(Fpart)
+    Fmag = np.sqrt(Fmag)
+    densities = (np.abs(np.abs(tot) ** 4 - absF**4 - absv**4), np.abs(dot),
+                 vmag * absF**2 * Fmag, absv * absF * Fmag**2, vmag * absv * absF * Fmag,
+                 absv**2 * Fmag**2, absv**2 * vmag * Fmag)
+    return (*head, vol * float(np.sum(np.abs(tot) ** 2)),
+            *(vol * float(np.sum(dens)) for dens in densities),
+            (vol * float(np.sum(Fmag**4))) ** 0.25, (sqrt_a * Fmag).max())
+
+
 def energy_growth_audit(
     run: Trajectory, F: Trajectory | None = None, mu: int = +1
 ) -> tuple:
@@ -512,88 +555,39 @@ def energy_growth_audit(
     Evaluates int |d_t E| dt by finite differences, the quartic and gradient
     right-side groups, the five schematic flux terms against their exact
     Holder majorants, the mass bound, and the measured-norm energy-growth
-    bound (with the unknown absolute constant set to 1).  Without forcing
-    both groups vanish and their ratio ``group_constant`` is nan.
+    bound (with the unknown absolute constant set to 1); the norms of F alone,
+    ||v||_{Linf L4} and the bulk come from the norms layer.  Frame j of F
+    forces frame j of the run (else ValueError).  Without forcing both groups
+    vanish and their ratio ``group_constant`` is nan.
     """
-    g = run.grid
-    n = run.n_frames
-    sigma = g.dx / 2.0
-    a = np.sqrt(g.x_squared + sigma**2)
-    inv_a = 1.0 / a.ravel()
-    vol = g.dx**g.d
+    g, n = run.grid, run.n_frames
+    if F is not None:
+        _check_forcing(F, g, run.t0, run.dt, n)
+        F = F.in_domain(PHYSICAL)
+    run = run.in_domain(PHYSICAL)
     w = trapezoid_weights(n, run.dt)
-
-    Fs = (Field.zero(g, PHYSICAL),) * n if F is None else F.in_domain(PHYSICAL).frames
-
-    group_quartic = 0.0
-    group_gradient = 0.0
-    term_vals = {k: 0.0 for k in ("gv_FF_gF", "v_F_gF2", "gv_v_F_gF", "v2_gF2", "v2_gv_gF")}
-    sup_quant = {
-        "gv_Li2": 0.0, "v_Li4": 0.0, "F_Li4": 0.0,
-    }
-    t_int = {"F_L2Linf": [], "gF_L2L4": [], "wgF_L2Linf": [], "wF_L2Linf": [], "F_L3L6": []}
-    bulk_density = []
-    mass_series = []
-    mass_total_series = []
-    mor_series = []
-    evals = np.empty(n)
-    Fpart = np.empty(g.shape, dtype=np.complex128)
-    Wpart = np.empty(g.shape, dtype=np.complex128)
-
-    for j in range(n):
-        vfr = run.frames[j].in_domain(PHYSICAL)
-        Fj = Fs[j]
-        vv, Fv = vfr.values, Fj.values
-        tot = Fv + vv
-        quart = np.abs(np.abs(tot) ** 4 - np.abs(Fv) ** 4 - np.abs(vv) ** 4)
-        group_quartic = max(group_quartic, vol * float(np.sum(quart)))
-
-        vals, h1_sq, xdot, grad2 = _frame_pass(vfr)
-        vmag = np.sqrt(grad2).reshape(g.shape)
-        Fmag = np.zeros(g.shape)
-        if F is not None:  # without forcing grad F = 0: no gradient group, no F terms
-            F_partial, _ = _spectral_gradient(Fj)
-            W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
-            dot = np.zeros(g.shape, dtype=np.complex128)
-            for ax in range(g.d):
-                F_partial(ax, Fpart)
-                Fmag += _abs2(Fpart)
-                dot += W_partial(ax, Wpart) * np.conj(Fpart)
-            Fmag = np.sqrt(Fmag)
-            group_gradient += w[j] * vol * float(np.sum(np.abs(dot)))
-
-        absF, absv = np.abs(Fv), np.abs(vv)
-        evals[j] = 0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4))
-        mor_series.append(_action(vals, xdot, inv_a, vol))
-        term_vals["gv_FF_gF"] += w[j] * vol * float(np.sum(vmag * absF**2 * Fmag))
-        term_vals["v_F_gF2"] += w[j] * vol * float(np.sum(absv * absF * Fmag**2))
-        term_vals["gv_v_F_gF"] += w[j] * vol * float(np.sum(vmag * absv * absF * Fmag))
-        term_vals["v2_gF2"] += w[j] * vol * float(np.sum(absv**2 * Fmag**2))
-        term_vals["v2_gv_gF"] += w[j] * vol * float(np.sum(absv**2 * vmag * Fmag))
-
-        sup_quant["gv_Li2"] = max(sup_quant["gv_Li2"], np.sqrt(vol * float(np.sum(vmag**2))))
-        sup_quant["v_Li4"] = max(sup_quant["v_Li4"], (vol * float(np.sum(absv**4))) ** 0.25)
-        sup_quant["F_Li4"] = max(sup_quant["F_Li4"], (vol * float(np.sum(absF**4))) ** 0.25)
-        t_int["F_L2Linf"].append(absF.max())
-        t_int["gF_L2L4"].append((vol * float(np.sum(Fmag**4))) ** 0.25)
-        t_int["wgF_L2Linf"].append((np.sqrt(a) * Fmag).max())
-        t_int["wF_L2Linf"].append((np.sqrt(1.0 + g.x_squared) ** 0.5 * absF).max())
-        t_int["F_L3L6"].append((vol * float(np.sum(absF**6))) ** (1.0 / 6.0))
-        bulk_density.append(vol * float(np.sum(absv**4 / a)))
-        mass_series.append(vol * float(np.sum(absv**2)))
-        mass_total_series.append(vol * float(np.sum(np.abs(tot) ** 2)))
+    a = _reg_weight(g, None)
+    inv_a, sqrt_a = 1.0 / a.ravel(), np.sqrt(a)
+    evals, mor, gv, mass_v, mass_tot, quartic, gradient, *flux, gF_L4, wgF_sup = np.array([
+        _energy_frame(fr, None if F is None else F.frames[j], inv_a, sqrt_a)
+        for j, fr in enumerate(run.frames)
+    ]).T
 
     fd = np.abs(evals[2:] - evals[:-2]) / (2.0 * run.dt)
     integrated = float(np.sum(fd) * run.dt) if n > 2 else 0.0
+    group_quartic, group_gradient = float(quartic.max()), float(np.sum(w * gradient))
+    term_vals = {k: float(np.sum(w * dens)) for k, dens in zip(_FLUX_TERMS, flux)}
 
-    F_L2Linf = _power_mean(t_int["F_L2Linf"], w, 2)
-    gF_L2L4 = _power_mean(t_int["gF_L2L4"], w, 2)
-    wgF = _power_mean(t_int["wgF_L2Linf"], w, 2)
-    wF = _power_mean(t_int["wF_L2Linf"], w, 2)
-    F_L3L6 = _power_mean(t_int["F_L3L6"], w, 3)
-    bulk = float(np.sum(w * np.asarray(bulk_density)))
-
-    gv, v4, F4 = sup_quant["gv_Li2"], sup_quant["v_Li4"], sup_quant["F_Li4"]
+    gv = gv.max()
+    v4 = strichartz_norm(run, np.inf, 4)
+    bulk = morawetz_bulk(run)
+    window = (run.t0, run.t_end)
+    F_L2Linf, F_L3L6, F4, F_Li2 = (
+        0.0 if F is None else strichartz_norm(F, q, r, window)
+        for q, r in ((2, np.inf), (3, 6), (np.inf, 4), (np.inf, 2))
+    )
+    wF = 0.0 if F is None else _weighted_sup(F, 0.5, window)
+    gF_L2L4, wgF = _power_mean(gF_L4, w, 2), _power_mean(wgF_sup, w, 2)
     majorants = {
         "gv_FF_gF": gv * F4 * F_L2Linf * gF_L2L4,
         "v_F_gF2": v4 * F4 * gF_L2L4**2,
@@ -601,43 +595,37 @@ def energy_growth_audit(
         "v2_gF2": v4**2 * gF_L2L4**2,
         "v2_gv_gF": np.sqrt(bulk) * gv * wgF,
     }
-    slack = 1.0 + 1e-9
-    terms_ok = all(term_vals[k] <= majorants[k] * slack + 1e-30 for k in term_vals)
+    terms_ok = all(term_vals[k] <= majorants[k] * (1.0 + 1e-9) + 1e-30 for k in term_vals)
 
-    F_Li2 = max(np.sqrt(vol * np.sum(np.abs(Fs[j].values) ** 2)) for j in range(n))
-    mass_lhs = float(np.sqrt(max(mass_series)))
-    mass_rhs = float(np.sqrt(mass_total_series[0]) + F_Li2)
-    mass_ok = mass_lhs <= mass_rhs * (1.0 + 1e-8)
-
+    mass_lhs = float(np.sqrt(mass_v.max()))
+    mass_rhs = float(np.sqrt(mass_tot[0]) + F_Li2)
     sup_E = float(evals.max())
-    E0 = float(evals[0])
-    m0 = float(mass_series[0])
     growth_bound = float(
         np.exp(min(F_L3L6**3 + wF**2 + gF_L2L4**2, 500.0))
-        * (E0 + 1.0 + m0 + F_Li2**2 + F4**4)
+        * (evals[0] + 1.0 + mass_v[0] + F_Li2**2 + F4**4)
     )
     groups = group_quartic + group_gradient  # both vanish without forcing: no ratio
     report = EnergyGrowthReport(
         integrated_dtE=integrated,
-        group_quartic=float(group_quartic),
-        group_gradient=float(group_gradient),
+        group_quartic=group_quartic,
+        group_gradient=group_gradient,
         group_constant=float(integrated / groups) if groups > 0.0 else float("nan"),
-        term_values={k: float(x) for k, x in term_vals.items()},
+        term_values=term_vals,
         term_majorants={k: float(x) for k, x in majorants.items()},
         terms_ok=bool(terms_ok),
         mass_lhs=mass_lhs,
         mass_rhs=mass_rhs,
-        mass_ok=bool(mass_ok),
+        mass_ok=bool(mass_lhs <= mass_rhs * (1.0 + 1e-8)),
         sup_energy=sup_E,
         growth_bound=growth_bound,
         growth_ok=bool(sup_E <= growth_bound),
     )
     series = DiagnosticsSeries(
-        times=[float(t) for t in run.times],
-        energy=[float(x) for x in evals],
-        mass_v=[float(x) for x in mass_series],
-        mass_total=[float(x) for x in mass_total_series],
-        morawetz=[float(x) for x in mor_series],
+        times=run.times.tolist(),
+        energy=evals.tolist(),
+        mass_v=mass_v.tolist(),
+        mass_total=mass_tot.tolist(),
+        morawetz=mor.tolist(),
         flux_terms=report.term_values,
         bulk=bulk,
     )

@@ -116,6 +116,20 @@ def test_parameter_outside_its_domain_is_one_error_line(tmp_path, capsys, params
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("experiment", [
+    {"kind": "solve", "name": "picard", "id": "pic"},
+    {"kind": "verify", "name": "main_linear", "id": "ml", "params": {"grid": {"m": 8, "L": 8.0}}},
+])
+def test_grid_without_an_aggregate_band_is_one_error_line(tmp_path, capsys, experiment):
+    # m=8, L=8 resolves no dyadic N with 2 dxi <= N <= m dxi/4: an X norm over
+    # no band would read 0 (a "converged" Picard solve) or divide by zero
+    path = config(tmp_path, [experiment])
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: experiments[0] ({experiment['id']}): no dyadic band")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_ensemble_csv_of_another_key_is_an_error(tmp_path, capsys):
     csv_path = tmp_path / "draws.csv"
     evaluate_draws(lambda d: 1.0, 2, csv_path=csv_path)  # written under no key
@@ -127,7 +141,8 @@ def test_ensemble_csv_of_another_key_is_an_error(tmp_path, capsys):
 
 
 def test_run_solve_picard_carries_contraction_record(tmp_path):
-    path = config(tmp_path, [{"kind": "solve", "name": "picard", "id": "pic"}])
+    path = config(tmp_path, [{"kind": "solve", "name": "picard", "id": "pic"}],
+                  grid={"m": 8, "L": 4 * np.pi})
     code = run(path)
     rep = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]
     record = rep["result"]["contraction"]

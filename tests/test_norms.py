@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlab import norms as norms_mod
-from dlab.errors import DLabError, InvalidExponentError, MemoryBudgetError
+from dlab.errors import BandUnresolvedError, DLabError, InvalidExponentError, MemoryBudgetError
 from dlab.grid import (
     FREQUENCY,
     PHYSICAL,
@@ -147,6 +147,16 @@ def test_xnorm_dominates_each_band(traj):
     agg = x_norm(traj, pol=pol)
     for N in aggregate_bands(traj.grid):
         assert xn_norm(traj, N, pol=pol) <= agg * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("L", [8.0, 16.0])
+def test_grid_without_an_aggregate_band_raises(L):
+    # no dyadic N with 2 dxi <= N <= m dxi/4: the aggregates would read 0
+    g = SpectralGrid(m=8, L=L)
+    v = free_trajectory(random_field(g, 3), 0.0, 0.05, 3)
+    for call in (aggregate_bands, x_norm, y_norm, g_norm_upper):
+        with pytest.raises(BandUnresolvedError, match="no dyadic band"):
+            call(g if call is aggregate_bands else v)
 
 
 def test_interval_monotonicity(traj):

@@ -517,3 +517,44 @@ def test_energy_growth_audit_unforced_group_constant_is_nan():
     assert rep.group_quartic == rep.group_gradient == 0.0
     assert rep.integrated_dtE > 0.0
     assert np.isnan(rep.group_constant)
+
+
+@pytest.mark.parametrize("audit", [morawetz_audit, energy_growth_audit])
+@pytest.mark.parametrize("case", ["every_2dt", "shorter", "other_grid"])
+def test_audits_reject_a_forcing_they_cannot_pair(audit, case):
+    g = SpectralGrid(m=8, L=8.0)
+    dt, n = 0.01, 4
+
+    def forcing(grid, step, frames):
+        F0 = Field.physical(grid, 0.5 * np.exp(-grid.x_squared / 2.0) * np.exp(1j * grid.axis_coord(1)))
+        return free_trajectory(F0, 0.0, step, frames).in_domain(PHYSICAL)
+
+    cfg = NLSRunConfig(mu=+1, dt=dt, T=dt * (n - 1), dealias=False)
+    run = splitstep_forced(Field.zero(g, PHYSICAL), forcing(g, dt, n), cfg)
+    bad = {
+        "every_2dt": lambda: forcing(g, 2 * dt, n),
+        "shorter": lambda: forcing(g, dt, n - 1),
+        "other_grid": lambda: forcing(SpectralGrid(m=16, L=8.0), dt, n),
+    }[case]()
+    with pytest.raises(ValueError, match="forcing"):
+        audit(run, bad)
+
+
+def test_audits_pair_a_longer_forcing_by_its_first_frames():
+    g = SpectralGrid(m=8, L=8.0)
+    dt, n = 0.01, 4
+    F0 = Field.physical(g, 0.5 * np.exp(-g.x_squared / 2.0) * np.exp(1j * g.axis_coord(1)))
+    longer = free_trajectory(F0, 0.0, dt, n + 2).in_domain(PHYSICAL)
+    exact = Trajectory.from_values(g, 0.0, dt, PHYSICAL, longer.values[:n])
+    run = splitstep_forced(Field.zero(g, PHYSICAL), longer,
+                           NLSRunConfig(mu=+1, dt=dt, T=dt * (n - 1), dealias=False))
+    assert energy_growth_audit(run, longer) == energy_growth_audit(run, exact)
+    assert morawetz_audit(run, longer) == morawetz_audit(run, exact)
+
+
+def test_morawetz_bulk_honours_its_window(gs):
+    f = random_field(gs, 3, domain=FREQUENCY, band_limit=2.0)
+    run = free_trajectory(f, 0.0, 0.02, 5)
+    part = Trajectory.from_values(gs, 0.02, 0.02, run.domain, run.values[1:4])
+    assert morawetz_bulk(run, interval=(0.02, 0.06)) == morawetz_bulk(part)
+    assert 0.0 < morawetz_bulk(part) < morawetz_bulk(run)
