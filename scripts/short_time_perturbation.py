@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from dlab.grid import Field, PHYSICAL, SpectralGrid, Trajectory, sobolev_norm
-from dlab.norms import EpsilonPolicy, x_norm
+from dlab.norms import EpsilonPolicy, linf_h1, x_norm
 from dlab.propagate import free_trajectory
 from dlab.solver import NLSRunConfig, splitstep_forced, splitstep_nls
 
@@ -48,20 +48,15 @@ def main():
     u = splitstep_nls(u0, cfg)
     v = splitstep_forced(v0, F, cfg)
 
-    diff = Trajectory(
-        g,
-        0.0,
-        cfg.dt,
-        tuple(Field.physical(g, a.values - b.values) for a, b in zip(v.frames, u.frames)),
-    )
-    linf_h1 = max(sobolev_norm(fr, 1.0, homogeneous=True) for fr in diff.frames)
+    diff = Trajectory.from_values(g, 0.0, cfg.dt, PHYSICAL, v.values - u.values)
+    h1 = linf_h1(diff)
     x_val = x_norm(diff, pol=EpsilonPolicy())
     data_gap = sobolev_norm(
         Field.physical(g, v0.values - u0.values), 1.0, homogeneous=True
     )
-    lhs = linf_h1 + x_val
+    lhs = h1 + x_val
     rhs = data_gap + args.eta_f
-    print(f"||v-u||_(Linf Hdot1)      = {linf_h1:.4e}")
+    print(f"||v-u||_(Linf Hdot1)      = {h1:.4e}")
     print(f"||v-u||_(discrete X)      = {x_val:.4e}")
     print(f"data gap + forcing size   = {rhs:.4e}")
     print(f"recorded C0               = {lhs / rhs:.3f}")

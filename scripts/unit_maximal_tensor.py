@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from dlab.estimates import fit_loglog, unit_maximal_tensor_ratio
+from dlab.estimates import fit_loglog, packet_wraps, unit_maximal_tensor_ratio
 from dlab.grid import SpectralGrid
 
 
@@ -31,9 +31,8 @@ def main():
     print(f"1D box {g1.L:.1f} (xi_max {g1.m * g1.dxi / 2:.0f}), window T={args.T}")
     points = []
     for k in args.k:
-        sweep = 2 * k * args.T
-        if sweep > 0.9 * g1.L:
-            print(f"|k|={k}: sweep {sweep:.0f} would wrap the box; skipping")
+        if packet_wraps(k, args.T, g1):
+            print(f"|k|={k}: sweep {2 * k * args.T:.0f} would wrap the box; skipping")
             continue
         ratio = unit_maximal_tensor_ratio(k, g1, g3, args.T)
         points.append((k, ratio))

@@ -30,6 +30,7 @@ from .grid import (
     _fft,
     _power_mean,
     _read_only,
+    _separable,
     broadcast_along,
     lp_norm,
     sobolev_norm,
@@ -198,6 +199,12 @@ def unit_maximal_tensor_ratio(
     return float(val / (l2_a * l2_b))
 
 
+def packet_wraps(k_abs: float, T: float, g1: SpectralGrid) -> bool:
+    """Whether the 1D packet at |k| sweeps 2|k|T past 0.9 of the box of ``g1`` within [0, T],
+    so that its ratio would read the packet's periodic images."""
+    return 2.0 * k_abs * T > 0.9 * g1.L
+
+
 def verify_unit_maximal(
     k_list=(10, 14, 20, 28),
     axis: int = 1,
@@ -215,8 +222,13 @@ def verify_unit_maximal(
     Unit-scale points use the tensor-factorized exact evaluation (the 4D
     lattice cannot reach |k| >= 10 at desk scale); the dyadic control runs
     through the generic 4D lateral-norm path and must separate by >= 0.5 in
-    fitted slope.
+    fitted slope.  A |k| whose packet wraps the 1D box (``packet_wraps``) is a
+    RegimeViolationError before any compute.
     """
+    wrapped = [k for k in k_list if packet_wraps(abs(k), T, grid1)]
+    if wrapped:
+        raise RegimeViolationError(f"|k| in {wrapped}: the packet sweeps 2|k|T past 0.9 L = "
+                                   f"{0.9 * grid1.L:.4g} of the 1D box within T = {T}")
     ks, vals, reported = [], [], {}
     for k in k_list:
         ratio = unit_maximal_tensor_ratio(float(abs(k)), grid1, grid3, T)
@@ -369,8 +381,7 @@ def verify_radialish_sobolev(
                 interp[(name, float(N))] = float(lhsN / denom)
     control = {}
     for shift in control_shifts:
-        shifted = np.exp(-((grid.axis_coord(1) - shift) ** 2
-                           + grid.x_squared - grid.axis_coord(1) ** 2) / 2.0)
+        shifted = np.exp(-_separable(np.add, [(grid.x1d - shift) ** 2] + [grid.x1d**2] * (grid.d - 1)) / 2)
         f = Field(grid, PHYSICAL, shifted.astype(np.complex128))
         sq = square_function(f)
         control[float(shift)] = float((w32 * sq).max() / sobolev_norm(f, delta))

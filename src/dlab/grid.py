@@ -18,7 +18,8 @@ m/2 is the phase S on the other side of the transform, so bit for bit
     fftshift(fftn(x)) = fftn(S * x).
 
 Every transform in the package goes through ``_fft``; no other module calls
-numpy's fft.
+numpy's fft.  Separable lattice arrays (|x|^2, |xi|^2, tensor-product
+symbols, the dealias mask) are left folds of 1D per-axis factors, ``_separable``.
 
 A ``Trajectory`` is one read-only C-contiguous complex128 array ``values`` of
 shape ``(n_frames, *grid.shape)`` plus one domain tag for all its rows.  Its
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -121,18 +122,12 @@ class SpectralGrid:
     @cached_property
     def x_squared(self) -> np.ndarray:
         """|x|^2 on the physical lattice."""
-        out = np.zeros(self.shape)
-        for ax in range(1, self.d + 1):
-            out = out + self.axis_coord(ax) ** 2
-        return _read_only(out)
+        return _read_only(_separable(np.add, [self.x1d**2] * self.d))
 
     @cached_property
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the frequency lattice."""
-        out = np.zeros(self.shape)
-        for ax in range(1, self.d + 1):
-            out = out + self.axis_coord(ax, frequency=True) ** 2
-        return _read_only(out)
+        return _read_only(_separable(np.add, [self.xi1d**2] * self.d))
 
     @property
     def xi_max(self) -> float:
@@ -361,6 +356,11 @@ def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
     shape = [1] * d
     shape[axis] = vec.shape[0]
     return vec.reshape(shape)
+
+
+def _separable(op, factors) -> np.ndarray:
+    """op(...op(op(f_0, f_1), f_2)..., f_{d-1}) with the 1D factor f_l broadcast along axis l."""
+    return reduce(op, (broadcast_along(f, ax, len(factors)) for ax, f in enumerate(factors)))
 
 
 def _spectral_gradient(f: Field) -> tuple:

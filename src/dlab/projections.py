@@ -19,12 +19,12 @@ so the partition identities are exact on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BandUnresolvedError
-from .grid import Field, SpectralGrid, _read_only, apply_multiplier
+from .grid import Field, SpectralGrid, _read_only, _separable, apply_multiplier
 
 _TINY = np.finfo(float).tiny
 
@@ -154,10 +154,7 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
     k = tuple(k)
     if len(k) != grid.d:
         raise ValueError(f"k must have {grid.d} components")
-    sym = np.ones(grid.shape)
-    for ax in range(1, grid.d + 1):
-        sym = sym * phi1(grid.axis_coord(ax, frequency=True) - k[ax - 1])
-    return sym
+    return _separable(np.multiply, [phi1(grid.xi1d - c) for c in k])
 
 
 @lru_cache(maxsize=32)
@@ -290,7 +287,7 @@ def active_cell_box(grid: SpectralGrid) -> int:
 def partition_of_unity_residual(grid: SpectralGrid) -> float:
     """max_xi |sum_k psi(xi - k) - 1| over the grid: the row sums of ``cell_matrix``
     multiplied over the axes."""
-    total = reduce(np.multiply, np.ix_(*(cell_matrix(grid).sum(axis=1),) * grid.d))
+    total = _separable(np.multiply, [cell_matrix(grid).sum(axis=1)] * grid.d)
     return float(np.max(np.abs(total - 1.0)))
 
 

@@ -26,16 +26,12 @@ import itertools
 import numpy as np
 
 from .grid import (FREQUENCY, Field, SpectralGrid, Trajectory, _centred_transform, _read_only,
-                   apply_multiplier, broadcast_along)
+                   _separable, apply_multiplier)
 
 
 def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
     """exp(-i t |xi|^2) on the centred frequency lattice, as a product of d 1D factors."""
-    phase = np.exp(-1j * t * grid.xi1d**2)
-    out = broadcast_along(phase, 0, grid.d)
-    for ax in range(1, grid.d):
-        out = out * broadcast_along(phase, ax, grid.d)
-    return out
+    return _separable(np.multiply, [np.exp(-1j * t * grid.xi1d**2)] * grid.d)
 
 
 def schrodinger_flow(f: Field, t: float) -> Field:

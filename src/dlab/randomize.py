@@ -8,7 +8,7 @@ execution order.  The randomized multiplier sum_k g_k psi(xi - k) is separable
 in the cell index, so it is one matrix product per axis of the coefficient
 box with the cell matrix A[i, k] = phi1(xi_i - k), instead of a loop over
 cells; the per-cell masses of the active set are |fhat|^2 contracted with A^2
-the same way.
+the same way (``projected_mass_sum`` sums them cell by cell, by Parseval).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NotRealError
-from .grid import FREQUENCY, Field, SpectralGrid, _read_only, apply_multiplier, lp_norm
+from .grid import (FREQUENCY, Field, SpectralGrid, _read_only, _separable, apply_multiplier,
+                   sobolev_norm)
 from .projections import active_cell_box, cell_matrix, smoothstep, unit_projection
 
 COMPLEX_GAUSSIAN = "complex_gaussian"
@@ -105,19 +106,6 @@ def randomize_schrodinger(f: Field, spec: RandomizationSpec, draw: int) -> Field
     return apply_multiplier(f, _corner_multiplier(g, gbox, K))
 
 
-def _lex_sign(grid_shape_box: tuple, K: int, d: int) -> np.ndarray:
-    """+1 on the lexicographic half-space, -1 on its negation, 0 at the origin."""
-    sign = np.zeros(grid_shape_box, dtype=int)
-    coords = np.indices(grid_shape_box) - K
-    undecided = np.ones(grid_shape_box, dtype=bool)
-    for ax in range(d):
-        c = coords[ax]
-        sign = np.where(undecided & (c > 0), 1, sign)
-        sign = np.where(undecided & (c < 0), -1, sign)
-        undecided = undecided & (c == 0)
-    return sign
-
-
 def _symmetric_box(rng: np.random.Generator, K: int, d: int, law: str) -> np.ndarray:
     """Coefficient box with g_{-k} = conj(g_k) exactly and E |g|^2 = 1.
 
@@ -129,7 +117,8 @@ def _symmetric_box(rng: np.random.Generator, K: int, d: int, law: str) -> np.nda
     if law == BERNOULLI:
         pair = np.where(pair >= 0.0, 1.0, -1.0)
     a, b = pair[..., 0], pair[..., 1]
-    sign = _lex_sign(shape, K, d)
+    # C order is lexicographic in k with k = 0 in the middle: +1 on I, -1 on -I
+    sign = np.sign(np.arange(a.size) - a.size // 2).reshape(shape)
     g_half = (a + 1j * b) / np.sqrt(2.0)
     rev = (slice(None, None, -1),) * d
     g_reflected = np.conj(g_half[rev])
@@ -203,10 +192,11 @@ def compute_active_set(f: Field, rel_threshold: float = 1e-14) -> tuple:
 
 
 def projected_mass_sum(f: Field, cells) -> float:
-    """sum_k ||P_k f||_2^2 by direct summation of the projected pieces."""
+    """sum_k ||P_k f||_2^2, one cell at a time, each by Parseval on the frequency lattice."""
+    fh = f.in_domain(FREQUENCY)
     total = 0.0
     for k in cells:
-        total += lp_norm(unit_projection(f, k).in_domain("physical"), 2) ** 2
+        total += sobolev_norm(unit_projection(fh, k), 0.0) ** 2
     return total
 
 
@@ -257,12 +247,7 @@ def radial_symmetry_residual(f: Field) -> float:
     to the largest coefficient magnitude."""
     g = f.grid
     fh = f.in_domain(FREQUENCY)
-    n2 = np.zeros(g.shape, dtype=np.int64)
-    for ax in range(1, g.d + 1):
-        n = (np.arange(g.m) - g.m // 2).astype(np.int64)
-        shape = [1] * g.d
-        shape[ax - 1] = g.m
-        n2 = n2 + (n.reshape(shape)) ** 2
+    n2 = _separable(np.add, [(np.arange(g.m, dtype=np.int64) - g.m // 2) ** 2] * g.d)
     vals = fh.values.ravel()
     orbits = n2.ravel()
     scale = float(np.abs(vals).max())

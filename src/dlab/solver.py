@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .grid import (
     _fft,
     _power_mean,
     _read_only,
+    _separable,
     _spectral_gradient,
     broadcast_along,
     lp_norm,
@@ -94,9 +94,7 @@ class NLSRunConfig:
 def _fft_order_dealias(grid: SpectralGrid) -> np.ndarray:
     xi = np.abs(grid.xi1d_fft)
     keep = xi <= (2.0 / 3.0) * xi.max()
-    return reduce(
-        np.logical_and, (broadcast_along(keep, ax, grid.d) for ax in range(grid.d))
-    )
+    return _separable(np.logical_and, [keep] * grid.d)
 
 
 def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
@@ -104,7 +102,7 @@ def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
     g = u0.grid
     cfg.check_phase_resolution(g)
     # |xi|^2 in plain FFT ordering (the step works unshifted)
-    xi2 = reduce(np.add, (broadcast_along(g.xi1d_fft**2, ax, g.d) for ax in range(g.d)))
+    xi2 = _separable(np.add, [g.xi1d_fft**2] * g.d)
     half = np.exp(-0.5j * cfg.dt * xi2)
     mask = _fft_order_dealias(g) if cfg.dealias else None
 
@@ -547,12 +545,11 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
             (vol * float(np.sum(Fmag**4))) ** 0.25, (sqrt_a * Fmag).max())
 
 
-def energy_growth_audit(
-    run: Trajectory, F: Trajectory | None = None, mu: int = +1
-) -> tuple:
+def energy_growth_audit(run: Trajectory, F: Trajectory | None = None) -> tuple:
     """Energy-derivative bookkeeping for the forced defocusing run.
 
-    Evaluates int |d_t E| dt by finite differences, the quartic and gradient
+    The audit is for the defocusing equation (mu = +1) only: its energy and
+    the flux W = |F+v|^2 (F+v) - |F|^2 F carry that sign.  Evaluates int |d_t E| dt by finite differences, the quartic and gradient
     right-side groups, the five schematic flux terms against their exact
     Holder majorants, the mass bound, and the measured-norm energy-growth
     bound (with the unknown absolute constant set to 1); the norms of F alone,

@@ -130,6 +130,20 @@ def test_grid_without_an_aggregate_band_is_one_error_line(tmp_path, capsys, expe
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_wrapping_unit_maximal_packet_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # 2 |k| T = 168 at |k| = 56, T = 1.5 sweeps past 0.9 of the default 1D box (L = 125.7)
+    monkeypatch.setattr(cli.estimates, "unit_maximal_tensor_ratio", lambda *a: 1 / 0)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"k_list": [10, 14, 20, 56]}))
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--estimate", "unit_maximal", "--config", str(params), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (unit_maximal): |k| in [56]: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ensemble_csv_of_another_key_is_an_error(tmp_path, capsys):
     csv_path = tmp_path / "draws.csv"
     evaluate_draws(lambda d: 1.0, 2, csv_path=csv_path)  # written under no key
@@ -163,6 +177,15 @@ def test_solve_subcommand_and_run_share_the_solve(tmp_path, monkeypatch):
     assert rep["result"]["mass"] == manifest["mass"]
     assert rep["result"]["energy"] == manifest["energy"]
     assert [ex.get("name", "nls") for ex in calls] == ["nls", "nls"]
+
+
+def test_forced_solve_reports_mass_of_the_full_field(tmp_path):
+    # u = F + v, not v, whose mass starts at 0
+    path = config(tmp_path, [{"kind": "solve", "name": "forced", "id": "forced"}])
+    assert run(path) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]["result"]
+    assert result["mass"][0] > 0
+    assert 0 <= result["mass_drift"] < 1
 
 
 def test_solve_mu_reaches_the_solver(tmp_path):
