@@ -48,7 +48,7 @@ from dlab.grid import (
     to_physical,
 )
 from dlab.montecarlo import ENSEMBLE_KINDS, linear_gaussian_statistic, make_norm_statistic, moment_growth
-from dlab.norms import EpsilonPolicy, _BandStack, g_norm_upper, x_norm, y_norm
+from dlab.norms import EpsilonPolicy, _BandStack, _lateral, _window, g_norm_upper, x_norm, y_norm
 from dlab.propagate import duhamel_all, free_trajectory
 from dlab.estimates import square_function
 from dlab.randomize import (
@@ -57,6 +57,7 @@ from dlab.randomize import (
     compute_active_set,
     make_radial_data,
     projected_mass_sum,
+    randomize_schrodinger,
 )
 from dlab.solver import (
     NLSRunConfig,
@@ -147,6 +148,25 @@ def _forced_run():
 def _case_energy_audit():
     series, report = energy_growth_audit(*_forced_run())
     return {"series": asdict(series), "report": asdict(report)}
+
+
+def _case_y_band_powers():
+    """Per band N: the sum of each ``band_powers`` stack and the Y norm's four smoothing
+    lateral norms, on the 9-frame free trajectory (T = 4) of the ensemble_y datum's draw 0."""
+    g = SpectralGrid(m=16, L=4 * np.pi)
+    f = make_radial_data(RadialProfileSpec(kind="fourier_powerlaw", target_s=0.4), g)
+    fw = randomize_schrodinger(f, RandomizationSpec(seed=12, law="complex_gaussian"), 0)
+    v = free_trajectory(fw, 0.0, 0.5, 9)
+    _, _, w = _window(v, None)
+    p, q = EpsilonPolicy(eps=0.02, s=0.4).y_smoothing_pq
+    out = {}
+    for N in (1.0, 2.0):
+        stacks = list(_BandStack(v, 0, v.n_frames - 1).band_powers(N))
+        out[repr(N)] = {
+            "sums": [float(S.sum()) for S in stacks],
+            "smoothing": [_lateral(lambda: S, w, g, p, q, (ax,))[0] for ax, S in enumerate(stacks[1:], 1)],
+        }
+    return out
 
 
 def _case_gradients():
@@ -292,6 +312,7 @@ CASES = {
         "y": y_norm(_norm_trajectory(dom)),
         "g": g_norm_upper(_norm_trajectory(dom)),
     })) for dom in ("physical", "frequency")},
+    "norms/y_band_powers": lambda: ("values", _case_y_band_powers()),
     "band_stack/physical": lambda: ("hash", _digest(
         _BandStack(_norm_trajectory(PHYSICAL), 0, 4).freq)),
     **{f"transforms/m{m}": (lambda m=m: ("hash", _case_transforms(m))) for m in (8, 16)},
