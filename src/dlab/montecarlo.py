@@ -107,6 +107,18 @@ def _load_csv(path, header) -> dict:
     return out
 
 
+def env_threads() -> int:
+    """The worker count DLAB_THREADS sets for draws and experiments (default 1)."""
+    raw = os.environ.get("DLAB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DLabError(f"DLAB_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def evaluate_draws(
     statistic, Q: int, csv_path=None, threads: int | None = None, key: dict | None = None
 ) -> np.ndarray:
@@ -123,7 +135,7 @@ def evaluate_draws(
     cached = _load_csv(csv_path, header)
     missing = [d for d in range(Q) if d not in cached]
     if threads is None:
-        threads = int(os.environ.get("DLAB_THREADS", "1"))
+        threads = env_threads()
     results = dict(cached)
     if missing:
         if threads > 1:

@@ -20,11 +20,14 @@ each axis and, from a centered spectrum, with a sign (-1)^(n_1+...+n_d) on
 node n.  |u|^2 drops the sign, and every consumer of it is a sum or a
 maximum over whole axes, so the permutation leaves every value unchanged.
 A directional projection P_{N,e_l} P_N u starts from P_N u instead of the
-spectrum: a 1D forward transform along axis l, the 1D directional factor,
-a 1D inverse transform along l.  fft_l(ifftn(G)) is the inverse transform
-of G over the other axes, at the same index positions, so the factor
-multiplies the centered frequencies it would have multiplied in G: the
-same operator in 2 axis passes instead of a 4-axis inverse transform.
+spectrum.  Its 1D factor c_l is 1 on every plane xi_l = xi_j that meets the
+support of the P_N symbol, except on the planes J_l (at the top aggregate
+band: xi_l = 0 alone up to m = 32, m/16 - 1 planes from m = 64 on).  So it
+is P_N u minus the inverse transform of (1 - c_j) times those planes of the
+projected spectrum.  Each plane is inverse-transformed over the other d - 1
+axes alone, and its factor e^(2 pi i j n_l / m) along axis l is applied
+while the planes are summed: |J_l| m^(d-1) transformed points per frame in
+place of two 1D transforms of the whole stack.
 On one |u|^2 stack:
 
 * Strichartz pairs with the same r share one pass of per-frame L^r sums;
@@ -44,8 +47,9 @@ instead, so every marginal keeps a relative error below 1e-16.
 
 Memory: the kernel holds the complex frequency stack, one complex work
 stack and the float64 |u|^2 stack of the current projection.  Once P_N u
-is in the work stack, the directional projections take the frequency stack
-as their buffer, so a Y norm holds no third complex stack; the band stack
+is in the work stack, the planes J_l of every axis are taken from the
+frequency stack, which then becomes the directional projections' buffer,
+so a Y norm holds no third complex stack, only the planes; the band stack
 is spent after them.  The window guard counts the float64 stack against
 _STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
 strichartz_norm, lateral_norm and lateral_norms stream over an existing
@@ -60,9 +64,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
-from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _fft, _power_mean, gradient_magnitude,
-                   lp_norm, sobolev_norm, trapezoid_weights)
-from .projections import Band, band_symbol
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _fft, _power_mean, broadcast_along,
+                   gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
+from .projections import Band, _directional_planes, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
 # kernel's complex stacks take four times as much
@@ -324,18 +328,49 @@ class _BandStack:
     def band_powers(self, N: float):
         """Yield |P_N u|^2, then |P_{N,e_l} P_N u|^2 for l = 1..d.
 
-        Each directional stack is taken from P_N u, left in ``work``, along
-        axis l alone, in the frequency stack's buffer: the band stack is
-        spent from the first of them on, and ``freq`` is dropped so that no
-        later ``power`` can read the overwritten spectrum.
+        P_{N,e_l} differs from the identity on P_N u only on the planes
+        xi_l = xi_j, j in J_l, of ``projections._directional_planes``.  Once
+        the first stack is taken, ``_plane_terms`` lifts those planes from
+        the projected spectrum freq * sym, and each directional projection is
+        P_N u, left in ``work``, minus their sum.  It is written into the
+        frequency stack's buffer, so the band stack is spent from the first
+        of them on, and ``freq`` is dropped so that no later ``power`` can
+        read the overwritten spectrum.
         """
         g = self.grid
-        yield self.power(band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d))
+        sym = band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d)
+        yield self.power(sym)
+        terms = [self._plane_terms(sym, N, ax) for ax in self.axes]
         buf, self.freq = self.freq, None
-        for ax in self.axes:
-            _fft(self.work, axes=(ax,), out=buf)
-            buf *= band_symbol(g, Band.directional(N, ax))
-            yield _abs2(_fft(buf, inverse=True, axes=(ax,), out=buf))
+        for planes, phases in terms:
+            if not planes:  # P_{N,e_l} P_N u = P_N u
+                yield _abs2(self.work)
+                continue
+            # sum_j planes_j e^(2 pi i j n_l / m) by Horner's rule in the phase steps
+            np.multiply(planes[0], phases[0], out=buf)
+            for plane, phase in zip(planes[1:], phases[1:]):
+                buf += plane
+                buf *= phase
+            yield _abs2(np.subtract(self.work, buf, out=buf))
+
+    def _plane_terms(self, sym: np.ndarray, N: float, ax: int) -> tuple:
+        """The part of P_N u that P_{N,e_ax} removes, as planes and phase steps.
+
+        Plane j of ``freq * sym`` along ``ax``, times (1 - c_j) / m and
+        inverse-transformed over the other axes, is the inverse transform of
+        that plane alone up to the factor e^(2 pi i j n_ax / m) at the
+        unshifted index n_ax of ``work``.  The phase step of plane J_i is
+        e^(2 pi i (J_i - J_(i+1)) n_ax / m), with J_(|J|) = 0; both lists
+        broadcast against the stack along ``ax``.
+        """
+        g = self.grid
+        J, gap = _directional_planes(g, N, ax)
+        low = np.take(self.freq, J, axis=ax) * np.take(sym, J, axis=ax - 1)
+        low *= broadcast_along(gap / g.m, ax - 1, g.d)
+        _fft(low, inverse=True, axes=tuple(a for a in self.axes if a != ax), out=low)
+        steps = np.outer(J - np.append(J[1:], 0), np.arange(g.m))
+        phases = [broadcast_along(p, ax - 1, g.d) for p in np.exp(2j * np.pi / g.m * steps)]
+        return [np.take(low, [i], axis=ax) for i in range(len(J))], phases
 
 
 def aggregate_bands(grid: SpectralGrid) -> list:

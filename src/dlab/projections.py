@@ -175,6 +175,19 @@ def _dyadic_symbol_cached(grid: SpectralGrid, kind: str, N: float, axis) -> np.n
     raise ValueError(kind)
 
 
+@lru_cache(maxsize=32)
+def _directional_planes(grid: SpectralGrid, N: float, axis: int) -> tuple:
+    """(J, 1 - c[J]), read-only: the centred indices j at which the 1D factor c
+    of P_{N,e_axis} is not 1 and the P_N symbol is nonzero somewhere on the
+    plane xi_axis = xi_j.  Off these planes P_{N,e_axis} P_N = P_N exactly.
+    """
+    c = band_symbol(grid, Band.directional(N, axis)).ravel()
+    others = tuple(a for a in range(grid.d) if a != axis - 1)
+    reached = np.any(band_symbol(grid, Band.dyadic(N)) != 0.0, axis=others)
+    J = np.flatnonzero((c != 1.0) & reached)
+    return _read_only(J), _read_only(1.0 - c[J])
+
+
 def band_symbol(grid: SpectralGrid, band: Band) -> np.ndarray:
     """The multiplier symbol of a band on the grid's frequency lattice.
 

@@ -11,6 +11,7 @@ import pytest
 
 from dlab import cli
 from dlab.cli import ExperimentConfig, main, read_trajectory, run, write_trajectory
+from dlab.errors import DLabError
 from dlab.grid import SpectralGrid, random_field
 from dlab.montecarlo import EnsembleStats, evaluate_draws
 from dlab.norms import lateral_norm, strichartz_norm
@@ -188,6 +189,17 @@ def test_forced_solve_reports_mass_of_the_full_field(tmp_path):
     assert 0 <= result["mass_drift"] < 1
 
 
+def test_nls_solve_of_data_not_band_limited_passes(tmp_path):
+    # the default 2/3 dealias mask takes a third of this datum's mass in the first step
+    path = config(tmp_path, [{"kind": "solve", "name": "nls", "id": "nls"}],
+                  grid={"m": 8, "L": 4 * np.pi},
+                  data={"profile": {"kind": "fourier_powerlaw", "target_s": 0.6}})
+    assert run(path) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]["result"]
+    assert result["mass"][1] < 0.9 * result["mass"][0]
+    assert result["mass_drift"] < 1e-10
+
+
 def test_solve_mu_reaches_the_solver(tmp_path):
     energies = {}
     for mu in (+1, -1):
@@ -227,6 +239,17 @@ def test_run_report_independent_of_thread_count(tmp_path, monkeypatch):
         assert run(path) in (0, 2)
         bodies.append((tmp_path / "out" / "report.json").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+def test_bad_thread_count_is_one_error_line(tmp_path, capsys, monkeypatch, value):
+    path = config(tmp_path, [{"kind": "solve", "name": "nls"}])
+    monkeypatch.setenv("DLAB_THREADS", value)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: DLAB_THREADS must be a positive integer, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(DLabError, match="DLAB_THREADS must be a positive integer"):
+        evaluate_draws(lambda d: 1.0, 2)
 
 
 def test_readme_example_config_is_valid():

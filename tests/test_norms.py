@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlab import norms as norms_mod
+from dlab import norms as norms_mod, projections as proj_mod
 from dlab.errors import BandUnresolvedError, DLabError, InvalidExponentError, MemoryBudgetError
 from dlab.grid import (
     FREQUENCY,
@@ -415,12 +415,12 @@ def test_band_stack_physical_spectrum_is_shifted_fft_bitwise(m):
 
 
 def _count_transforms(monkeypatch):
-    """Record (kind, axes) of every np.fft.fftn / ifftn call from here on."""
+    """Record (kind, axes, input shape) of every np.fft.fftn / ifftn call from here on."""
     calls = []
 
     def counted(kind, transform):
         def wrapper(a, *args, axes=None, **kwargs):
-            calls.append((kind, tuple(axes) if axes is not None else None))
+            calls.append((kind, tuple(axes) if axes is not None else None, a.shape))
             return transform(a, *args, axes=axes, **kwargs)
 
         return wrapper
@@ -431,17 +431,39 @@ def _count_transforms(monkeypatch):
 
 
 @pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
-def test_yn_norm_directional_projections_are_one_axis_pairs(grid8, domain, monkeypatch):
-    # one 4D inverse transform for P_N, then a 1D pair along each axis l for P_{N,e_l}
+def test_yn_norm_directional_projections_are_plane_corrections(grid8, domain, monkeypatch):
+    # one stack-wide inverse transform for P_N, then per axis l one inverse transform of
+    # the planes J_l over the other axes; no one-axis transform of a full stack
     v = _traj8(grid8, domain)
     calls = _count_transforms(monkeypatch)
     yn_norm(v, 1.0)
     stack_axes = (1, 2, 3, 4)
-    want = [("fwd", stack_axes)] if domain == PHYSICAL else []
-    want.append(("inv", stack_axes))
+    stack = (v.n_frames,) + grid8.shape
+    want = [("fwd", stack_axes, stack)] if domain == PHYSICAL else []
+    want.append(("inv", stack_axes, stack))
     for ax in stack_axes:
-        want += [("fwd", (ax,)), ("inv", (ax,))]
+        planes = stack[:ax] + (1,) + stack[ax + 1 :]  # J_l is the plane xi_l = 0 on this grid
+        want.append(("inv", tuple(a for a in stack_axes if a != ax), planes))
     assert calls == want
+
+
+@pytest.mark.parametrize("grid,N,n_planes,n_fractional", [
+    # at m=256, N=64 the directional factor is below 1 on 15 planes per axis, six of them
+    # fractional, so every directional stack sums 15 plane terms
+    (SpectralGrid(m=256, L=2 * np.pi, d=2), 64.0, 15, 6),
+    # in one dimension P_N vanishes where the factor is below 1: no plane, P_{N,e_1} P_N = P_N
+    (SpectralGrid(m=64, L=2 * np.pi, d=1), 16.0, 0, 0),
+])
+def test_yn_norm_matches_definition_for_any_plane_count(grid, N, n_planes, n_fractional):
+    for ax in range(1, grid.d + 1):
+        J, gap = proj_mod._directional_planes(grid, N, ax)
+        assert len(J) == n_planes and np.sum(gap < 1.0) == n_fractional
+    pol = EpsilonPolicy(eps=0.02, s=0.4)
+    v = free_trajectory(random_field(grid, 41, domain=FREQUENCY), 0.0, 1e-4, 5)
+    for interval in (None, (v.dt, v.t_end - v.dt)):
+        expected = _yn_oracle(v, N, interval, pol)
+        assert expected > 0.0
+        assert yn_norm(v, N, interval, pol) == pytest.approx(expected, rel=1e-12)
 
 
 def test_band_stack_is_spent_after_directional_powers(grid8):
