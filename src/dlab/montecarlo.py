@@ -110,13 +110,9 @@ def _load_csv(path, header) -> dict:
 def env_threads() -> int:
     """The worker count DLAB_THREADS sets for draws and experiments (default 1)."""
     raw = os.environ.get("DLAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise DLabError(f"DLAB_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    return int(raw)
 
 
 def evaluate_draws(

@@ -328,14 +328,12 @@ class _BandStack:
     def band_powers(self, N: float):
         """Yield |P_N u|^2, then |P_{N,e_l} P_N u|^2 for l = 1..d.
 
-        P_{N,e_l} differs from the identity on P_N u only on the planes
-        xi_l = xi_j, j in J_l, of ``projections._directional_planes``.  Once
-        the first stack is taken, ``_plane_terms`` lifts those planes from
-        the projected spectrum freq * sym, and each directional projection is
-        P_N u, left in ``work``, minus their sum.  It is written into the
-        frequency stack's buffer, so the band stack is spent from the first
-        of them on, and ``freq`` is dropped so that no later ``power`` can
-        read the overwritten spectrum.
+        Each directional stack is P_N u, left in ``work``, minus the sum of
+        its plane terms (``_plane_terms``, all taken once the first stack is
+        out, while ``freq`` is intact).  It is written into the frequency
+        stack's buffer, so the band stack is spent from the first of them
+        on, and ``freq`` is dropped so that no later ``power`` can read the
+        overwritten spectrum.
         """
         g = self.grid
         sym = band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d)
