@@ -5,7 +5,7 @@ Configs are strict JSON: schema-versioned, unknown or mistyped keys are errors,
 and every violation is reported at once.  Artifacts embed the resolved config
 and a content hash; reruns with the same config and seed reproduce the JSON
 and CSV bodies byte for byte (no timestamps are written).  DLAB_THREADS caps
-experiment-level parallelism.
+the experiments and ensemble draws that run at once.
 """
 
 from __future__ import annotations
@@ -455,7 +455,8 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: Literal[1, -1] = 1) -> tuple:
 
 
 # an ensemble's params are as_norm_ensemble's keywords; s defaults to the config's epsilon s
-_ENSEMBLE = _schema(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T", s=None)
+_ENSEMBLE = _schema(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T", "threads",
+                    s=None)
 _SOLVE = _schema(_solve, "cfg", "mode")
 _EXPERIMENT = _Schema({"kind": Literal["verify", "ensemble", "solve"], "name": str, "params": dict,
                        "id": str}, ("kind",))
@@ -490,9 +491,11 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
     return v.result(v.call(**args, **({"seed": seed} if "seed" in v.supplied else {})))
 
 
-def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict) -> tuple:
+def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict, draw_threads: int | None = None) -> tuple:
     """Run experiment i of a validated config: (report entry, the solve's
-    trajectory or None).  A DLabError inside it is re-raised naming it."""
+    trajectory or None).  An ensemble runs its draws on ``draw_threads``
+    workers (DLAB_THREADS when None).  A DLabError inside it is re-raised
+    naming it."""
     kind, name, params = ex["kind"], ex.get("name", "nls"), ex.get("params", {})
     exp_id, traj = ex.get("id", f"{kind}_{i}"), None
     where = f"experiments[{i}].params"
@@ -503,7 +506,7 @@ def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict) -> tuple:
         elif kind == "ensemble":
             args = {"s": cfg.pol.s or 0.5, **_checked(where, params, _ENSEMBLE)}
             stats = montecarlo.as_norm_ensemble(name, cfg.load_field(), pol=cfg.pol, Q=cfg.draws,
-                                                seed=cfg.seed, T=cfg.T, **args)
+                                                seed=cfg.seed, T=cfg.T, threads=draw_threads, **args)
             result, passed = stats.to_dict(), bool(stats.tail_slope < 0)
         else:
             traj, result, passed = _solve(cfg, name, **_checked(where, params, _SOLVE))
@@ -606,15 +609,18 @@ def run(config_path) -> int:
 def _run(config_path) -> int:
     threads = montecarlo.env_threads()
     cfg = ExperimentConfig.from_dict(_read_json(config_path))
+    items = list(enumerate(cfg.experiments))
+    # one budget of DLAB_THREADS workers: each of the experiments running at
+    # once gets an equal share of it for its draws
+    workers = max(1, min(threads, len(items)))
 
     def one(item):
-        return _run_experiment(cfg, *item)[0]
+        return _run_experiment(cfg, *item, threads // workers)[0]
 
-    items = list(enumerate(cfg.experiments))
-    if threads > 1 and len(items) > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(one, items))
     else:
         reports = [one(it) for it in items]

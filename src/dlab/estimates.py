@@ -31,6 +31,7 @@ from .grid import (
     _power_mean,
     _read_only,
     _separable,
+    _support_box,
     broadcast_along,
     lp_norm,
     sobolev_norm,
@@ -51,6 +52,7 @@ from .norms import (
 )
 from .projections import (
     Band,
+    band_box,
     band_symbol,
     directional_projection,
     dyadic_projection,
@@ -442,15 +444,17 @@ def _sandwich_op(outer: np.ndarray, inner: np.ndarray, middle: np.ndarray,
     applied to centred arrays, and the multipliers are centred.  The centred
     transform is S U S for the checkerboard S (``grid`` module docstring), and
     S commutes with every multiplier, so this operator is S N S for the N of
-    the centred transforms: a unitary conjugate, with the same norm.
+    the centred transforms: a unitary conjugate, with the same norm.  Each
+    transform is pruned to the support box of the multiplier just applied.
     """
     steps = ((inner, inverse_first), (middle, not inverse_first),
              (inner, inverse_first), (outer, not inverse_first))
+    boxes = [_support_box(sym) for sym in (outer, inner, middle, inner)]
 
     def normal(z):
         w = outer * z
-        for sym, inverse in steps:
-            w = _fft(w, inverse=inverse, out=w)
+        for (sym, inverse), box in zip(steps, boxes):
+            w = _fft(w, inverse=inverse, out=w, box=box)
             w *= sym
         return w
 
@@ -713,11 +717,12 @@ def verify_duhamel_retarded(
     """
     fN = dyadic_projection(shell_field(grid, N, seed=seed), Band.dyadic(N))
     dt = T / (n_frames - 1)
+    box = band_box(grid, Band.dyadic(N))  # every row below is fN's spectrum times a multiplier
 
     def physical(rows) -> Trajectory:  # a stack of frequency rows, converted in place
         values = np.fromiter(rows, (np.complex128, grid.shape), n_frames)
         return Trajectory.from_values(grid, 0.0, dt, PHYSICAL,
-                                      _centred_transform(values, grid, PHYSICAL, out=values))
+                                      _centred_transform(values, grid, PHYSICAL, out=values, box=box))
 
     def hhat():  # h is generated twice, never stored: one frame stack is held at a time
         return _enveloped_frames(fN, dt, n_frames, seed + 1)
@@ -777,8 +782,10 @@ def verify_main_linear(
                                    np.fromiter(hhat, (np.complex128, grid.shape), n_frames))
         vfree = free_trajectory(v0, 0.0, dt, n_frames).values
         v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, vfree - 1j * duhamel_all(h).values)
-        sym = band_symbol(grid, Band.dyadic(N))
-        vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * sym).in_domain(PHYSICAL)
+        band = Band.dyadic(N)
+        vN = v.values * band_symbol(grid, band)
+        vN = Trajectory.from_values(grid, 0.0, dt, PHYSICAL, _centred_transform(
+            vN, grid, PHYSICAL, out=vN, box=band_box(grid, band)))
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
         rhs = N * lp_norm(to_physical(dyadic_projection(v0, Band.dyadic(N))), 2)
         rhs += gn_norm_upper(h, N, pol=pol)
@@ -799,8 +806,10 @@ def verify_bernstein(
     r = np.sqrt(grid.xi_squared)
     vals = []
     for N in N_list:
-        ind = ((r >= N) & (r <= 2.0 * N)).astype(np.complex128)
-        fN = to_physical(dyadic_projection(Field.frequency(grid, _read_only(ind)), Band.dyadic(N)))
+        band = Band.dyadic(N)
+        fN = ((r >= N) & (r <= 2.0 * N)).astype(np.complex128) * band_symbol(grid, band)
+        fN = Field.physical(grid, _read_only(_centred_transform(
+            fN, grid, PHYSICAL, out=fN, box=band_box(grid, band))))
         vals.append(lp_norm(fN, r_high) / lp_norm(fN, r_low))
     pred = 4.0 / r_low - 4.0 / r_high
     rep = _report("bernstein_dyadic", list(N_list), vals, pred, 0.1,

@@ -21,6 +21,16 @@ Every transform in the package goes through ``_fft``; no other module calls
 numpy's fft.  Separable lattice arrays (|x|^2, |xi|^2, tensor-product
 symbols, the dealias mask) are left folds of 1D per-axis factors, ``_separable``.
 
+A caller whose input is zero outside a box of indices (a band, a unit cell
+or a spatial cutoff was just applied) may pass that box to ``_fft``;
+``_support_box`` reads it off the multiplier.  ``_fft`` then prunes the
+transform (Markel, "FFT pruning", 1971): it runs numpy's one-axis passes
+itself, in ``fftn``'s order (the last axis first), each over only the lines
+whose not-yet-transformed indices lie in the box.  Every other line is zero
+before its pass and stays zero, and every line it does transform holds the
+same numbers in the same order as under ``fftn``, so the result equals the
+unpruned one bit for bit (up to the sign of zeros).
+
 A ``Trajectory`` is one read-only C-contiguous complex128 array ``values`` of
 shape ``(n_frames, *grid.shape)`` plus one domain tag for all its rows.  Its
 ``frames`` are ``Field`` views of those rows: nothing is copied, and writing
@@ -221,7 +231,8 @@ def _checkerboard(a: np.ndarray, axes, factor: float = 1.0) -> tuple:
 
 
 def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool = False,
-         sign_out: bool = False, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+         sign_out: bool = False, scale: float = 1.0, out: np.ndarray | None = None,
+         box: tuple | None = None) -> np.ndarray:
     """fftn (ifftn when ``inverse``) of ``values`` over ``axes`` (default all), in ``out``.
 
     ``out`` is new when None; ``out=values`` works in place.  When
@@ -230,6 +241,13 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
     pass applies S when ``sign_out`` and the scale, which the forward
     transform multiplies by and the inverse divides by (both signs: the
     centred pair).
+
+    ``box`` holds one index slice per transform axis, outside which
+    ``values`` must be zero.  The transform then runs in ``out`` as one
+    ``fft``/``ifft`` call per axis, in ``fftn``'s order, each over the lines
+    whose indices on the axes still to come lie in the box; the lines it
+    skips are zero and stay so.  Each line it computes is the line ``fftn``
+    computes, so the result is the same bit for bit (module docstring).
     """
     if axes is None:
         axes = tuple(range(values.ndim))
@@ -239,23 +257,51 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
         view, op = _checkerboard(values, axes)
         np.multiply(view, op, out=out.reshape(view.shape))
         values = out
-    (np.fft.ifftn if inverse else np.fft.fftn)(values, axes=axes, out=out)
+    if box is None:
+        (np.fft.ifftn if inverse else np.fft.fftn)(values, axes=axes, out=out)
+    else:
+        if values is not out:
+            out[...] = values
+        index = [slice(None)] * out.ndim
+        for ax, sl in zip(axes, box):
+            index[ax] = sl
+        for ax in reversed(axes):
+            index[ax] = slice(None)
+            lines = out[tuple(index)]
+            (np.fft.ifft if inverse else np.fft.fft)(lines, axis=ax, out=lines)
     if sign_out or scale != 1.0:
         view, op = _checkerboard(out, axes, scale) if sign_out else (out, scale)
         (np.divide if inverse else np.multiply)(view, op, out=view)
     return out
 
 
+def _support_box(symbol: np.ndarray) -> tuple | None:
+    """The box of a multiplier's nonzeros, as ``_fft`` takes it; None when that is the whole array.
+
+    Per axis of ``symbol``, the slice from the first to the last index whose
+    plane holds a nonzero.  An axis of length one (a factor that broadcasts)
+    gets the whole axis.
+    """
+    nonzero = np.asarray(symbol) != 0
+    box = []
+    for ax, n in enumerate(nonzero.shape):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(nonzero.ndim) if a != ax)))
+        lo, hi = (int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0)
+        box.append(slice(None) if (lo, hi) == (0, n) else slice(lo, hi))
+    return None if all(sl == slice(None) for sl in box) else tuple(box)
+
+
 def _centred_transform(values: np.ndarray, grid: SpectralGrid, domain: str,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None, box: tuple | None = None) -> np.ndarray:
     """The centred transform into ``domain`` over the last ``grid.d`` axes of ``values``.
 
     Every leading index (a frame of a stack) is transformed on its own;
-    ``out=values`` converts in place.
+    ``out=values`` converts in place.  ``box``, one slice per spatial axis,
+    prunes the transform of an input that is zero outside it (``_fft``).
     """
     axes = tuple(range(values.ndim - grid.d, values.ndim))
     return _fft(values, domain == PHYSICAL, axes, sign_in=True, sign_out=True,
-                scale=grid.dx**grid.d, out=out)
+                scale=grid.dx**grid.d, out=out, box=box)
 
 
 def to_frequency(f: Field) -> Field:

@@ -293,11 +293,13 @@ def as_norm_ensemble(
     csv_path: str | None = None,
     p_list=(2, 4, 8),
     quantiles=(0.5, 0.6, 0.7, 0.8, 0.85),
+    threads: int | None = None,
 ) -> EnsembleStats:
     """Full ensemble statistics for one almost-sure-bound norm.
 
     The tail grid is placed at empirical quantiles so the populated-bin rule
-    holds by construction; moment and tail fits both run on the same draws.
+    holds by construction; moment and tail fits both run on the same draws,
+    which ``evaluate_draws`` runs on ``threads`` workers.
     """
     problems = _check_regime(which, s, alpha, pol, exploratory)
     spec = RandomizationSpec(seed=seed, law=law)
@@ -307,7 +309,7 @@ def as_norm_ensemble(
            "grid": [f.grid.m, f.grid.L, f.grid.d], "T": float(T), "n_frames": int(n_frames),
            "alpha": float(alpha), "eps": float(pol.eps),
            "data": hashlib.sha256(f.domain.encode() + f.values.tobytes()).hexdigest()}
-    values = evaluate_draws(stat, Q, csv_path, key=key)
+    values = evaluate_draws(stat, Q, csv_path, threads=threads, key=key)
     # keep only quantiles whose exceedance count clears the populated-bin rule;
     # for small Q fall back to the two highest feasible quantiles
     feasible = [q for q in quantiles if (1.0 - q) * Q >= 30]

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandUnresolvedError
-from .grid import Field, SpectralGrid, _read_only, _separable, apply_multiplier
+from .grid import Field, SpectralGrid, _read_only, _separable, _support_box, apply_multiplier
 
 _TINY = np.finfo(float).tiny
 
@@ -199,6 +199,13 @@ def band_symbol(grid: SpectralGrid, band: Band) -> np.ndarray:
     if band.kind == "unit":
         return psi_symbol(grid, band.k)
     return _dyadic_symbol_cached(grid, band.kind, band.N, band.axis)
+
+
+@lru_cache(maxsize=32)
+def band_box(grid: SpectralGrid, band: Band) -> tuple | None:
+    """``_support_box`` of ``band_symbol(grid, band)``, cached beside the symbol: the box
+    a transform of data the band has just been applied to is pruned to."""
+    return _support_box(band_symbol(grid, band))
 
 
 def unit_projection(f: Field, k) -> Field:

@@ -330,3 +330,38 @@ def test_operator_decay_and_square_function_make_no_centering_roll(monkeypatch):
     assert min(rep.chi_P_chi.values()) > 0 and rep.P_chi_P[2] > 0
     sq = E.square_function(f)
     assert np.isfinite(sq).all() and sq.max() > 0
+
+
+@pytest.fixture
+def band_box_cache():
+    """An empty band-box cache on both sides of the test."""
+    from dlab.projections import band_box
+
+    band_box.cache_clear()
+    yield
+    band_box.cache_clear()
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: E.verify_main_linear(SpectralGrid(m=16, L=2 * np.pi), n_samples=2, seed=12),
+    lambda: E.verify_duhamel_retarded(SpectralGrid(m=16, L=2 * np.pi), 2.0, n_frames=17, seed=12),
+    lambda: E.verify_operator_decay(SpectralGrid(m=16, L=8 * np.pi), separations=(2, 4)),
+    lambda: E.verify_bernstein(SpectralGrid(m=32, L=4.0)),
+], ids=["main_linear", "duhamel_retarded", "operator_decay", "bernstein"])
+def test_pruned_transforms_leave_the_verifier_reports_unchanged(verify, monkeypatch, band_box_cache):
+    # the same report with every support box withheld (plain fftn throughout);
+    # the one-axis fft/ifft calls show that the first run did prune
+    from dlab import projections
+
+    one_axis = []
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=getattr(np.fft, name), **k:
+                            one_axis.append(name) or _fn(*a, **k))
+    pruned = verify()
+    assert one_axis
+    for module in (E, projections):
+        monkeypatch.setattr(module, "_support_box", lambda symbol: None)
+    projections.band_box.cache_clear()
+    n_pruned = len(one_axis)
+    assert verify() == pruned
+    assert len(one_axis) == n_pruned

@@ -334,3 +334,44 @@ def test_example_configs_are_valid(no_compute):
     for path in paths:
         assert ExperimentConfig.from_dict(json.loads(path.read_text())).experiments
     assert no_compute == []
+
+
+def test_run_never_evaluates_more_draws_at_once_than_its_thread_budget(tmp_path, monkeypatch):
+    # two ensembles at DLAB_THREADS=2 share one budget of 2 workers; the
+    # report is the one-thread report byte for byte
+    import threading
+    import time
+
+    from dlab import montecarlo
+
+    path = config(tmp_path, [{"kind": "ensemble", "name": "L3L6", "id": "a"},
+                             {"kind": "ensemble", "name": "LinfL2", "id": "b",
+                              "params": {"exploratory": True}}], draws=60)
+    lock, running, peak = threading.Lock(), [0], [0]
+    make = montecarlo.make_norm_statistic
+
+    def counted(*args, **kwargs):
+        statistic = make(*args, **kwargs)
+
+        def draw(d):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.002)  # holds the draw open so that concurrent ones overlap
+                return statistic(d)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        return draw
+
+    monkeypatch.setattr(montecarlo, "make_norm_statistic", counted)
+    bodies = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DLAB_THREADS", threads)
+        peak[0] = 0
+        assert run(path) == 0
+        assert 1 <= peak[0] <= int(threads)
+        bodies[threads] = (tmp_path / "out" / "report.json").read_bytes()
+    assert bodies["1"] == bodies["2"]

@@ -356,3 +356,48 @@ def test_only_grid_calls_numpy_fft():
     callers = [p.name for p in sorted(src.glob("*.py"))
                if p.name != "grid.py" and re.search(r"\b(np|numpy)\.fft\b", p.read_text())]
     assert callers == []
+
+
+def _pruning_cases(m):
+    """Boxes for the pruned-transform tests: random ones, ones touching index 0
+    and index m - 1, a one-index box and the full box, one slice per axis."""
+    rng = np.random.default_rng(16)
+    cases = [(slice(0, 3), slice(m - 2, m), slice(0, m), slice(m // 2, m // 2 + 1)),
+             (slice(2, 3),) * 4, (slice(0, m),) * 4]
+    for _ in range(6):
+        lo = rng.integers(0, m, size=4)
+        hi = [int(rng.integers(a + 1, m + 1)) for a in lo]
+        cases.append(tuple(slice(int(a), b) for a, b in zip(lo, hi)))
+    return cases
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("sign_in, sign_out, scale", [(False, False, 1.0), (True, True, 0.3),
+                                                      (True, False, 1.0), (False, True, 2.5)])
+def test_pruned_transform_equals_the_full_transform(lead, inverse, sign_in, sign_out, scale):
+    from dlab.grid import _fft
+
+    m = 8
+    rng = np.random.default_rng(len(lead) + 2 * inverse)
+    axes = tuple(range(len(lead), len(lead) + 4))
+    for box in _pruning_cases(m):
+        x = np.zeros(lead + (m,) * 4, dtype=np.complex128)
+        inside = (slice(None),) * len(lead) + box
+        x[inside] = rng.standard_normal(x[inside].shape) + 1j * rng.standard_normal(x[inside].shape)
+        kw = dict(inverse=inverse, axes=axes, sign_in=sign_in, sign_out=sign_out, scale=scale)
+        want = _fft(x, **kw)
+        assert np.array_equal(_fft(x, box=box, **kw), want), box
+        y = x.copy()
+        assert _fft(y, out=y, box=box, **kw) is y and np.array_equal(y, want), box
+
+
+def test_pruned_transform_over_some_axes_of_a_stack():
+    from dlab.grid import _fft
+
+    rng = np.random.default_rng(5)
+    x = np.zeros((4, 16, 16), dtype=np.complex128)
+    x[:, 3:9, 15:] = rng.standard_normal((4, 6, 1))
+    for inverse in (False, True):
+        for axes, box in (((1, 2), (slice(3, 9), slice(15, 16))), ((2,), (slice(15, 16),))):
+            assert np.array_equal(_fft(x, inverse, axes, box=box), _fft(x, inverse, axes))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlab.errors import BandUnresolvedError
-from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, random_field, to_physical
+from dlab.grid import FREQUENCY, Field, SpectralGrid, _support_box, lp_norm, random_field, to_physical
 from dlab.projections import (
     Band,
     annihilation_residual,
+    band_box,
     band_symbol,
     directional_bump,
     directional_projection,
@@ -16,6 +17,7 @@ from dlab.projections import (
     phi1,
     psi_symbol,
     radial_cutoff,
+    resolved_dyadic_range,
     spatial_cutoff,
     spatial_symbol,
     unit_projection,
@@ -250,3 +252,43 @@ def test_directional_symbol_is_a_read_only_broadcast_factor():
             band_symbol(g, band)[0, 0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         spatial_symbol(g, "chi", 1)[0, 0, 0, 0] = 0.0
+
+
+# the grids of the CLI verifiers' defaults and of the benchmark's verify run
+CLI_GRIDS = [SpectralGrid(m=16, L=2 * np.pi), SpectralGrid(m=16, L=4 * np.pi),
+             SpectralGrid(m=16, L=8 * np.pi), SpectralGrid(m=32, L=4.0),
+             SpectralGrid(m=32, L=4 * np.pi), SpectralGrid(m=32, L=8 * np.pi)]
+
+
+@pytest.mark.parametrize("grid", CLI_GRIDS, ids=lambda g: f"m{g.m}-L{g.L:.3g}")
+def test_support_box_holds_every_nonzero_of_the_pruned_multipliers(grid):
+    lo, hi = resolved_dyadic_range(grid)
+    bands = [2.0**j for j in range(int(np.ceil(np.log2(lo) - 1e-9)), int(np.floor(np.log2(hi) + 1e-9)) + 1)]
+    edge = int(grid.xi_max)
+    symbols = [band_symbol(grid, Band.dyadic(N)) for N in bands]
+    symbols += [psi_symbol(grid, k) for k in
+                ((0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (2, -1, 0, 1), (-edge, edge - 1, 0, 0))]
+    symbols += [spatial_symbol(grid, "chi", j) ** p for j in range(4) for p in (1, 2)]
+    for i, sym in enumerate(symbols):
+        box = _support_box(sym)
+        outside = np.ones(sym.shape, dtype=bool)
+        outside[box if box is not None else ...] = False
+        assert not np.any(sym[outside]), (i, box)
+        if not np.any(sym):  # a cutoff whose annulus misses the box
+            assert box == (slice(0, 0),) * grid.d
+            continue
+        for ax, sl in enumerate(box or ()):  # the box is the hull: its end planes meet the support
+            others = tuple(a for a in range(grid.d) if a != ax)
+            reached = np.flatnonzero(np.any(sym != 0, axis=others))
+            assert range(grid.m)[sl] == range(reached[0], reached[-1] + 1), (i, ax)
+    for N in bands:
+        assert band_box(grid, Band.dyadic(N)) == _support_box(band_symbol(grid, Band.dyadic(N)))
+
+
+def test_support_box_of_a_broadcast_factor_and_of_zero():
+    g = SpectralGrid(m=16, L=4 * np.pi)
+    factor = np.zeros((1, 16, 1, 1))
+    factor[0, 4:7] = 1.0
+    assert _support_box(factor) == (slice(None), slice(4, 7), slice(None), slice(None))
+    assert _support_box(np.ones(g.shape)) is None
+    assert _support_box(np.zeros(g.shape)) == (slice(0, 0),) * 4

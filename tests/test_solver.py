@@ -558,3 +558,14 @@ def test_morawetz_bulk_honours_its_window(gs):
     part = Trajectory.from_values(gs, 0.02, 0.02, run.domain, run.values[1:4])
     assert morawetz_bulk(run, interval=(0.02, 0.06)) == morawetz_bulk(part)
     assert 0.0 < morawetz_bulk(part) < morawetz_bulk(run)
+
+
+def test_scaling_check_warns_once_at_its_caller_and_reports_the_wrap(gaussian):
+    # at m=16, L=8, dt*max|xi|^2 = dt * 4 (2 pi)^2 exceeds pi for dt = 0.02,
+    # not for dt = 0.005; the rescaled run turns the same phase per step
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wrapped = scaling_check(gaussian, 2.0, NLSRunConfig(mu=+1, dt=0.02, T=0.04))
+        resolved = scaling_check(gaussian, 2.0, NLSRunConfig(mu=+1, dt=0.005, T=0.01))
+    assert wrapped.phases_wrap is True and resolved.phases_wrap is False
+    assert [(w.filename, "kinetic phases wrap" in str(w.message)) for w in caught] == [(__file__, True)]
