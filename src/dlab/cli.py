@@ -444,12 +444,10 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: Literal[1, -1] = 1) -> tuple:
         # mass and energy of u = F + v, the field the split-step evolves (v starts at 0)
         u = Trajectory.from_values(traj.grid, traj.t0, traj.dt, "physical", F.values + traj.values)
     masses, energies = solver_mod.nls_mass_energy_series(u)
-    # the nls drift is taken from frame 1, the first the default 2/3 dealias mask has
+    # the drift is taken from frame 1, the first the default 2/3 dealias mask has
     # acted on: what the mask removes from a datum that is not band-limited is not drift
-    m0 = masses[1] if mode == "nls" else masses[0]
-    drift = abs(masses[-1] - m0) / max(m0, 1e-300)
-    # a forced run passes when it completes: the randomized F(0) is not band-limited,
-    # so the default 2/3 dealias mask removes a share of u's mass
+    drift = abs(masses[-1] - masses[1]) / max(masses[1], 1e-300)
+    # a forced run passes when it completes
     passed = mode == "forced" or bool(drift < 1e-10)
     return traj, {"mass": masses, "energy": energies, "mass_drift": drift}, passed
 

@@ -384,7 +384,7 @@ def verify_radialish_sobolev(
     control = {}
     for shift in control_shifts:
         shifted = np.exp(-_separable(np.add, [(grid.x1d - shift) ** 2] + [grid.x1d**2] * (grid.d - 1)) / 2)
-        f = Field(grid, PHYSICAL, shifted.astype(np.complex128))
+        f = Field(grid, PHYSICAL, _read_only(shifted.astype(np.complex128)))
         sq = square_function(f)
         control[float(shift)] = float((w32 * sq).max() / sobolev_norm(f, delta))
     shifts = sorted(control)

@@ -21,6 +21,14 @@ Every transform in the package goes through ``_fft``; no other module calls
 numpy's fft.  Separable lattice arrays (|x|^2, |xi|^2, tensor-product
 symbols, the dealias mask) are left folds of 1D per-axis factors, ``_separable``.
 
+A multiplier that acts on one axis only (a derivative d_l, a per-axis factor
+of exp(-i t |xi|^2) or of the dealias mask) is the m x m circulant matrix of
+its 1D symbol, a spectral differentiation matrix in Trefethen's sense
+(*Spectral Methods in MATLAB*, ch. 3).  ``_circulant`` builds that matrix
+once, through ``_fft``, and ``_axis_product`` applies it along one axis with
+a single matrix product: no transform runs.  Circulance makes the centred
+index origin irrelevant, so the centred physical lattice needs no shift.
+
 A caller whose input is zero outside a box of indices (a band, a unit cell
 or a spatial cutoff was just applied) may pass that box to ``_fft``;
 ``_support_box`` reads it off the multiplier.  ``_fft`` then prunes the
@@ -138,6 +146,13 @@ class SpectralGrid:
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the frequency lattice."""
         return _read_only(_separable(np.add, [self.xi1d**2] * self.d))
+
+    @cached_property
+    def _derivative_matrix(self) -> np.ndarray:
+        """The real m x m matrix of d/dx along one axis: i xi, Nyquist entry zeroed (``_circulant``)."""
+        dfac = 1j * self.xi1d_fft
+        dfac[self.m // 2] = 0.0
+        return _read_only(np.ascontiguousarray(_circulant(dfac).real))
 
     @property
     def xi_max(self) -> float:
@@ -409,31 +424,63 @@ def _separable(op, factors) -> np.ndarray:
     return reduce(op, (broadcast_along(f, ax, len(factors)) for ax, f in enumerate(factors)))
 
 
+def _circulant(symbol: np.ndarray) -> np.ndarray:
+    """The m x m matrix of the 1D FFT-order multiplier ``symbol``: ifft(symbol * fft(v)) = M @ v."""
+    m = len(symbol)
+    return _fft(symbol[:, None] * _fft(np.eye(m, dtype=np.complex128), axes=(0,)),
+                inverse=True, axes=(0,))
+
+
+def _axis_product(values: np.ndarray, matrix: np.ndarray, axis: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix`` (k x m) applied along ``axis`` of the C-contiguous complex ``values``, in ``out``.
+
+    ``out[..., i, ...] = sum_j matrix[i, j] values[..., j, ...]``, with ``out``
+    of ``values``' shape but k along ``axis`` (new when None, never
+    ``values``), as one ``np.matmul``.  A real matrix acts on the float64
+    view of both arrays, where a complex number is two adjacent floats: along
+    the last axis that is ``kron(matrix.T, I2)`` on the right.
+    """
+    k, m = matrix.shape
+    pre = int(np.prod(values.shape[:axis], dtype=np.int64))
+    post = int(np.prod(values.shape[axis + 1:], dtype=np.int64))
+    if out is None:
+        out = np.empty(values.shape[:axis] + (k,) + values.shape[axis + 1:], dtype=np.complex128)
+    if np.iscomplexobj(matrix):
+        a, b, pair = values, out, 1
+    else:
+        a, b, pair = values.view(np.float64), out.view(np.float64), 2
+    if post == 1:
+        right = matrix.T if pair == 1 else np.kron(matrix.T, np.eye(2))
+        np.matmul(a.reshape(pre, pair * m), right, out=b.reshape(pre, pair * k))
+    else:
+        np.matmul(matrix, a.reshape(pre, m, pair * post), out=b.reshape(pre, k, pair * post))
+    return out
+
+
 def _spectral_gradient(f: Field) -> tuple:
-    """Partial derivatives of a field, one axis at a time, with no centering shift.
+    """Partial derivatives of a field, one axis at a time, with no transform.
 
     Returns ``(partial, nyquist)``.  ``partial(ax, out=None)`` writes
     d_{ax+1} f on the centred physical lattice into ``out`` (new when None)
-    with three passes along axis ``ax`` only: a 1D forward transform, i xi
-    with the unpaired Nyquist entry zeroed, a 1D inverse transform.  The
-    centred index origin only puts a phase on the spectrum, which commutes
-    with every multiplier.  Before zeroing, it stores in ``nyquist[ax]`` the
-    sum of |1D spectrum|^2 over the plane k_ax = m/2, so the full-|xi|^2 Hdot^1
-    norm is ``dx^d (sum |grad f|^2 + xi_max^2 / m * sum(nyquist))``.  A
+    as one ``_axis_product`` along axis ``ax``: the real circulant matrix of
+    i xi with the unpaired Nyquist entry zeroed (``SpectralGrid``'s cached
+    ``_derivative_matrix``).  It also stores in ``nyquist[ax]`` the sum of
+    |1D spectrum|^2 over the plane k_ax = m/2, which that matrix drops: the
+    1D Nyquist coefficient is the alternating-sign sum along the axis, one
+    more product.  So the full-|xi|^2 Hdot^1 norm is
+    ``dx^d (sum |grad f|^2 + xi_max^2 / m * sum(nyquist))``.  A
     frequency-domain input is brought to the physical lattice first.
     """
     g = f.grid
     vals = f.in_domain(PHYSICAL).values
-    dfac = 1j * g.xi1d_fft
-    dfac[g.m // 2] = 0.0
+    alternating = np.where(np.arange(g.m) % 2, -1.0, 1.0)[None, :]
     nyquist = [0.0] * g.d
 
     def partial(ax: int, out: np.ndarray | None = None) -> np.ndarray:
-        out = _fft(vals, axes=(ax,), out=out)
-        plane = out[(slice(None),) * ax + (g.m // 2,)]
+        plane = _axis_product(vals, alternating, ax)
         nyquist[ax] = float(np.vdot(plane, plane).real)
-        out *= broadcast_along(dfac, ax, g.d)
-        return _fft(out, inverse=True, axes=(ax,), out=out)
+        return _axis_product(vals, g._derivative_matrix, ax, out)
 
     return partial, nyquist
 

@@ -5,8 +5,13 @@ The integrator is Strang splitting: a half step of the exact kinetic
 multiplier exp(-i dt/2 |xi|^2), the exact pointwise nonlinear rotation
 u -> exp(-i mu dt |u|^2) u (modulus preserving), and another half kinetic
 step.  Both substeps conserve mass exactly, so mass is conserved to rounding
-and energy drifts at O(dt^2).  A step makes four in-place transforms, one
-pair per half step; the 2/3 dealiasing mask rides on the second half step.
+and energy drifts at O(dt^2).  Every multiplier of a step is separable, so
+no transform runs: a half step is d products along one axis each with the
+m x m circulant matrix of the 1D factor exp(-i dt/2 xi^2)
+(``grid._axis_product``), ping-ponging between the state and one scratch
+buffer, and the 1D 2/3 dealiasing mask rides on the factor of the second
+half step.  The rotation is cos/sin of the real phase in one preallocated
+buffer.
 
 The forced equation (i d_t + Laplace) v = mu |F+v|^2 (F+v) is solved through
 the change of variables u := F + v: when F solves the linear equation exactly
@@ -14,19 +19,19 @@ on the grid (free flows here are exact multipliers), u solves the standard
 cubic NLS, so no separate splitting-error analysis is needed.
 
 The Morawetz audit makes one spectral pass per frame: each of the d = 4
-derivatives is a 1D transform pair along its own axis, taken on the centred
-physical frame with no centering shift (8 axis passes where fftn + 4 ifftn
-make 20).  From the derivatives come the Morawetz action, the dm/dt right
-side (interior frames) and ||v||_{Hdot^1} by Parseval (plus the Nyquist
-planes the derivative zeroes), and, with rho = |v|^2, the bulk densities and
-||v||_2; the forcing difference H is built once in one buffer from rho and
-feeds both the right side and ||H||_2.  The weight arrays 1/a, 1/a^3, Lap a,
-LapLap a are built once per audit call and dropped on return.  A frame holds
-one derivative buffer reused for the d axes, x.grad v and |grad v|^2
-(2.5 complex m^d arrays, 40 MB at m = 32), all released before the next
-frame.  The energy audit shares the pass: energy, |grad v| and the Morawetz
-series of v come from it, so a frame costs 24 one-axis transforms (v, F
-and the flux W, 8 each).
+derivatives is one product with the real derivative matrix along its own
+axis (``grid._spectral_gradient``), taken on the centred physical frame with
+no transform and no centering shift.  From the derivatives come the
+Morawetz action, the dm/dt right side (interior frames) and ||v||_{Hdot^1}
+by Parseval (plus the Nyquist planes the derivative zeroes), and, with
+rho = |v|^2, the bulk densities and ||v||_2; the forcing difference H is
+built once in one buffer from rho and feeds both the right side and ||H||_2.
+The weight arrays 1/a, 1/a^3, Lap a, LapLap a are built once per audit call
+and dropped on return.  A frame holds one derivative buffer reused for the d
+axes, x.grad v and |grad v|^2 (2.5 complex m^d arrays, 40 MB at m = 32), all
+released before the next frame.  The energy audit shares the pass: energy, |grad v| and the Morawetz
+series of v come from it, so a frame costs 3d per-axis derivative products
+(v, F and the flux W, d each).
 """
 
 from __future__ import annotations
@@ -42,10 +47,10 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
-    _fft,
+    _axis_product,
+    _circulant,
     _power_mean,
     _read_only,
-    _separable,
     _spectral_gradient,
     broadcast_along,
     lp_norm,
@@ -92,41 +97,42 @@ class NLSRunConfig:
         return phase > np.pi
 
 
-def _fft_order_dealias(grid: SpectralGrid) -> np.ndarray:
+def _dealias_keep(grid: SpectralGrid) -> np.ndarray:
+    """The 1D 2/3-rule keep mask in FFT order; the d-dimensional mask is its product over the axes."""
     xi = np.abs(grid.xi1d_fft)
-    keep = xi <= (2.0 / 3.0) * xi.max()
-    return _separable(np.logical_and, [keep] * grid.d)
+    return xi <= (2.0 / 3.0) * xi.max()
 
 
 def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
     """The physical snapshot stack of a Strang split-step run (see splitstep_nls), writable.
     The caller checks the phase resolution."""
     g = u0.grid
-    # |xi|^2 in plain FFT ordering (the step works unshifted)
-    xi2 = _separable(np.add, [g.xi1d_fft**2] * g.d)
-    half = np.exp(-0.5j * cfg.dt * xi2)
-    mask = _fft_order_dealias(g) if cfg.dealias else None
+    factor = np.exp(-0.5j * cfg.dt * g.xi1d_fft**2)
+    half = _circulant(factor)
+    last = _circulant(factor * _dealias_keep(g)) if cfg.dealias else half
 
     u = u0.in_domain(PHYSICAL).values.copy()
     guard = cfg.blowup_factor * max(float(np.abs(u).max()), np.finfo(float).tiny)
     frames = np.empty((cfg.n_steps // cfg.snapshot_stride + 1, *g.shape), dtype=np.complex128)
     frames[0] = u
+    work, rotation, phase = np.empty_like(u), np.empty_like(u), np.empty(g.shape)
+
+    def kinetic(u, work, matrix):  # one per-axis product per axis, ping-ponging
+        for ax in range(g.d):
+            _axis_product(u, matrix, ax, out=work)
+            u, work = work, u
+        return u, work
 
     for step in range(1, cfg.n_steps + 1):
-        _fft(u, out=u)
-        u *= half
-        _fft(u, inverse=True, out=u)
         with np.errstate(over="ignore", invalid="ignore"):
-            # not ``u *=``: on large arrays numpy runs this as ``exp(...) *= u``,
-            # and its complex product is not bitwise commutative (FMA)
-            u = u * np.exp(-1j * cfg.mu * cfg.dt * np.abs(u) ** 2)
-        _fft(u, out=u)
-        u *= half
-        if mask is not None:
-            u *= mask
-        _fft(u, inverse=True, out=u)
-
-        with np.errstate(over="ignore", invalid="ignore"):
+            u, work = kinetic(u, work, half)
+            np.abs(u, out=phase)
+            np.square(phase, out=phase)
+            phase *= -cfg.mu * cfg.dt
+            np.cos(phase, out=rotation.real)
+            np.sin(phase, out=rotation.imag)
+            u *= rotation
+            u, work = kinetic(u, work, last)
             peak = float(np.abs(u).max())
         if not np.isfinite(peak) or peak > guard:
             partial = Trajectory.from_values(g, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
@@ -285,27 +291,37 @@ def _reg_weight(grid: SpectralGrid, sigma: float | None) -> np.ndarray:
     return np.sqrt(grid.x_squared + (grid.dx / 2.0 if sigma is None else sigma) ** 2)
 
 
+def _inv_reg_weight(grid: SpectralGrid, sigma: float) -> np.ndarray:
+    """1/a of the regularized Lin-Strauss weight a = (|x|^2 + sigma^2)^(1/2), raveled, in one buffer."""
+    inv_a = grid.x_squared.ravel() + sigma**2
+    np.sqrt(inv_a, out=inv_a)
+    return np.divide(1.0, inv_a, out=inv_a)
+
+
 def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     """1/a, 1/a^3, Lap a and LapLap a of the regularized Lin-Strauss weight
     a = (|x|^2 + s^2)^(1/2), raveled.
 
     Lap a = (3 r^2 + 4 s^2)/a^3 and LapLap a = -24/a^3 + 36 r^2/a^5 - 15 r^4/a^7
-    in four dimensions (for s -> 0 these recover 3/|x| and -3/|x|^3).
+    in four dimensions (for s -> 0 these recover 3/|x| and -3/|x|^3).  With
+    p = s^2/a^2 = 1 - r^2/a^2 they are (3 + p)/a and -(3 + 6 p + 15 p^2)/a^3:
+    products of 1/a, in a Horner form whose terms share one sign.
     """
     if grid.d != 4:
         raise ValueError("Morawetz diagnostics are defined for d = 4")
-    r2 = grid.x_squared.ravel()
-    a = _reg_weight(grid, sigma).ravel()
-    inv_a3 = a**-3
-    lap_a = (3.0 * r2 + 4.0 * sigma**2) * inv_a3
-    bilap_a = -24.0 * inv_a3 + 36.0 * r2 * a**-5 - 15.0 * r2**2 * a**-7
-    return 1.0 / a, inv_a3, lap_a, bilap_a
+    inv_a = _inv_reg_weight(grid, sigma)
+    p = inv_a * inv_a
+    inv_a3 = p * inv_a
+    p *= sigma**2
+    lap_a = (p + 3.0) * inv_a
+    bilap_a = ((-15.0 * p - 6.0) * p - 3.0) * inv_a3
+    return inv_a, inv_a3, lap_a, bilap_a
 
 
 def _frame_pass(v: Field) -> tuple:
     """One frame's values, ||v||_{Hdot^1}^2, x.grad v and |grad v|^2 from d per-axis passes.
 
-    Each derivative is one 1D transform pair along its axis
+    Each derivative is one matrix product along its axis
     (``grid._spectral_gradient``); Hdot^1 is Parseval on the derivatives plus
     the Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
     ``sobolev_norm``.  Returns the arrays raveled.
@@ -447,7 +463,7 @@ def morawetz_audit(
     if F is not None:
         _check_forcing(F, g, run.t0, run.dt, n)
     weights = _weight_arrays(g, sigma)
-    inv_a_quarter = 1.0 / _reg_weight(g, g.dx / 4.0).ravel()
+    inv_a_quarter = _inv_reg_weight(g, g.dx / 4.0)
     Fvals = None if F is None else F.in_domain(PHYSICAL).values.reshape(F.n_frames, -1)
     terms = np.array([
         _audit_frame(fr, None if F is None else Fvals[j], mu, weights, inv_a_quarter, 0 < j < n - 1)
@@ -531,7 +547,8 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
     tot = Fv + vv
     absF = np.abs(Fv)
     F_partial, _ = _spectral_gradient(Ff)
-    W_partial, _ = _spectral_gradient(Field.physical(g, _cubic(tot, 1) - _cubic(Fv, 1)))
+    W = _read_only(_cubic(tot, 1) - _cubic(Fv, 1))
+    W_partial, _ = _spectral_gradient(Field.physical(g, W))
     Fpart, Wpart = np.empty_like(tot), np.empty_like(tot)
     Fmag = np.zeros(g.shape)
     dot = np.zeros(g.shape, dtype=np.complex128)
@@ -700,7 +717,7 @@ def scaling_check(u0: Field, lam: float, cfg: NLSRunConfig) -> ScalingReport:
     if lam <= 0:
         raise ValueError("lambda must be positive")
     g2 = SpectralGrid(m=g.m, L=g.L / lam, d=g.d)
-    u0_2 = Field.physical(g2, lam * u0.in_domain(PHYSICAL).values)
+    u0_2 = Field.physical(g2, _read_only(lam * u0.in_domain(PHYSICAL).values))
     h1_a = sobolev_norm(u0, 1.0, homogeneous=True)
     h1_b = sobolev_norm(u0_2, 1.0, homogeneous=True)
 

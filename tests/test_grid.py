@@ -10,6 +10,8 @@ from dlab.grid import (
     Field,
     SpectralGrid,
     Weight,
+    _axis_product,
+    _spectral_gradient,
     broadcast_along,
     gradient_fields,
     gradient_magnitude,
@@ -255,6 +257,43 @@ def test_gradient_fields_match_centred_textbook_form(m, domain):
         mag2 += np.abs(ref.values) ** 2
     mag = gradient_magnitude(f.in_domain(domain))
     assert np.abs(mag - np.sqrt(mag2)).max() <= 1e-13 * np.sqrt(mag2).max()
+
+
+def _fft_pair_partial(vals, g, ax):
+    """d_{ax+1} as a 1D transform pair along ``ax`` (i xi, Nyquist entry zeroed) and
+    the sum of |1D spectrum|^2 over the Nyquist plane: the transform reference for
+    the matrix products of ``_spectral_gradient``."""
+    dfac = 1j * g.xi1d_fft
+    dfac[g.m // 2] = 0.0
+    spec = np.fft.fft(vals, axis=ax)
+    plane = np.take(spec, g.m // 2, axis=ax)
+    spec *= broadcast_along(dfac, ax, g.d)
+    return np.fft.ifft(spec, axis=ax), float(np.vdot(plane, plane).real)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_spectral_gradient_matches_the_fft_pair_derivative(m):
+    g = SpectralGrid(m=m, L=6.0)
+    f = random_field(g, 13)  # not band-limited: the Nyquist planes carry energy
+    partial, nyquist = _spectral_gradient(f)
+    for ax in range(g.d):
+        want, nyq = _fft_pair_partial(f.values, g, ax)
+        got = partial(ax)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert abs(nyquist[ax] - nyq) <= 1e-13 * nyq
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("k", [5, 1])
+def test_axis_product_is_a_contraction_along_one_axis(real, k):
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
+    matrix = rng.standard_normal((k, 5)) + (0.0 if real else 1j * rng.standard_normal((k, 5)))
+    for ax in range(vals.ndim):
+        want = np.moveaxis(np.tensordot(matrix, vals, axes=([1], [ax])), 0, ax)
+        got = _axis_product(vals, matrix, ax)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_xi1d_fft_is_the_fft_ordering_of_xi1d(grid8):

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dlab import grid as grid_mod
 from dlab.errors import BlowupDetected, NoContractionError
 from dlab.grid import (
     FREQUENCY,
@@ -12,6 +13,7 @@ from dlab.grid import (
     SpectralGrid,
     Trajectory,
     Weight,
+    _axis_product as axis_product,
     _power_mean,
     broadcast_along,
     gradient_fields,
@@ -26,6 +28,7 @@ from dlab.solver import (
     ContractionRecord,
     NLSRunConfig,
     PicardConfig,
+    _splitstep,
     energy,
     energy_growth_audit,
     mass,
@@ -79,9 +82,10 @@ def test_mass_conservation_exact_without_dealias(gs, gaussian):
 
 def test_mass_conservation_dealias_modest_amplitude(gs, gaussian):
     # band-limited data: the mask only sees the (tiny) nonlinear leakage
-    from dlab.solver import _fft_order_dealias
+    from dlab.grid import _separable
+    from dlab.solver import _dealias_keep
 
-    mask = np.fft.fftshift(_fft_order_dealias(gs))
+    mask = np.fft.fftshift(_separable(np.logical_and, [_dealias_keep(gs)] * gs.d))
     fh = Field.physical(gs, 0.1 * gaussian.values).in_domain(FREQUENCY)
     u0 = Field(gs, FREQUENCY, fh.values * mask).in_domain("physical")
     cfg = NLSRunConfig(mu=+1, dt=0.01, T=0.3, dealias=True)
@@ -397,7 +401,7 @@ def test_scaling_lambda_two(gs, gaussian):
 def _six_transform_splitstep(u0, cfg):
     """The Strang step with a separate masked round trip after the nonlinear
     rotation (fftn, mask, ifftn, then fftn, half step, mask, ifftn): the
-    reference for the four-transform step."""
+    transform reference for the per-axis matrix products of ``_splitstep``."""
     g = u0.grid
     xi = g.xi1d_fft
     half = np.exp(-0.5j * cfg.dt * reduce(
@@ -431,10 +435,20 @@ def test_splitstep_matches_six_transform_step(m, dealias):
     want = _six_transform_splitstep(u0, cfg)
     assert len(got) == len(want)
     for fr, ref in zip(got, want):
-        if dealias:
-            assert np.abs(fr.values - ref).max() <= 1e-12 * np.abs(ref).max()
-        else:
-            assert np.array_equal(fr.values, ref)
+        assert np.abs(fr.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_splitstep_step_matches_six_transform_step_at_m32(dealias):
+    # one step at criterion 9a's grid, on data that fills the whole spectrum
+    g = SpectralGrid(m=32, L=8.0)
+    u0 = 0.5 * random_field(g, 23)
+    cfg = NLSRunConfig(mu=+1, dt=0.001, T=0.001, dealias=dealias)
+    got = _splitstep(u0, cfg)
+    want = _six_transform_splitstep(u0, cfg)
+    assert len(got) == len(want) == 2
+    for fr, ref in zip(got, want):
+        assert np.abs(fr - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -461,7 +475,7 @@ def test_audit_hdot1_keeps_the_nyquist_planes(m):
 
 
 def test_audits_and_gradients_make_no_multi_axis_transform(gs, gaussian, monkeypatch):
-    # every derivative is a 1D transform pair along its own axis
+    # every derivative is a matrix product along its own axis: no multi-axis transform
     run, F = _forced_run(gs, gaussian, 0.005, 2)
     frame = run.frames[1]
 
@@ -484,23 +498,19 @@ def test_audits_and_gradients_make_no_multi_axis_transform(gs, gaussian, monkeyp
 
 
 def test_energy_growth_audit_unforced_differentiates_v_only(monkeypatch):
-    # without forcing only v is differentiated: one 1D pair per axis and frame
+    # without forcing only v is differentiated: one derivative product per axis and frame
     g = SpectralGrid(m=8, L=8.0)
     run = Trajectory(g, 0.0, 0.01, tuple(random_field(g, s) for s in (51, 52, 53)))
-    calls = []
+    axes = []
 
-    def counted(transform):
-        def wrapper(a, *args, axes=None, **kwargs):
-            calls.append(tuple(axes))
-            return transform(a, *args, axes=axes, **kwargs)
+    def counted(values, matrix, axis, out=None):
+        if matrix is g._derivative_matrix:
+            axes.append(axis)
+        return axis_product(values, matrix, axis, out)
 
-        return wrapper
-
-    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
-    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    monkeypatch.setattr(grid_mod, "_axis_product", counted)
     series, rep = energy_growth_audit(run, None)
-    assert len(calls) == 2 * g.d * run.n_frames
-    assert all(len(axes) == 1 for axes in calls)
+    assert axes == list(range(g.d)) * run.n_frames
     assert rep.group_gradient == 0.0
     assert all(v == 0.0 for v in rep.term_values.values())
     assert series.energy == pytest.approx([energy(fr) for fr in run.frames], rel=1e-12)
