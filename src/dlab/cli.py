@@ -441,8 +441,10 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: Literal[1, -1] = 1) -> tuple:
         fw = randomize_schrodinger(f, RandomizationSpec(seed=cfg.seed), 0)
         F = free_trajectory(fw, 0.0, cfg.dt, run_cfg.n_steps + 1).in_domain("physical")
         traj = solver_mod.splitstep_forced(Field.zero(cfg.grid, "physical"), F, run_cfg)
-        # mass and energy of u = F + v, the field the split-step evolves (v starts at 0)
-        u = Trajectory.from_values(traj.grid, traj.t0, traj.dt, "physical", F.values + traj.values)
+        # mass and energy of u = F + v, the field the split-step evolves (v starts at 0),
+        # made frame by frame: F_j first, which v_j then reads from F's memo
+        u = Trajectory.from_source(traj.grid, traj.t0, traj.dt, "physical", traj.n_frames,
+                                   lambda j, out: np.add(F.frames[j].values, traj.frames[j].values, out=out))
     masses, energies = solver_mod.nls_mass_energy_series(u)
     # the drift is taken from frame 1, the first the default 2/3 dealias mask has
     # acted on: what the mask removes from a datum that is not band-limited is not drift
@@ -492,8 +494,8 @@ def run_verifier(name: str, params: dict, seed: int = 0) -> dict:
 def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict, draw_threads: int | None = None) -> tuple:
     """Run experiment i of a validated config: (report entry, the solve's
     trajectory or None).  An ensemble runs its draws on ``draw_threads``
-    workers (DLAB_THREADS when None).  A DLabError inside it is re-raised
-    naming it."""
+    workers (DLAB_THREADS when None).  A DLabError or MemoryError inside it
+    is re-raised as a DLabError naming it."""
     kind, name, params = ex["kind"], ex.get("name", "nls"), ex.get("params", {})
     exp_id, traj = ex.get("id", f"{kind}_{i}"), None
     where = f"experiments[{i}].params"
@@ -510,6 +512,8 @@ def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict, draw_threads: int |
             traj, result, passed = _solve(cfg, name, **_checked(where, params, _SOLVE))
     except DLabError as exc:
         raise DLabError(f"experiments[{i}] ({exp_id}): {exc}") from exc
+    except MemoryError as exc:
+        raise DLabError(f"experiments[{i}] ({exp_id}): {_out_of_memory(exc)}") from exc
     return {"id": exp_id, "seed": cfg.seed, "kind": kind, "name": name,
             "result": result, "passed": passed}, traj
 
@@ -588,14 +592,21 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _out_of_memory(exc: MemoryError) -> str:
+    """One line for a failed allocation; numpy's message names the bytes it asked for."""
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
+
+
 def _guarded(fn, *args) -> int:
-    """fn(*args); a DLabError ends as its message lines and exit code 1."""
+    """fn(*args); a DLabError or MemoryError ends as its message lines and exit code 1."""
     try:
         return fn(*args)
     except ConfigError as exc:
         print("\n".join(f"config error: {v}" for v in exc.violations), file=sys.stderr)
     except DLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: {_out_of_memory(exc)}", file=sys.stderr)
     return 1
 
 

@@ -39,20 +39,37 @@ before its pass and stays zero, and every line it does transform holds the
 same numbers in the same order as under ``fftn``, so the result equals the
 unpruned one bit for bit (up to the sign of zeros).
 
-A ``Trajectory`` is one read-only C-contiguous complex128 array ``values`` of
-shape ``(n_frames, *grid.shape)`` plus one domain tag for all its rows.  Its
-``frames`` are ``Field`` views of those rows: nothing is copied, and writing
-through a view or through ``values`` raises.  ``Trajectory.in_domain``
-converts the whole stack with one transform over the spatial axes, bit for
-bit what converting frame by frame gives.  Producers build the stack
-themselves and hand it over with ``Trajectory.from_values``; the public
-constructor copies a sequence of fields into a new stack.
+A ``Trajectory`` is ``n_frames`` fields on one grid and one domain tag for all
+of them, held one of two ways:
+
+- a stack: one read-only C-contiguous complex128 array ``values`` of shape
+  ``(n_frames, *grid.shape)``.  Its ``frames`` are ``Field`` views of the
+  rows: nothing is copied, and writing through a view or through ``values``
+  raises.  ``in_domain`` converts the whole stack with one transform over the
+  spatial axes, bit for bit what converting frame by frame gives.  Producers
+  build the stack themselves and hand it over with ``from_values``; the
+  public constructor copies a sequence of fields into a new stack.
+- a frame source (``from_source``): a function that writes frame j's values
+  into a given buffer, or into a new one when given None.  Reading frame j
+  calls it, and the trajectory keeps that one frame (a memo) until another
+  frame is read; the old frame is dropped before the new one is made.  So a
+  reader of frame j of a trajectory built on this one (``splitstep_forced``'s
+  v_j = u_j - F_j), then of frame j here, makes it once.  ``in_domain`` and
+  ``map_frames`` of a source-backed trajectory are sources again, each
+  transforming or mapping a frame when it is read; they read their parent's
+  frames past its memo.  ``values`` is built from the source on first use,
+  row by row into one new stack, and kept: from then on the trajectory is
+  stack-backed, so every consumer of ``values`` (the band stacks of the
+  norms, Picard) does the same work as on a stack.
+
+``frames`` is a read-only ``Sequence`` either way; a slice of it is one too.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -461,26 +478,29 @@ def _axis_product(values: np.ndarray, matrix: np.ndarray, axis: int,
 def _spectral_gradient(f: Field) -> tuple:
     """Partial derivatives of a field, one axis at a time, with no transform.
 
-    Returns ``(partial, nyquist)``.  ``partial(ax, out=None)`` writes
-    d_{ax+1} f on the centred physical lattice into ``out`` (new when None)
-    as one ``_axis_product`` along axis ``ax``: the real circulant matrix of
-    i xi with the unpaired Nyquist entry zeroed (``SpectralGrid``'s cached
-    ``_derivative_matrix``).  It also stores in ``nyquist[ax]`` the sum of
-    |1D spectrum|^2 over the plane k_ax = m/2, which that matrix drops: the
-    1D Nyquist coefficient is the alternating-sign sum along the axis, one
+    Returns ``(partial, nyquist)``.  ``partial(ax, out=None, rows=None)``
+    writes d_{ax+1} f on the centred physical lattice into ``out`` (new when
+    None) as one ``_axis_product`` along axis ``ax``: the real circulant
+    matrix of i xi with the unpaired Nyquist entry zeroed (``SpectralGrid``'s
+    cached ``_derivative_matrix``).  It also adds to ``nyquist[ax]`` the sum
+    of |1D spectrum|^2 over the plane k_ax = m/2, which that matrix drops:
+    the 1D Nyquist coefficient is the alternating-sign sum along the axis, one
     more product.  So the full-|xi|^2 Hdot^1 norm is
-    ``dx^d (sum |grad f|^2 + xi_max^2 / m * sum(nyquist))``.  A
-    frequency-domain input is brought to the physical lattice first.
+    ``dx^d (sum |grad f|^2 + xi_max^2 / m * sum(nyquist))``.  ``rows``, a
+    slice of axis 0, restricts both to those rows; it needs ``ax >= 1``,
+    since d_1 mixes the rows.  A frequency-domain input is brought to the
+    physical lattice first.
     """
     g = f.grid
     vals = f.in_domain(PHYSICAL).values
     alternating = np.where(np.arange(g.m) % 2, -1.0, 1.0)[None, :]
     nyquist = [0.0] * g.d
 
-    def partial(ax: int, out: np.ndarray | None = None) -> np.ndarray:
-        plane = _axis_product(vals, alternating, ax)
-        nyquist[ax] = float(np.vdot(plane, plane).real)
-        return _axis_product(vals, g._derivative_matrix, ax, out)
+    def partial(ax: int, out: np.ndarray | None = None, rows: slice | None = None) -> np.ndarray:
+        part = vals if rows is None else vals[rows]
+        plane = _axis_product(part, alternating, ax)
+        nyquist[ax] += float(np.vdot(plane, plane).real)
+        return _axis_product(part, g._derivative_matrix, ax, out)
 
     return partial, nyquist
 
@@ -520,50 +540,109 @@ def _stack_fields(grid: SpectralGrid, fields, n: int) -> tuple:
     return domain, values
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Trajectory:
-    """Uniformly sampled time sequence of fields on one grid: one read-only
-    ``(n_frames, *grid.shape)`` stack ``values`` in ``domain`` (module docstring)."""
+class _Frames(Sequence):
+    """The read-only sequence of a trajectory's frames at ``indices`` (a range)."""
 
-    grid: SpectralGrid
-    t0: float
-    dt: float
-    domain: str
-    values: np.ndarray = dc_field(repr=False)
+    def __init__(self, traj: "Trajectory", indices: range):
+        self._traj, self._indices = traj, indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Frames(self._traj, self._indices[i])
+        return self._traj._frame(self._indices[i])
+
+    def __iter__(self):
+        return map(self._traj._frame, self._indices)
+
+
+class Trajectory:
+    """Uniformly sampled time sequence of fields on one grid, all in ``domain``: a
+    read-only ``(n_frames, *grid.shape)`` stack ``values`` or a frame source (module docstring)."""
 
     def __init__(self, grid: SpectralGrid, t0: float, dt: float, frames):
         """Copy a nonempty sequence of fields on ``grid``, all in one domain, into one stack."""
         frames = tuple(frames)
         if not frames:
             raise ValueError("trajectory needs at least one frame")
-        self._adopt(grid, t0, dt, *_stack_fields(grid, frames, len(frames)))
+        domain, values = _stack_fields(grid, frames, len(frames))
+        self._adopt(grid, t0, dt, domain, len(frames), values, None)
 
     @classmethod
     def from_values(cls, grid: SpectralGrid, t0: float, dt: float, domain: str,
                     values: np.ndarray) -> "Trajectory":
         """The trajectory of a ``(n_frames, *grid.shape)`` stack, which it takes over and makes read-only."""
+        values = np.ascontiguousarray(values, dtype=np.complex128)
         traj = object.__new__(cls)
-        traj._adopt(grid, t0, dt, domain, values)
+        traj._adopt(grid, t0, dt, domain, len(values), values, None)
         return traj
 
-    def _adopt(self, grid, t0, dt, domain, values) -> None:
+    @classmethod
+    def from_source(cls, grid: SpectralGrid, t0: float, dt: float, domain: str, n_frames: int,
+                    source) -> "Trajectory":
+        """The trajectory whose frame j is ``source(j, out)``: frame j's values written into
+        ``out`` (a new array when None) and returned.  Nothing is computed here."""
+        traj = object.__new__(cls)
+        traj._adopt(grid, t0, dt, domain, n_frames, None, source)
+        return traj
+
+    def _adopt(self, grid, t0, dt, domain, n_frames, values, source) -> None:
         if not dt > 0:
             raise ValueError("dt must be positive")
-        values = np.ascontiguousarray(values, dtype=np.complex128)
-        if domain not in (PHYSICAL, FREQUENCY) or not len(values) or values.shape[1:] != grid.shape:
-            raise ValueError(f"no {domain!r} trajectory of {values.shape} values on {grid}")
-        values.flags.writeable = False
-        for name, val in zip(("grid", "t0", "dt", "domain", "values"), (grid, t0, dt, domain, values)):
+        if (domain not in (PHYSICAL, FREQUENCY) or n_frames < 1
+                or (values is not None and values.shape[1:] != grid.shape)):
+            raise ValueError(f"no {domain!r} trajectory of {n_frames} frames on {grid}")
+        if values is not None:
+            values.flags.writeable = False
+        for name, val in zip(("grid", "t0", "dt", "domain", "n_frames", "_stack", "_source", "_memo"),
+                             (grid, t0, dt, domain, n_frames, values, source, None)):
             object.__setattr__(self, name, val)
 
-    @cached_property
-    def frames(self) -> tuple:
-        """Read-only ``Field`` views of the rows of ``values``."""
-        return tuple(Field(self.grid, self.domain, row) for row in self.values)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Trajectory(grid={self.grid!r}, t0={self.t0!r}, dt={self.dt!r}, "
+                f"domain={self.domain!r}, n_frames={self.n_frames})")
 
     @property
-    def n_frames(self) -> int:
-        return len(self.values)
+    def values(self) -> np.ndarray:
+        """The read-only stack of all frames.  A source-backed trajectory builds it from
+        its source on first use, keeps it, and from then on reads its frames from it."""
+        if self._stack is None:
+            values = np.empty((self.n_frames, *self.grid.shape), dtype=np.complex128)
+            memo = self._memo
+            for j, row in enumerate(values):
+                if memo is not None and memo[0] == j:
+                    row[...] = memo[1].values
+                else:
+                    self._source(j, row)
+            values.flags.writeable = False
+            for name, val in (("_stack", values), ("_source", None), ("_memo", None)):
+                object.__setattr__(self, name, val)
+        return self._stack
+
+    def _frame(self, j: int, memo: bool = True) -> Field:
+        """Frame j: a view of row j of the stack, or the source's frame.  A source frame
+        is memoized until another frame is read (the old one is dropped first), unless
+        ``memo`` is False: a derived source reads its parent's frames that way."""
+        if self._stack is not None:
+            return Field(self.grid, self.domain, self.values[j])
+        if self._memo is not None and self._memo[0] == j:
+            return self._memo[1]
+        if memo:
+            object.__setattr__(self, "_memo", None)
+        fr = Field(self.grid, self.domain, _read_only(self._source(j, None)))
+        if memo:
+            object.__setattr__(self, "_memo", (j, fr))
+        return fr
+
+    @property
+    def frames(self) -> Sequence:
+        """The read-only sequence of frames (``_frame``); a slice of it is one too."""
+        return _Frames(self, range(self.n_frames))
 
     @property
     def times(self) -> np.ndarray:
@@ -581,16 +660,43 @@ class Trajectory:
         return i
 
     def in_domain(self, domain: str) -> "Trajectory":
-        """This trajectory in the given domain: one transform of the whole stack."""
+        """This trajectory in the given domain: one transform of the whole stack, or,
+        while source-backed, a source that transforms each frame when read."""
         if domain == self.domain:
             return self
-        return Trajectory.from_values(self.grid, self.t0, self.dt, domain,
-                                      _centred_transform(self.values, self.grid, domain))
+        if self._stack is not None:
+            return Trajectory.from_values(self.grid, self.t0, self.dt, domain,
+                                          _centred_transform(self.values, self.grid, domain))
+
+        def source(j, out):
+            return _centred_transform(self._frame(j, memo=False).values, self.grid, domain, out=out)
+
+        return Trajectory.from_source(self.grid, self.t0, self.dt, domain, self.n_frames, source)
 
     def map_frames(self, func) -> "Trajectory":
-        """The trajectory of func(frame) for every frame, each result written into one new stack."""
-        stacked = _stack_fields(self.grid, map(func, self.frames), self.n_frames)
-        return Trajectory.from_values(self.grid, self.t0, self.dt, *stacked)
+        """The trajectory of func(frame) for every frame: each result written into one new
+        stack, or, while source-backed, a source that applies func to each frame when read
+        (frame 0 is mapped here, to learn the domain)."""
+        if self._stack is not None:
+            stacked = _stack_fields(self.grid, map(func, self.frames), self.n_frames)
+            return Trajectory.from_values(self.grid, self.t0, self.dt, *stacked)
+        first = func(self._frame(0, memo=False))
+        domain = first.domain
+        if first.grid != self.grid:
+            raise ValueError("all frames must share the trajectory grid")
+
+        def source(j, out):
+            fr = func(self._frame(j, memo=False))
+            if fr.grid != self.grid or fr.domain != domain:
+                raise DomainMismatchError("all frames must share one domain tag and grid")
+            if out is None:
+                return fr.values
+            out[...] = fr.values
+            return out
+
+        traj = Trajectory.from_source(self.grid, self.t0, self.dt, domain, self.n_frames, source)
+        object.__setattr__(traj, "_memo", (0, first))
+        return traj
 
 
 def write_snapshot(field: Field, path) -> None:

@@ -66,7 +66,7 @@ import numpy as np
 from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
 from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _fft, _power_mean, broadcast_along,
                    gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
-from .projections import Band, _directional_planes, band_symbol
+from .projections import Band, _directional_planes, band_box, band_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
 # kernel's complex stacks take four times as much
@@ -320,14 +320,17 @@ class _BandStack:
             self.freq = rows.copy()
         self.work = np.empty_like(self.freq)
 
-    def power(self, symbol: np.ndarray) -> np.ndarray:
-        """|u|^2 of the projection by a centered symbol that carries 1/dx^d."""
+    def power(self, symbol: np.ndarray, box: tuple | None = None) -> np.ndarray:
+        """|u|^2 of the projection by a centered symbol that carries 1/dx^d; ``box``, the
+        symbol's support box (``grid._support_box``), prunes the inverse transform."""
         np.multiply(self.freq, symbol, out=self.work)
-        return _abs2(_fft(self.work, inverse=True, axes=self.axes, out=self.work))
+        return _abs2(_fft(self.work, inverse=True, axes=self.axes, out=self.work, box=box))
 
     def band_powers(self, N: float):
         """Yield |P_N u|^2, then |P_{N,e_l} P_N u|^2 for l = 1..d.
 
+        P_N u's inverse transform is pruned to the band's support box
+        (``projections.band_box``), bit for bit the unpruned one.
         Each directional stack is P_N u, left in ``work``, minus the sum of
         its plane terms (``_plane_terms``, all taken once the first stack is
         out, while ``freq`` is intact).  It is written into the frequency
@@ -337,7 +340,7 @@ class _BandStack:
         """
         g = self.grid
         sym = band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d)
-        yield self.power(sym)
+        yield self.power(sym, band_box(g, Band.dyadic(N)))
         terms = [self._plane_terms(sym, N, ax) for ax in self.axes]
         buf, self.freq = self.freq, None
         for planes, phases in terms:

@@ -85,20 +85,28 @@ def wave_energy(u: Field, ut: Field) -> float:
 def free_trajectory(
     f: Field, t0: float, dt: float, n_frames: int, flow: str = "schrodinger", sign: int = +1
 ) -> Trajectory:
-    """Sample a free flow on a uniform time lattice (frames in frequency domain)."""
+    """Sample a free flow on a uniform time lattice (frames in frequency domain).
+
+    Only fhat is kept: frame j, the flow's multiplier at t0 + j dt times fhat,
+    is made when it is read (``Trajectory.from_source``).
+    """
     if flow not in ("schrodinger", "halfwave"):
         raise ValueError(f"unknown flow {flow!r}")
     g = f.grid
     fh = f.in_domain(FREQUENCY).values
-    values = np.empty((n_frames, *g.shape), dtype=np.complex128)
-    for j, row in enumerate(values):
+
+    def frame(j: int, out: np.ndarray | None) -> np.ndarray:
         t = t0 + j * dt
         if flow == "schrodinger":
             sym = schrodinger_symbol(g, t)
         else:
             sym = np.exp(1j * sign * t * np.sqrt(g.xi_squared))
-        np.multiply(fh, sym, out=row)
-    return Trajectory.from_values(g, t0, dt, FREQUENCY, values)
+        if out is None:
+            out = np.empty(g.shape, dtype=np.complex128)
+        # fhat first: ``fh * sym`` would reuse sym's buffer as sym *= fh, which rounds differently
+        return np.multiply(fh, sym, out=out)
+
+    return Trajectory.from_source(g, t0, dt, FREQUENCY, n_frames, frame)
 
 
 def _duhamel_values(hhat, grid: SpectralGrid, dt: float):

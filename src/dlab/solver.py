@@ -16,22 +16,30 @@ buffer.
 The forced equation (i d_t + Laplace) v = mu |F+v|^2 (F+v) is solved through
 the change of variables u := F + v: when F solves the linear equation exactly
 on the grid (free flows here are exact multipliers), u solves the standard
-cubic NLS, so no separate splitting-error analysis is needed.
+cubic NLS, so no separate splitting-error analysis is needed.  The solve
+keeps the u stack and returns v as a frame source, v_j = u_j - F_j made when
+read; with F the frame source of a free flow, the pipeline holds one stack.
 
-The Morawetz audit makes one spectral pass per frame: each of the d = 4
-derivatives is one product with the real derivative matrix along its own
-axis (``grid._spectral_gradient``), taken on the centred physical frame with
-no transform and no centering shift.  From the derivatives come the
+The Morawetz audit makes one spectral pass per frame, reading the run and F
+one frame at a time, and streams it in slabs of x1 rows (cache blocking):
+d_1 v mixes the rows, so it is one product over the whole frame, and each
+slab then takes d_2 .. d_d of its own rows, each one product with the real
+derivative matrix along its axis (``grid._spectral_gradient``, no transform,
+no centering shift).  From a slab's derivatives come its share of the
 Morawetz action, the dm/dt right side (interior frames) and ||v||_{Hdot^1}
 by Parseval (plus the Nyquist planes the derivative zeroes), and, with
-rho = |v|^2, the bulk densities and ||v||_2; the forcing difference H is
-built once in one buffer from rho and feeds both the right side and ||H||_2.
-The weight arrays 1/a, 1/a^3, Lap a, LapLap a are built once per audit call
-and dropped on return.  A frame holds one derivative buffer reused for the d
-axes, x.grad v and |grad v|^2 (2.5 complex m^d arrays, 40 MB at m = 32), all
-released before the next frame.  The energy audit shares the pass: energy, |grad v| and the Morawetz
-series of v come from it, so a frame costs 3d per-axis derivative products
-(v, F and the flux W, d each).
+rho = |v|^2, of the bulk densities and ||v||_2; the forcing difference H is
+built per slab in one buffer from rho and feeds both the right side and
+||H||_2.  A slab is as many whole rows as 2^12 points hold, at least one,
+and follows from the grid alone: the whole frame at m = 8, one row at
+m >= 16.  The weight arrays 1/a, 1/a^3, Lap a, LapLap a and 1/a at dx/4 are
+built once per audit call and dropped on return.  Besides them, a frame
+holds the frame of v, that of F and d_1 v (three complex m^d arrays, 48 MB
+at m = 32) and one slab's arrays (a few row-sized ones), all released
+before the next frame.  The energy audit shares the pass, gathered into
+whole-frame arrays: energy, |grad v| and the Morawetz series of v come from
+it, so a frame costs 3d per-axis derivative products (v, F and the flux W,
+d each).
 """
 
 from __future__ import annotations
@@ -133,7 +141,7 @@ def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
             np.sin(phase, out=rotation.imag)
             u *= rotation
             u, work = kinetic(u, work, last)
-            peak = float(np.abs(u).max())
+            peak = float(np.abs(u, out=phase).max())
         if not np.isfinite(peak) or peak > guard:
             partial = Trajectory.from_values(g, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
                                              frames[: (step - 1) // cfg.snapshot_stride + 1])
@@ -166,18 +174,23 @@ def _check_forcing(F: Trajectory, grid: SpectralGrid, t0: float, dt: float, n: i
 def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     """Forced cubic NLS via u := F + v evolved as standard NLS, then v = u - F.
 
-    F must be sampled exactly at the snapshot times of the run.  v is taken
-    from the u stack in place, so the run holds one stack besides F.
+    F must be sampled exactly at the snapshot times of the run.  The result
+    keeps the u stack and F: its frame j, u_j - F_j, is made when it is read
+    (``Trajectory.from_source``), so the run holds one stack, and a reader of
+    v_j and then F_j gets F_j from F's one-frame memo.
     """
     g = v0.grid
     snap_dt = cfg.dt * cfg.snapshot_stride
     _check_forcing(F, g, 0.0, snap_dt, cfg.n_steps // cfg.snapshot_stride + 1)
     cfg.check_phase_resolution(g)
     F0 = F.frames[0].in_domain(PHYSICAL)
-    v = _splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)), cfg)
-    for row, Fj in zip(v, F.frames):
-        row -= Fj.in_domain(PHYSICAL).values
-    return Trajectory.from_values(g, 0.0, snap_dt, PHYSICAL, v)
+    u = _read_only(_splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)),
+                              cfg))
+
+    def frame(j: int, out: np.ndarray | None) -> np.ndarray:
+        return np.subtract(u[j], F.frames[j].in_domain(PHYSICAL).values, out=out)
+
+    return Trajectory.from_source(g, 0.0, snap_dt, PHYSICAL, len(u), frame)
 
 
 @dataclass(frozen=True)
@@ -318,27 +331,54 @@ def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     return inv_a, inv_a3, lap_a, bilap_a
 
 
-def _frame_pass(v: Field) -> tuple:
-    """One frame's values, ||v||_{Hdot^1}^2, x.grad v and |grad v|^2 from d per-axis passes.
+_SLAB_POINTS = 2**12  # lattice points per slab of a frame pass: 64 KB of complex values
 
-    Each derivative is one matrix product along its axis
-    (``grid._spectral_gradient``); Hdot^1 is Parseval on the derivatives plus
-    the Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
-    ``sobolev_norm``.  Returns the arrays raveled.
+
+def _frame_pass(v: Field, visit) -> float:
+    """One frame's derivative pass in slabs of x1 rows; returns ||v||_{Hdot^1}^2.
+
+    d_1 v mixes the rows, so it is one product over the whole frame; each slab
+    then takes d_2 .. d_d of its own rows (``grid._spectral_gradient``) and
+    calls ``visit(flat, vals, xdot, grad2)`` with the slab's slice of the
+    raveled frame and v, x.grad v and |grad v|^2 there, raveled.  A slab is
+    as many whole rows as ``_SLAB_POINTS`` points hold, at least one, so its
+    arrays stay in cache.  Hdot^1 is Parseval on the derivatives plus the
+    Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
+    ``sobolev_norm``.
     """
     g = v.grid
     partial, nyquist = _spectral_gradient(v)
-    grad2 = np.zeros(g.shape)
-    xdot = np.zeros(g.shape, dtype=np.complex128)
-    part = np.empty(g.shape, dtype=np.complex128)
-    for ax in range(g.d):
-        partial(ax, part)
-        grad2 += _abs2(part)
-        part *= broadcast_along(g.x1d, ax, g.d)
-        xdot += part
-    h1_sq = g.dx**g.d * (float(grad2.sum()) + g.xi_max**2 / g.m * sum(nyquist))
-    vals = v.in_domain(PHYSICAL).values.ravel()
-    return vals, h1_sq, xdot.ravel(), grad2.ravel()
+    vals = v.in_domain(PHYSICAL).values
+    d1 = partial(0)
+    row = g.size // g.m
+    rows = min(g.m, max(1, _SLAB_POINTS // row))
+    part = np.empty((rows, *g.shape[1:]), dtype=np.complex128)
+    grad_sum = 0.0
+    for r0 in range(0, g.m, rows):
+        sl = slice(r0, r0 + rows)
+        grad2 = _abs2(d1[sl])
+        xdot = d1[sl] * broadcast_along(g.x1d[sl], 0, g.d)
+        for ax in range(1, g.d):
+            partial(ax, part, sl)
+            grad2 += _abs2(part)
+            part *= broadcast_along(g.x1d, ax, g.d)
+            xdot += part
+        grad_sum += float(grad2.sum())
+        visit(slice(r0 * row, (r0 + rows) * row), vals[sl].ravel(), xdot.ravel(), grad2.ravel())
+    return g.dx**g.d * (grad_sum + g.xi_max**2 / g.m * sum(nyquist))
+
+
+def _frame_arrays(v: Field) -> tuple:
+    """v, ||v||_{Hdot^1}^2, x.grad v and |grad v|^2 of the whole frame, the arrays raveled
+    (``_frame_pass``)."""
+    g = v.grid
+    xdot, grad2 = np.empty(g.size, dtype=np.complex128), np.empty(g.size)
+
+    def visit(flat, vals, xd, gr):
+        xdot[flat], grad2[flat] = xd, gr
+
+    h1_sq = _frame_pass(v, visit)
+    return v.in_domain(PHYSICAL).values.ravel(), h1_sq, xdot, grad2
 
 
 def _action(vals: np.ndarray, xdot: np.ndarray, inv_a: np.ndarray, vol: float) -> float:
@@ -365,7 +405,7 @@ def morawetz_action(v: Field, sigma: float | None = None) -> float:
     regularized at that scale.
     """
     g = v.grid
-    vals, _, xdot, _ = _frame_pass(v)
+    vals, _, xdot, _ = _frame_arrays(v)
     return _action(vals, xdot, 1.0 / _reg_weight(g, sigma).ravel(), g.dx**g.d)
 
 
@@ -374,7 +414,7 @@ def morawetz_dmdt_rhs(v: Field, H: Field | None, sigma: float) -> float:
     (i d_t + Lap) v = |v|^2 v + H with the regularized weight."""
     g = v.grid
     weights = _weight_arrays(g, sigma)
-    vals, _, xdot, grad2 = _frame_pass(v)
+    vals, _, xdot, grad2 = _frame_arrays(v)
     Hv = None if H is None else H.in_domain(PHYSICAL).values.ravel()
     return _dmdt_rhs(vals, _abs2(vals), xdot, grad2, Hv, weights, g.dx**g.d)
 
@@ -401,27 +441,34 @@ def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: i
 
 
 def _audit_frame(v, Fv, mu, weights, inv_a_quarter, interior: bool) -> tuple:
-    """Per-frame terms of ``morawetz_audit`` from one frame pass.
+    """Per-frame terms of ``morawetz_audit``, summed over the slabs of one frame pass.
 
     Returns (action, ||v||_{Hdot^1}^2, ||v||_2^2, bulk density at sigma and at
-    dx/4, ||H||_2, dm/dt right side or nan off the interior).  Every array of
-    the frame is released on return.
+    dx/4, ||H||_2, dm/dt right side or nan off the interior).  ``Fv`` is the
+    raveled forcing frame or None.  Besides the frame, F's frame and d_1 v,
+    only one slab's arrays are alive at a time.
     """
     g = v.grid
     vol = g.dx**g.d
-    vals, h1_sq, xdot, grad2 = _frame_pass(v)
-    rho = _abs2(vals)
-    rho2 = rho * rho
-    H = None if Fv is None else _forcing_difference(vals, rho, Fv, mu)
-    return (
-        _action(vals, xdot, weights[0], vol),
-        h1_sq,
-        vol * float(rho.sum()),
-        vol * float(np.dot(rho2, weights[0])),
-        vol * float(np.dot(rho2, inv_a_quarter)),
-        0.0 if H is None else np.sqrt(vol * float(_abs2(H).sum())),
-        _dmdt_rhs(vals, rho, xdot, grad2, H, weights, vol) if interior else np.nan,
-    )
+    sums = np.zeros(6)  # action, ||v||_2^2, the two bulk densities, ||H||_2^2, right side
+
+    def visit(flat, vals, xdot, grad2):
+        w = tuple(a[flat] for a in weights)
+        rho = _abs2(vals)
+        rho2 = rho * rho
+        H = None if Fv is None else _forcing_difference(vals, rho, Fv[flat], mu)
+        sums[:] += (
+            _action(vals, xdot, w[0], vol),
+            vol * float(rho.sum()),
+            vol * float(np.dot(rho2, w[0])),
+            vol * float(np.dot(rho2, inv_a_quarter[flat])),
+            0.0 if H is None else vol * float(_abs2(H).sum()),
+            _dmdt_rhs(vals, rho, xdot, grad2, H, w, vol) if interior else 0.0,
+        )
+
+    h1_sq = _frame_pass(v, visit)
+    action, l2_sq, bulk, bulk_quarter, h_sq, rhs = sums
+    return action, h1_sq, l2_sq, bulk, bulk_quarter, np.sqrt(h_sq), rhs if interior else np.nan
 
 
 @dataclass
@@ -464,10 +511,12 @@ def morawetz_audit(
         _check_forcing(F, g, run.t0, run.dt, n)
     weights = _weight_arrays(g, sigma)
     inv_a_quarter = _inv_reg_weight(g, g.dx / 4.0)
-    Fvals = None if F is None else F.in_domain(PHYSICAL).values.reshape(F.n_frames, -1)
+    # frame j of the run first: a run from splitstep_forced reads F_j, which F then has
+    # memoized; no frame outlives its call
     terms = np.array([
-        _audit_frame(fr, None if F is None else Fvals[j], mu, weights, inv_a_quarter, 0 < j < n - 1)
-        for j, fr in enumerate(run.frames)
+        _audit_frame(run.frames[j], None if F is None else F.frames[j].in_domain(PHYSICAL).values.ravel(),
+                     mu, weights, inv_a_quarter, 0 < j < n - 1)
+        for j in range(n)
     ])
     mvals, h1_sq, l2_sq, bulk_d, bulk_quarter_d, h_l2, rhs = terms.T
     rhs = rhs[1:-1]
@@ -535,7 +584,7 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
     g = v.grid
     vol = g.dx**g.d
     vv = v.values
-    vals, h1_sq, xdot, grad2 = _frame_pass(v)
+    vals, h1_sq, xdot, grad2 = _frame_arrays(v)
     vmag = np.sqrt(grad2).reshape(g.shape)
     absv = np.abs(vv)
     mass_v = vol * float(np.sum(absv**2))

@@ -331,3 +331,35 @@ def test_malformed_trajectory_manifest_is_one_error_line(tmp_path, capsys, manif
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "manifest.json" in err and "Traceback" not in err
     assert err.count("\n") == 1 and not (tmp_path / "n.json").exists()
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise MemoryError("Unable to allocate 250. GiB for an array with shape "
+                      "(1001, 64, 64, 64, 64) and data type complex128")
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    import dlab.solver
+
+    cfg = base_config(output_dir=str(tmp_path / "out"),
+                      experiments=[{"kind": "solve", "name": "nls", "id": "big"}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dlab.solver, "_splitstep", _refuse_allocation)
+    argv = ["run", str(path)] if command == "run" else ["solve", "--mode", "nls", "--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: experiments[0] (") and "out of memory: Unable to allocate 250. GiB" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_outside_an_experiment_is_one_error_line(tmp_path, capsys, monkeypatch):
+    import dlab.cli
+
+    monkeypatch.setattr(dlab.cli, "free_trajectory", _refuse_allocation)
+    assert main(["evolve", "--flow", "schrodinger", "--t", "0.1", "--dt", "0.05",
+                 "--grid", "8,8.0", "--out", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 250. GiB") and err.count("\n") == 1

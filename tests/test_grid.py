@@ -380,8 +380,9 @@ def test_field_copies_a_writable_input_and_adopts_a_read_only_one(grid8):
     b[0] = 7
     assert f.values[0, 0, 0, 0] == 0  # no later write to the input reaches the field
     traj = free_trajectory(random_field(grid8, 1), 0.0, 0.1, 3)
+    stack = traj.values  # built from the frame source; from now on the frames view its rows
     for i in range(traj.n_frames):
-        assert np.shares_memory(traj.frames[i].values, traj.values)
+        assert np.shares_memory(traj.frames[i].values, stack)
 
 
 def test_only_grid_calls_numpy_fft():

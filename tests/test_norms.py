@@ -415,7 +415,8 @@ def test_band_stack_physical_spectrum_is_shifted_fft_bitwise(m):
 
 
 def _count_transforms(monkeypatch):
-    """Record (kind, axes, input shape) of every np.fft.fftn / ifftn call from here on."""
+    """Record (kind, axes, input shape) of every np.fft.fftn / ifftn call from here on,
+    and of every one-axis np.fft.fft / ifft pass of a pruned transform, with axes (axis,)."""
     calls = []
 
     def counted(kind, transform):
@@ -425,22 +426,38 @@ def _count_transforms(monkeypatch):
 
         return wrapper
 
+    def counted_pass(kind, transform):
+        def wrapper(a, *args, axis=-1, **kwargs):
+            calls.append((kind, (axis,), a.shape))
+            return transform(a, *args, axis=axis, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(np.fft, "fftn", counted("fwd", np.fft.fftn))
     monkeypatch.setattr(np.fft, "ifftn", counted("inv", np.fft.ifftn))
+    monkeypatch.setattr(np.fft, "fft", counted_pass("fwd", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted_pass("inv", np.fft.ifft))
     return calls
 
 
 @pytest.mark.parametrize("domain", [PHYSICAL, FREQUENCY])
 def test_yn_norm_directional_projections_are_plane_corrections(grid8, domain, monkeypatch):
-    # one stack-wide inverse transform for P_N, then per axis l one inverse transform of
-    # the planes J_l over the other axes; no one-axis transform of a full stack
+    # one stack-wide inverse transform for P_N, pruned to the band's box (one pass per
+    # axis, over the lines in the box on the axes still to come), then per axis l one
+    # inverse transform of the planes J_l over the other axes
     v = _traj8(grid8, domain)
+    v.values  # frame sources transform when read: build the stack before counting
     calls = _count_transforms(monkeypatch)
     yn_norm(v, 1.0)
     stack_axes = (1, 2, 3, 4)
     stack = (v.n_frames,) + grid8.shape
     want = [("fwd", stack_axes, stack)] if domain == PHYSICAL else []
-    want.append(("inv", stack_axes, stack))
+    box = proj_mod.band_box(grid8, Band.dyadic(1.0))
+    assert box is not None  # the band misses the lattice edge, so the transform is pruned
+    for ax in reversed(stack_axes):
+        lines = stack[:1] + tuple(len(range(n)[sl]) if a < ax else n
+                                  for a, (sl, n) in enumerate(zip(box, grid8.shape), 1))
+        want.append(("inv", (ax,), lines))
     for ax in stack_axes:
         planes = stack[:ax] + (1,) + stack[ax + 1 :]  # J_l is the plane xi_l = 0 on this grid
         want.append(("inv", tuple(a for a in stack_axes if a != ax), planes))

@@ -51,3 +51,11 @@ def test_unit_maximal_tensor_without_two_points_exits_nonzero(tmp_path, args):
     assert "fitted slope" not in res.stdout and "Traceback" not in res.stderr
     assert "a slope needs at least two" in res.stderr
     assert not (tmp_path / "points.csv").exists()
+
+
+def test_peak_rss_reports_one_node(tmp_path):
+    res = _run("peak_rss.py", "tests/test_grid.py::test_trapezoid_weights", cwd=tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.startswith("pytest: 1 passed")
+    assert _value(res.stdout, "wall_s") > 0.0
+    assert _value(res.stdout, "peak_rss_mb") > 0.0

@@ -477,6 +477,7 @@ def test_audit_hdot1_keeps_the_nyquist_planes(m):
 def test_audits_and_gradients_make_no_multi_axis_transform(gs, gaussian, monkeypatch):
     # every derivative is a matrix product along its own axis: no multi-axis transform
     run, F = _forced_run(gs, gaussian, 0.005, 2)
+    F.values, run.values  # frame sources transform when read: build both stacks before the check
     frame = run.frames[1]
 
     def one_axis(transform):
