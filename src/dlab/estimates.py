@@ -9,7 +9,8 @@ spatial scales 2^7..2^9) run here at grid-feasible surrogate ranges; every
 report carries the substitution it made.  Time windows follow the parabolic
 scaling T_N = T0 / N^2 for dyadic families so each band sees the same
 fraction of its continuum norm, and fixed windows below the wraparound time
-for unit-scale families.
+for unit-scale families.  L^2 norms of frequency data, and their sups over
+frames, are taken by Parseval (``shell_field``, ``verify_main_linear``).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def shell_field(grid: SpectralGrid, N: float, seed: int | None = None,
         rng = np.random.default_rng(seed)
         vals = vals * np.exp(2j * np.pi * rng.random(grid.shape))
     f = Field(grid, FREQUENCY, _read_only(vals))
-    n2 = lp_norm(to_physical(f), 2)
+    n2 = sobolev_norm(f, 0.0)  # the L^2 norm by Parseval: no transform
     if n2 == 0:
         raise DegenerateDataError(f"shell at N={N} has no lattice support")
     return Field(grid, FREQUENCY, _read_only(vals / n2))
@@ -683,13 +684,13 @@ def verify_trilinear(
     )
 
 
-def _enveloped_frames(f: Field, dt: float, n_frames: int, seed: int):
-    """Yield the frequency values of the free Schrodinger frames of f, frame j
-    scaled by a seeded envelope in [0.5, 1.5)."""
+def _enveloped_frames(f: Field, dt: float, n_frames: int, seed: int, box: tuple | None = None):
+    """Yield the frequency values of the free Schrodinger frames of f, frame j scaled by a
+    seeded envelope in [0.5, 1.5); on ``box`` only, outside which f's spectrum is zero."""
     envelope = 0.5 + np.random.default_rng(seed).random(n_frames)
-    fh = f.in_domain(FREQUENCY).values
+    fh = f.in_domain(FREQUENCY).values[box or ()]
     for j, e in enumerate(envelope):
-        yield e * (fh * schrodinger_symbol(f.grid, j * dt))
+        yield np.multiply(np.multiply(schrodinger_symbol(f.grid, j * dt, box), fh), e)
 
 
 @dataclass
@@ -715,21 +716,25 @@ def verify_duhamel_retarded(
     LHS norms of t -> int_0^t exp(i(t-s) Lap) P_N h ds; RHS is the lateral
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
     """
+    if not T > 0 or n_frames < 2:
+        raise ParameterRangeError(f"need T > 0 and n_frames >= 2, got {T=}, {n_frames=}")
     fN = dyadic_projection(shell_field(grid, N, seed=seed), Band.dyadic(N))
     dt = T / (n_frames - 1)
     box = band_box(grid, Band.dyadic(N))  # every row below is fN's spectrum times a multiplier
 
-    def physical(rows) -> Trajectory:  # a stack of frequency rows, converted in place
-        values = np.fromiter(rows, (np.complex128, grid.shape), n_frames)
+    def physical(rows) -> Trajectory:  # the box rows in a zeroed stack, converted in place
+        values = np.zeros((n_frames, *grid.shape), dtype=np.complex128)
+        for row, r in zip(values, rows):
+            row[box or ()] = r
         return Trajectory.from_values(grid, 0.0, dt, PHYSICAL,
                                       _centred_transform(values, grid, PHYSICAL, out=values, box=box))
 
     def hhat():  # h is generated twice, never stored: one frame stack is held at a time
-        return _enveloped_frames(fN, dt, n_frames, seed + 1)
+        return _enveloped_frames(fN, dt, n_frames, seed + 1, box)
 
     p_g, q_g = pol.g_lateral_pq
     rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(physical(hhat()), p_g, q_g))
-    retarded = physical(_duhamel_values(hhat(), grid, dt))
+    retarded = physical(_duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt))
     stri = {}
     for q, r in strichartz_pairs:
         lhs = N * strichartz_norm(retarded, q, r)
@@ -769,8 +774,10 @@ def verify_main_linear(
 
     for v solving the inhomogeneous flow with data v0 and forcing h.
     """
-    if bands is None:
-        bands = aggregate_bands(grid)
+    bands = aggregate_bands(grid) if bands is None else bands
+    if not T > 0 or n_frames < 2 or n_samples < 1 or not bands:
+        raise ParameterRangeError(f"need T > 0, n_frames >= 2, n_samples >= 1 and a band, "
+                                  f"got {T=}, {n_frames=}, {n_samples=}, {bands=}")
     dt = T / (n_frames - 1)
     consts = []
     for i in range(n_samples):
@@ -783,11 +790,9 @@ def verify_main_linear(
         vfree = free_trajectory(v0, 0.0, dt, n_frames).values
         v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, vfree - 1j * duhamel_all(h).values)
         band = Band.dyadic(N)
-        vN = v.values * band_symbol(grid, band)
-        vN = Trajectory.from_values(grid, 0.0, dt, PHYSICAL, _centred_transform(
-            vN, grid, PHYSICAL, out=vN, box=band_box(grid, band)))
+        vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * band_symbol(grid, band))
         lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
-        rhs = N * lp_norm(to_physical(dyadic_projection(v0, Band.dyadic(N))), 2)
+        rhs = N * sobolev_norm(dyadic_projection(v0, band), 0.0)
         rhs += gn_norm_upper(h, N, pol=pol)
         consts.append(float(lhs / rhs))
     worst = float(max(consts))

@@ -67,6 +67,7 @@ of them, held one of two ways:
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -165,11 +166,16 @@ class SpectralGrid:
         return _read_only(_separable(np.add, [self.xi1d**2] * self.d))
 
     @cached_property
-    def _derivative_matrix(self) -> np.ndarray:
-        """The real m x m matrix of d/dx along one axis: i xi, Nyquist entry zeroed (``_circulant``)."""
+    def _derivative_matrix(self) -> tuple:
+        """d/dx along one axis as a ``_real_matrix``: i xi, Nyquist entry zeroed (``_circulant``)."""
         dfac = 1j * self.xi1d_fft
         dfac[self.m // 2] = 0.0
-        return _read_only(np.ascontiguousarray(_circulant(dfac).real))
+        return _real_matrix(np.ascontiguousarray(_circulant(dfac).real))
+
+    @cached_property
+    def _alternating_row(self) -> tuple:
+        """The 1 x m row of (-1)^n, whose product along an axis is the 1D Nyquist coefficient."""
+        return _real_matrix(np.where(np.arange(self.m) % 2, -1.0, 1.0)[None, :])
 
     @property
     def xi_max(self) -> float:
@@ -410,11 +416,11 @@ def weighted_lp_norm(f: Field, w: Weight, r: float) -> float:
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s) norm via the frequency lattice."""
     g = f.grid
-    fh = f.in_domain(FREQUENCY)
-    k2 = g.xi_squared
-    mult = k2**s if homogeneous else (1.0 + k2) ** s
-    total = (g.dxi / (2.0 * np.pi)) ** g.d * np.sum(mult * np.abs(fh.values) ** 2)
-    return float(np.sqrt(total))
+    dens = np.abs(f.in_domain(FREQUENCY).values) ** 2
+    if s != 0:  # s = 0 is the L^2 norm (Parseval): the multiplier is 1
+        k2 = g.xi_squared
+        dens *= k2**s if homogeneous else (1.0 + k2) ** s
+    return float(np.sqrt((g.dxi / (2.0 * np.pi)) ** g.d * np.sum(dens)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -448,7 +454,12 @@ def _circulant(symbol: np.ndarray) -> np.ndarray:
                 inverse=True, axes=(0,))
 
 
-def _axis_product(values: np.ndarray, matrix: np.ndarray, axis: int,
+def _real_matrix(matrix: np.ndarray) -> tuple:
+    """A real matrix and its last-axis form ``kron(matrix.T, I2)``, read-only, for ``_axis_product``."""
+    return _read_only(matrix), _read_only(np.kron(matrix.T, np.eye(2)))
+
+
+def _axis_product(values: np.ndarray, matrix, axis: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """``matrix`` (k x m) applied along ``axis`` of the C-contiguous complex ``values``, in ``out``.
 
@@ -456,11 +467,11 @@ def _axis_product(values: np.ndarray, matrix: np.ndarray, axis: int,
     of ``values``' shape but k along ``axis`` (new when None, never
     ``values``), as one ``np.matmul``.  A real matrix acts on the float64
     view of both arrays, where a complex number is two adjacent floats: along
-    the last axis that is ``kron(matrix.T, I2)`` on the right.
+    the last axis that is ``kron(matrix.T, I2)`` on the right (cached in a ``_real_matrix`` pair).
     """
+    matrix, right = matrix if isinstance(matrix, tuple) else (matrix, None)
     k, m = matrix.shape
-    pre = int(np.prod(values.shape[:axis], dtype=np.int64))
-    post = int(np.prod(values.shape[axis + 1:], dtype=np.int64))
+    pre, post = math.prod(values.shape[:axis]), math.prod(values.shape[axis + 1:])
     if out is None:
         out = np.empty(values.shape[:axis] + (k,) + values.shape[axis + 1:], dtype=np.complex128)
     if np.iscomplexobj(matrix):
@@ -468,7 +479,8 @@ def _axis_product(values: np.ndarray, matrix: np.ndarray, axis: int,
     else:
         a, b, pair = values.view(np.float64), out.view(np.float64), 2
     if post == 1:
-        right = matrix.T if pair == 1 else np.kron(matrix.T, np.eye(2))
+        if right is None:
+            right = matrix.T if pair == 1 else np.kron(matrix.T, np.eye(2))
         np.matmul(a.reshape(pre, pair * m), right, out=b.reshape(pre, pair * k))
     else:
         np.matmul(matrix, a.reshape(pre, m, pair * post), out=b.reshape(pre, k, pair * post))
@@ -493,12 +505,11 @@ def _spectral_gradient(f: Field) -> tuple:
     """
     g = f.grid
     vals = f.in_domain(PHYSICAL).values
-    alternating = np.where(np.arange(g.m) % 2, -1.0, 1.0)[None, :]
     nyquist = [0.0] * g.d
 
     def partial(ax: int, out: np.ndarray | None = None, rows: slice | None = None) -> np.ndarray:
         part = vals if rows is None else vals[rows]
-        plane = _axis_product(part, alternating, ax)
+        plane = _axis_product(part, g._alternating_row, ax)
         nyquist[ax] += float(np.vdot(plane, plane).real)
         return _axis_product(part, g._derivative_matrix, ax, out)
 

@@ -509,10 +509,10 @@ def linf_h1(v: Trajectory, interval: Interval = None) -> float:
 
 
 def linf_l2(v: Trajectory, interval: Interval = None) -> float:
+    """max over the window's frames of ||v(t)||_2; frequency frames by Parseval, with no transform."""
     i0, i1, _ = _window(v, interval)
-    return max(
-        lp_norm(v.frames[i].in_domain(PHYSICAL), 2) for i in range(i0, i1 + 1)
-    )
+    return max(lp_norm(fr, 2) if v.domain == PHYSICAL else sobolev_norm(fr, 0.0)
+               for fr in v.frames[i0:i1 + 1])
 
 
 @dataclass

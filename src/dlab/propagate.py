@@ -16,7 +16,8 @@ count).  One recurrence gives it at every frame: a running sum pulled forward
 by exp(-i dt |xi|^2) each step, in the Horner form of those weights.  All n
 values of a trajectory of n frames cost O(n) frame operations and n forward
 transforms of the forcing (none for frequency-domain frames); the value at one
-index k reads frames 0..k only.
+index k reads frames 0..k only.  Being pointwise, the recurrence runs on frames
+of any lattice shape, such as the support box of a band-limited forcing.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .grid import (FREQUENCY, Field, SpectralGrid, Trajectory, _centred_transfor
                    _separable, apply_multiplier)
 
 
-def schrodinger_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
-    """exp(-i t |xi|^2) on the centred frequency lattice, as a product of d 1D factors."""
-    return _separable(np.multiply, [np.exp(-1j * t * grid.xi1d**2)] * grid.d)
+def schrodinger_symbol(grid: SpectralGrid, t: float, box: tuple | None = None) -> np.ndarray:
+    """exp(-i t |xi|^2) on the centred frequency lattice, or on its index ``box``, as a product of d 1D factors."""
+    factor = np.exp(-1j * t * grid.xi1d**2)
+    return _separable(np.multiply, [factor[sl] for sl in box or (slice(None),) * grid.d])
 
 
 def schrodinger_flow(f: Field, t: float) -> Field:
@@ -109,9 +111,9 @@ def free_trajectory(
     return Trajectory.from_source(g, t0, dt, FREQUENCY, n_frames, frame)
 
 
-def _duhamel_values(hhat, grid: SpectralGrid, dt: float):
+def _duhamel_values(hhat, step: np.ndarray, dt: float):
     """Yield the quadrature of the Duhamel integral at frames 0, 1, 2, ... (frequency domain)
-    of the forcing whose frames, dt apart, ``hhat`` yields as frequency values.
+    of the forcing whose frames, dt apart, ``hhat`` yields as frequency values on ``step``'s points.
 
     The k-th value is sum_j w_j exp(-i (t_k - t_j)|xi|^2) hhat_j with the
     composite weights on frames 0..k: Simpson (dt/3)(1, 4, 2, ..., 4, 1) when
@@ -122,23 +124,23 @@ def _duhamel_values(hhat, grid: SpectralGrid, dt: float):
     I_k = A_k - (dt/3) hhat_k for even k and
     I_k = step (I_{k-1} + (dt/2) hhat_{k-1}) + (dt/2) hhat_k for odd k.
     Each value costs a fixed number of frame operations, and frames are read
-    only as far as the caller iterates.
+    only as far as the caller iterates; ``step * out`` keeps its operand order at any size.
     """
-    step = schrodinger_symbol(grid, dt)  # exp(-i dt |xi|^2)
     third, half = dt / 3.0, 0.5 * dt
     c_odd, c_even = 4.0 * dt / 3.0, 2.0 * dt / 3.0
     running = prev_out = prev_h = None
     for k, hk in enumerate(hhat):
         if k == 0:
             running = third * hk
-            out = np.zeros(grid.shape, dtype=np.complex128)
+            out = np.zeros(step.shape, dtype=np.complex128)
         else:
             running *= step
             running += (c_odd if k % 2 else c_even) * hk
             if k % 2 == 0:
                 out = running - third * hk
             else:
-                out = step * (prev_out + half * prev_h)
+                out = prev_out + half * prev_h
+                np.multiply(step, out, out=out)
                 out += half * hk
         yield out
         prev_out, prev_h = out, hk
@@ -154,7 +156,8 @@ def duhamel(h: Trajectory, t_index: int) -> Field:
     if not 0 <= t_index < h.n_frames:
         raise ValueError(f"t_index {t_index} beyond trajectory of {h.n_frames} frames")
     hhat = (fr.in_domain(FREQUENCY).values for fr in h.frames)
-    values = next(itertools.islice(_duhamel_values(hhat, h.grid, h.dt), t_index, None))
+    values = _duhamel_values(hhat, schrodinger_symbol(h.grid, h.dt), h.dt)
+    values = next(itertools.islice(values, t_index, None))
     return Field(h.grid, FREQUENCY, _read_only(values)).in_domain(h.domain)
 
 
@@ -162,7 +165,8 @@ def duhamel_all(h: Trajectory) -> Trajectory:
     """:func:`duhamel` at every frame index, as a trajectory in ``h``'s domain and time lattice."""
     g = h.grid
     hhat = (fr.in_domain(FREQUENCY).values for fr in h.frames)
-    values = np.fromiter(_duhamel_values(hhat, g, h.dt), (np.complex128, g.shape), h.n_frames)
+    values = np.fromiter(_duhamel_values(hhat, schrodinger_symbol(g, h.dt), h.dt),
+                         (np.complex128, g.shape), h.n_frames)
     if h.domain != FREQUENCY:
         _centred_transform(values, g, h.domain, out=values)
     return Trajectory.from_values(g, h.t0, h.dt, h.domain, values)

@@ -355,6 +355,34 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command)
     assert not (tmp_path / "out").exists()
 
 
+def _no_datum(*args, **kwargs):
+    raise AssertionError("a datum was built")
+
+
+@pytest.mark.parametrize("name, params", [
+    *((name, params) for name in ("duhamel_retarded", "main_linear")
+      for params in ({"n_frames": 1}, {"n_frames": 0}, {"T": 0}, {"T": -1})),
+    ("main_linear", {"n_samples": 0}),
+    ("main_linear", {"bands": []}),
+])
+def test_verifier_time_lattice_or_samples_out_of_range_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                         name, params):
+    # one frame divides T by zero, no frames or T <= 0 makes dt <= 0, no sample leaves no
+    # constant and no band none to cycle through: each is refused before any datum is built
+    import dlab.estimates
+
+    monkeypatch.setattr(dlab.estimates, "shell_field", _no_datum)
+    cfg = base_config(output_dir=str(tmp_path / "out"), experiments=[
+        {"kind": "verify", "name": name, "id": "v", "params": {"grid": {"m": 8, "L": 2 * np.pi}, **params}}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (v): need ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_of_memory_outside_an_experiment_is_one_error_line(tmp_path, capsys, monkeypatch):
     import dlab.cli
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from dlab.errors import InvalidExponentError, RegimeViolationError
-from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, to_physical
-from dlab.norms import EpsilonPolicy
+from dlab.grid import (FREQUENCY, PHYSICAL, Field, SpectralGrid, Trajectory, _centred_transform, lp_norm,
+                       to_physical)
+from dlab.norms import (EpsilonPolicy, aggregate_bands, gn_norm_upper, lateral_norms, linf_l2, strichartz_norm,
+                        xn_norm, y_norm)
 from dlab import estimates as E
+from dlab.projections import Band, band_symbol, dyadic_projection
+from dlab.propagate import _duhamel_values, duhamel_all, free_trajectory, schrodinger_symbol
 from dlab.randomize import RadialProfileSpec
 
 
@@ -35,7 +39,7 @@ def test_fit_loglog():
 
 def test_shell_field_normalized_zero_mode_free(grid32):
     f = E.shell_field(grid32, 2.0, seed=1)
-    assert lp_norm(to_physical(f), 2) == pytest.approx(1.0, rel=1e-12)
+    assert lp_norm(to_physical(f), 2) == pytest.approx(1.0, rel=1e-14)
     assert f.values[(grid32.m // 2,) * 4] == 0.0
 
 
@@ -365,3 +369,96 @@ def test_pruned_transforms_leave_the_verifier_reports_unchanged(verify, monkeypa
     n_pruned = len(one_axis)
     assert verify() == pruned
     assert len(one_axis) == n_pruned
+
+
+def _duhamel_retarded_on_the_lattice(grid, N, n_frames, seed, pol=EpsilonPolicy(), T=0.75,
+                                     strichartz_pairs=((np.inf, 2.0), (2.0, 4.0))):
+    """The Duhamel verifier with every frame on the whole lattice, as before it worked on the
+    band's box: the reference for the box path."""
+    fN = dyadic_projection(E.shell_field(grid, N, seed=seed), Band.dyadic(N))
+    dt = T / (n_frames - 1)
+
+    def physical(rows):
+        values = np.fromiter(rows, (np.complex128, grid.shape), n_frames)
+        return Trajectory.from_values(grid, 0.0, dt, PHYSICAL,
+                                      _centred_transform(values, grid, PHYSICAL, out=values))
+
+    def hhat():
+        return E._enveloped_frames(fN, dt, n_frames, seed + 1)
+
+    p_g, q_g = pol.g_lateral_pq
+    rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(physical(hhat()), p_g, q_g))
+    retarded = physical(_duhamel_values(hhat(), schrodinger_symbol(grid, dt), dt))
+    stri = {f"({q},{r})": float(N * strichartz_norm(retarded, q, r) / rhs) for q, r in strichartz_pairs}
+    p_m, q_m = pol.x_lateral_pq
+    cmax = float(N ** (-0.5 + pol.eps) * sum(lateral_norms(retarded, p_m, q_m)) / rhs)
+    allc = list(stri.values()) + [cmax]
+    return E.DuhamelRetardedReport(stri, cmax, float(max(allc)), bool(max(allc) <= 100.0))
+
+
+def _main_linear_on_the_lattice(grid, n_samples, seed, pol=EpsilonPolicy(), T=0.75, n_frames=13):
+    """The main linear audit with P_N v and P_N v0 brought to the physical lattice for their L^2
+    norms, as before those were taken by Parseval: the reference for the frequency path."""
+    bands, dt, consts = aggregate_bands(grid), T / (n_frames - 1), []
+    for i in range(n_samples):
+        N = bands[i % len(bands)]
+        v0 = E.shell_field(grid, N, seed=seed + 1000 * i)
+        hhat = E._enveloped_frames(E.shell_field(grid, N, seed=seed + 1000 * i + 7), dt, n_frames,
+                                   seed + 1000 * i + 13)
+        h = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
+                                   np.fromiter(hhat, (np.complex128, grid.shape), n_frames))
+        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
+                                   free_trajectory(v0, 0.0, dt, n_frames).values - 1j * duhamel_all(h).values)
+        vN = v.values * band_symbol(grid, Band.dyadic(N))
+        vN = Trajectory.from_values(grid, 0.0, dt, PHYSICAL, _centred_transform(vN, grid, PHYSICAL))
+        lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
+        rhs = N * lp_norm(to_physical(dyadic_projection(v0, Band.dyadic(N))), 2) + gn_norm_upper(h, N, pol=pol)
+        consts.append(float(lhs / rhs))
+    return consts
+
+
+@pytest.mark.parametrize("N", [2.0, 4.0])  # box 5:12 per axis, and 1:16, nearly the whole lattice
+def test_duhamel_verifier_on_the_band_box_equals_the_lattice_reference(grid16, N):
+    # operand order is pinned in the shared products, so the box path rounds as the lattice does
+    assert E.verify_duhamel_retarded(grid16, N, n_frames=65, seed=12) == \
+        _duhamel_retarded_on_the_lattice(grid16, N, 65, 12)
+
+
+def test_main_linear_by_parseval_matches_the_physical_reference(grid16):
+    got = E.verify_main_linear(grid16, n_samples=3, seed=12).constants
+    assert got == pytest.approx(_main_linear_on_the_lattice(grid16, 3, 12), rel=1e-14, abs=0)
+
+
+def test_every_boxed_transform_input_is_zero_outside_its_box(monkeypatch):
+    # _fft transforms only the lines that meet its box and leaves the others as they were, so
+    # an input that is not zero outside its box would give a wrong transform and no error
+    import sys
+
+    from dlab import grid as grid_mod
+
+    fft, boxed = grid_mod._fft, []
+
+    def guarded(values, inverse=False, axes=None, *, box=None, **kw):
+        if box is not None:
+            index = [slice(None)] * values.ndim
+            for ax, sl in zip(range(values.ndim) if axes is None else axes, box):
+                index[ax] = sl
+            outside = values.copy()
+            outside[tuple(index)] = 0
+            assert not outside.any(), box
+            boxed.append(box)
+        return fft(values, inverse, axes, box=box, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dlab") and getattr(module, "_fft", None) is fft:
+            monkeypatch.setattr(module, "_fft", guarded)
+    g16 = SpectralGrid(m=16, L=2 * np.pi)
+    E.verify_main_linear(g16, n_samples=2, seed=12)
+    n_duhamel = len(boxed)
+    E.verify_duhamel_retarded(g16, 2.0, n_frames=65, seed=12)
+    assert len(boxed) > n_duhamel  # the box rows written into the zeroed stacks
+    E.verify_operator_decay(SpectralGrid(m=16, L=8 * np.pi), separations=(2, 4))
+    E.verify_bernstein(SpectralGrid(m=32, L=4.0))
+    F = free_trajectory(E.shell_field(g16, 2.0, seed=3), 0.0, 0.05, 9).in_domain(PHYSICAL)
+    n_y = len(boxed)
+    assert np.isfinite(y_norm(F)) and len(boxed) > n_y

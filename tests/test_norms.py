@@ -23,6 +23,7 @@ from dlab.norms import (
     lateral_norm,
     lateral_norms,
     linf_h1,
+    linf_l2,
     strichartz_norm,
     x_norm,
     xn_norm,
@@ -223,6 +224,15 @@ def test_linf_h1(gridn):
 
     # free flow preserves Hdot^1 exactly
     assert linf_h1(v) == pytest.approx(sobolev_norm(v.frames[0], 1.0, homogeneous=True), rel=1e-12)
+
+
+def test_linf_l2_of_frequency_frames_by_parseval_matches_the_physical_frames(gridn):
+    # a random (non-isometric) stack, so the max is taken over frames of different norms
+    frames = [random_field(gridn, 60 + j, domain=FREQUENCY) for j in range(4)]
+    v = Trajectory(gridn, 0.0, 0.1, frames)
+    for interval in (None, (0.1, 0.2)):
+        assert linf_l2(v, interval) == pytest.approx(linf_l2(v.in_domain(PHYSICAL), interval),
+                                                     rel=1e-14, abs=0)
 
 
 def test_empty_interval_raises(traj):

@@ -227,6 +227,25 @@ def test_duhamel_all_matches_weighted_sum(grid8, n, domain):
         assert np.array_equal(duhamel(h, k).values, got)
 
 
+def test_duhamel_recurrence_on_a_box_equals_the_box_of_the_lattice_one():
+    # m = 16 frames are 1 MiB, past numpy's 256 KiB threshold for reusing a temporary's
+    # buffer (which swaps a product's operands); box frames are 38 KiB, below it
+    from dlab.estimates import _enveloped_frames
+    from dlab.propagate import _duhamel_values
+
+    g, dt, box = SpectralGrid(m=16, L=2 * np.pi), 0.05, (slice(5, 12),) * 4
+    inside = np.zeros(g.shape, dtype=bool)
+    inside[box] = True
+    f = Field(g, FREQUENCY, random_field(g, 7, domain=FREQUENCY).values * inside)
+    assert np.array_equal(schrodinger_symbol(g, 0.3, box), schrodinger_symbol(g, 0.3)[box])
+    whole = list(_enveloped_frames(f, dt, 9, 3))
+    cut = list(_enveloped_frames(f, dt, 9, 3, box))
+    assert all(np.array_equal(w[box], c) and not w[~inside].any() for w, c in zip(whole, cut))
+    pairs = zip(_duhamel_values(iter(whole), schrodinger_symbol(g, dt), dt),
+                _duhamel_values(iter(cut), schrodinger_symbol(g, dt, box), dt))
+    assert all(np.array_equal(w[box], c) for w, c in pairs)
+
+
 def test_duhamel_index_bound(grid8):
     h = free_trajectory(random_field(grid8, 1, domain=FREQUENCY), 0.0, 0.1, 4)
     with pytest.raises(ValueError):
