@@ -40,6 +40,7 @@ from dlab.grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    _power_mean,
     gradient_fields,
     gradient_magnitude,
     random_field,
@@ -229,6 +230,19 @@ def _case_projected_mass_sum():
             "frequency": projected_mass_sum(f, cells)}
 
 
+def _case_square_function():
+    """What ``verify_radialish_sobolev`` reads of the square function S of the cell
+    bump: max |x|^(3/2) S and the r = 4 power mean of |x|^(3/4) S; and
+    ``_probe_array(S**2)``."""
+    f = _cell_bump()
+    g = f.grid
+    S = square_function(f)
+    return {"weighted_max": float((g.x_squared ** 0.75 * S).max()),
+            "power_mean_r4": _power_mean(g.x_squared ** (0.75 * (1.0 - 2.0 / 4.0)) * S,
+                                         g.dx**g.d, 4.0),
+            "probe": _probe_array(S**2)}
+
+
 def _duhamel_input(domain: str):
     g = SpectralGrid(m=8, L=6.0)
     return Trajectory(g, 0.3, 0.1, tuple(random_field(g, 40 + j, domain=domain) for j in range(6)))
@@ -320,7 +334,7 @@ CASES = {
     "gradient/m8": lambda: ("values", _case_gradients()),
     "picard/forced": lambda: ("values", _case_picard()),
     "cells/active_set": lambda: ("values", _case_active_set()),
-    "cells/square_function": lambda: ("hash", _digest(square_function(_cell_bump()))),
+    "cells/square_function": lambda: ("values", _case_square_function()),
     "cells/projected_mass_sum": lambda: ("values", _case_projected_mass_sum()),
     **{f"ensemble/{which}": (lambda which=which: ("values", _case_ensemble(which)))
        for which in ENSEMBLE_KINDS},
