@@ -10,11 +10,13 @@ report carries the substitution it made.  Time windows follow the parabolic
 scaling T_N = T0 / N^2 for dyadic families so each band sees the same
 fraction of its continuum norm, and fixed windows below the wraparound time
 for unit-scale families.  L^2 norms of frequency data, and their sups over
-frames, are taken by Parseval (``shell_field``, ``verify_main_linear``).
+frames, are taken by Parseval (``shell_field`` and the verifiers' denominators).
+``square_function`` sums over every unit cell at once through the cell matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,12 +38,10 @@ from .grid import (
     broadcast_along,
     lp_norm,
     sobolev_norm,
-    to_physical,
     trapezoid_weights,
 )
 from .norms import (
     EpsilonPolicy,
-    _abs2,
     aggregate_bands,
     gn_norm_upper,
     lateral_norm,
@@ -55,14 +55,14 @@ from .projections import (
     Band,
     band_box,
     band_symbol,
+    cell_matrix,
     directional_projection,
     dyadic_projection,
-    phi1,
     psi_symbol,
     spatial_symbol,
 )
 from .propagate import _duhamel_values, duhamel_all, free_trajectory, schrodinger_flow, schrodinger_symbol
-from .randomize import compute_active_set
+from .randomize import make_radial_data, radial_symmetry_residual
 
 
 @dataclass
@@ -198,8 +198,7 @@ def unit_maximal_tensor_ratio(
     for t, mb in zip(fine_t, Mb_fine):
         ua = schrodinger_flow(a_hat, t).in_domain(PHYSICAL)
         smax = np.maximum(smax, np.abs(ua.values) * mb)
-    val = np.sqrt(g1.dx * np.sum(smax**2))
-    return float(val / (l2_a * l2_b))
+    return _power_mean(smax, g1.dx, 2) / (l2_a * l2_b)
 
 
 def packet_wraps(k_abs: float, T: float, g1: SpectralGrid) -> bool:
@@ -295,7 +294,7 @@ def verify_local_smoothing(
             T = _dyadic_window(T0, N)
             traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames)
         elif flow == "halfwave":
-            denom = lp_norm(to_physical(f), 2)
+            denom = sobolev_norm(f, 0.0)
             T = T0
             traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames, flow="halfwave")
         else:
@@ -322,24 +321,34 @@ def verify_local_smoothing(
     return _report(name, list(N_list), vals, 0.0, 0.2, meta)
 
 
-def square_function(f: Field, cells=None) -> np.ndarray:
-    """(sum_k |P_k f|^2)^(1/2) on the physical lattice over the active cells.
+def square_function(f: Field) -> np.ndarray:
+    """(sum_k |P_k f|^2)^(1/2) on the physical lattice, summed over every cell k.
 
-    Tight loop: one cached 1D profile per axis, one multiplier product and one
-    centred inverse transform per cell, whose output sign |P_k f|^2 does not see.
+    sum_k psi(xi - k) psi(eta - k) = prod_l B[i_l, j_l] for B = A A^T, A = ``cell_matrix``, so
+    sum_k |P_k f|^2 is 1/L^d times the centred inverse transform of the banded autocorrelation
+    C(delta) = sum_xi fhat(xi) conj fhat(xi - delta) prod_l B[i_l, i_l - delta_l], put at index
+    (m/2 + delta) mod m (offsets past m/2 alias, as e^{i x.delta} does).  The first d - 1 offsets
+    are looped over; the last axis is one m x m product (Y^H X) * B, whose diagonals E sums.
     """
-    if cells is None:
-        cells = compute_active_set(f, rel_threshold=1e-8)
     g = f.grid
+    m, d = g.m, g.d
     fh = f.in_domain(FREQUENCY).values
-    profile = {c: phi1(g.xi1d - c) for c in {c for k in cells for c in k}}
-    acc = np.zeros(g.shape)
-    for k in cells:
-        sym = fh
-        for ax, c in enumerate(k):
-            sym = sym * broadcast_along(profile[c], ax, g.d)
-        acc += _abs2(_fft(sym, inverse=True, sign_in=True, out=sym))
-    return np.sqrt(acc) * (1.0 / g.dx**g.d)
+    A = cell_matrix(g)
+    B = A @ A.T
+    rows, cols = np.nonzero(B)
+    h = int(np.max(np.abs(rows - cols)))
+    E = np.zeros((m * m, m))
+    E[rows * m + cols, (m // 2 + cols - rows) % m] = B[rows, cols]
+    C = np.zeros(g.shape, dtype=np.complex128)
+    for head in itertools.product(range(-h, h + 1), repeat=d - 1):
+        X = fh[tuple(slice(max(s, 0), m + min(s, 0)) for s in head)]
+        for ax, s in enumerate(head):
+            X = X * broadcast_along(np.diagonal(B, -s), ax, d)
+        Y = fh[tuple(slice(max(-s, 0), m - max(s, 0)) for s in head)]
+        M = Y.reshape(-1, m).conj().T @ X.reshape(-1, m)
+        C[tuple((m // 2 + s) % m for s in head)] += M.ravel() @ E
+    S2 = _centred_transform(C, g, PHYSICAL, out=C).real / g.L**g.d
+    return np.sqrt(np.maximum(S2, 0.0))
 
 
 @dataclass
@@ -363,8 +372,6 @@ def verify_radialish_sobolev(
     """Weighted square-function bound for radial data plus its non-radial
     falsification control (a translated bump, whose ratio grows with the
     translation distance)."""
-    from .randomize import make_radial_data, radial_symmetry_residual
-
     w32 = grid.x_squared ** 0.75  # |x|^(3/2)
     ratios = {}
     interp = {}
@@ -379,7 +386,7 @@ def verify_radialish_sobolev(
             fN = dyadic_projection(f, Band.dyadic(N))
             wN = grid.x_squared ** (0.75 * (1.0 - 2.0 / r_interp))
             lhsN = _power_mean(wN * square_function(fN), grid.dx**grid.d, r_interp)
-            denom = N**delta * lp_norm(to_physical(fN), 2)
+            denom = N**delta * sobolev_norm(fN, 0.0)
             if denom > 1e-14:
                 interp[(name, float(N))] = float(lhsN / denom)
     control = {}

@@ -52,9 +52,9 @@ frequency stack, which then becomes the directional projections' buffer,
 so a Y norm holds no third complex stack, only the planes; the band stack
 is spent after them.  The window guard counts the float64 stack against
 _STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
-strichartz_norm, lateral_norm and lateral_norms stream over an existing
-trajectory frame by frame instead and build no window stack; a lateral norm
-with finite q takes two passes, the peak and then the sums.
+strichartz_norm, lateral_norm and lateral_norms power one frame at a time and
+build no band stack, but read ``values``, which a source-backed trajectory
+builds whole and keeps; a lateral norm with finite q takes two passes.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _abs2(a: np.ndarray) -> np.ndarray:
 
 
 def _frame_powers(v: Trajectory, i0: int, i1: int):
-    """|u|^2 of frames i0..i1, one frame at a time.
+    """|u|^2 of the rows i0..i1 of ``v.values`` (built whole, if from a source), one at a time.
 
     A frequency frame is inverse-transformed by ``grid._fft`` with neither
     sign nor shift: its nodes come out permuted and sign-modulated, which

@@ -7,8 +7,8 @@ E g = 0 and E |g|^2 = 1.  Coefficients come from a counter-based generator
 execution order.  The randomized multiplier sum_k g_k psi(xi - k) is separable
 in the cell index, so it is one matrix product per axis of the coefficient
 box with the cell matrix A[i, k] = phi1(xi_i - k), instead of a loop over
-cells; the per-cell masses of the active set are |fhat|^2 contracted with A^2
-the same way (``projected_mass_sum`` sums them cell by cell, by Parseval).
+cells; the masses of all cells are |fhat|^2 contracted with A^2 the same way
+(``_cell_masses``, which the active set and ``projected_mass_sum`` read).
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NotRealError
-from .grid import (FREQUENCY, Field, SpectralGrid, _read_only, _separable, apply_multiplier,
-                   sobolev_norm)
-from .projections import active_cell_box, cell_matrix, smoothstep, unit_projection
+from .grid import FREQUENCY, Field, SpectralGrid, _read_only, _separable, apply_multiplier
+from .projections import active_cell_box, cell_matrix, smoothstep
 
 COMPLEX_GAUSSIAN = "complex_gaussian"
 BERNOULLI = "bernoulli"
@@ -66,11 +65,14 @@ def _active_mask(grid: SpectralGrid, K: int, active_set) -> np.ndarray | None:
     if len(active_set) == 0:
         raise DegenerateDataError("active set is empty")
     mask = np.zeros((2 * K + 1,) * grid.d)
-    for k in active_set:
-        idx = tuple(c + K for c in k)
-        if all(0 <= i < 2 * K + 1 for i in idx):
-            mask[idx] = 1.0
+    mask[_box_index(active_set, K, grid.d)] = 1.0
     return mask
+
+
+def _box_index(cells, K: int, d: int) -> tuple:
+    """Per-axis index arrays k + K of the cells k in ``cells`` that lie in the box [-K, K]^d."""
+    idx = np.array(list(cells), dtype=np.int64).reshape(-1, d) + K
+    return tuple(idx[np.all((idx >= 0) & (idx <= 2 * K), axis=1)].T)
 
 
 def _mode_products(t: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -84,16 +86,6 @@ def _mode_products(t: np.ndarray, A: np.ndarray) -> np.ndarray:
     return t
 
 
-def _corner_multiplier(grid: SpectralGrid, gbox: np.ndarray, K: int) -> np.ndarray:
-    """sum_k g_k psi(xi - k) on the lattice as the mode products G x_1 A x_2 A ... x_d A.
-
-    psi(xi - k) = prod_l phi1(xi_l - k_l) is separable, so the sum over the
-    coefficient box G (cells k in [-K, K]^d, K = ``active_cell_box(grid)``)
-    contracts one axis at a time with the cell matrix A = ``cell_matrix(grid)``.
-    """
-    return _mode_products(gbox, cell_matrix(grid))
-
-
 def randomize_schrodinger(f: Field, spec: RandomizationSpec, draw: int) -> Field:
     """f^omega = sum_k g_k(omega) P_k f, deterministic in (seed, draw)."""
     g = f.grid
@@ -103,7 +95,7 @@ def randomize_schrodinger(f: Field, spec: RandomizationSpec, draw: int) -> Field
     mask = _active_mask(g, K, spec.active_set)
     if mask is not None:
         gbox = gbox * mask
-    return apply_multiplier(f, _corner_multiplier(g, gbox, K))
+    return apply_multiplier(f, _mode_products(gbox, cell_matrix(g)))
 
 
 def _symmetric_box(rng: np.random.Generator, K: int, d: int, law: str) -> np.ndarray:
@@ -161,7 +153,7 @@ def randomize_wave_pair(
         box0, box1 = box0 * mask, box1 * mask
     out = []
     for f, box in ((f0, box0), (f1, box1)):
-        mult = _corner_multiplier(g, box, K)
+        mult = _mode_products(box, cell_matrix(g))
         out.append(apply_multiplier(f, 0.5 * (mult + _lattice_conjugate_reflection(g, mult))))
     return out[0], out[1]
 
@@ -173,31 +165,31 @@ def symmetric_coefficient_box(spec: RandomizationSpec, draw: int, grid: Spectral
     return _symmetric_box(rng, K, grid.d, spec.law), K
 
 
+def _cell_masses(f: Field) -> tuple:
+    """mass[k + K] = sum_xi psi(xi - k)^2 |fhat(xi)|^2 on the cell box [-K, K]^d, K =
+    ``active_cell_box``, as mode products with A^2, A = ``cell_matrix``; and sum |fhat|^2."""
+    w2 = np.abs(f.in_domain(FREQUENCY).values) ** 2
+    return _mode_products(w2, (cell_matrix(f.grid) ** 2).T), float(np.sum(w2))
+
+
 def compute_active_set(f: Field, rel_threshold: float = 1e-14) -> tuple:
     """Cells k with ||psi(. - k) fhat||_2 above the relative threshold, in lexicographic order.
 
-    Searches the box ||k||_inf <= K = ``active_cell_box``; the squared masses
-    sum_xi psi(xi - k)^2 |fhat(xi)|^2 of all its cells are the mode products of
-    |fhat|^2 with A^2, A = ``cell_matrix``.
+    Searches the box ||k||_inf <= K = ``active_cell_box`` through ``_cell_masses``.
     """
-    g = f.grid
-    w2 = np.abs(f.in_domain(FREQUENCY).values) ** 2
-    total = float(np.sum(w2))
-    if total == 0.0:
-        return ()
-    mass = _mode_products(w2, (cell_matrix(g) ** 2).T)
-    K = active_cell_box(g)
+    mass, total = _cell_masses(f)  # f = 0 keeps no cell: no mass exceeds 0
+    K = active_cell_box(f.grid)
     keep = np.argwhere(mass > (rel_threshold**2) * total)
     return tuple(tuple(int(c) - K for c in row) for row in keep)
 
 
 def projected_mass_sum(f: Field, cells) -> float:
-    """sum_k ||P_k f||_2^2, one cell at a time, each by Parseval on the frequency lattice."""
-    fh = f.in_domain(FREQUENCY)
-    total = 0.0
-    for k in cells:
-        total += sobolev_norm(unit_projection(fh, k), 0.0) ** 2
-    return total
+    """sum_k ||P_k f||_2^2 over ``cells`` by Parseval, read off ``_cell_masses``; a cell
+    outside the box [-K, K]^d meets no lattice frequency and adds 0."""
+    g = f.grid
+    mass, _ = _cell_masses(f)
+    picked = mass[_box_index(cells, active_cell_box(g), g.d)]
+    return float(np.sum(picked)) * (g.dxi / (2.0 * np.pi)) ** g.d
 
 
 @dataclass(frozen=True)

@@ -776,8 +776,8 @@ def scaling_check(u0: Field, lam: float, cfg: NLSRunConfig) -> ScalingReport:
     worst = 0.0
     for f1, f2 in zip(run1, run2):
         diff = f2 - lam * f1
-        rel = np.sqrt(g2.dx**g2.d * np.sum(np.abs(diff) ** 2))
-        scale = max(np.sqrt(g2.dx**g2.d * np.sum(np.abs(f2) ** 2)), 1e-300)
+        rel = _power_mean(np.abs(diff), g2.dx**g2.d, 2)
+        scale = max(_power_mean(np.abs(f2), g2.dx**g2.d, 2), 1e-300)
         worst = max(worst, float(rel / scale))
     return ScalingReport(
         lam=lam,

@@ -141,6 +141,56 @@ def test_radialish_sobolev_and_translation_control():
     assert all(np.isfinite(v) for v in rep.interpolated_ratios.values())
 
 
+def _square_function_per_cell(f, cells):
+    """The per-cell square function: one multiplier product and one centred
+    inverse transform per cell, |P_k f|^2 accumulated over ``cells``."""
+    from dlab.grid import _fft, broadcast_along
+    from dlab.norms import _abs2
+    from dlab.projections import phi1
+
+    g = f.grid
+    fh = f.in_domain(FREQUENCY).values
+    acc = np.zeros(g.shape)
+    for k in cells:
+        sym = fh
+        for ax, c in enumerate(k):
+            sym = sym * broadcast_along(phi1(g.xi1d - c), ax, g.d)
+        acc += _abs2(_fft(sym, inverse=True, sign_in=True, out=sym))
+    return np.sqrt(acc) * (1.0 / g.dx**g.d)
+
+
+@pytest.mark.parametrize("L, datum", [(4 * np.pi, "powerlaw"), (8 * np.pi, "random")],
+                         ids=["powerlaw-L4pi", "random-L8pi"])
+def test_square_function_is_the_per_cell_sum_over_every_cell(L, datum):
+    # L = 4 pi: the power law's cells reach the lattice edge; L = 8 pi: B's
+    # half-width h = 6 >= m/2, so the offsets alias mod m
+    from dlab.grid import random_field
+    from dlab.randomize import compute_active_set, make_radial_data
+
+    g = SpectralGrid(m=8, L=L)
+    if datum == "powerlaw":
+        f = make_radial_data(RadialProfileSpec(kind="fourier_powerlaw", target_s=0.6), g)
+    else:
+        f = random_field(g, 7, domain=FREQUENCY)
+    want = _square_function_per_cell(f, compute_active_set(f, 0.0)) ** 2
+    got = E.square_function(f) ** 2
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_square_function_makes_one_transform(monkeypatch):
+    from dlab import grid as grid_mod
+    from dlab.grid import random_field
+
+    calls = []
+    fft = grid_mod._fft
+    monkeypatch.setattr(grid_mod, "_fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+    for L in (4 * np.pi, 8 * np.pi):
+        f = random_field(SpectralGrid(m=8, L=L), 3, domain=FREQUENCY)
+        E.square_function(f)
+        assert len(calls) == 1
+        calls.clear()
+
+
 def test_radialish_rejects_nonradial():
     # a single off-center mode is not an orbit function of |xi|
     g = SpectralGrid(m=16, L=4 * np.pi)

@@ -25,6 +25,25 @@ from dlab.projections import (
 from dlab.propagate import schrodinger_flow
 
 
+def test_only_projections_evaluates_phi1():
+    # cell profiles come only from cell_matrix, unit_cell_tables and psi_symbol:
+    # no other module imports, calls or names phi1
+    import ast
+    from pathlib import Path
+
+    import dlab
+
+    src = Path(dlab.__file__).parent
+    users = []
+    for p in sorted(src.glob("*.py")):
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        if p.name != "projections.py" and "phi1" in names:
+            users.append(p.name)
+    assert users == []
+
+
 def test_phi1_profile_properties():
     x = np.linspace(-3, 3, 3001)
     vals = phi1(x)

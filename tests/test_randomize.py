@@ -3,11 +3,11 @@ import pytest
 
 from dlab.errors import DegenerateDataError, NotRealError
 from dlab.grid import FREQUENCY, Field, SpectralGrid, lp_norm, sobolev_norm, to_physical
-from dlab.projections import active_cell_box, psi_symbol, unit_projection
+from dlab.projections import active_cell_box, cell_matrix, psi_symbol, unit_projection
 from dlab.randomize import (
     RadialProfileSpec,
     RandomizationSpec,
-    _corner_multiplier,
+    _mode_products,
     compute_active_set,
     make_radial_data,
     projected_mass_sum,
@@ -61,7 +61,7 @@ def test_multiplier_is_the_sum_over_cells():
     expected = np.zeros(g.shape, dtype=complex)
     for idx in np.ndindex(box.shape):
         expected += box[idx] * psi_symbol(g, [i - K for i in idx])
-    got = _corner_multiplier(g, box, K)
+    got = _mode_products(box, cell_matrix(g))
     assert got.shape == g.shape
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
 

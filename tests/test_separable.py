@@ -7,7 +7,7 @@ import pytest
 
 from dlab import grid as grid_mod
 from dlab.grid import FREQUENCY, PHYSICAL, SpectralGrid, broadcast_along, lp_norm, random_field
-from dlab.projections import phi1, psi_symbol, unit_projection
+from dlab.projections import active_cell_box, phi1, psi_symbol, unit_projection
 from dlab.propagate import schrodinger_symbol
 from dlab.randomize import (BERNOULLI, COMPLEX_GAUSSIAN, RandomizationSpec, _philox,
                             projected_mass_sum, symmetric_coefficient_box)
@@ -144,3 +144,15 @@ def test_projected_mass_sum_is_the_sum_of_physical_piece_masses():
     f = random_field(g, 5, domain=PHYSICAL)
     direct = sum(lp_norm(unit_projection(f, k), 2) ** 2 for k in CELLS)
     assert projected_mass_sum(f, CELLS) == pytest.approx(direct, rel=1e-12)
+
+
+def test_projected_mass_sum_of_cells_outside_the_box():
+    # cells past +-K meet no lattice frequency: they add 0, and none raises or
+    # wraps through a negative index ((-2K - 1, 0, 0, 0) would read cell 0)
+    g = SpectralGrid(8, 4 * np.pi)
+    f = random_field(g, 5, domain=PHYSICAL)
+    K = active_cell_box(g)
+    cells = CELLS + [(K + 1, 0, 0, 0), (-K - 1, 0, 0, 0), (-2 * K - 1, 0, 0, 0), (0, 0, 3 * K, -K - 1)]
+    direct = sum(lp_norm(unit_projection(f, k), 2) ** 2 for k in cells)
+    assert projected_mass_sum(f, cells) == pytest.approx(direct, rel=1e-12)
+    assert projected_mass_sum(f, cells[len(CELLS):]) == 0.0
