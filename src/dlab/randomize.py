@@ -70,8 +70,9 @@ def _active_mask(grid: SpectralGrid, K: int, active_set) -> np.ndarray | None:
 
 
 def _box_index(cells, K: int, d: int) -> tuple:
-    """Per-axis index arrays k + K of the cells k in ``cells`` that lie in the box [-K, K]^d."""
-    idx = np.array(list(cells), dtype=np.int64).reshape(-1, d) + K
+    """Per-axis indices k + K of the cells k in ``cells`` inside [-K, K]^d; each needs d entries."""
+    cells = list(cells)
+    idx = np.array(cells, dtype=np.int64).reshape(len(cells), d) + K
     return tuple(idx[np.all((idx >= 0) & (idx <= 2 * K), axis=1)].T)
 
 

@@ -156,3 +156,6 @@ def test_projected_mass_sum_of_cells_outside_the_box():
     direct = sum(lp_norm(unit_projection(f, k), 2) ** 2 for k in cells)
     assert projected_mass_sum(f, cells) == pytest.approx(direct, rel=1e-12)
     assert projected_mass_sum(f, cells[len(CELLS):]) == 0.0
+    for bad in ([(0, 0, 0)] * 4, [(0, 0, 0, 0), (1, 0, 0)]):  # cells of 3 components on a 4D grid
+        with pytest.raises(ValueError):
+            projected_mass_sum(f, bad)
