@@ -303,6 +303,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_randomize(args) -> int:
+    if args.draws < 0:
+        raise DLabError(f"--draws must be nonnegative, got {args.draws}")
     f = _datum(args, RadialProfileSpec(kind="fourier_powerlaw", target_s=args.s))
     spec = RandomizationSpec(seed=args.seed, law=args.law)
     outdir = Path(args.out)

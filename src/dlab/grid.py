@@ -40,29 +40,24 @@ same numbers in the same order as under ``fftn``, so the result equals the
 unpruned one bit for bit (up to the sign of zeros).
 
 A ``Trajectory`` is ``n_frames`` fields on one grid and one domain tag for all
-of them, held one of two ways:
+of them, read through a frame source: a function that writes frame j's values
+into a given buffer, or returns them (a new array, or a read-only one) when
+given None.  Reading frame j calls it, and the trajectory keeps that one frame (a
+memo) until another frame is read; the old frame is dropped before the new
+one is made.  So a reader of frame j of a trajectory built on this one
+(``splitstep_forced``'s v_j = u_j - F_j), then of frame j here, makes it once.
+``in_domain`` and ``map_frames`` are sources again, each transforming or
+mapping a frame when it is read; they read their parent's frames past its
+memo.
 
-- a stack: one read-only C-contiguous complex128 array ``values`` of shape
-  ``(n_frames, *grid.shape)``.  Its ``frames`` are ``Field`` views of the
-  rows: nothing is copied, and writing through a view or through ``values``
-  raises.  ``in_domain`` converts the whole stack with one transform over the
-  spatial axes, bit for bit what converting frame by frame gives.  Producers
-  build the stack themselves and hand it over with ``from_values``; the
-  public constructor copies a sequence of fields into a new stack.
-- a frame source (``from_source``): a function that writes frame j's values
-  into a given buffer, or into a new one when given None.  Reading frame j
-  calls it, and the trajectory keeps that one frame (a memo) until another
-  frame is read; the old frame is dropped before the new one is made.  So a
-  reader of frame j of a trajectory built on this one (``splitstep_forced``'s
-  v_j = u_j - F_j), then of frame j here, makes it once.  ``in_domain`` and
-  ``map_frames`` of a source-backed trajectory are sources again, each
-  transforming or mapping a frame when it is read; they read their parent's
-  frames past its memo.  ``values`` is built from the source on first use,
-  row by row into one new stack, and kept: from then on the trajectory is
-  stack-backed, so every consumer of ``values`` (the band stacks of the
-  norms, Picard) does the same work as on a stack.
-
-``frames`` is a read-only ``Sequence`` either way; a slice of it is one too.
+``values``, the read-only C-contiguous complex128 stack of shape
+``(n_frames, *grid.shape)``, is the trajectory's cache: on first use it is
+filled row by row from the source and kept, and from then on the source is
+``j -> values[j]``, so frames are ``Field`` views of its rows.  Writing through
+a view or through ``values`` raises.  ``from_values`` takes over a stack a
+producer built and sets it as the cache; the public constructor copies a
+sequence of fields through the same fill.  ``frames`` is a read-only
+``Sequence``; a slice of it is one too.
 """
 
 from __future__ import annotations
@@ -75,7 +70,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DLabError, DomainMismatchError, FlagError, InvalidExponentError, SnapshotFormatError
+from .errors import (DLabError, DomainMismatchError, FlagError, InvalidExponentError, ParameterRangeError,
+                     SnapshotFormatError)
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -537,18 +533,21 @@ def gradient_magnitude(f: Field) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _stack_fields(grid: SpectralGrid, fields, n: int) -> tuple:
-    """(domain, stack) of n fields on ``grid`` sharing one domain, each written into its row."""
-    values = None
-    for i, fr in enumerate(fields):
-        if fr.grid != grid:
-            raise ValueError("all frames must share the trajectory grid")
-        if values is None:
-            domain, values = fr.domain, np.empty((n, *grid.shape), dtype=np.complex128)
-        elif fr.domain != domain:
-            raise DomainMismatchError("all frames must share one domain tag")
-        values[i] = fr.values
-    return domain, values
+def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """``values`` when ``out`` is None, else ``out`` holding a copy of them: a frame source's return."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+def _checked(fr: Field, grid: SpectralGrid, domain: str) -> np.ndarray:
+    """The values of a frame ``fr`` of a trajectory on ``grid`` in ``domain``."""
+    if fr.grid != grid:
+        raise ValueError("all frames must share the trajectory grid")
+    if fr.domain != domain:
+        raise DomainMismatchError("all frames must share one domain tag")
+    return fr.values
 
 
 class _Frames(Sequence):
@@ -570,45 +569,54 @@ class _Frames(Sequence):
 
 
 class Trajectory:
-    """Uniformly sampled time sequence of fields on one grid, all in ``domain``: a
-    read-only ``(n_frames, *grid.shape)`` stack ``values`` or a frame source (module docstring)."""
+    """Uniformly sampled time sequence of fields on one grid, all in ``domain``, read
+    through a frame source; ``values`` is the read-only stack it caches (module docstring)."""
 
     def __init__(self, grid: SpectralGrid, t0: float, dt: float, frames):
         """Copy a nonempty sequence of fields on ``grid``, all in one domain, into one stack."""
         frames = tuple(frames)
         if not frames:
             raise ValueError("trajectory needs at least one frame")
-        domain, values = _stack_fields(grid, frames, len(frames))
-        self._adopt(grid, t0, dt, domain, len(frames), values, None)
+        domain = frames[0].domain
+        self._adopt(grid, t0, dt, domain, len(frames),
+                    lambda j, out: _into(out, _checked(frames[j], grid, domain)))
+        self.values  # the copy: a frame off the grid or the domain raises here
 
     @classmethod
     def from_values(cls, grid: SpectralGrid, t0: float, dt: float, domain: str,
                     values: np.ndarray) -> "Trajectory":
-        """The trajectory of a ``(n_frames, *grid.shape)`` stack, which it takes over and makes read-only."""
+        """The trajectory of a ``(n_frames, *grid.shape)`` stack, which it takes over, makes
+        read-only and keeps as its cache."""
         values = np.ascontiguousarray(values, dtype=np.complex128)
-        traj = object.__new__(cls)
-        traj._adopt(grid, t0, dt, domain, len(values), values, None)
+        if values.shape[1:] != grid.shape:
+            raise ValueError(f"no {domain!r} trajectory of shape {values.shape} on {grid}")
+        traj = cls.from_source(grid, t0, dt, domain, len(values), None)
+        traj._cache(values)
         return traj
 
     @classmethod
     def from_source(cls, grid: SpectralGrid, t0: float, dt: float, domain: str, n_frames: int,
                     source) -> "Trajectory":
         """The trajectory whose frame j is ``source(j, out)``: frame j's values written into
-        ``out`` (a new array when None) and returned.  Nothing is computed here."""
+        ``out`` and returned, or returned alone when ``out`` is None.  Nothing is computed here."""
         traj = object.__new__(cls)
-        traj._adopt(grid, t0, dt, domain, n_frames, None, source)
+        traj._adopt(grid, t0, dt, domain, n_frames, source)
         return traj
 
-    def _adopt(self, grid, t0, dt, domain, n_frames, values, source) -> None:
+    def _adopt(self, grid, t0, dt, domain, n_frames, source) -> None:
         if not dt > 0:
             raise ValueError("dt must be positive")
-        if (domain not in (PHYSICAL, FREQUENCY) or n_frames < 1
-                or (values is not None and values.shape[1:] != grid.shape)):
+        if domain not in (PHYSICAL, FREQUENCY) or n_frames < 1:
             raise ValueError(f"no {domain!r} trajectory of {n_frames} frames on {grid}")
-        if values is not None:
-            values.flags.writeable = False
         for name, val in zip(("grid", "t0", "dt", "domain", "n_frames", "_stack", "_source", "_memo"),
-                             (grid, t0, dt, domain, n_frames, values, source, None)):
+                             (grid, t0, dt, domain, n_frames, None, source, None)):
+            object.__setattr__(self, name, val)
+
+    def _cache(self, values: np.ndarray) -> None:
+        """Keep ``values`` as the stack, read-only, and read every frame from it from now on."""
+        values.flags.writeable = False
+        for name, val in (("_stack", values), ("_source", lambda j, out: _into(out, values[j])),
+                          ("_memo", None)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, name, value):
@@ -620,8 +628,8 @@ class Trajectory:
 
     @property
     def values(self) -> np.ndarray:
-        """The read-only stack of all frames.  A source-backed trajectory builds it from
-        its source on first use, keeps it, and from then on reads its frames from it."""
+        """The read-only stack of all frames, filled row by row from the source on first use
+        (the memo's frame copied, not made again) and kept."""
         if self._stack is None:
             values = np.empty((self.n_frames, *self.grid.shape), dtype=np.complex128)
             memo = self._memo
@@ -630,17 +638,12 @@ class Trajectory:
                     row[...] = memo[1].values
                 else:
                     self._source(j, row)
-            values.flags.writeable = False
-            for name, val in (("_stack", values), ("_source", None), ("_memo", None)):
-                object.__setattr__(self, name, val)
+            self._cache(values)
         return self._stack
 
     def _frame(self, j: int, memo: bool = True) -> Field:
-        """Frame j: a view of row j of the stack, or the source's frame.  A source frame
-        is memoized until another frame is read (the old one is dropped first), unless
-        ``memo`` is False: a derived source reads its parent's frames that way."""
-        if self._stack is not None:
-            return Field(self.grid, self.domain, self.values[j])
+        """Frame j from the source, memoized until another frame is read (the old one is
+        dropped first), unless ``memo`` is False: a derived source reads its parent that way."""
         if self._memo is not None and self._memo[0] == j:
             return self._memo[1]
         if memo:
@@ -664,20 +667,17 @@ class Trajectory:
         return self.t0 + self.dt * (self.n_frames - 1)
 
     def frame_index(self, t: float) -> int:
+        """The index of the frame at time t; a t off the frame lattice raises ParameterRangeError."""
         idx = (t - self.t0) / self.dt
-        i = int(round(idx))
+        i = round(idx) if math.isfinite(idx) else -1
         if abs(idx - i) > 1e-9 or not 0 <= i < self.n_frames:
-            raise ValueError(f"time {t} is not a frame time of this trajectory")
+            raise ParameterRangeError(f"time {t} is not a frame time of this trajectory")
         return i
 
     def in_domain(self, domain: str) -> "Trajectory":
-        """This trajectory in the given domain: one transform of the whole stack, or,
-        while source-backed, a source that transforms each frame when read."""
+        """This trajectory in the given domain: a source that transforms each frame when read."""
         if domain == self.domain:
             return self
-        if self._stack is not None:
-            return Trajectory.from_values(self.grid, self.t0, self.dt, domain,
-                                          _centred_transform(self.values, self.grid, domain))
 
         def source(j, out):
             return _centred_transform(self._frame(j, memo=False).values, self.grid, domain, out=out)
@@ -685,25 +685,14 @@ class Trajectory:
         return Trajectory.from_source(self.grid, self.t0, self.dt, domain, self.n_frames, source)
 
     def map_frames(self, func) -> "Trajectory":
-        """The trajectory of func(frame) for every frame: each result written into one new
-        stack, or, while source-backed, a source that applies func to each frame when read
-        (frame 0 is mapped here, to learn the domain)."""
-        if self._stack is not None:
-            stacked = _stack_fields(self.grid, map(func, self.frames), self.n_frames)
-            return Trajectory.from_values(self.grid, self.t0, self.dt, *stacked)
+        """The trajectory of func(frame) for every frame: a source that applies func to each
+        frame when read (frame 0 is mapped here, to learn the domain)."""
         first = func(self._frame(0, memo=False))
         domain = first.domain
-        if first.grid != self.grid:
-            raise ValueError("all frames must share the trajectory grid")
+        _checked(first, self.grid, domain)
 
         def source(j, out):
-            fr = func(self._frame(j, memo=False))
-            if fr.grid != self.grid or fr.domain != domain:
-                raise DomainMismatchError("all frames must share one domain tag and grid")
-            if out is None:
-                return fr.values
-            out[...] = fr.values
-            return out
+            return _into(out, _checked(func(self._frame(j, memo=False)), self.grid, domain))
 
         traj = Trajectory.from_source(self.grid, self.t0, self.dt, domain, self.n_frames, source)
         object.__setattr__(traj, "_memo", (0, first))

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DLabError, FitRangeError, RegimeViolationError
+from .errors import DLabError, FitRangeError, ParameterRangeError, RegimeViolationError
 from .estimates import fit_line, fit_loglog
 from .grid import PHYSICAL, Field, _power_mean
 from .norms import EpsilonPolicy, _weighted_sup, strichartz_norm, y_norm
@@ -251,6 +251,8 @@ def make_norm_statistic(
     """draw -> space-time norm of the free evolution of the draw's randomization."""
     if which not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble statistic {which!r}")
+    if not T > 0 or n_frames < 2:
+        raise ParameterRangeError(f"need T > 0 and n_frames >= 2, got {T=}, {n_frames=}")
     dt = T / (n_frames - 1)
 
     def statistic(draw: int) -> float:

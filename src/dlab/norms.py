@@ -53,8 +53,9 @@ so a Y norm holds no third complex stack, only the planes; the band stack
 is spent after them.  The window guard counts the float64 stack against
 _STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
 strichartz_norm, lateral_norm and lateral_norms power one frame at a time and
-build no band stack, but read ``values``, which a source-backed trajectory
-builds whole and keeps; a lateral norm with finite q takes two passes.
+build no band stack, but read ``values``, which a trajectory fills whole
+from its frame source on first use and keeps; a lateral norm with finite q
+takes two passes.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _window(v: Trajectory, interval) -> tuple:
     else:
         ta, tb = interval
         if tb < ta:
-            raise ValueError(f"empty interval [{ta}, {tb}]")
+            raise ParameterRangeError(f"empty interval [{ta}, {tb}]")
         i0, i1 = v.frame_index(ta), v.frame_index(tb)
     return i0, i1, trapezoid_weights(i1 - i0 + 1, v.dt)
 
@@ -155,7 +156,7 @@ def _abs2(a: np.ndarray) -> np.ndarray:
 
 
 def _frame_powers(v: Trajectory, i0: int, i1: int):
-    """|u|^2 of the rows i0..i1 of ``v.values`` (built whole, if from a source), one at a time.
+    """|u|^2 of the rows i0..i1 of ``v.values`` (the stack, filled whole on first use), one at a time.
 
     A frequency frame is inverse-transformed by ``grid._fft`` with neither
     sign nor shift: its nodes come out permuted and sign-modulated, which

@@ -391,3 +391,52 @@ def test_out_of_memory_outside_an_experiment_is_one_error_line(tmp_path, capsys,
                  "--grid", "8,8.0", "--out", str(tmp_path / "ev")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 250. GiB") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("interval", [[0.05, 0.1], [0.2, 0.0], [float("nan"), 0.1], [0.0, float("inf")]],
+                         ids=["off_lattice", "reversed", "nan", "infinity"])
+def test_norms_interval_off_the_frame_lattice_is_one_error_line(tmp_path, capsys, interval):
+    g = SpectralGrid(m=8, L=8.0)
+    write_trajectory(Trajectory(g, 0.0, 0.1, [random_field(g, s) for s in range(3)]), tmp_path / "traj")
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "strichartz", "q": 2, "r": 4, "interval": interval}))
+    argv = ["norms", "--spec", str(tmp_path / "spec.json"), "--traj", str(tmp_path / "traj"),
+            "--out", str(tmp_path / "n.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "n.json").exists()
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_ensemble_of_one_frame_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # one frame divides T by zero; it is refused before any draw
+    import dlab.montecarlo
+
+    monkeypatch.setattr(dlab.montecarlo, "evaluate_draws", _no_draw)
+    cfg = base_config(output_dir=str(tmp_path / "out"), experiments=[
+        {"kind": "ensemble", "name": "L3L6", "id": "e", "params": {"n_frames": 1}}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = (["run", str(path)] if command == "run" else
+            ["ensemble", "--stat", "L3L6", "--draws", "2", "--seed", "1", "--grid", "8,8.0",
+             "--frames", "1", "--out", str(tmp_path / "e.json")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiments[0] (") and "need T > 0 and n_frames >= 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "e.json").exists()
+
+
+def test_randomize_negative_draws_is_one_error_line(tmp_path, capsys, monkeypatch):
+    import dlab.cli
+
+    monkeypatch.setattr(dlab.cli, "make_radial_data", _no_datum)
+    assert main(["randomize", "--seed", "1", "--draws", "-1", "--grid", "8,8.0",
+                 "--out", str(tmp_path / "draws")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --draws must be nonnegative, got -1\n"
+    assert not (tmp_path / "draws").exists()

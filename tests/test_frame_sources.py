@@ -112,7 +112,7 @@ def test_frame_source_memo_and_stack():
     stack = traj.values
     assert calls == [0, 1, 2] and not stack.flags.writeable  # frame 3 is copied from the memo
     assert traj.values is stack and np.shares_memory(traj.frames[1].values, stack)
-    doubled = traj.map_frames(lambda fr: 2.0 * fr)  # a stack-backed map is eager
+    doubled = traj.map_frames(lambda fr: 2.0 * fr)  # a lazy map reads its parent's stack rows
     assert np.array_equal(doubled.values, 2.0 * stack) and calls == [0, 1, 2]
     with pytest.raises(AttributeError):
         traj.values = stack

@@ -11,6 +11,7 @@ from dlab.grid import (
     SpectralGrid,
     Weight,
     _axis_product,
+    _centred_transform,
     _spectral_gradient,
     broadcast_along,
     gradient_fields,
@@ -344,6 +345,7 @@ def test_trajectory_in_domain_is_frame_by_frame_bitwise(m, domain):
     back = moved.in_domain(domain)
     for fr, got in zip(moved.frames, back.frames):
         assert np.array_equal(got.values, fr.in_domain(domain).values)
+    assert np.array_equal(moved.values, _centred_transform(traj.values, g, other))  # the whole stack at once
 
 
 def test_trajectory_is_one_read_only_stack(grid8):
@@ -359,7 +361,7 @@ def test_trajectory_is_one_read_only_stack(grid8):
         traj.values[0, 0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         traj.frames[1].values[0, 0, 0, 0] = 1.0
-    # map_frames writes its results into a new stack; the source stays as it was
+    # map_frames maps each frame when it is read; the parent stays as it was
     doubled = traj.map_frames(lambda fr: 2.0 * fr)
     assert np.array_equal(doubled.values, 2.0 * traj.values)
     assert np.array_equal(traj.values[0], frames[0].values)
@@ -367,6 +369,40 @@ def test_trajectory_is_one_read_only_stack(grid8):
         Trajectory(grid8, 0.0, 0.1, [frames[0], frames[1].in_domain(FREQUENCY)])
     with pytest.raises(ValueError):
         Trajectory(grid8, 0.0, 0.1, [frames[0], random_field(SpectralGrid(m=8, L=5.0), 0)])
+
+
+def _row(stack, values):
+    """The index of the row of ``stack`` that ``values`` views."""
+    return next(j for j, row in enumerate(stack) if np.shares_memory(values, row))
+
+
+def test_maps_of_a_stack_compute_only_the_frames_read(grid8, monkeypatch):
+    import dlab.grid
+    from dlab.grid import Trajectory
+
+    traj = Trajectory.from_values(grid8, 0.0, 0.1, PHYSICAL,
+                                  np.stack([random_field(grid8, s).values for s in range(5)]))
+    stack, mapped, moved = traj.values, [], []
+
+    def double(fr):
+        mapped.append(_row(stack, fr.values))
+        return 2.0 * fr
+
+    def counted(values, *args, **kwargs):
+        moved.append(_row(stack, values))
+        return _centred_transform(values, *args, **kwargs)
+
+    monkeypatch.setattr(dlab.grid, "_centred_transform", counted)
+    doubled, freq = traj.map_frames(double), traj.in_domain(FREQUENCY)
+    assert mapped == [0] and moved == []  # map_frames maps frame 0 to learn the domain
+    assert np.array_equal(doubled.frames[3].values, 2.0 * stack[3])
+    assert np.array_equal(freq.frames[3].values, _centred_transform(stack[3], grid8, FREQUENCY))
+    assert mapped == [0, 3] and moved == [3]
+    mapped.clear()
+    moved.clear()
+    assert np.array_equal(traj.map_frames(double).values, 2.0 * stack)
+    assert np.array_equal(traj.in_domain(FREQUENCY).values, _centred_transform(stack, grid8, FREQUENCY))
+    assert mapped == [0, 1, 2, 3, 4] and moved == [0, 1, 2, 3, 4]  # each parent frame once
 
 
 def test_field_copies_a_writable_input_and_adopts_a_read_only_one(grid8):
@@ -395,6 +431,28 @@ def test_only_grid_calls_numpy_fft():
     src = Path(dlab.__file__).parent
     callers = [p.name for p in sorted(src.glob("*.py"))
                if p.name != "grid.py" and re.search(r"\b(np|numpy)\.fft\b", p.read_text())]
+    assert callers == []
+
+
+def test_only_the_values_cache_tests_the_trajectory_stack():
+    # one representation: every method but ``values`` reads frames through the source,
+    # and no other module reaches into a trajectory's stack, source or memo
+    import ast
+    import inspect
+    import re
+    import textwrap
+    from pathlib import Path
+
+    import dlab
+    from dlab.grid import Trajectory
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Trajectory)))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "_stack"}
+    assert readers == {"values"}
+    src = Path(dlab.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "grid.py" and re.search(r"\._(stack|source|memo)\b", p.read_text())]
     assert callers == []
 
 
