@@ -75,12 +75,12 @@ class EnsembleStats:
             "name": self.name,
             "Q": self.Q,
             "p_list": list(self.p_list),
-            "lp_norms": {str(k): v for k, v in self.lp_norms.items()},
+            "lp_norms": [self.lp_norms[p] for p in self.p_list],
             "skipped_p": list(self.skipped_p),
             "moment_slope": self.moment_slope,
             "moment_intercept": self.moment_intercept,
             "lambda_grid": list(self.lambda_grid),
-            "exceedances": {str(k): v for k, v in self.exceedances.items()},
+            "exceedances": [self.exceedances[l] for l in self.lambda_grid],
             "tail_slope": self.tail_slope,
             "tail_intercept": self.tail_intercept,
             "tail_fit_lambdas": list(self.tail_fit_lambdas),

@@ -336,6 +336,29 @@ def test_example_configs_are_valid(no_compute):
     assert no_compute == []
 
 
+def _keys(obj, path="result"):
+    """(path, key) of every key of every object nested in obj."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path, k
+            yield from _keys(v, f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _keys(v, f"{path}[{i}]")
+
+
+def test_ensemble_report_keys_are_names(tmp_path):
+    # a key that is a float's repr (a p or a lambda) is compared exactly by a
+    # report diff, so a 1-ulp change of a data quantile would rename it
+    path = config(tmp_path, [{"kind": "ensemble", "name": "L3L6", "id": "l3l6",
+                              "params": {"n_frames": 3}}], draws=60)
+    assert run(path) in (0, 2)
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]["result"]
+    assert [(where, k) for where, k in _keys(result) if not k.isidentifier()] == []
+    assert len(result["lp_norms"]) == len(result["p_list"]) > 0
+    assert len(result["exceedances"]) == len(result["lambda_grid"]) > 0
+
+
 def test_run_never_evaluates_more_draws_at_once_than_its_thread_budget(tmp_path, monkeypatch):
     # two ensembles at DLAB_THREADS=2 share one budget of 2 workers; the
     # report is the one-thread report byte for byte

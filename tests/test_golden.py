@@ -13,8 +13,9 @@ Regenerate (only when a change of outputs is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write [CASE ...]
 
-which rewrites the named cases (every case when none is named) and keeps the
-other entries of the file as they are.
+which rewrites the named cases (every case when none is named), keeps the
+other entries of the file as they are, and prints the path of each leaf
+whose stored value changed beyond the comparison's tolerance.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ if __name__ == "__main__":
     out = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for name in names:
         kind, data = CASES[name]()
-        out[name] = {"kind": kind, "data": _json_ready(data)}
+        new = {"kind": kind, "data": _json_ready(data)}
+        for line in _compare(new, out[name]) if name in out else []:
+            print(f"{name}{line}")  # the path of a changed leaf, then its change
+        out[name] = new
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(names)} cases to {GOLDEN}")
