@@ -172,30 +172,14 @@ def _frame_powers(v: Trajectory, i0: int, i1: int):
             yield s
 
 
-def _lr_norms(powers, r: float, vol: float) -> np.ndarray:
-    """Per-frame L^r norms from |u|^2 frames, each guarded by its own peak."""
-    out = []
-    for s in powers:
-        peak2 = s.max()
-        if peak2 == 0.0:
-            out.append(0.0)
-        elif np.isinf(r):
-            out.append(np.sqrt(peak2))
-        else:
-            t = s / peak2
-            np.power(t, 0.5 * r, out=t)
-            out.append(np.sqrt(peak2) * (vol * np.sum(t)) ** (1.0 / r))
-    return np.array(out)
-
-
 def _strichartz(powers, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
     """L^q_t L^r_x norms for each (q, r) pair; pairs sharing r share one pass."""
     vol = grid.dx**grid.d
     per_frame = {}
     out = []
     for q, r in pairs:
-        if r not in per_frame:
-            per_frame[r] = _lr_norms(powers(), r, vol)
+        if r not in per_frame:  # ||u_j||_r = (the r/2 power mean of |u_j|^2)^(1/2)
+            per_frame[r] = np.sqrt([_power_mean(s, vol, 0.5 * r) for s in powers()])
         out.append(_power_mean(per_frame[r], w, q))
     return out
 

@@ -589,7 +589,7 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
     absv = np.abs(vv)
     mass_v = vol * float(np.sum(absv**2))
     head = (0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4)), _action(vals, xdot, inv_a, vol),
-            np.sqrt(vol * float(np.sum(vmag**2))), mass_v)
+            _power_mean(vmag, vol, 2), mass_v)
     if Ff is None:  # grad F = 0: no group, no flux term, and F + v = v
         return (*head, mass_v) + (0.0,) * 9
     Fv = Ff.values
@@ -611,7 +611,7 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
                  absv**2 * Fmag**2, absv**2 * vmag * Fmag)
     return (*head, vol * float(np.sum(np.abs(tot) ** 2)),
             *(vol * float(np.sum(dens)) for dens in densities),
-            (vol * float(np.sum(Fmag**4))) ** 0.25, (sqrt_a * Fmag).max())
+            _power_mean(Fmag, vol, 4), (sqrt_a * Fmag).max())
 
 
 def energy_growth_audit(run: Trajectory, F: Trajectory | None = None) -> tuple:
