@@ -110,16 +110,16 @@ def _report(name, xs, ys, predicted, window, metadata=None) -> ScalingFitReport:
     )
 
 
-def shell_field(grid: SpectralGrid, N: float, seed: int | None = None,
-                center: float = 1.5, rel_width: float = 0.25) -> Field:
+def shell_field(grid: SpectralGrid, N: float, seed: int | None = None) -> Field:
     """L^2-normalized data with fhat supported on the annulus |xi| ~ N.
 
-    The profile is an exact rescale of one fixed shape, so dyadic families
-    built from it scale exactly.  With a seed, coefficients get random
+    The profile, a Gaussian in |xi| / N centred at 1.5 with width 0.25, is an
+    exact rescale of one fixed shape, so dyadic families built from it scale
+    exactly.  With a seed, coefficients get random
     phases (radial profile otherwise).
     """
     r = np.sqrt(grid.xi_squared)
-    prof = np.exp(-((r / N - center) ** 2) / (2.0 * rel_width**2))
+    prof = np.exp(-((r / N - 1.5) ** 2) / (2.0 * 0.25**2))
     prof[(grid.m // 2,) * grid.d] = 0.0  # exactly zero-mode free
     vals = prof.astype(np.complex128)
     if seed is not None:
@@ -175,24 +175,22 @@ def unit_maximal_tensor_ratio(
     g1: SpectralGrid,
     grid3: SpectralGrid,
     T: float,
-    n_fine: int = 600,
-    n_coarse: int = 25,
 ) -> float:
     """Exact lateral (2, inf) ratio for the separable cell bump at k e_1.
 
     For product data fhat = a(xi_1 - k) b(xi') the free evolution factors, so
     sup over (t, x') of |u| equals max_t |u_a(t, x_1)| * max_{x'} |u_b(t, x')|,
     which this computes without a 4D lattice (``g1`` is a d = 1 grid).  The
-    transverse factor varies slowly and is sampled on a coarse ladder, the 1D
-    transport factor on a fine one.
+    transverse factor varies slowly and is sampled on a coarse ladder of 25
+    times, the 1D transport factor on a fine one of 600.
     """
     a_hat = Field(g1, FREQUENCY, psi_symbol(g1, (k_abs,)))
     b_hat = Field(grid3, FREQUENCY, psi_symbol(grid3, (0,) * grid3.d))
     l2_a, l2_b = sobolev_norm(a_hat, 0.0), sobolev_norm(b_hat, 0.0)
 
-    coarse_t = np.linspace(0.0, T, n_coarse)
+    coarse_t = np.linspace(0.0, T, 25)
     Mb = np.array([lp_norm(schrodinger_flow(b_hat, t).in_domain(PHYSICAL), np.inf) for t in coarse_t])
-    fine_t = np.linspace(0.0, T, n_fine)
+    fine_t = np.linspace(0.0, T, 600)
     Mb_fine = np.interp(fine_t, coarse_t, Mb)
     smax = np.zeros(g1.m)
     for t, mb in zip(fine_t, Mb_fine):
@@ -406,12 +404,12 @@ def verify_radialish_sobolev(
     )
 
 
-# relative change of the power-iteration estimate at which it has converged
-_POWER_RTOL = 1e-12
+# relative change of the power-iteration estimate at which it has converged,
+# and the most steps it may take
+_POWER_RTOL, _POWER_ITERS = 1e-12, 30
 
 
-def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
-                   dft: bool = False) -> tuple:
+def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, dft: bool = False) -> tuple:
     """L2 -> L2 norm of an operator T by power iteration on its normal operator T*T.
 
     ``normal`` maps an array on the centred lattice, or its plain DFT when
@@ -419,7 +417,7 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
     (passed through the DFT when ``dft``), normalized.  Step i gives the
     estimate lam_i = sqrt(|<z, T*T z>|) for the current unit vector z.  The
     iteration stops at the first step with |lam_i - lam_{i-1}| <= 1e-12 lam_i
-    (``_POWER_RTOL``; lam_0 = 0), or after ``iters`` steps.
+    (``_POWER_RTOL``; lam_0 = 0), or after ``_POWER_ITERS`` steps.
 
     Returns ``(lam, steps, last_change)``: the last estimate, the number of
     steps run and the relative change |lam_i - lam_{i-1}| / lam_i at the last
@@ -431,7 +429,7 @@ def _operator_norm(normal, grid: SpectralGrid, seed: int = 0, iters: int = 30,
         z = _fft(z, out=z)
     z /= np.sqrt(np.vdot(z, z).real)
     lam = 0.0
-    for step in range(1, iters + 1):
+    for step in range(1, _POWER_ITERS + 1):
         w = normal(z)
         lam_prev, lam = lam, float(np.sqrt(abs(np.vdot(z, w).real)))
         change = abs(lam - lam_prev) / lam if lam > 0 else 0.0

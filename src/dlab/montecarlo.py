@@ -246,7 +246,6 @@ def make_norm_statistic(
     n_frames: int = 17,
     alpha: float = 0.5,
     pol: EpsilonPolicy = EpsilonPolicy(),
-    wave_sign: int = +1,
 ):
     """draw -> space-time norm of the free evolution of the draw's randomization."""
     if which not in ENSEMBLE_KINDS:
@@ -259,7 +258,7 @@ def make_norm_statistic(
         if which.startswith("wave_"):
             zero = Field.zero(f.grid, PHYSICAL)
             fw, _ = randomize_wave_pair(f.in_domain(PHYSICAL), zero, spec, draw)
-            traj = free_trajectory(fw, 0.0, dt, n_frames, flow="halfwave", sign=wave_sign)
+            traj = free_trajectory(fw, 0.0, dt, n_frames, flow="halfwave")
         else:
             fw = randomize_schrodinger(f, spec, draw)
             traj = free_trajectory(fw, 0.0, dt, n_frames)

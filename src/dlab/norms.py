@@ -129,11 +129,11 @@ class NormReport:
     truncated_bands: tuple = ()
 
 
-def is_admissible(q: float, r: float, tol: float = 1e-9) -> bool:
-    """Strichartz admissibility 2/q + 4/r = 2 (recorded, never enforced)."""
+def is_admissible(q: float, r: float) -> bool:
+    """Strichartz admissibility 2/q + 4/r = 2, to 1e-9 (recorded, never enforced)."""
     if q < 2 or r < 2:
         return False
-    return abs(2.0 / q + 4.0 / r - 2.0) <= tol
+    return abs(2.0 / q + 4.0 / r - 2.0) <= 1e-9
 
 
 def _window(v: Trajectory, interval) -> tuple:

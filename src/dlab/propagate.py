@@ -84,10 +84,9 @@ def wave_energy(u: Field, ut: Field) -> float:
     )
 
 
-def free_trajectory(
-    f: Field, t0: float, dt: float, n_frames: int, flow: str = "schrodinger", sign: int = +1
-) -> Trajectory:
-    """Sample a free flow on a uniform time lattice (frames in frequency domain).
+def free_trajectory(f: Field, t0: float, dt: float, n_frames: int, flow: str = "schrodinger") -> Trajectory:
+    """Sample a free flow, Schrodinger or the half wave exp(i t |grad|), on a uniform
+    time lattice (frames in frequency domain).
 
     Only fhat is kept: frame j, the flow's multiplier at t0 + j dt times fhat,
     is made when it is read (``Trajectory.from_source``).
@@ -102,7 +101,7 @@ def free_trajectory(
         if flow == "schrodinger":
             sym = schrodinger_symbol(g, t)
         else:
-            sym = np.exp(1j * sign * t * np.sqrt(g.xi_squared))
+            sym = np.exp(1j * t * np.sqrt(g.xi_squared))
         if out is None:
             out = np.empty(g.shape, dtype=np.complex128)
         # fhat first: ``fh * sym`` would reuse sym's buffer as sym *= fh, which rounds differently

@@ -77,8 +77,6 @@ class NLSRunConfig:
     dt: float = 0.01
     T: float = 1.0
     dealias: bool = True
-    snapshot_stride: int = 1
-    blowup_factor: float = 1e6
 
     def __post_init__(self):
         if self.mu not in (+1, -1):
@@ -88,8 +86,6 @@ class NLSRunConfig:
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-8:
             raise ValueError("T must be an integer multiple of dt")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -111,17 +107,21 @@ def _dealias_keep(grid: SpectralGrid) -> np.ndarray:
     return xi <= (2.0 / 3.0) * xi.max()
 
 
+# a run whose max norm exceeds its initial one this many times has blown up
+_BLOWUP_FACTOR = 1e6
+
+
 def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
-    """The physical snapshot stack of a Strang split-step run (see splitstep_nls), writable.
-    The caller checks the phase resolution."""
+    """The physical stack of a Strang split-step run, one frame per step (see
+    splitstep_nls), writable.  The caller checks the phase resolution."""
     g = u0.grid
     factor = np.exp(-0.5j * cfg.dt * g.xi1d_fft**2)
     half = _circulant(factor)
     last = _circulant(factor * _dealias_keep(g)) if cfg.dealias else half
 
     u = u0.in_domain(PHYSICAL).values.copy()
-    guard = cfg.blowup_factor * max(float(np.abs(u).max()), np.finfo(float).tiny)
-    frames = np.empty((cfg.n_steps // cfg.snapshot_stride + 1, *g.shape), dtype=np.complex128)
+    guard = _BLOWUP_FACTOR * max(float(np.abs(u).max()), np.finfo(float).tiny)
+    frames = np.empty((cfg.n_steps + 1, *g.shape), dtype=np.complex128)
     frames[0] = u
     work, rotation, phase = np.empty_like(u), np.empty_like(u), np.empty(g.shape)
 
@@ -143,23 +143,19 @@ def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
             u, work = kinetic(u, work, last)
             peak = float(np.abs(u, out=phase).max())
         if not np.isfinite(peak) or peak > guard:
-            partial = Trajectory.from_values(g, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
-                                             frames[: (step - 1) // cfg.snapshot_stride + 1])
-            raise BlowupDetected(step, partial, peak)
-        if step % cfg.snapshot_stride == 0:
-            frames[step // cfg.snapshot_stride] = u
+            raise BlowupDetected(step, Trajectory.from_values(g, 0.0, cfg.dt, PHYSICAL, frames[:step]), peak)
+        frames[step] = u
     return frames
 
 
 def splitstep_nls(u0: Field, cfg: NLSRunConfig) -> Trajectory:
-    """Strang split-step integration; physical-domain snapshot frames.
+    """Strang split-step integration; one physical-domain frame per step.
 
     Raises BlowupDetected (carrying the partial trajectory) when the max norm
-    exceeds cfg.blowup_factor times its initial value or turns non-finite.
+    exceeds 1e6 times its initial value or turns non-finite.
     """
     cfg.check_phase_resolution(u0.grid)
-    return Trajectory.from_values(u0.grid, 0.0, cfg.dt * cfg.snapshot_stride, PHYSICAL,
-                                  _splitstep(u0, cfg))
+    return Trajectory.from_values(u0.grid, 0.0, cfg.dt, PHYSICAL, _splitstep(u0, cfg))
 
 
 def _check_forcing(F: Trajectory, grid: SpectralGrid, t0: float, dt: float, n: int) -> None:
@@ -174,14 +170,13 @@ def _check_forcing(F: Trajectory, grid: SpectralGrid, t0: float, dt: float, n: i
 def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     """Forced cubic NLS via u := F + v evolved as standard NLS, then v = u - F.
 
-    F must be sampled exactly at the snapshot times of the run.  The result
+    F must be sampled exactly at the step times of the run.  The result
     keeps the u stack and F: its frame j, u_j - F_j, is made when it is read
     (``Trajectory.from_source``), so the run holds one stack, and a reader of
     v_j and then F_j gets F_j from F's one-frame memo.
     """
     g = v0.grid
-    snap_dt = cfg.dt * cfg.snapshot_stride
-    _check_forcing(F, g, 0.0, snap_dt, cfg.n_steps // cfg.snapshot_stride + 1)
+    _check_forcing(F, g, 0.0, cfg.dt, cfg.n_steps + 1)
     cfg.check_phase_resolution(g)
     F0 = F.frames[0].in_domain(PHYSICAL)
     u = _read_only(_splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)),
@@ -190,7 +185,7 @@ def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     def frame(j: int, out: np.ndarray | None) -> np.ndarray:
         return np.subtract(u[j], F.frames[j].in_domain(PHYSICAL).values, out=out)
 
-    return Trajectory.from_source(g, 0.0, snap_dt, PHYSICAL, len(u), frame)
+    return Trajectory.from_source(g, 0.0, cfg.dt, PHYSICAL, len(u), frame)
 
 
 @dataclass(frozen=True)
@@ -485,25 +480,21 @@ class MorawetzAuditReport:
     dmdt_rhs: list
 
 
-def morawetz_audit(
-    run: Trajectory,
-    F: Trajectory | None = None,
-    mu: int = +1,
-    rel_floor: float = 1e-4,
-    sigma_identity: float | None = None,
-) -> MorawetzAuditReport:
+def morawetz_audit(run: Trajectory, F: Trajectory | None = None, mu: int = +1) -> MorawetzAuditReport:
     """Finite-difference d/dt of the Morawetz action versus the analytic
     identity, plus the bulk inequality with its recorded constant.
 
-    The identity holds for every sigma; the audit runs at one sigma,
-    ``sigma_identity`` or by default 3 dx (the smallest choice whose
-    bilaplacian spike the lattice can quadrature).  The action behind
-    ``dmdt_fd``, the right side and the report's ``bulk`` all use it;
-    ``sigma_quarter_bulk`` is the bulk at dx/4.  Frame j of F forces frame j
-    of the run; a forcing that does not line up raises ValueError.
+    The identity holds for every sigma; the audit runs at sigma = 3 dx, the
+    smallest choice whose bilaplacian spike the lattice can quadrature.  The
+    action behind ``dmdt_fd``, the right side and the report's ``bulk`` all
+    use it; ``sigma_quarter_bulk`` is the bulk at dx/4.  The identity holds
+    when the largest mismatch, relative to the largest right side, is at most
+    10 dt^2 (the order of the central difference), floored at 1e-4.  Frame j
+    of F forces frame j of the run; a forcing that does not line up raises
+    ValueError.
     """
     g = run.grid
-    sigma = sigma_identity if sigma_identity is not None else 3.0 * g.dx
+    sigma = 3.0 * g.dx
     n = run.n_frames
     if n < 3:
         raise ValueError("need at least three frames")
@@ -527,7 +518,7 @@ def morawetz_audit(
     fd = (mvals[2:] - mvals[:-2]) / (2.0 * run.dt)
     scale = max(np.abs(rhs).max(), np.finfo(float).tiny)
     mismatch = float(np.abs(fd - rhs).max() / scale)
-    tol = max(10.0 * run.dt**2, rel_floor)
+    tol = max(10.0 * run.dt**2, 1e-4)
     rhs_bound = np.sqrt(h1_sq.max()) * (np.sqrt(l2_sq.max()) + float(np.sum(w * h_l2)))
     constant = bulk / rhs_bound if rhs_bound > 0 else 0.0
     return MorawetzAuditReport(
