@@ -456,7 +456,8 @@ def _solve(cfg: ExperimentConfig, mode: str, mu: Literal[1, -1] = 1) -> tuple:
     return traj, {"mass": masses, "energy": energies, "mass_drift": drift}, passed
 
 
-# an ensemble's params are as_norm_ensemble's keywords; s defaults to the config's epsilon s
+# an ensemble's params are as_norm_ensemble's keywords; s defaults to the config's epsilon s,
+# and to 0.5 when the config has none
 _ENSEMBLE = _schema(montecarlo.as_norm_ensemble, "which", "f", "pol", "Q", "seed", "T", "threads",
                     s=None)
 _SOLVE = _schema(_solve, "cfg", "mode")
@@ -506,7 +507,7 @@ def _run_experiment(cfg: ExperimentConfig, i: int, ex: dict, draw_threads: int |
             result = run_verifier(name, params, seed=cfg.seed)
             passed = result["passed"]
         elif kind == "ensemble":
-            args = {"s": cfg.pol.s or 0.5, **_checked(where, params, _ENSEMBLE)}
+            args = {"s": 0.5 if cfg.pol.s is None else cfg.pol.s, **_checked(where, params, _ENSEMBLE)}
             stats = montecarlo.as_norm_ensemble(name, cfg.load_field(), pol=cfg.pol, Q=cfg.draws,
                                                 seed=cfg.seed, T=cfg.T, threads=draw_threads, **args)
             result, passed = stats.to_dict(), bool(stats.tail_slope < 0)

@@ -336,6 +336,24 @@ def test_example_configs_are_valid(no_compute):
     assert no_compute == []
 
 
+@pytest.mark.parametrize("exploratory", [False, True])
+def test_ensemble_of_zero_s_runs_at_zero_s(tmp_path, capsys, exploratory):
+    # epsilon.s = 0 is the config's s, not a missing one; the weighted bound needs s > 0
+    path = config(tmp_path, [{"kind": "ensemble", "name": "weighted_L2Linf", "id": "w",
+                              "params": {"exploratory": exploratory}}],
+                  epsilon={"eps": 0.05, "s": 0.0}, draws=60)
+    if not exploratory:
+        assert run(path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiments[0] (w): ") and "s > 0" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return
+    assert run(path) in (0, 2)
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["reports"][0]["result"]
+    assert result["metadata"]["s"] == 0.0
+    assert result["metadata"]["exploratory_flags"]
+
+
 def _keys(obj, path="result"):
     """(path, key) of every key of every object nested in obj."""
     if isinstance(obj, dict):
