@@ -344,11 +344,11 @@ def _cmd_norms(args) -> int:
     if out:
         raise ConfigError(out)
     traj = read_trajectory(args.traj)
-    reports = [dataclasses.asdict(norms_mod.NormReport(
-        kind=kind, value=float(fn(traj, **kw)), dt=traj.dt, frame_count=traj.n_frames, params=params,
-        band=params.get("N"), upper_bound=kind in ("GN", "G"),
-        truncated_bands=tuple(norms_mod.aggregate_bands(traj.grid)) if kind in ("X", "Y", "G") else (),
-    )) for kind, fn, params, kw in calls]
+    reports = [{
+        "kind": kind, "value": float(fn(traj, **kw)), "dt": traj.dt, "frame_count": traj.n_frames,
+        "params": params, "band": params.get("N"), "upper_bound": kind in ("GN", "G"),
+        "truncated_bands": norms_mod.aggregate_bands(traj.grid) if kind in ("X", "Y", "G") else [],
+    } for kind, fn, params, kw in calls]
     write_report(args.out, {"reports": reports})
     print(json.dumps(reports, indent=2, sort_keys=True))
     return 0

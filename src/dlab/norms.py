@@ -60,7 +60,7 @@ takes two passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,20 +113,6 @@ class EpsilonPolicy:
     @property
     def divisibility_exponent(self) -> float:
         return 4.0 / self.eps
-
-
-@dataclass
-class NormReport:
-    """A computed norm value plus its specification and quadrature metadata."""
-
-    kind: str
-    value: float
-    dt: float
-    frame_count: int
-    params: dict = field(default_factory=dict)
-    band: float | None = None
-    upper_bound: bool = False
-    truncated_bands: tuple = ()
 
 
 def is_admissible(q: float, r: float) -> bool:
@@ -423,7 +409,7 @@ def gn_norm_upper(h: Trajectory, N: float, interval: Interval = None,
 
     The true norm is an infimum over splittings P_N h = h1 + h2; this takes
     the smaller of the two pure splittings (h, 0) and (0, h), so it is an
-    upper bound (reported as such wherever it enters a NormReport).
+    upper bound (``dlab norms`` reports it as such).
     """
     g = h.grid
     i0, i1, w = _window(h, interval)
