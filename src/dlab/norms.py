@@ -6,7 +6,9 @@ Time integrals use the trapezoid rule on trajectory frames (the integrand
 infinite exponents are realized as grid/frame maxima.  Large exponents
 (4/eps and friends) are evaluated with a peak-normalization guard so no
 intermediate overflows: one peak over the whole window for a lateral norm,
-one peak per frame for the L^r sums of a Strichartz norm.
+and for a Strichartz norm the guard of ``grid._power_mean``, which takes each
+frame's L^r norm as the square root of the r/2 power mean of |u|^2 and then
+the L^q mean of those over time.
 
 Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
 several times.  They take its rows of the trajectory's frame stack once as a
