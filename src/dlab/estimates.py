@@ -115,8 +115,8 @@ def shell_field(grid: SpectralGrid, N: float, seed: int | None = None) -> Field:
 
     The profile, a Gaussian in |xi| / N centred at 1.5 with width 0.25, is an
     exact rescale of one fixed shape, so dyadic families built from it scale
-    exactly.  With a seed, coefficients get random
-    phases (radial profile otherwise).
+    exactly.  With a seed, coefficients get random phases (radial profile
+    otherwise).
     """
     r = np.sqrt(grid.xi_squared)
     prof = np.exp(-((r / N - 1.5) ** 2) / (2.0 * 0.25**2))
