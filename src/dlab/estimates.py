@@ -42,6 +42,10 @@ from .grid import (
 )
 from .norms import (
     EpsilonPolicy,
+    _abs2,
+    _check_exponents,
+    _lateral,
+    _strichartz,
     aggregate_bands,
     gn_norm_upper,
     lateral_norm,
@@ -706,6 +710,23 @@ class DuhamelRetardedReport:
     passed: bool
 
 
+def _power_stack(rows, grid: SpectralGrid, n_frames: int, box: tuple | None) -> np.ndarray:
+    """|u|^2 of the n_frames physical frames whose centred spectra ``rows`` yields on ``box``,
+    as one float64 stack: half the bytes of the complex frames.
+
+    Each row goes into one reused frame buffer, zeroed outside the box, and is
+    converted there by the pruned centred transform; a frame transformed alone
+    equals its row of a transformed stack bit for bit (``grid`` module docstring).
+    """
+    S = np.empty((n_frames, *grid.shape))
+    frame = np.empty(grid.shape, dtype=np.complex128)
+    for s, row in zip(S, rows):
+        frame.fill(0.0)
+        frame[box or ()] = row
+        _abs2(_centred_transform(frame, grid, PHYSICAL, out=frame, box=box), out=s)
+    return S
+
+
 def verify_duhamel_retarded(
     grid: SpectralGrid,
     N: float,
@@ -720,32 +741,34 @@ def verify_duhamel_retarded(
 
     LHS norms of t -> int_0^t exp(i(t-s) Lap) P_N h ds; RHS is the lateral
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
+
+    Every norm here reads |u|^2 of physical frames only, so h and the retarded
+    trajectory are each held as a float64 |u|^2 stack (``_power_stack``), one
+    at a time, and their norms are the Strichartz and lateral kernels of the
+    band-stack norms.  The exponent pairs are checked before any compute.
     """
     if not T > 0 or n_frames < 2:
         raise ParameterRangeError(f"need T > 0 and n_frames >= 2, got {T=}, {n_frames=}")
+    for q, r in strichartz_pairs:
+        _check_exponents(q=q, r=r)
     fN = dyadic_projection(shell_field(grid, N, seed=seed), Band.dyadic(N))
     dt = T / (n_frames - 1)
+    w = trapezoid_weights(n_frames, dt)
+    axes = range(1, grid.d + 1)
     box = band_box(grid, Band.dyadic(N))  # every row below is fN's spectrum times a multiplier
 
-    def physical(rows) -> Trajectory:  # the box rows in a zeroed stack, converted in place
-        values = np.zeros((n_frames, *grid.shape), dtype=np.complex128)
-        for row, r in zip(values, rows):
-            row[box or ()] = r
-        return Trajectory.from_values(grid, 0.0, dt, PHYSICAL,
-                                      _centred_transform(values, grid, PHYSICAL, out=values, box=box))
-
-    def hhat():  # h is generated twice, never stored: one frame stack is held at a time
+    def hhat():  # h is generated twice, never stored
         return _enveloped_frames(fN, dt, n_frames, seed + 1, box)
 
     p_g, q_g = pol.g_lateral_pq
-    rhs = N ** (0.5 + pol.eps) * sum(lateral_norms(physical(hhat()), p_g, q_g))
-    retarded = physical(_duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt))
-    stri = {}
-    for q, r in strichartz_pairs:
-        lhs = N * strichartz_norm(retarded, q, r)
-        stri[f"({q},{r})"] = float(lhs / rhs)
+    S_h = _power_stack(hhat(), grid, n_frames, box)
+    rhs = N ** (0.5 + pol.eps) * sum(_lateral(lambda: S_h, w, grid, p_g, q_g, axes))
+    del S_h  # one |u|^2 stack is held at a time
+    S = _power_stack(_duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt), grid, n_frames, box)
+    lhs = _strichartz(lambda: S, w, grid, strichartz_pairs)
+    stri = {f"({q},{r})": float(N * n / rhs) for (q, r), n in zip(strichartz_pairs, lhs)}
     p_m, q_m = pol.x_lateral_pq
-    lhs_max = N ** (-0.5 + pol.eps) * sum(lateral_norms(retarded, p_m, q_m))
+    lhs_max = N ** (-0.5 + pol.eps) * sum(_lateral(lambda: S, w, grid, p_m, q_m, axes))
     cmax = float(lhs_max / rhs)
     allc = list(stri.values()) + [cmax]
     return DuhamelRetardedReport(
@@ -792,11 +815,13 @@ def verify_main_linear(
         hhat = _enveloped_frames(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
         h = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
                                    np.fromiter(hhat, (np.complex128, grid.shape), n_frames))
-        vfree = free_trajectory(v0, 0.0, dt, n_frames).values
-        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, vfree - 1j * duhamel_all(h).values)
+        v = np.multiply(1j, duhamel_all(h).values)  # v = vfree - 1j * duhamel, built in place
+        for row, fr in zip(v, free_trajectory(v0, 0.0, dt, n_frames).frames):
+            np.subtract(fr.values, row, out=row)
+        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v)
         band = Band.dyadic(N)
-        vN = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v.values * band_symbol(grid, band))
-        lhs = N * linf_l2(vN) + xn_norm(v, N, pol=pol)
+        # ||P_N v||_{Linf L2} by Parseval, one projected frame at a time
+        lhs = N * linf_l2(v.map_frames(lambda fr: dyadic_projection(fr, band))) + xn_norm(v, N, pol=pol)
         rhs = N * sobolev_norm(dyadic_projection(v0, band), 0.0)
         rhs += gn_norm_upper(h, N, pol=pol)
         consts.append(float(lhs / rhs))
@@ -813,13 +838,19 @@ def verify_bernstein(
     """Dyadic Bernstein slope: log(||P_N f||_{r2} / ||P_N f||_{r1}) vs log N
     against 4/r1 - 4/r2 for shell-indicator data, with the L2/L2 flat control
     embedded in the metadata."""
-    r = np.sqrt(grid.xi_squared)
     vals = []
+    frame = np.empty(grid.shape, dtype=np.complex128)  # one buffer for every shell
     for N in N_list:
         band = Band.dyadic(N)
-        fN = ((r >= N) & (r <= 2.0 * N)).astype(np.complex128) * band_symbol(grid, band)
-        fN = Field.physical(grid, _read_only(_centred_transform(
-            fN, grid, PHYSICAL, out=fN, box=band_box(grid, band))))
+        box = band_box(grid, band)  # the shell is zero outside it
+        on_box = box or (slice(None),) * grid.d
+        r = np.sqrt(_separable(np.add, [grid.xi1d[sl] ** 2 for sl in on_box]))  # |xi| on the box
+        frame.fill(0.0)
+        np.multiply(((r >= N) & (r <= 2.0 * N)).astype(np.complex128), band_symbol(grid, band)[on_box],
+                    out=frame[on_box])
+        # a read-only view: the buffer itself stays writable for the next shell
+        fN = Field.physical(grid, _read_only(_centred_transform(frame, grid, PHYSICAL, out=frame,
+                                                                box=box).view()))
         vals.append(lp_norm(fN, r_high) / lp_norm(fN, r_low))
     pred = 4.0 / r_low - 4.0 / r_high
     rep = _report("bernstein_dyadic", list(N_list), vals, pred, 0.1,

@@ -372,7 +372,8 @@ def lp_norm(f: Field, r: float) -> float:
 def _power_mean(values: np.ndarray, weights, q: float) -> float:
     """(sum_j w_j values_j^q)^(1/q) of nonnegative values; q = inf gives the max.
 
-    The peak is scaled out before powering, so no intermediate overflows at large q.
+    The peak is scaled out before powering, so no intermediate overflows at large q;
+    the scaled values are powered and weighted in place, one temporary the size of ``values``.
     """
     values = np.asarray(values, dtype=float)
     if np.isinf(q):
@@ -380,7 +381,10 @@ def _power_mean(values: np.ndarray, weights, q: float) -> float:
     peak = values.max(initial=0.0)
     if peak == 0.0:
         return 0.0
-    return float(peak * (np.sum(weights * (values / peak) ** q)) ** (1.0 / q))
+    t = values / peak
+    t **= q
+    t *= weights
+    return float(peak * np.sum(t) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

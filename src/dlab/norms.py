@@ -57,7 +57,11 @@ _STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
 strichartz_norm, lateral_norm and lateral_norms power one frame at a time and
 build no band stack, but read ``values``, which a trajectory fills whole
 from its frame source on first use and keeps; a lateral norm with finite q
-takes two passes.
+takes two passes.  A verifier whose norms read |u|^2 alone
+(``estimates.verify_duhamel_retarded``) builds no trajectory: it fills a
+float64 |u|^2 stack, half the bytes of the complex frames, one frame at a
+time through one reused frame buffer, and hands it to ``_strichartz`` and
+``_lateral`` as the band-stack norms hand theirs.
 """
 
 from __future__ import annotations
@@ -136,9 +140,9 @@ def _window(v: Trajectory, interval) -> tuple:
     return i0, i1, trapezoid_weights(i1 - i0 + 1, v.dt)
 
 
-def _abs2(a: np.ndarray) -> np.ndarray:
-    """|a|^2 of a complex array as float64."""
-    s = np.abs(a)
+def _abs2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|a|^2 of a complex array as float64, in ``out`` (new when None)."""
+    s = np.abs(a, out=out)
     np.square(s, out=s)
     return s
 

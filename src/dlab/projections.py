@@ -157,22 +157,39 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
     return _separable(np.multiply, [phi1(grid.xi1d - c) for c in k])
 
 
+def _radial(axis1d: np.ndarray, d: int, profile) -> np.ndarray:
+    """profile(|.|) on the d-dimensional lattice with per-axis coordinates ``axis1d``, read-only.
+
+    |.|^2 is the left fold of the squared 1D coordinates (``_separable``, as in
+    ``grid.xi_squared`` and ``grid.x_squared``).  It is made and profiled one
+    axis-0 slab at a time, straight into the output, so the only lattice-sized
+    array is the output; every element is computed as by the whole-lattice
+    expression, bit for bit.
+    """
+    sq = axis1d**2
+    out = np.empty((len(sq),) * d)
+    for i in range(len(sq)):  # a slice, not an index, so the slab keeps its axis at d = 1
+        out[i : i + 1] = profile(np.sqrt(_separable(np.add, [sq[i : i + 1]] + [sq] * (d - 1))))
+    return _read_only(out)
+
+
+_DYADIC_PROFILES = {
+    "dyadic": lambda r, N: radial_cutoff(r / N) - radial_cutoff(2.0 * r / N),
+    "dyadic_leq": lambda r, N: radial_cutoff(r / N),
+    "dyadic_gt": lambda r, N: 1.0 - radial_cutoff(r / N),
+    "fattened": lambda r, N: radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N),
+}
+
+
 @lru_cache(maxsize=32)
 def _dyadic_symbol_cached(grid: SpectralGrid, kind: str, N: float, axis) -> np.ndarray:
     """Read-only symbol; a directional one is its broadcastable 1D factor."""
     if kind == "directional":
         xl = np.abs(grid.axis_coord(axis, frequency=True))
         return _read_only(directional_bump(xl / N))
-    r = np.sqrt(grid.xi_squared)
-    if kind == "dyadic":
-        return _read_only(radial_cutoff(r / N) - radial_cutoff(2.0 * r / N))
-    if kind == "dyadic_leq":
-        return _read_only(radial_cutoff(r / N))
-    if kind == "dyadic_gt":
-        return _read_only(1.0 - radial_cutoff(r / N))
-    if kind == "fattened":
-        return _read_only(radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N))
-    raise ValueError(kind)
+    if kind not in _DYADIC_PROFILES:
+        raise ValueError(kind)
+    return _radial(grid.xi1d, grid.d, lambda r: _DYADIC_PROFILES[kind](r, N))
 
 
 @lru_cache(maxsize=32)
@@ -227,25 +244,28 @@ def directional_projection(f: Field, N: float, axis: int) -> Field:
     return apply_multiplier(f, band_symbol(f.grid, Band.directional(N, axis)))
 
 
+def _chi_fattened(r: np.ndarray, j: int) -> np.ndarray:
+    # equals 1 on supp chi_j so chi_j = chi_j * fattened chi_j exactly
+    outer = radial_cutoff(r / 2.0 ** (j + 2))
+    if j == 0:
+        return outer
+    return outer * (1.0 - radial_cutoff(r / 2.0 ** (j - 3)))
+
+
+_SPATIAL_PROFILES = {
+    "chi": lambda r, j: (radial_cutoff(r) if j == 0
+                         else radial_cutoff(r / 2.0**j) - radial_cutoff(r / 2.0 ** (j - 1))),
+    "chi_leq": lambda r, j: radial_cutoff(r / 2.0**j),
+    "chi_gt": lambda r, j: 1.0 - radial_cutoff(r / 2.0**j),
+    "chi_fattened": _chi_fattened,
+}
+
+
 @lru_cache(maxsize=32)
 def _spatial_symbol_cached(grid: SpectralGrid, kind: str, j: int) -> np.ndarray:
-    r = np.sqrt(grid.x_squared)
-    if kind == "chi":
-        if j == 0:
-            return _read_only(radial_cutoff(r))
-        return _read_only(radial_cutoff(r / 2.0**j) - radial_cutoff(r / 2.0 ** (j - 1)))
-    if kind == "chi_leq":
-        return _read_only(radial_cutoff(r / 2.0**j))
-    if kind == "chi_gt":
-        return _read_only(1.0 - radial_cutoff(r / 2.0**j))
-    if kind == "chi_fattened":
-        # equals 1 on supp chi_j so chi_j = chi_j * fattened chi_j exactly
-        outer = radial_cutoff(r / 2.0 ** (j + 2))
-        if j == 0:
-            return _read_only(outer)
-        inner = 1.0 - radial_cutoff(r / 2.0 ** (j - 3))
-        return _read_only(outer * inner)
-    raise ValueError(kind)
+    if kind not in _SPATIAL_PROFILES:
+        raise ValueError(kind)
+    return _radial(grid.x1d, grid.d, lambda r: _SPATIAL_PROFILES[kind](r, j))
 
 
 def spatial_cutoff(f: Field, kind: str, j: int) -> Field:
@@ -255,7 +275,7 @@ def spatial_cutoff(f: Field, kind: str, j: int) -> Field:
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    if kind not in ("chi", "chi_leq", "chi_gt", "chi_fattened"):
+    if kind not in _SPATIAL_PROFILES:
         raise ValueError(f"unknown spatial cutoff kind {kind!r}")
     phys = f.in_domain("physical")
     out = Field(f.grid, "physical", _read_only(phys.values * _spatial_symbol_cached(f.grid, kind, j)))

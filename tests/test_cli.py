@@ -383,6 +383,16 @@ def test_verifier_time_lattice_or_samples_out_of_range_is_one_error_line(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_verifier_exponent_pair_below_one_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"grid": {"m": 8, "L": 2 * np.pi}, "strichartz_pairs": [[0.5, 2.0]]}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--estimate", "duhamel_retarded", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: experiments[0] (duhamel_retarded): exponents must be >= 1, got q=0.5, r=2.0\n"
+    assert not out.exists()
+
+
 def test_out_of_memory_outside_an_experiment_is_one_error_line(tmp_path, capsys, monkeypatch):
     import dlab.cli
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,57 @@ def test_duhamel_verifier_on_the_band_box_equals_the_lattice_reference(grid16, N
 def test_main_linear_by_parseval_matches_the_physical_reference(grid16):
     got = E.verify_main_linear(grid16, n_samples=3, seed=12).constants
     assert got == pytest.approx(_main_linear_on_the_lattice(grid16, 3, 12), rel=1e-14, abs=0)
+
+
+def _count_transforms(monkeypatch) -> list:
+    """Route every ``_fft`` the package calls through a wrapper that records each call."""
+    import sys
+
+    from dlab import grid as grid_mod
+
+    fft, calls = grid_mod._fft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dlab") and getattr(module, "_fft", None) is fft:
+            monkeypatch.setattr(module, "_fft", counted)
+    return calls
+
+
+def test_duhamel_verifier_checks_its_exponent_pairs_before_any_transform(grid16, monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    with pytest.raises(InvalidExponentError, match=r"exponents must be >= 1, got q=0.5, r=2.0"):
+        E.verify_duhamel_retarded(grid16, 2.0, n_frames=65, strichartz_pairs=((np.inf, 2.0), (0.5, 2.0)))
+    assert not calls
+    E.verify_duhamel_retarded(grid16, 2.0, n_frames=3)
+    assert calls
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()  # numpy reports its allocations to tracemalloc
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_duhamel_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16):
+    # it holds float64 |u|^2 stacks, one at a time, and one complex frame buffer
+    stack = 65 * grid16.size * 16
+    assert _traced_peak(lambda: E.verify_duhamel_retarded(grid16, 2.0, n_frames=65, seed=12)) < 0.75 * stack
+
+
+def test_bernstein_verifier_peaks_below_four_complex_frames(band_box_cache):
+    # with cold symbol caches: its three band symbols, one frame buffer and lp_norm's passes
+    from dlab.projections import _dyadic_symbol_cached
+
+    g = SpectralGrid(m=32, L=4.0)
+    _dyadic_symbol_cached.cache_clear()
+    assert _traced_peak(lambda: E.verify_bernstein(g)) < 4 * g.size * 16
 
 
 def test_every_boxed_transform_input_is_zero_outside_its_box(monkeypatch):

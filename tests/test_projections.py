@@ -311,3 +311,61 @@ def test_support_box_of_a_broadcast_factor_and_of_zero():
     assert _support_box(factor) == (slice(None), slice(4, 7), slice(None), slice(None))
     assert _support_box(np.ones(g.shape)) is None
     assert _support_box(np.zeros(g.shape)) == (slice(0, 0),) * 4
+
+
+def _whole_lattice_dyadic(grid, kind, N):
+    """A radial dyadic symbol as one whole-lattice expression: the reference for the slab builder."""
+    r = np.sqrt(grid.xi_squared)
+    if kind == "dyadic":
+        return radial_cutoff(r / N) - radial_cutoff(2.0 * r / N)
+    if kind == "dyadic_leq":
+        return radial_cutoff(r / N)
+    if kind == "dyadic_gt":
+        return 1.0 - radial_cutoff(r / N)
+    return radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N)  # fattened
+
+
+def _whole_lattice_spatial(grid, kind, j):
+    """A spatial cutoff as one whole-lattice expression: the reference for the slab builder."""
+    r = np.sqrt(grid.x_squared)
+    if kind == "chi":
+        return radial_cutoff(r) if j == 0 else radial_cutoff(r / 2.0**j) - radial_cutoff(r / 2.0 ** (j - 1))
+    if kind == "chi_leq":
+        return radial_cutoff(r / 2.0**j)
+    if kind == "chi_gt":
+        return 1.0 - radial_cutoff(r / 2.0**j)
+    outer = radial_cutoff(r / 2.0 ** (j + 2))  # chi_fattened
+    return outer if j == 0 else outer * (1.0 - radial_cutoff(r / 2.0 ** (j - 3)))
+
+
+@pytest.mark.parametrize("m,d", [(64, 1), (32, 2), (16, 4)])
+def test_slab_built_radial_symbols_equal_the_whole_lattice_expressions(m, d):
+    # d = 1 has slabs of one point; the builder keeps their axis
+    from dlab.projections import _dyadic_symbol_cached, _spatial_symbol_cached
+
+    g = SpectralGrid(m=m, L=4 * np.pi, d=d)
+    for kind in ("dyadic", "dyadic_leq", "dyadic_gt", "fattened"):
+        for N in (0.5, 1.0, 2.0, 4.0):
+            got = _dyadic_symbol_cached.__wrapped__(g, kind, N, None)
+            assert got.shape == g.shape and not got.flags.writeable
+            assert np.array_equal(got, _whole_lattice_dyadic(g, kind, N)), (kind, N)
+    for kind in ("chi", "chi_leq", "chi_gt", "chi_fattened"):
+        for j in range(5):
+            got = _spatial_symbol_cached.__wrapped__(g, kind, j)
+            assert np.array_equal(got, _whole_lattice_spatial(g, kind, j)), (kind, j)
+
+
+def test_first_m32_band_symbol_build_peaks_below_two_lattice_arrays():
+    import tracemalloc
+
+    from dlab.projections import _dyadic_symbol_cached
+
+    g = SpectralGrid(m=32, L=4.0)
+    _dyadic_symbol_cached.cache_clear()
+    tracemalloc.start()  # numpy reports its allocations to tracemalloc
+    try:
+        sym = band_symbol(g, Band.dyadic(4.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sym.any() and peak < 2 * g.size * sym.itemsize
