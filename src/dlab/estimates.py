@@ -33,7 +33,7 @@ from .grid import (
     _fft,
     _power_mean,
     _read_only,
-    _separable,
+    _squared_norm,
     _support_box,
     broadcast_along,
     lp_norm,
@@ -393,7 +393,7 @@ def verify_radialish_sobolev(
                 interp[(name, float(N))] = float(lhsN / denom)
     control = {}
     for shift in control_shifts:
-        shifted = np.exp(-_separable(np.add, [(grid.x1d - shift) ** 2] + [grid.x1d**2] * (grid.d - 1)) / 2)
+        shifted = np.exp(-_squared_norm([grid.x1d - shift] + [grid.x1d] * (grid.d - 1)) / 2)
         f = Field(grid, PHYSICAL, _read_only(shifted.astype(np.complex128)))
         sq = square_function(f)
         control[float(shift)] = float((w32 * sq).max() / sobolev_norm(f, delta))
@@ -844,7 +844,7 @@ def verify_bernstein(
         band = Band.dyadic(N)
         box = band_box(grid, band)  # the shell is zero outside it
         on_box = box or (slice(None),) * grid.d
-        r = np.sqrt(_separable(np.add, [grid.xi1d[sl] ** 2 for sl in on_box]))  # |xi| on the box
+        r = np.sqrt(_squared_norm([grid.xi1d[sl] for sl in on_box]))  # |xi| on the box
         frame.fill(0.0)
         np.multiply(((r >= N) & (r <= 2.0 * N)).astype(np.complex128), band_symbol(grid, band)[on_box],
                     out=frame[on_box])

@@ -154,12 +154,12 @@ class SpectralGrid:
     @cached_property
     def x_squared(self) -> np.ndarray:
         """|x|^2 on the physical lattice."""
-        return _read_only(_separable(np.add, [self.x1d**2] * self.d))
+        return _read_only(_squared_norm([self.x1d] * self.d))
 
     @cached_property
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the frequency lattice."""
-        return _read_only(_separable(np.add, [self.xi1d**2] * self.d))
+        return _read_only(_squared_norm([self.xi1d] * self.d))
 
     @cached_property
     def _derivative_matrix(self) -> tuple:
@@ -372,8 +372,10 @@ def lp_norm(f: Field, r: float) -> float:
 def _power_mean(values: np.ndarray, weights, q: float) -> float:
     """(sum_j w_j values_j^q)^(1/q) of nonnegative values; q = inf gives the max.
 
-    The peak is scaled out before powering, so no intermediate overflows at large q;
-    the scaled values are powered and weighted in place, one temporary the size of ``values``.
+    The peak is scaled out before powering, so no intermediate overflows at large q.
+    The scaled values, broadcast against the weights, are powered and weighted in
+    place: one temporary, not two, which keeps lp_norm of a frame at 2 frames of
+    float64 beyond its input.
     """
     values = np.asarray(values, dtype=float)
     if np.isinf(q):
@@ -381,7 +383,7 @@ def _power_mean(values: np.ndarray, weights, q: float) -> float:
     peak = values.max(initial=0.0)
     if peak == 0.0:
         return 0.0
-    t = values / peak
+    t = np.broadcast_to(values, np.broadcast_shapes(values.shape, np.shape(weights))) / peak
     t **= q
     t *= weights
     return float(peak * np.sum(t) ** (1.0 / q))
@@ -445,6 +447,15 @@ def broadcast_along(vec: np.ndarray, axis: int, d: int) -> np.ndarray:
 def _separable(op, factors) -> np.ndarray:
     """op(...op(op(f_0, f_1), f_2)..., f_{d-1}) with the 1D factor f_l broadcast along axis l."""
     return reduce(op, (broadcast_along(f, ax, len(factors)) for ax, f in enumerate(factors)))
+
+
+def _squared_norm(coords) -> np.ndarray:
+    """|.|^2 on the product of the 1D per-axis coordinates ``coords``: the left fold of their squares.
+
+    The |x|^2 and |xi|^2 lattices and their boxes and slabs are all formed
+    here, so a box or a slab agrees with the whole lattice bit for bit.
+    """
+    return _separable(np.add, [c**2 for c in coords])
 
 
 def _circulant(symbol: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandUnresolvedError
-from .grid import Field, SpectralGrid, _read_only, _separable, _support_box, apply_multiplier
+from .grid import Field, SpectralGrid, _read_only, _separable, _squared_norm, _support_box, apply_multiplier
 
 _TINY = np.finfo(float).tiny
 
@@ -160,16 +160,15 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
 def _radial(axis1d: np.ndarray, d: int, profile) -> np.ndarray:
     """profile(|.|) on the d-dimensional lattice with per-axis coordinates ``axis1d``, read-only.
 
-    |.|^2 is the left fold of the squared 1D coordinates (``_separable``, as in
-    ``grid.xi_squared`` and ``grid.x_squared``).  It is made and profiled one
-    axis-0 slab at a time, straight into the output, so the only lattice-sized
-    array is the output; every element is computed as by the whole-lattice
-    expression, bit for bit.
+    |.|^2 (``grid._squared_norm``, as for ``grid.xi_squared`` and
+    ``grid.x_squared``) is made and profiled one axis-0 slab at a time,
+    straight into the output, so the only lattice-sized array is the output;
+    every element is computed as by the whole-lattice expression, bit for bit.
     """
-    sq = axis1d**2
-    out = np.empty((len(sq),) * d)
-    for i in range(len(sq)):  # a slice, not an index, so the slab keeps its axis at d = 1
-        out[i : i + 1] = profile(np.sqrt(_separable(np.add, [sq[i : i + 1]] + [sq] * (d - 1))))
+    m = len(axis1d)
+    out = np.empty((m,) * d)
+    for i in range(m):  # a slice, not an index, so the slab keeps its axis at d = 1
+        out[i : i + 1] = profile(np.sqrt(_squared_norm([axis1d[i : i + 1]] + [axis1d] * (d - 1))))
     return _read_only(out)
 
 

@@ -13,7 +13,6 @@ cells; the masses of all cells are |fhat|^2 contracted with A^2 the same way
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,28 +47,8 @@ class RandomizationSpec:
             )
 
 
-_THREAD = threading.local()
-
-
 def _philox(seed: int, draw: int) -> np.random.Generator:
-    """A Generator that draws what ``Generator(Philox(key=[seed, draw]))`` draws.
-
-    It is this thread's one Generator, its Philox reset to that key, counter 0
-    and an empty buffer: resetting the state costs a fraction of building a
-    keyed Philox.  The next call on the same thread resets it again, so a draw
-    uses it up before it asks for another.
-    """
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=0))
-    # the key as Philox converts a list: a pair holding a word >= 2^63 goes through float64
-    key = np.asarray([seed & (2**64 - 1), draw & (2**64 - 1)]).astype(np.uint64)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), draw & (2**64 - 1)]))
 
 
 def _draw_box(rng: np.random.Generator, shape: tuple, law: str) -> np.ndarray:

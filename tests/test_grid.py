@@ -12,7 +12,9 @@ from dlab.grid import (
     Weight,
     _axis_product,
     _centred_transform,
+    _power_mean,
     _spectral_gradient,
+    _squared_norm,
     broadcast_along,
     gradient_fields,
     gradient_magnitude,
@@ -51,6 +53,15 @@ def test_cached_coordinates_are_read_only(name):
         arr[...] = 0.0
     assert getattr(g, name) is arr
     assert weighted_lp_norm(f, Weight("powerlaw", 1), 2) == before
+
+
+def test_squared_norm_of_a_box_or_slab_equals_that_part_of_the_lattice():
+    # the symbol slabs and the Bernstein boxes rely on this, bit for bit
+    g = SpectralGrid(m=16, L=4.0)
+    box = (slice(3, 9), slice(None), slice(0, 5), slice(15, 16))
+    assert np.array_equal(_squared_norm([g.xi1d[sl] for sl in box]), g.xi_squared[box])
+    assert np.array_equal(_squared_norm([g.x1d[2:3]] + [g.x1d] * 3), g.x_squared[2:3])
+    assert np.array_equal(_squared_norm([g.xi1d]), g.xi1d**2)
 
 
 def test_constant_maps_to_zero_mode(grid8):
@@ -133,6 +144,19 @@ def test_lp_norm_examples():
     assert lp_norm(wave, 4) == pytest.approx(g.L)
     with pytest.raises(InvalidExponentError):
         lp_norm(const, 0.5)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 4.0, 37.0])
+def test_power_mean_in_place_equals_the_plain_expression_for_any_broadcast(q):
+    # weights may be a scalar, match the values, or broadcast them to a larger shape
+    rng = np.random.default_rng(5)
+    values = rng.random((3, 4))
+    before = values.copy()
+    for weights in (0.25, rng.random((3, 4)), rng.random((2, 3, 4)), rng.random((3, 1))):
+        peak = values.max()
+        want = float(peak * (np.sum(weights * (values / peak) ** q)) ** (1.0 / q))
+        assert _power_mean(values, weights, q) == want
+    assert np.array_equal(values, before)
 
 
 def test_lp_norm_gaussian_analytic():

@@ -228,30 +228,3 @@ def test_active_set_matches_per_cell_parseval_mass():
         assert compute_active_set(f, rel_threshold=th) == want
         sets.append(want)
     assert len(sets[1]) < len(sets[0]) < len(mass)
-
-
-def test_reused_philox_draws_what_a_fresh_one_draws_on_two_threads_at_once():
-    # each thread resets its own generator; a shared one would mix the keys of the two threads
-    import threading
-
-    from dlab.randomize import _philox
-
-    keys = [(0, 0), (12, 7), (12, 8), (7, 12), (2**40 + 3, 1), (5, 2**62)]
-    want = {k: np.random.Generator(np.random.Philox(key=list(k))).standard_normal(1000) for k in keys}
-    barrier, got, gens = threading.Barrier(2), [], set()
-
-    def worker(order):
-        barrier.wait()
-        for _ in range(20):
-            for k in order:
-                rng = _philox(*k)
-                got.append(np.array_equal(rng.standard_normal(1000), want[k]))
-        gens.add(rng)
-
-    threads = [threading.Thread(target=worker, args=(order,)) for order in (keys, keys[::-1])]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(got) == 2 * 20 * len(keys) and all(got)
-    assert len(gens) == 2
