@@ -48,7 +48,10 @@ class RandomizationSpec:
 
 
 def _philox(seed: int, draw: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), draw & (2**64 - 1)]))
+    """The generator of (seed, draw), each taken modulo 2^64.  The key is uint64: Philox casts
+    a plain list's entries at or above 2^63 through float64, which rounds them."""
+    key = np.array([seed & (2**64 - 1), draw & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_box(rng: np.random.Generator, shape: tuple, law: str) -> np.ndarray:

@@ -8,17 +8,21 @@ step.  Both substeps conserve mass exactly, so mass is conserved to rounding
 and energy drifts at O(dt^2).  Every multiplier of a step is separable, so
 no transform runs: a half step is d products along one axis each with the
 m x m circulant matrix of the 1D factor exp(-i dt/2 xi^2)
-(``grid._axis_product``), ping-ponging between the state and one scratch
-buffer, and the 1D 2/3 dealiasing mask rides on the factor of the second
-half step.  The rotation is cos/sin of the real phase in one preallocated
-buffer.
+(``grid._axis_product``), and the 1D 2/3 dealiasing mask rides on the factor
+of the second half step.  A step works inside the run's stack: it reads row
+j-1 and writes row j, its products ping-ponging between row j and one scratch
+frame so that each half's last one lands in the row (for odd d the rotation
+writes into the scratch frame).  The rotation, cos/sin of the real phase, and
+the blow-up peak go over slabs of x1 rows (below) in slab-sized buffers, so a
+run holds its stack, one frame and one slab's arrays.
 
 The forced equation (i d_t + Laplace) v = mu |F+v|^2 (F+v) is solved through
 the change of variables u := F + v: when F solves the linear equation exactly
 on the grid (free flows here are exact multipliers), u solves the standard
-cubic NLS, so no separate splitting-error analysis is needed.  The solve
-keeps the u stack and returns v as a frame source, v_j = u_j - F_j made when
-read; with F the frame source of a free flow, the pipeline holds one stack.
+cubic NLS, so no separate splitting-error analysis is needed.  The solve adds
+F_0 + v_0 into row 0 of the u stack, keeps the stack and returns v as a frame
+source, v_j = u_j - F_j made when read; with F the frame source of a free
+flow, the pipeline holds one stack.
 
 The Morawetz audit makes one spectral pass per frame, reading the run and F
 one frame at a time, and streams it in slabs of x1 rows (cache blocking):
@@ -32,10 +36,10 @@ rho = |v|^2, of the bulk densities and ||v||_2; the forcing difference H is
 built per slab in one buffer from rho and feeds both the right side and
 ||H||_2.  A slab is as many whole rows as 2^12 points hold, at least one,
 and follows from the grid alone: the whole frame at m = 8, one row at
-m >= 16.  The weight arrays 1/a, 1/a^3, Lap a, LapLap a and 1/a at dx/4 are
-built once per audit call and dropped on return.  Besides them, a frame
-holds the frame of v, that of F and d_1 v (three complex m^d arrays, 48 MB
-at m = 32) and one slab's arrays (a few row-sized ones), all released
+m >= 16.  The weights 1/a, 1/a^3, Lap a, LapLap a and 1/a at dx/4 are made
+per slab from its rows of |x|^2 (``_slab_weights``).  A frame holds the frame
+of v, that of F and d_1 v (three complex m^d arrays, 48 MB at m = 32) and one
+slab's arrays (a few row-sized ones, the weights among them), all released
 before the next frame.  The energy audit shares the pass, gathered into
 whole-frame arrays: energy, |grad v| and the Morawetz series of v come from
 it, so a frame costs 3d per-axis derivative products (v, F and the flux W,
@@ -111,40 +115,57 @@ def _dealias_keep(grid: SpectralGrid) -> np.ndarray:
 _BLOWUP_FACTOR = 1e6
 
 
-def _splitstep(u0: Field, cfg: NLSRunConfig) -> np.ndarray:
-    """The physical stack of a Strang split-step run, one frame per step (see
-    splitstep_nls), writable.  The caller checks the phase resolution."""
+# lattice points per slab of a frame pass or a split step: 64 KB of complex values, but a
+# slab is at least one x1 row, which holds m^(d-1) points (512 KB at m = 32, d = 4)
+_SLAB_POINTS = 2**12
+
+
+def _slabs(grid: SpectralGrid) -> list:
+    """Slices of axis 0, each as many whole rows as ``_SLAB_POINTS`` points hold, at least one."""
+    rows = min(grid.m, max(1, _SLAB_POINTS // (grid.size // grid.m)))
+    return [slice(r0, r0 + rows) for r0 in range(0, grid.m, rows)]
+
+
+def _splitstep(u0: Field, cfg: NLSRunConfig, F0: Field | None = None) -> np.ndarray:
+    """The physical stack of a Strang split-step run from F0 + u0 (u0 alone when F0 is
+    None), one frame per step (see splitstep_nls), writable.  The caller checks the
+    phase resolution."""
     g = u0.grid
     factor = np.exp(-0.5j * cfg.dt * g.xi1d_fft**2)
     half = _circulant(factor)
     last = _circulant(factor * _dealias_keep(g)) if cfg.dealias else half
 
-    u = u0.in_domain(PHYSICAL).values.copy()
-    guard = _BLOWUP_FACTOR * max(float(np.abs(u).max()), np.finfo(float).tiny)
     frames = np.empty((cfg.n_steps + 1, *g.shape), dtype=np.complex128)
-    frames[0] = u
-    work, rotation, phase = np.empty_like(u), np.empty_like(u), np.empty(g.shape)
+    if F0 is None:
+        frames[0] = u0.in_domain(PHYSICAL).values
+    else:
+        np.add(F0.in_domain(PHYSICAL).values, u0.in_domain(PHYSICAL).values, out=frames[0])
+    guard = _BLOWUP_FACTOR * max(float(np.abs(frames[0]).max()), np.finfo(float).tiny)
+    slabs = _slabs(g)
+    work, phase = np.empty(g.shape, dtype=np.complex128), np.empty((slabs[0].stop, *g.shape[1:]))
+    rotation = np.empty_like(phase, dtype=np.complex128)
 
-    def kinetic(u, work, matrix):  # one per-axis product per axis, ping-ponging
+    def kinetic(src, dst, matrix):  # one product per axis, ping-ponging so the last lands in dst
         for ax in range(g.d):
-            _axis_product(u, matrix, ax, out=work)
-            u, work = work, u
-        return u, work
+            out = dst if (g.d - ax) % 2 else work
+            _axis_product(src, matrix, ax, out=out)
+            src = out
 
     for step in range(1, cfg.n_steps + 1):
+        u = frames[step]
+        mid = work if g.d % 2 else u  # the rotated state: with odd d the second half starts in work
         with np.errstate(over="ignore", invalid="ignore"):
-            u, work = kinetic(u, work, half)
-            np.abs(u, out=phase)
-            np.square(phase, out=phase)
-            phase *= -cfg.mu * cfg.dt
-            np.cos(phase, out=rotation.real)
-            np.sin(phase, out=rotation.imag)
-            u *= rotation
-            u, work = kinetic(u, work, last)
-            peak = float(np.abs(u, out=phase).max())
+            kinetic(frames[step - 1], u, half)
+            for sl in slabs:
+                np.square(np.abs(u[sl], out=phase), out=phase)
+                phase *= -cfg.mu * cfg.dt
+                np.cos(phase, out=rotation.real)
+                np.sin(phase, out=rotation.imag)
+                np.multiply(u[sl], rotation, out=mid[sl])
+            kinetic(mid, u, last)
+            peak = float(np.max([np.abs(u[sl], out=phase).max() for sl in slabs]))  # nan if one is
         if not np.isfinite(peak) or peak > guard:
             raise BlowupDetected(step, Trajectory.from_values(g, 0.0, cfg.dt, PHYSICAL, frames[:step]), peak)
-        frames[step] = u
     return frames
 
 
@@ -178,9 +199,7 @@ def splitstep_forced(v0: Field, F: Trajectory, cfg: NLSRunConfig) -> Trajectory:
     g = v0.grid
     _check_forcing(F, g, 0.0, cfg.dt, cfg.n_steps + 1)
     cfg.check_phase_resolution(g)
-    F0 = F.frames[0].in_domain(PHYSICAL)
-    u = _read_only(_splitstep(Field.physical(g, _read_only(F0.values + v0.in_domain(PHYSICAL).values)),
-                              cfg))
+    u = _read_only(_splitstep(v0, cfg, F.frames[0]))
 
     def frame(j: int, out: np.ndarray | None) -> np.ndarray:
         return np.subtract(u[j], F.frames[j].in_domain(PHYSICAL).values, out=out)
@@ -299,16 +318,17 @@ def _reg_weight(grid: SpectralGrid, sigma: float | None) -> np.ndarray:
     return np.sqrt(grid.x_squared + (grid.dx / 2.0 if sigma is None else sigma) ** 2)
 
 
-def _inv_reg_weight(grid: SpectralGrid, sigma: float) -> np.ndarray:
-    """1/a of the regularized Lin-Strauss weight a = (|x|^2 + sigma^2)^(1/2), raveled, in one buffer."""
-    inv_a = grid.x_squared.ravel() + sigma**2
+def _inv_reg_weight(grid: SpectralGrid, sigma: float, flat: slice = slice(None)) -> np.ndarray:
+    """1/a of the regularized Lin-Strauss weight a = (|x|^2 + sigma^2)^(1/2), raveled, in one
+    buffer; ``flat`` picks the raveled points (a slab's, or all)."""
+    inv_a = grid.x_squared.ravel()[flat] + sigma**2
     np.sqrt(inv_a, out=inv_a)
     return np.divide(1.0, inv_a, out=inv_a)
 
 
-def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
+def _weight_arrays(grid: SpectralGrid, sigma: float, flat: slice = slice(None)) -> tuple:
     """1/a, 1/a^3, Lap a and LapLap a of the regularized Lin-Strauss weight
-    a = (|x|^2 + s^2)^(1/2), raveled.
+    a = (|x|^2 + s^2)^(1/2), raveled, at the points ``flat`` picks (``_inv_reg_weight``).
 
     Lap a = (3 r^2 + 4 s^2)/a^3 and LapLap a = -24/a^3 + 36 r^2/a^5 - 15 r^4/a^7
     in four dimensions (for s -> 0 these recover 3/|x| and -3/|x|^3).  With
@@ -317,7 +337,7 @@ def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     """
     if grid.d != 4:
         raise ValueError("Morawetz diagnostics are defined for d = 4")
-    inv_a = _inv_reg_weight(grid, sigma)
+    inv_a = _inv_reg_weight(grid, sigma, flat)
     p = inv_a * inv_a
     inv_a3 = p * inv_a
     p *= sigma**2
@@ -326,7 +346,9 @@ def _weight_arrays(grid: SpectralGrid, sigma: float) -> tuple:
     return inv_a, inv_a3, lap_a, bilap_a
 
 
-_SLAB_POINTS = 2**12  # lattice points per slab of a frame pass: 64 KB of complex values
+def _slab_weights(grid: SpectralGrid, sigma: float, flat: slice) -> tuple:
+    """The audit's weights at the points ``flat`` picks: ``_weight_arrays`` at sigma, then 1/a at dx/4."""
+    return (*_weight_arrays(grid, sigma, flat), _inv_reg_weight(grid, grid.dx / 4.0, flat))
 
 
 def _frame_pass(v: Field, visit) -> float:
@@ -336,8 +358,7 @@ def _frame_pass(v: Field, visit) -> float:
     then takes d_2 .. d_d of its own rows (``grid._spectral_gradient``) and
     calls ``visit(flat, vals, xdot, grad2)`` with the slab's slice of the
     raveled frame and v, x.grad v and |grad v|^2 there, raveled.  A slab is
-    as many whole rows as ``_SLAB_POINTS`` points hold, at least one, so its
-    arrays stay in cache.  Hdot^1 is Parseval on the derivatives plus the
+    whole rows (``_slabs``), so its arrays stay in cache.  Hdot^1 is Parseval on the derivatives plus the
     Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
     ``sobolev_norm``.
     """
@@ -345,12 +366,10 @@ def _frame_pass(v: Field, visit) -> float:
     partial, nyquist = _spectral_gradient(v)
     vals = v.in_domain(PHYSICAL).values
     d1 = partial(0)
-    row = g.size // g.m
-    rows = min(g.m, max(1, _SLAB_POINTS // row))
-    part = np.empty((rows, *g.shape[1:]), dtype=np.complex128)
+    row, slabs = g.size // g.m, _slabs(g)
+    part = np.empty((slabs[0].stop, *g.shape[1:]), dtype=np.complex128)
     grad_sum = 0.0
-    for r0 in range(0, g.m, rows):
-        sl = slice(r0, r0 + rows)
+    for sl in slabs:
         grad2 = _abs2(d1[sl])
         xdot = d1[sl] * broadcast_along(g.x1d[sl], 0, g.d)
         for ax in range(1, g.d):
@@ -359,7 +378,7 @@ def _frame_pass(v: Field, visit) -> float:
             part *= broadcast_along(g.x1d, ax, g.d)
             xdot += part
         grad_sum += float(grad2.sum())
-        visit(slice(r0 * row, (r0 + rows) * row), vals[sl].ravel(), xdot.ravel(), grad2.ravel())
+        visit(slice(sl.start * row, sl.stop * row), vals[sl].ravel(), xdot.ravel(), grad2.ravel())
     return g.dx**g.d * (grad_sum + g.xi_max**2 / g.m * sum(nyquist))
 
 
@@ -435,34 +454,32 @@ def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: i
     return H
 
 
-def _audit_frame(v, Fv, mu, weights, inv_a_quarter, interior: bool) -> tuple:
+def _audit_frame(v, Fv, mu, weights, interior: bool) -> tuple:
     """Per-frame terms of ``morawetz_audit``, summed over the slabs of one frame pass.
 
     Returns (action, ||v||_{Hdot^1}^2, ||v||_2^2, bulk density at sigma and at
     dx/4, ||H||_2, dm/dt right side or nan off the interior).  ``Fv`` is the
-    raveled forcing frame or None.  Besides the frame, F's frame and d_1 v,
-    only one slab's arrays are alive at a time.
+    raveled forcing frame or None; ``weights(flat)`` gives a slab's
+    ``_slab_weights``.  Besides the frame, F's frame and d_1 v, only one slab's
+    arrays are alive at a time.
     """
     g = v.grid
     vol = g.dx**g.d
-    sums = np.zeros(6)  # action, ||v||_2^2, the two bulk densities, ||H||_2^2, right side
+    sums = np.zeros(6)  # ||v||_2^2, the two bulk densities, action, ||H||_2^2, right side
 
     def visit(flat, vals, xdot, grad2):
-        w = tuple(a[flat] for a in weights)
         rho = _abs2(vals)
-        rho2 = rho * rho
         H = None if Fv is None else _forcing_difference(vals, rho, Fv[flat], mu)
-        sums[:] += (
-            _action(vals, xdot, w[0], vol),
-            vol * float(rho.sum()),
-            vol * float(np.dot(rho2, w[0])),
-            vol * float(np.dot(rho2, inv_a_quarter[flat])),
-            0.0 if H is None else vol * float(_abs2(H).sum()),
-            _dmdt_rhs(vals, rho, xdot, grad2, H, w, vol) if interior else 0.0,
-        )
+        *w, inv_a_quarter = weights(flat)  # after H, and the bulks before the action: fewer
+        rho2 = rho * rho  # slab arrays are alive at once
+        sums[:3] += (vol * float(rho.sum()), vol * float(np.dot(rho2, w[0])),
+                     vol * float(np.dot(rho2, inv_a_quarter)))
+        del rho2, inv_a_quarter
+        sums[3:] += (_action(vals, xdot, w[0], vol), 0.0 if H is None else vol * float(_abs2(H).sum()),
+                     _dmdt_rhs(vals, rho, xdot, grad2, H, w, vol) if interior else 0.0)
 
     h1_sq = _frame_pass(v, visit)
-    action, l2_sq, bulk, bulk_quarter, h_sq, rhs = sums
+    l2_sq, bulk, bulk_quarter, action, h_sq, rhs = sums
     return action, h1_sq, l2_sq, bulk, bulk_quarter, np.sqrt(h_sq), rhs if interior else np.nan
 
 
@@ -500,13 +517,11 @@ def morawetz_audit(run: Trajectory, F: Trajectory | None = None, mu: int = +1) -
         raise ValueError("need at least three frames")
     if F is not None:
         _check_forcing(F, g, run.t0, run.dt, n)
-    weights = _weight_arrays(g, sigma)
-    inv_a_quarter = _inv_reg_weight(g, g.dx / 4.0)
     # frame j of the run first: a run from splitstep_forced reads F_j, which F then has
     # memoized; no frame outlives its call
     terms = np.array([
         _audit_frame(run.frames[j], None if F is None else F.frames[j].in_domain(PHYSICAL).values.ravel(),
-                     mu, weights, inv_a_quarter, 0 < j < n - 1)
+                     mu, lambda flat: _slab_weights(g, sigma, flat), 0 < j < n - 1)
         for j in range(n)
     ])
     mvals, h1_sq, l2_sq, bulk_d, bulk_quarter_d, h_l2, rhs = terms.T

@@ -2,7 +2,9 @@
 
 The eager loops below are the stack-building code the frame sources replaced;
 they are the references for bit identity.  ``_full_frame_pass`` and
-``_full_audit_frame`` are the whole-frame audit pass the slabs replaced.
+``_full_audit_frame`` are the whole-frame audit pass the slabs replaced, and
+``_whole_frame_splitstep`` the split step with whole-frame buffers that the
+stepping inside the stack replaced.
 """
 
 import tracemalloc
@@ -11,6 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
+from dlab import solver
+from dlab.errors import BlowupDetected
 from dlab.grid import (
     FREQUENCY,
     PHYSICAL,
@@ -19,6 +23,8 @@ from dlab.grid import (
     Trajectory,
     _centred_transform,
     _spectral_gradient,
+    _axis_product,
+    _circulant,
     broadcast_along,
     random_field,
     to_physical,
@@ -26,16 +32,21 @@ from dlab.grid import (
 from dlab.norms import _abs2
 from dlab.propagate import free_trajectory, schrodinger_symbol
 from dlab.solver import (
+    _BLOWUP_FACTOR,
     NLSRunConfig,
     _action,
     _audit_frame,
+    _dealias_keep,
     _dmdt_rhs,
     _forcing_difference,
     _inv_reg_weight,
+    _slab_weights,
+    _slabs,
     _splitstep,
     _weight_arrays,
     morawetz_audit,
     splitstep_forced,
+    splitstep_nls,
 )
 from test_golden import _forced_run
 
@@ -164,7 +175,8 @@ def test_slab_audit_matches_the_whole_frame_pass(forced):
     for j, fr in enumerate(run.frames):
         Fv = F.frames[j].values.ravel() if forced else None
         interior = 0 < j < run.n_frames - 1
-        got = _audit_frame(fr, Fv, +1, weights, inv_a_quarter, interior)
+        got = _audit_frame(fr, Fv, +1, lambda flat: tuple(a[flat] for a in (*weights, inv_a_quarter)),
+                           interior)
         ref = _full_audit_frame(fr, Fv, +1, weights, inv_a_quarter, interior)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0, equal_nan=True)
         want.append(ref)
@@ -199,3 +211,95 @@ def test_forced_pipeline_streams_its_forcing_and_v():
     assert n == 21 and rep.bulk > 0.0
     assert peak < (n + 8) * frame_bytes
     assert F._stack is None and run._stack is None
+
+
+def _whole_frame_splitstep(u0, cfg):
+    """The split step with its state, scratch and rotation as whole frames, copied into the
+    stack after each step."""
+    g = u0.grid
+    factor = np.exp(-0.5j * cfg.dt * g.xi1d_fft**2)
+    half = _circulant(factor)
+    last = _circulant(factor * _dealias_keep(g)) if cfg.dealias else half
+    u = u0.in_domain(PHYSICAL).values.copy()
+    guard = _BLOWUP_FACTOR * max(float(np.abs(u).max()), np.finfo(float).tiny)
+    frames = np.empty((cfg.n_steps + 1, *g.shape), dtype=np.complex128)
+    frames[0] = u
+    work, rotation, phase = np.empty_like(u), np.empty_like(u), np.empty(g.shape)
+
+    def kinetic(u, work, matrix):
+        for ax in range(g.d):
+            _axis_product(u, matrix, ax, out=work)
+            u, work = work, u
+        return u, work
+
+    for step in range(1, cfg.n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, work = kinetic(u, work, half)
+            np.abs(u, out=phase)
+            np.square(phase, out=phase)
+            phase *= -cfg.mu * cfg.dt
+            np.cos(phase, out=rotation.real)
+            np.sin(phase, out=rotation.imag)
+            u *= rotation
+            u, work = kinetic(u, work, last)
+            peak = float(np.abs(u, out=phase).max())
+        if not np.isfinite(peak) or peak > guard:
+            raise BlowupDetected(step, None, peak)
+        frames[step] = u
+    return frames
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("d,m", [(1, 64), (3, 16), (3, 64)])
+def test_splitstep_in_its_stack_equals_the_whole_frame_step(d, m, dealias, monkeypatch):
+    # odd d: each kinetic half's last product must land in the step's row; (3, 64) runs in
+    # 64 one-row slabs.  No product writes over its input: numpy would copy the input first
+    def product(values, matrix, axis, out=None):
+        assert out is not None and not np.shares_memory(values, out)
+        return _axis_product(values, matrix, axis, out)
+
+    g = SpectralGrid(m=m, L=8.0, d=d)
+    u0 = 0.8 * random_field(g, 21, band_limit=2.5)
+    cfg = NLSRunConfig(mu=-1, dt=0.01, T=0.05, dealias=dealias)
+    want = _whole_frame_splitstep(u0, cfg)
+    monkeypatch.setattr(solver, "_axis_product", product)
+    assert np.array_equal(splitstep_nls(u0, cfg).values, want)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_slab_weights_equal_slices_of_the_whole_lattice_weights(m):
+    g = SpectralGrid(m=m, L=8.0)
+    sigma = 3.0 * g.dx
+    whole = (*_weight_arrays(g, sigma), _inv_reg_weight(g, g.dx / 4.0))
+    row = g.size // g.m
+    for sl in _slabs(g):
+        flat = slice(sl.start * row, sl.stop * row)
+        got = _slab_weights(g, sigma, flat)
+        assert len(got) == 5 and all(np.array_equal(a, w[flat]) for a, w in zip(got, whole))
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_forced_pipeline_steps_and_audits_in_its_own_memory(m):
+    # the split step holds its stack, one scratch frame and row slabs; the audit holds
+    # v_j, F_j, d_1 v and one slab's arrays, its weights among them
+    g = SpectralGrid(m=m, L=8.0)
+    F0 = Field.physical(g, 0.9 * np.exp(-g.x_squared / 2.0) * np.exp(1j * g.axis_coord(1)))
+    cfg = NLSRunConfig(mu=+1, dt=0.001, T=0.004, dealias=False)
+    n = cfg.n_steps + 1
+    frame_bytes = g.size * 16
+    F = free_trajectory(F0, 0.0, cfg.dt, n).map_frames(lambda fr: fr.in_domain(PHYSICAL))
+    v0 = Field.zero(g, PHYSICAL)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = splitstep_forced(v0, F, cfg)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = morawetz_audit(run, F)
+        audit_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.bulk > 0.0
+    assert step_peak <= (n + 1.25) * frame_bytes
+    assert audit_peak <= 3.5 * frame_bytes

@@ -8,6 +8,7 @@ from dlab.randomize import (
     RadialProfileSpec,
     RandomizationSpec,
     _mode_products,
+    _philox,
     compute_active_set,
     make_radial_data,
     projected_mass_sum,
@@ -44,6 +45,17 @@ def test_determinism_bitwise(gridr, bumpdata):
     assert np.array_equal(a.values, b.values)
     c = randomize_schrodinger(bumpdata, spec, 8)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_philox_keys_are_exact_modulo_2_64():
+    # from a plain list, Philox casts keys at or above 2^63 through float64: -1 (2^64 - 1)
+    # drew what 0 drew, and 2^63 + 1 what 2^63 drew
+    for a, b in ((-1, 0), (2**63 + 1, 2**63)):
+        assert not np.array_equal(_philox(a, 3).random(8), _philox(b, 3).random(8))
+    for seed, draw in ((12, 0), (12, 7), (2**63 - 1, 2**40)):  # keys below 2^63 are unchanged
+        want = np.random.Generator(np.random.Philox(key=[seed, draw])).random(8)
+        assert np.array_equal(_philox(seed, draw).random(8), want)
 
 
 def test_empty_active_set_raises(gridr, bumpdata):
