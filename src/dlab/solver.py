@@ -358,9 +358,9 @@ def _frame_pass(v: Field, visit) -> float:
     then takes d_2 .. d_d of its own rows (``grid._spectral_gradient``) and
     calls ``visit(flat, vals, xdot, grad2)`` with the slab's slice of the
     raveled frame and v, x.grad v and |grad v|^2 there, raveled.  A slab is
-    whole rows (``_slabs``), so its arrays stay in cache.  Hdot^1 is Parseval on the derivatives plus the
-    Nyquist planes their multiplier zeroes, the full-|xi|^2 value of
-    ``sobolev_norm``.
+    whole rows (``_slabs``), so its arrays stay in cache.  Hdot^1 is Parseval
+    on the derivatives plus the Nyquist planes their multiplier zeroes, the
+    full-|xi|^2 value of ``sobolev_norm``.
     """
     g = v.grid
     partial, nyquist = _spectral_gradient(v)
@@ -470,11 +470,11 @@ def _audit_frame(v, Fv, mu, weights, interior: bool) -> tuple:
     def visit(flat, vals, xdot, grad2):
         rho = _abs2(vals)
         H = None if Fv is None else _forcing_difference(vals, rho, Fv[flat], mu)
-        *w, inv_a_quarter = weights(flat)  # after H, and the bulks before the action: fewer
-        rho2 = rho * rho  # slab arrays are alive at once
+        *w, inv_a_quarter = weights(flat)  # after H, so fewer slab arrays are alive at once
+        rho2 = rho * rho
         sums[:3] += (vol * float(rho.sum()), vol * float(np.dot(rho2, w[0])),
                      vol * float(np.dot(rho2, inv_a_quarter)))
-        del rho2, inv_a_quarter
+        del rho2, inv_a_quarter  # before the temporaries of the action and the right side
         sums[3:] += (_action(vals, xdot, w[0], vol), 0.0 if H is None else vol * float(_abs2(H).sum()),
                      _dmdt_rhs(vals, rho, xdot, grad2, H, w, vol) if interior else 0.0)
 

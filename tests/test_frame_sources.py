@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from dlab import solver
-from dlab.errors import BlowupDetected
 from dlab.grid import (
     FREQUENCY,
     PHYSICAL,
@@ -32,7 +31,6 @@ from dlab.grid import (
 from dlab.norms import _abs2
 from dlab.propagate import free_trajectory, schrodinger_symbol
 from dlab.solver import (
-    _BLOWUP_FACTOR,
     NLSRunConfig,
     _action,
     _audit_frame,
@@ -215,13 +213,12 @@ def test_forced_pipeline_streams_its_forcing_and_v():
 
 def _whole_frame_splitstep(u0, cfg):
     """The split step with its state, scratch and rotation as whole frames, copied into the
-    stack after each step."""
+    stack after each step (no blow-up guard)."""
     g = u0.grid
     factor = np.exp(-0.5j * cfg.dt * g.xi1d_fft**2)
     half = _circulant(factor)
     last = _circulant(factor * _dealias_keep(g)) if cfg.dealias else half
     u = u0.in_domain(PHYSICAL).values.copy()
-    guard = _BLOWUP_FACTOR * max(float(np.abs(u).max()), np.finfo(float).tiny)
     frames = np.empty((cfg.n_steps + 1, *g.shape), dtype=np.complex128)
     frames[0] = u
     work, rotation, phase = np.empty_like(u), np.empty_like(u), np.empty(g.shape)
@@ -233,18 +230,14 @@ def _whole_frame_splitstep(u0, cfg):
         return u, work
 
     for step in range(1, cfg.n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, work = kinetic(u, work, half)
-            np.abs(u, out=phase)
-            np.square(phase, out=phase)
-            phase *= -cfg.mu * cfg.dt
-            np.cos(phase, out=rotation.real)
-            np.sin(phase, out=rotation.imag)
-            u *= rotation
-            u, work = kinetic(u, work, last)
-            peak = float(np.abs(u, out=phase).max())
-        if not np.isfinite(peak) or peak > guard:
-            raise BlowupDetected(step, None, peak)
+        u, work = kinetic(u, work, half)
+        np.abs(u, out=phase)
+        np.square(phase, out=phase)
+        phase *= -cfg.mu * cfg.dt
+        np.cos(phase, out=rotation.real)
+        np.sin(phase, out=rotation.imag)
+        u *= rotation
+        u, work = kinetic(u, work, last)
         frames[step] = u
     return frames
 
