@@ -13,11 +13,12 @@ the correctness counts and the environment records the runs printed, and per
 metric the pairs the working tree wins.  Entries for other workloads or seeds
 already in the file are kept, so workloads can be run one invocation at a time.
 
-What "change" was is recorded next to ``parent``: HEAD's commit id, whether
-the tracked files differ from HEAD (staged or not; stage new files first)
-and the SHA-256 of ``git diff HEAD``, BENCH_*.json excluded.  A run whose
-parent has HEAD's tree on a clean working tree would compare the code with
-itself, so it stops with an error instead.
+Each workload/seed entry records under ``revisions`` what it compared:
+``parent``'s commit id, and as ``change`` HEAD's commit id, whether the
+tracked files differ from HEAD (staged or not; stage new files first) and the
+SHA-256 of ``git diff HEAD``, BENCH_*.json excluded.  A run whose parent has HEAD's tree
+on a clean working tree would compare the code with itself, so it stops with
+an error instead.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         parent_dir = Path(tmp)
         sha = export_parent(args.parent, parent_dir)
-        body.update(parent=sha, change=change,
-                    command="perfbench/run.py --workload W --seed S --trace 0")
+        body["command"] = "perfbench/run.py --workload W --seed S --trace 0"
         for seed in args.seeds:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -148,10 +148,10 @@ def main(argv=None) -> int:
             body["workloads"].setdefault(args.workload, {})[str(seed)] = {
                 "pairs": args.pairs,
                 "first_side": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
+                "revisions": {"parent": sha, "change": change},
                 "parent": side_record(runs["parent"]),
                 "change": side_record(runs["change"]),
                 "comparison": compare(runs["parent"], runs["change"]),
-                "change_diff_sha256": change["diff_sha256"],
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             }
             out_path.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")

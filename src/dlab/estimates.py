@@ -29,6 +29,7 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    _box_product,
     _centred_transform,
     _fft,
     _power_mean,
@@ -44,13 +45,13 @@ from .norms import (
     EpsilonPolicy,
     _abs2,
     _check_exponents,
+    _gn_upper,
     _lateral,
     _strichartz,
+    _xn,
     aggregate_bands,
-    gn_norm_upper,
     lateral_norm,
     lateral_norms,
-    linf_l2,
     strichartz_norm,
     xn_norm,
     yn_norm,
@@ -58,14 +59,14 @@ from .norms import (
 from .projections import (
     Band,
     band_box,
-    band_symbol,
+    band_box_symbol,
     cell_matrix,
     directional_projection,
     dyadic_projection,
     psi_symbol,
     spatial_symbol,
 )
-from .propagate import _duhamel_values, duhamel_all, free_trajectory, schrodinger_flow, schrodinger_symbol
+from .propagate import _duhamel_values, free_trajectory, schrodinger_flow, schrodinger_symbol
 from .randomize import make_radial_data, radial_symmetry_residual
 
 
@@ -653,11 +654,11 @@ class TrilinearHarness:
             rhs *= norm
         rhs *= _trilinear_gain(case, N, N1, N2, N3, self.pol.eps)
         g = self.grid
-        # P_N of the pointwise product, in place in one stack
+        # P_N of the pointwise product, in place in one stack, multiplied on the band's box
         prod = trajs[0].values * trajs[1].values * trajs[2].values
         _centred_transform(prod, g, FREQUENCY, out=prod)
-        prod *= band_symbol(g, Band.dyadic(N))
-        _centred_transform(prod, g, PHYSICAL, out=prod)
+        box, sym = band_box_symbol(g, Band.dyadic(N))
+        _centred_transform(_box_product(prod, sym, box, prod), g, PHYSICAL, out=prod, box=box)
         projected = Trajectory.from_values(g, 0.0, trajs[0].dt, PHYSICAL, prod)
         if case in ("vvv", "vFv", "vvF", "vFF"):
             lhs = N * strichartz_norm(projected, 1, 2)
@@ -801,29 +802,50 @@ def verify_main_linear(
         N ||P_N v||_{Linf L2} + ||P_N v||_{X_N} <= C (N ||P_N v0||_2 + ||P_N h||_{G_N})
 
     for v solving the inhomogeneous flow with data v0 and forcing h.
+
+    Every term reads P_N v, P_N v0 or P_N h, which vanish off the band's box,
+    so each sample runs on the box as the Duhamel verifier does: frame j of h
+    (``_enveloped_frames``), of the Duhamel integral D (``_duhamel_values``)
+    and of v = free - 1j D is made there and projected.  The L^2 norms are
+    Parseval sums on the box; X_N and G_N read |P_N v|^2 and then |P_N h|^2
+    stacks (``_power_stack``), one at a time.  No trajectory is built.
     """
     bands = aggregate_bands(grid) if bands is None else bands
     if not T > 0 or n_frames < 2 or n_samples < 1 or not bands:
         raise ParameterRangeError(f"need T > 0, n_frames >= 2, n_samples >= 1 and a band, "
                                   f"got {T=}, {n_frames=}, {n_samples=}, {bands=}")
     dt = T / (n_frames - 1)
+    w = trapezoid_weights(n_frames, dt)
+    parseval = (grid.dxi / (2.0 * np.pi)) ** grid.d  # ||f||_2^2 = parseval * sum |fhat|^2
     consts = []
     for i in range(n_samples):
         rng_seed = seed + 1000 * i
         N = bands[i % len(bands)]
-        v0 = shell_field(grid, N, seed=rng_seed)
-        hhat = _enveloped_frames(shell_field(grid, N, seed=rng_seed + 7), dt, n_frames, rng_seed + 13)
-        h = Trajectory.from_values(grid, 0.0, dt, FREQUENCY,
-                                   np.fromiter(hhat, (np.complex128, grid.shape), n_frames))
-        v = np.multiply(1j, duhamel_all(h).values)  # v = vfree - 1j * duhamel, built in place
-        for row, fr in zip(v, free_trajectory(v0, 0.0, dt, n_frames).frames):
-            np.subtract(fr.values, row, out=row)
-        v = Trajectory.from_values(grid, 0.0, dt, FREQUENCY, v)
-        band = Band.dyadic(N)
-        # ||P_N v||_{Linf L2} by Parseval, one projected frame at a time
-        lhs = N * linf_l2(v.map_frames(lambda fr: dyadic_projection(fr, band))) + xn_norm(v, N, pol=pol)
-        rhs = N * sobolev_norm(dyadic_projection(v0, band), 0.0)
-        rhs += gn_norm_upper(h, N, pol=pol)
+        box, sym = band_box_symbol(grid, Band.dyadic(N))
+        v0 = shell_field(grid, N, seed=rng_seed).values[box or ()]
+        pv0 = v0 * sym
+        rhs = N * np.sqrt(parseval * float(np.vdot(pv0, pv0).real))
+        f = shell_field(grid, N, seed=rng_seed + 7)
+
+        def hhat():  # h is generated twice, never stored
+            return _enveloped_frames(f, dt, n_frames, rng_seed + 13, box)
+
+        sums = []  # sum |P_N v_j|^2 over the box, frame by frame
+
+        def projected_v():
+            steps = _duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt)
+            for j, D in enumerate(steps):  # v_j = free_j - 1j D_j, then P_N v_j in place
+                row = np.subtract(np.multiply(v0, schrodinger_symbol(grid, j * dt, box)), np.multiply(1j, D))
+                row *= sym
+                sums.append(float(np.vdot(row, row).real))
+                yield row
+
+        S = _power_stack(projected_v(), grid, n_frames, box)
+        lhs = N * np.sqrt(parseval * max(sums)) + _xn(lambda: S, w, grid, N, pol)
+        del S  # one |u|^2 stack is held at a time
+        S = _power_stack((np.multiply(row, sym) for row in hhat()), grid, n_frames, box)
+        rhs += _gn_upper(lambda: S, w, grid, N, pol)
+        del S
         consts.append(float(lhs / rhs))
     worst = float(max(consts))
     return MainLinearReport(constants=consts, worst=worst, passed=bool(worst <= cap))
@@ -841,13 +863,11 @@ def verify_bernstein(
     vals = []
     frame = np.empty(grid.shape, dtype=np.complex128)  # one buffer for every shell
     for N in N_list:
-        band = Band.dyadic(N)
-        box = band_box(grid, band)  # the shell is zero outside it
+        box, sym = band_box_symbol(grid, Band.dyadic(N))  # the shell is zero outside the box
         on_box = box or (slice(None),) * grid.d
         r = np.sqrt(_squared_norm([grid.xi1d[sl] for sl in on_box]))  # |xi| on the box
         frame.fill(0.0)
-        np.multiply(((r >= N) & (r <= 2.0 * N)).astype(np.complex128), band_symbol(grid, band)[on_box],
-                    out=frame[on_box])
+        np.multiply(((r >= N) & (r <= 2.0 * N)).astype(np.complex128), sym, out=frame[on_box])
         # a read-only view: the buffer itself stays writable for the next shell
         fN = Field.physical(grid, _read_only(_centred_transform(frame, grid, PHYSICAL, out=frame,
                                                                 box=box).view()))

@@ -325,6 +325,24 @@ def _support_box(symbol: np.ndarray) -> tuple | None:
     return None if all(sl == slice(None) for sl in box) else tuple(box)
 
 
+def _box_product(values: np.ndarray, symbol: np.ndarray, box: tuple | None, out: np.ndarray) -> np.ndarray:
+    """``values`` times ``symbol`` on ``box`` and 0 elsewhere, in ``out`` (which may be ``values``).
+
+    ``box`` holds one slice per trailing axis of ``values`` (None: every index),
+    and ``symbol`` is the multiplier on it; leading axes (the frames of a
+    stack) are kept whole.  Where the multiplier is 0 off the box, this is the
+    whole-lattice product up to the sign of its zeros.
+    """
+    lead = (slice(None),) * (values.ndim - symbol.ndim)
+    np.multiply(values[lead + (box or ())], symbol, out=out[lead + (box or ())])
+    for k, sl in enumerate(box or ()):
+        lo, hi, _ = sl.indices(out.shape[len(lead) + k])
+        before = lead + (slice(None),) * k
+        out[before + (slice(None, lo),)] = 0.0
+        out[before + (slice(hi, None),)] = 0.0
+    return out
+
+
 def _centred_transform(values: np.ndarray, grid: SpectralGrid, domain: str,
                        out: np.ndarray | None = None, box: tuple | None = None) -> np.ndarray:
     """The centred transform into ``domain`` over the last ``grid.d`` axes of ``values``.

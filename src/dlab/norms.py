@@ -14,9 +14,10 @@ Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
 several times.  They take its rows of the trajectory's frame stack once as a
 centered spectrum (a physical window takes the checkerboard sign and one
 batched forward transform, with no roll; see grid.py).  The band projection
-multiplies the stack by the band symbol with the inverse transform's 1/dx^d
-folded in, inverse-transforms it with no centering shift, and reduces the
-result at once to |u|^2 in float64.
+multiplies the stack on the band's support box by the symbol there
+(``projections.band_box_symbol``) with the inverse transform's 1/dx^d folded
+in, zeroes it elsewhere, inverse-transforms it pruned to the box and with no
+centering shift, and reduces the result at once to |u|^2 in float64.
 Without the shifts a projected frame comes out cyclically shifted along
 each axis and, from a centered spectrum, with a sign (-1)^(n_1+...+n_d) on
 node n.  |u|^2 drops the sign, and every consumer of it is a sum or a
@@ -57,11 +58,12 @@ _STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
 strichartz_norm, lateral_norm and lateral_norms power one frame at a time and
 build no band stack, but read ``values``, which a trajectory fills whole
 from its frame source on first use and keeps; a lateral norm with finite q
-takes two passes.  A verifier whose norms read |u|^2 alone
-(``estimates.verify_duhamel_retarded``) builds no trajectory: it fills a
-float64 |u|^2 stack, half the bytes of the complex frames, one frame at a
-time through one reused frame buffer, and hands it to ``_strichartz`` and
-``_lateral`` as the band-stack norms hand theirs.
+takes two passes.  The verifiers whose norms read |u|^2 alone
+(``estimates.verify_duhamel_retarded`` and ``verify_main_linear``) build no
+trajectory: each fills a float64 |u|^2 stack, half the bytes of the complex
+frames, one frame at a time through one reused frame buffer, and hands it to
+``_strichartz`` and ``_lateral``, or to ``_xn`` and ``_gn_upper`` (the formulas
+of xn_norm and gn_norm_upper), as the band-stack norms hand theirs.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
-from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _fft, _power_mean, broadcast_along,
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _box_product, _fft, _power_mean, broadcast_along,
                    gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
-from .projections import Band, _directional_planes, band_box, band_symbol
+from .projections import Band, _directional_planes, band_box_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
 # kernel's complex stacks take four times as much
@@ -298,16 +300,19 @@ class _BandStack:
         self.work = np.empty_like(self.freq)
 
     def power(self, symbol: np.ndarray, box: tuple | None = None) -> np.ndarray:
-        """|u|^2 of the projection by a centered symbol that carries 1/dx^d; ``box``, the
-        symbol's support box (``grid._support_box``), prunes the inverse transform."""
-        np.multiply(self.freq, symbol, out=self.work)
+        """|u|^2 of the projection by a centered symbol that carries 1/dx^d.  With ``box``
+        (the symbol's support box, ``grid._support_box``) the symbol is given on the box
+        only: the product is taken there, ``work`` is zeroed elsewhere, and the box
+        prunes the inverse transform."""
+        _box_product(self.freq, symbol, box, self.work)
         return _abs2(_fft(self.work, inverse=True, axes=self.axes, out=self.work, box=box))
 
     def band_powers(self, N: float):
         """Yield |P_N u|^2, then |P_{N,e_l} P_N u|^2 for l = 1..d.
 
-        P_N u's inverse transform is pruned to the band's support box
-        (``projections.band_box``), bit for bit the unpruned one.
+        The band symbol is read on its support box
+        (``projections.band_box_symbol``), where P_N u is formed; its inverse
+        transform is pruned to the box, bit for bit the unpruned one.
         Each directional stack is P_N u, left in ``work``, minus the sum of
         its plane terms (``_plane_terms``, all taken once the first stack is
         out, while ``freq`` is intact).  It is written into the frequency
@@ -316,9 +321,10 @@ class _BandStack:
         overwritten spectrum.
         """
         g = self.grid
-        sym = band_symbol(g, Band.dyadic(N)) * g.dx ** (-g.d)
-        yield self.power(sym, band_box(g, Band.dyadic(N)))
-        terms = [self._plane_terms(sym, N, ax) for ax in self.axes]
+        box, sym = band_box_symbol(g, Band.dyadic(N))
+        sym = sym * g.dx ** (-g.d)
+        yield self.power(sym, box)
+        terms = [self._plane_terms(sym, box, N, ax) for ax in self.axes]
         buf, self.freq = self.freq, None
         for planes, phases in terms:
             if not planes:  # P_{N,e_l} P_N u = P_N u
@@ -331,10 +337,11 @@ class _BandStack:
                 buf *= phase
             yield _abs2(np.subtract(self.work, buf, out=buf))
 
-    def _plane_terms(self, sym: np.ndarray, N: float, ax: int) -> tuple:
+    def _plane_terms(self, sym: np.ndarray, box: tuple | None, N: float, ax: int) -> tuple:
         """The part of P_N u that P_{N,e_ax} removes, as planes and phase steps.
 
-        Plane j of ``freq * sym`` along ``ax``, times (1 - c_j) / m and
+        ``sym`` is the P_N symbol on ``box``, and every plane J lies in the box.
+        Plane j of ``freq * sym`` along ``ax`` (0 off the box), times (1 - c_j) / m and
         inverse-transformed over the other axes, is the inverse transform of
         that plane alone up to the factor e^(2 pi i j n_ax / m) at the
         unshifted index n_ax of ``work``.  The phase step of plane J_i is
@@ -343,7 +350,11 @@ class _BandStack:
         """
         g = self.grid
         J, gap = _directional_planes(g, N, ax)
-        low = np.take(self.freq, J, axis=ax) * np.take(sym, J, axis=ax - 1)
+        box = list(box or (slice(None),) * g.d)
+        start = range(g.m)[box[ax - 1]].start  # sym's index of lattice plane 0 along ax
+        box[ax - 1] = slice(None)  # the taken planes, whole
+        low = np.take(self.freq, J, axis=ax)
+        _box_product(low, np.take(sym, J - start, axis=ax - 1), tuple(box), low)
         low *= broadcast_along(gap / g.m, ax - 1, g.d)
         _fft(low, inverse=True, axes=tuple(a for a in self.axes if a != ax), out=low)
         steps = np.outer(J - np.append(J[1:], 0), np.arange(g.m))
@@ -369,6 +380,14 @@ def aggregate_bands(grid: SpectralGrid) -> list:
     return out
 
 
+def _xn(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    """``xn_norm``'s formula from the |P_N v|^2 frames that ``powers()`` yields."""
+    total = N * sum(_strichartz(powers, w, grid, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
+    p, q = pol.x_lateral_pq
+    total += N ** (-0.5 + pol.eps) * sum(_lateral(powers, w, grid, p, q, range(1, grid.d + 1)))
+    return float(total)
+
+
 def xn_norm(v: Trajectory, N: float, interval: Interval = None,
             pol: EpsilonPolicy = EpsilonPolicy()) -> float:
     """Dyadic solution-space building block at band N:
@@ -376,13 +395,9 @@ def xn_norm(v: Trajectory, N: float, interval: Interval = None,
         N ||P_N v||_{L2 L4} + N ||P_N v||_{L3 L3} + N ||P_N v||_{L6 L12/5}
         + sum_axes N^(-1/2+eps) ||P_N v||_{lateral (4/(2-eps), 4/eps)}.
     """
-    g = v.grid
     i0, i1, w = _window(v, interval)
     S = next(_BandStack(v, i0, i1).band_powers(N))  # the stack is freed here
-    total = N * sum(_strichartz(lambda: S, w, g, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
-    p, q = pol.x_lateral_pq
-    total += N ** (-0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))
-    return float(total)
+    return _xn(lambda: S, w, v.grid, N, pol)
 
 
 def yn_norm(F: Trajectory, N: float, interval: Interval = None,
@@ -417,12 +432,16 @@ def gn_norm_upper(h: Trajectory, N: float, interval: Interval = None,
     the smaller of the two pure splittings (h, 0) and (0, h), so it is an
     upper bound (``dlab norms`` reports it as such).
     """
-    g = h.grid
     i0, i1, w = _window(h, interval)
     S = next(_BandStack(h, i0, i1).band_powers(N))  # the stack is freed here
-    term1 = N * _strichartz(lambda: S, w, g, [(1, 2)])[0]
+    return _gn_upper(lambda: S, w, h.grid, N, pol)
+
+
+def _gn_upper(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    """``gn_norm_upper``'s formula from the |P_N h|^2 frames that ``powers()`` yields."""
+    term1 = N * _strichartz(powers, w, grid, [(1, 2)])[0]
     p, q = pol.g_lateral_pq
-    term2 = N ** (0.5 + pol.eps) * sum(_lateral(lambda: S, w, g, p, q, range(1, g.d + 1)))
+    term2 = N ** (0.5 + pol.eps) * sum(_lateral(powers, w, grid, p, q, range(1, grid.d + 1)))
     return float(min(term1, term2))
 
 

@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandUnresolvedError
-from .grid import Field, SpectralGrid, _read_only, _separable, _squared_norm, _support_box, apply_multiplier
+from .grid import (FREQUENCY, Field, SpectralGrid, _box_product, _read_only, _separable, _squared_norm,
+                   _support_box, apply_multiplier)
 
 _TINY = np.finfo(float).tiny
 
@@ -157,38 +158,70 @@ def psi_symbol(grid: SpectralGrid, k) -> np.ndarray:
     return _separable(np.multiply, [phi1(grid.xi1d - c) for c in k])
 
 
-def _radial(axis1d: np.ndarray, d: int, profile) -> np.ndarray:
-    """profile(|.|) on the d-dimensional lattice with per-axis coordinates ``axis1d``, read-only.
+def _radial(coords, profile) -> np.ndarray:
+    """profile(|.|) on the product of the 1D per-axis coordinates ``coords``, read-only.
 
     |.|^2 (``grid._squared_norm``, as for ``grid.xi_squared`` and
     ``grid.x_squared``) is made and profiled one axis-0 slab at a time,
-    straight into the output, so the only lattice-sized array is the output;
-    every element is computed as by the whole-lattice expression, bit for bit.
+    straight into the output, so the only array of the output's size is the
+    output; every element is computed as by the whole-product expression, so
+    on a box of the lattice's coordinates it equals the lattice's, bit for bit.
     """
-    m = len(axis1d)
-    out = np.empty((m,) * d)
-    for i in range(m):  # a slice, not an index, so the slab keeps its axis at d = 1
-        out[i : i + 1] = profile(np.sqrt(_squared_norm([axis1d[i : i + 1]] + [axis1d] * (d - 1))))
+    out = np.empty(tuple(len(c) for c in coords))
+    for i in range(len(out)):  # a slice, not an index, so the slab keeps its axis at d = 1
+        out[i : i + 1] = profile(np.sqrt(_squared_norm([coords[0][i : i + 1], *coords[1:]])))
     return _read_only(out)
 
 
+# kind -> (profile(r, N), reach): the profile is exactly 0 wherever r / N >= reach
+# (None: nowhere).  Each term is 0 once its radial_cutoff argument, a power-of-two
+# multiple of r / N, reaches 2, and every lattice point of a slab xi_l = c has
+# r >= sqrt(c^2) in floating point, since adding squares never rounds below a term.
 _DYADIC_PROFILES = {
-    "dyadic": lambda r, N: radial_cutoff(r / N) - radial_cutoff(2.0 * r / N),
-    "dyadic_leq": lambda r, N: radial_cutoff(r / N),
-    "dyadic_gt": lambda r, N: 1.0 - radial_cutoff(r / N),
-    "fattened": lambda r, N: radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N),
+    "dyadic": (lambda r, N: radial_cutoff(r / N) - radial_cutoff(2.0 * r / N), 2.0),
+    "dyadic_leq": (lambda r, N: radial_cutoff(r / N), 2.0),
+    "dyadic_gt": (lambda r, N: 1.0 - radial_cutoff(r / N), None),
+    "fattened": (lambda r, N: radial_cutoff(r / (8.0 * N)) - radial_cutoff(8.0 * r / N), 16.0),
 }
 
 
+def _lattice_box(ranges, m: int) -> tuple | None:
+    """Index ranges per axis as ``grid._support_box`` writes a box: a whole axis as
+    ``slice(None)``, an empty one as ``slice(0, 0)``, a whole lattice as None."""
+    box = tuple(slice(None) if (r.start, r.stop) == (0, m) else slice(r.start, r.stop) if r
+                else slice(0, 0) for r in ranges)
+    return None if all(sl == slice(None) for sl in box) else box
+
+
 @lru_cache(maxsize=32)
-def _dyadic_symbol_cached(grid: SpectralGrid, kind: str, N: float, axis) -> np.ndarray:
-    """Read-only symbol; a directional one is its broadcastable 1D factor."""
-    if kind == "directional":
-        xl = np.abs(grid.axis_coord(axis, frequency=True))
-        return _read_only(directional_bump(xl / N))
-    if kind not in _DYADIC_PROFILES:
-        raise ValueError(kind)
-    return _radial(grid.xi1d, grid.d, lambda r: _DYADIC_PROFILES[kind](r, N))
+def band_box_symbol(grid: SpectralGrid, band: Band) -> tuple:
+    """``(box, symbol on box)`` of a dyadic-family band, cached: ``box`` is ``grid._support_box``
+    of the lattice symbol (None: the whole lattice), the box a transform of data the band
+    has just been applied to is pruned to, and the read-only values are the lattice
+    symbol's there, bit for bit.
+
+    The profile is evaluated (``_radial``) on the box of the lattice points with
+    r / N below the profile's reach, which holds every nonzero, and cut to the
+    support box of what it finds there; no array of the lattice's size is made
+    unless the box is the lattice.
+    """
+    check_band_resolved(grid, band)
+    if band.kind not in _DYADIC_PROFILES:
+        raise ValueError(f"no box symbol for a {band.kind!r} band")
+    profile, reach = _DYADIC_PROFILES[band.kind]
+    xi = grid.xi1d
+    near = slice(None) if reach is None else (_support_box(np.sqrt(xi**2) / band.N < reach) or (slice(None),))[0]
+    values = _radial([xi[near]] * grid.d, lambda r: profile(r, band.N))
+    inner = _support_box(values) or (slice(None),) * grid.d
+    box = _lattice_box([range(grid.m)[near][sl] for sl in inner], grid.m)
+    return box, values if values[inner].shape == values.shape else _read_only(values[inner].copy())
+
+
+@lru_cache(maxsize=32)
+def _directional_factor(grid: SpectralGrid, N: float, axis: int) -> np.ndarray:
+    """The read-only 1D factor of P_{N,e_axis}, shaped to broadcast against the grid."""
+    xl = np.abs(grid.axis_coord(axis, frequency=True))
+    return _read_only(directional_bump(xl / N))
 
 
 @lru_cache(maxsize=32)
@@ -197,31 +230,37 @@ def _directional_planes(grid: SpectralGrid, N: float, axis: int) -> tuple:
     of P_{N,e_axis} is not 1 and the P_N symbol is nonzero somewhere on the
     plane xi_axis = xi_j.  Off these planes P_{N,e_axis} P_N = P_N exactly.
     """
-    c = band_symbol(grid, Band.directional(N, axis)).ravel()
+    c = _directional_factor(grid, N, axis).ravel()
+    box, sym = band_box_symbol(grid, Band.dyadic(N))
     others = tuple(a for a in range(grid.d) if a != axis - 1)
-    reached = np.any(band_symbol(grid, Band.dyadic(N)) != 0.0, axis=others)
+    reached = np.zeros(grid.m, dtype=bool)
+    reached[(box or (slice(None),) * grid.d)[axis - 1]] = np.any(sym != 0.0, axis=others)
     J = np.flatnonzero((c != 1.0) & reached)
     return _read_only(J), _read_only(1.0 - c[J])
 
 
 def band_symbol(grid: SpectralGrid, band: Band) -> np.ndarray:
-    """The multiplier symbol of a band on the grid's frequency lattice.
+    """The multiplier symbol of a band on the grid's frequency lattice, read-only.
 
-    Dyadic-family symbols are cached and read-only; a directional symbol
-    depends on one axis only and comes as a 1D factor shaped to broadcast
-    against the grid.
+    A dyadic-family symbol is assembled on request from its cached box form
+    (``band_box_symbol``) and is not kept; a directional symbol depends on one
+    axis only and comes as its cached 1D factor shaped to broadcast against
+    the grid.
     """
     check_band_resolved(grid, band)
     if band.kind == "unit":
         return psi_symbol(grid, band.k)
-    return _dyadic_symbol_cached(grid, band.kind, band.N, band.axis)
+    if band.kind == "directional":
+        return _directional_factor(grid, band.N, band.axis)
+    box, sym = band_box_symbol(grid, band)
+    out = np.zeros(grid.shape)
+    out[box or ()] = sym
+    return _read_only(out)
 
 
-@lru_cache(maxsize=32)
 def band_box(grid: SpectralGrid, band: Band) -> tuple | None:
-    """``_support_box`` of ``band_symbol(grid, band)``, cached beside the symbol: the box
-    a transform of data the band has just been applied to is pruned to."""
-    return _support_box(band_symbol(grid, band))
+    """The support box of a dyadic-family band's symbol, read from ``band_box_symbol``."""
+    return band_box_symbol(grid, band)[0]
 
 
 def unit_projection(f: Field, k) -> Field:
@@ -230,10 +269,15 @@ def unit_projection(f: Field, k) -> Field:
 
 
 def dyadic_projection(f: Field, band: Band) -> Field:
-    """Apply a dyadic-family projection (P_N, P_<=N, P_>N or fattened)."""
+    """Apply a dyadic-family projection (P_N, P_<=N, P_>N or fattened), multiplying on
+    the symbol's box only; a directional band is applied by its 1D factor."""
     if band.kind == "unit":
         raise ValueError("use unit_projection for unit-scale bands")
-    return apply_multiplier(f, band_symbol(f.grid, band))
+    if band.kind == "directional":
+        return apply_multiplier(f, band_symbol(f.grid, band))
+    box, sym = band_box_symbol(f.grid, band)
+    out = _box_product(f.in_domain(FREQUENCY).values, sym, box, np.empty(f.grid.shape, dtype=np.complex128))
+    return Field(f.grid, FREQUENCY, _read_only(out)).in_domain(f.domain)
 
 
 def directional_projection(f: Field, N: float, axis: int) -> Field:
@@ -264,7 +308,7 @@ _SPATIAL_PROFILES = {
 def _spatial_symbol_cached(grid: SpectralGrid, kind: str, j: int) -> np.ndarray:
     if kind not in _SPATIAL_PROFILES:
         raise ValueError(kind)
-    return _radial(grid.x1d, grid.d, lambda r: _SPATIAL_PROFILES[kind](r, j))
+    return _radial([grid.x1d] * grid.d, lambda r: _SPATIAL_PROFILES[kind](r, j))
 
 
 def spatial_cutoff(f: Field, kind: str, j: int) -> Field:

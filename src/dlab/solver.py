@@ -396,8 +396,11 @@ def _frame_arrays(v: Field) -> tuple:
 
 
 def _action(vals: np.ndarray, xdot: np.ndarray, inv_a: np.ndarray, vol: float) -> float:
-    """2 Im int (x/a . grad v) conj(v) dx, from x.grad v."""
-    return 2.0 * vol * float(np.dot(vals.real * xdot.imag - vals.imag * xdot.real, inv_a))
+    """2 Im int (x/a . grad v) conj(v) dx, from x.grad v; the integrand's difference is
+    taken in place, so two float temporaries are alive at once."""
+    im = np.multiply(vals.real, xdot.imag)
+    im -= vals.imag * xdot.real
+    return 2.0 * vol * float(np.dot(im, inv_a))
 
 
 def _dmdt_rhs(vals, rho, xdot, grad2, H, weights, vol: float) -> float:
@@ -406,9 +409,13 @@ def _dmdt_rhs(vals, rho, xdot, grad2, H, weights, vol: float) -> float:
     total = -np.dot(bilap_a, rho)
     total += 4.0 * (np.dot(grad2, inv_a) - np.dot(_abs2(xdot), inv_a3))
     total += np.dot(lap_a, rho * rho)
-    if H is not None:
-        total += 4.0 * np.dot(H.real * xdot.real + H.imag * xdot.imag, inv_a)
-        total += 2.0 * np.dot(lap_a, vals.real * H.real + vals.imag * H.imag)
+    if H is not None:  # Re(H conj xdot) and Re(v conj H), summed in place in one temporary
+        t = np.multiply(H.real, xdot.real)
+        t += H.imag * xdot.imag
+        total += 4.0 * np.dot(t, inv_a)
+        np.multiply(vals.real, H.real, out=t)
+        t += vals.imag * H.imag
+        total += 2.0 * np.dot(lap_a, t)
     return float(vol * total)
 
 
@@ -445,12 +452,21 @@ def morawetz_bulk(v: Trajectory, sigma: float | None = None, interval=None) -> f
 
 
 def _forcing_difference(vals: np.ndarray, rho: np.ndarray, Fv: np.ndarray, mu: int) -> np.ndarray:
-    """H = mu(|F+v|^2 (F+v) - rho v) from physical values and rho = |v|^2, in one buffer."""
+    """H = mu(|F+v|^2 (F+v) - rho v) from raveled physical values and rho = |v|^2, in one buffer.
+
+    The real factors act on the float64 (re, im) pairs of H and v, so no float
+    operand is cast to a complex temporary and one float temporary is alive; a
+    complex times a real that numpy would cast rounds each part as the real
+    product does, so H is the same.
+    """
     H = Fv + vals
-    H *= _abs2(H)
-    H -= rho * vals
+    pairs, v_pairs = H.view(np.float64).reshape(-1, 2), vals.view(np.float64).reshape(-1, 2)
+    t = _abs2(H)
+    pairs *= t[:, None]
+    for part, v_part in zip(pairs.T, v_pairs.T):  # t is reused for rho * Re v, then rho * Im v
+        part -= np.multiply(rho, v_part, out=t)
     if mu != 1:
-        H *= mu
+        pairs *= mu
     return H
 
 

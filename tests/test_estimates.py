@@ -391,11 +391,11 @@ def test_operator_decay_and_square_function_make_no_centering_roll(monkeypatch):
 @pytest.fixture
 def band_box_cache():
     """An empty band-box cache on both sides of the test."""
-    from dlab.projections import band_box
+    from dlab.projections import band_box_symbol
 
-    band_box.cache_clear()
+    band_box_symbol.cache_clear()
     yield
-    band_box.cache_clear()
+    band_box_symbol.cache_clear()
 
 
 @pytest.mark.parametrize("verify", [
@@ -417,7 +417,7 @@ def test_pruned_transforms_leave_the_verifier_reports_unchanged(verify, monkeypa
     assert one_axis
     for module in (E, projections):
         monkeypatch.setattr(module, "_support_box", lambda symbol: None)
-    projections.band_box.cache_clear()
+    projections.band_box_symbol.cache_clear()
     n_pruned = len(one_axis)
     assert verify() == pruned
     assert len(one_axis) == n_pruned
@@ -525,11 +525,33 @@ def test_duhamel_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16
 
 def test_bernstein_verifier_peaks_below_four_complex_frames(band_box_cache):
     # with cold symbol caches: its three band symbols, one frame buffer and lp_norm's passes
-    from dlab.projections import _dyadic_symbol_cached
+    g = SpectralGrid(m=32, L=4.0)
+    assert _traced_peak(lambda: E.verify_bernstein(g)) < 4 * g.size * 16
+
+
+def test_bernstein_verifier_leaves_no_lattice_sized_symbol_in_the_caches():
+    # with cold caches, what the verifier leaves allocated is what the projections caches
+    # hold: its three band symbols on their boxes, and no array of m^d elements
+    from dlab import projections
 
     g = SpectralGrid(m=32, L=4.0)
-    _dyadic_symbol_cached.cache_clear()
-    assert _traced_peak(lambda: E.verify_bernstein(g)) < 4 * g.size * 16
+    for cached in vars(projections).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        E.verify_bernstein(g)
+        retained = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    assert max(t.size for t in retained) < g.size * 8
+
+
+def test_main_linear_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16):
+    # each sample holds a float64 |u|^2 stack at a time, of P_N v and then of P_N h, and
+    # one complex frame buffer; its frames are made on the band's box
+    stack = 65 * grid16.size * 16
+    assert _traced_peak(lambda: E.verify_main_linear(grid16, n_samples=2, n_frames=65, seed=12)) < 0.75 * stack
 
 
 def test_every_boxed_transform_input_is_zero_outside_its_box(monkeypatch):

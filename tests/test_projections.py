@@ -8,6 +8,7 @@ from dlab.projections import (
     Band,
     annihilation_residual,
     band_box,
+    band_box_symbol,
     band_symbol,
     directional_bump,
     directional_projection,
@@ -341,12 +342,12 @@ def _whole_lattice_spatial(grid, kind, j):
 @pytest.mark.parametrize("m,d", [(64, 1), (32, 2), (16, 4)])
 def test_slab_built_radial_symbols_equal_the_whole_lattice_expressions(m, d):
     # d = 1 has slabs of one point; the builder keeps their axis
-    from dlab.projections import _dyadic_symbol_cached, _spatial_symbol_cached
+    from dlab.projections import _spatial_symbol_cached
 
     g = SpectralGrid(m=m, L=4 * np.pi, d=d)
     for kind in ("dyadic", "dyadic_leq", "dyadic_gt", "fattened"):
         for N in (0.5, 1.0, 2.0, 4.0):
-            got = _dyadic_symbol_cached.__wrapped__(g, kind, N, None)
+            got = band_symbol(g, Band(kind, N=N))
             assert got.shape == g.shape and not got.flags.writeable
             assert np.array_equal(got, _whole_lattice_dyadic(g, kind, N)), (kind, N)
     for kind in ("chi", "chi_leq", "chi_gt", "chi_fattened"):
@@ -355,13 +356,31 @@ def test_slab_built_radial_symbols_equal_the_whole_lattice_expressions(m, d):
             assert np.array_equal(got, _whole_lattice_spatial(g, kind, j)), (kind, j)
 
 
+@pytest.mark.parametrize("L", [4 * np.pi, 4.0])
+@pytest.mark.parametrize("m,d", [(m, d) for m in (8, 16, 32) for d in (1, 2, 4)])
+def test_cached_box_symbol_is_the_lattice_symbol_on_its_support_box(m, d, L):
+    # built on the box alone, yet its box is _support_box of the whole-lattice symbol
+    # and its values are that symbol's there, bit for bit, for every resolved N
+    g = SpectralGrid(m=m, L=L, d=d)
+    lo, hi = resolved_dyadic_range(g)
+    bands = [2.0**j for j in range(int(np.ceil(np.log2(lo))), int(np.floor(np.log2(hi))) + 1)]
+    assert len(bands) >= 2
+    band_box_symbol.cache_clear()
+    for kind in ("dyadic", "dyadic_leq", "dyadic_gt", "fattened"):
+        for N in bands:
+            whole = _whole_lattice_dyadic(g, kind, N)
+            box, sym = band_box_symbol(g, Band(kind, N=N))
+            assert box == _support_box(whole) == band_box(g, Band(kind, N=N)), (kind, N)
+            assert not sym.flags.writeable and np.array_equal(sym, whole[box or ()]), (kind, N)
+
+
 def test_first_m32_band_symbol_build_peaks_below_two_lattice_arrays():
     import tracemalloc
 
-    from dlab.projections import _dyadic_symbol_cached
+    from dlab.projections import band_box_symbol
 
     g = SpectralGrid(m=32, L=4.0)
-    _dyadic_symbol_cached.cache_clear()
+    band_box_symbol.cache_clear()
     tracemalloc.start()  # numpy reports its allocations to tracemalloc
     try:
         sym = band_symbol(g, Band.dyadic(4.0))

@@ -1,5 +1,8 @@
-"""Smoke tests: each script under scripts/ runs at a small size as its own process."""
+"""Smoke tests: each script under scripts/ runs at a small size as its own process; the
+benchmark recorder's record merge is tested in process, without a benchmark run."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +62,31 @@ def test_peak_rss_reports_one_node(tmp_path):
     assert res.stdout.startswith("pytest: 1 passed")
     assert _value(res.stdout, "wall_s") > 0.0
     assert _value(res.stdout, "peak_rss_mb") > 0.0
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_records_keep_the_revisions_of_each_invocation(tmp_path, monkeypatch):
+    # two invocations with perfbench, git and the parent export stubbed out: each
+    # workload/seed entry keeps the revisions it compared, and nothing at the top
+    # level describes only the last invocation
+    bench = _bench_pairs()
+    result = {"correct": 1, "attempted": 3, "failed": 0, "env": {"nproc": 2},
+              "metrics": {k: {"value": 1.0} for k in bench.METRICS}}
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "export_parent", lambda rev, dest: rev * 40)
+    monkeypatch.setattr(bench, "run_bench", lambda checkout, workload, seed: dict(result))
+    changes = [{"head": "c" * 40, "dirty": True, "diff_sha256": str(i) * 64} for i in range(2)]
+    for change, workload, parent in zip(changes, ("verify_run", "ensemble_y"), "ab"):
+        monkeypatch.setattr(bench, "change_identity", lambda change=change: change)
+        assert bench.main(["--pr", "7", "--workload", workload, "--pairs", "2", "--parent", parent]) == 0
+    body = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert not {"parent", "change"} & set(body)
+    assert body["workloads"]["verify_run"]["12"]["revisions"] == {"parent": "a" * 40, "change": changes[0]}
+    assert body["workloads"]["ensemble_y"]["12"]["revisions"] == {"parent": "b" * 40, "change": changes[1]}
+    assert body["workloads"]["verify_run"]["12"]["parent"]["runs"] == 2
