@@ -15,10 +15,10 @@ already in the file are kept, so workloads can be run one invocation at a time.
 
 Each workload/seed entry records under ``revisions`` what it compared:
 ``parent``'s commit id, and as ``change`` HEAD's commit id, whether the
-tracked files differ from HEAD (staged or not; stage new files first) and the
-SHA-256 of ``git diff HEAD``, BENCH_*.json excluded.  A run whose parent has HEAD's tree
-on a clean working tree would compare the code with itself, so it stops with
-an error instead.
+tracked files differ from HEAD (staged or not; stage new files first) and
+the SHA-256 of ``git diff HEAD``, BENCH_*.json excluded.  A run whose parent
+has HEAD's tree on a clean working tree would compare the code with itself,
+so it stops with an error instead.
 """
 
 from __future__ import annotations
