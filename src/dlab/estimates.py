@@ -43,10 +43,10 @@ from .grid import (
 )
 from .norms import (
     EpsilonPolicy,
-    _abs2,
     _check_exponents,
     _gn_upper,
     _lateral,
+    _powers,
     _strichartz,
     _xn,
     aggregate_bands,
@@ -154,7 +154,8 @@ def verify_lateral_dyadic(
     """Slope of log(lateral norm / ||f||_2) vs log N against 4/p - 1/2.
 
     For p >= q the directional projection P_{N,e_axis} is applied first, per
-    the statement being checked.
+    the statement being checked.  The free trajectory goes to ``lateral_norm``
+    in the frequency domain, so no physical trajectory is made.
     """
     if p < 2 or q < 2 or abs(1.0 / p + 1.0 / q - 0.5) > 1e-9:
         raise InvalidExponentError(f"(p,q)=({p},{q}) violates 1/p + 1/q = 1/2, p,q >= 2")
@@ -164,8 +165,7 @@ def verify_lateral_dyadic(
         if p >= q and not np.isinf(q):
             f = directional_projection(f, N, axis)
         T = _dyadic_window(T0, N)
-        traj = free_trajectory(f, 0.0, T / (n_frames - 1), n_frames).in_domain(PHYSICAL)
-        vals.append(lateral_norm(traj, p, q, axis))
+        vals.append(lateral_norm(free_trajectory(f, 0.0, T / (n_frames - 1), n_frames), p, q, axis))
     pred = 4.0 / p - 0.5
     meta = {
         "grid": {"m": grid.m, "L": grid.L},
@@ -278,7 +278,8 @@ def verify_local_smoothing(
         sup_R R^(-1/2) || flow(f) ||_{L2_t L2(|x| <= R)} / || |grad|^(-1/2) f ||_2
 
     for Schrodinger (or, with flow='halfwave' and L2 normalizer, the local
-    energy decay of the half-wave evolution).
+    energy decay of the half-wave evolution).  Each frame's |u|^2
+    (``norms._powers``) is summed over every ball as it comes: no stack is held.
     """
     r_phys = np.sqrt(grid.x_squared)
     vals = []
@@ -303,16 +304,11 @@ def verify_local_smoothing(
         else:
             raise ValueError(flow)
         w = trapezoid_weights(traj.n_frames, traj.dt)
-        masked_sums = {R: np.zeros(traj.n_frames) for R in R_list}
-        masks = {R: r_phys <= R for R in R_list}
-        for jf, fr in enumerate(traj.frames):
-            dens = np.abs(fr.in_domain(PHYSICAL).values) ** 2
-            for R in R_list:
-                masked_sums[R][jf] = dens[masks[R]].sum()
-        best = 0.0
-        for R in R_list:
-            val = np.sqrt(grid.dx**grid.d * float(np.sum(w * masked_sums[R])))
-            best = max(best, val / np.sqrt(R))
+        masks = [r_phys <= R for R in R_list]
+        powers = _powers((fr.values for fr in traj.frames), grid, traj.domain)
+        ball_sums = np.array([[dens[mask].sum() for mask in masks] for dens in powers])  # frames x radii
+        best = max((np.sqrt(grid.dx**grid.d * float(np.sum(w * sums))) / np.sqrt(R)
+                    for R, sums in zip(R_list, ball_sums.T)), default=0.0)
         vals.append(best / denom)
     name = "local_smoothing" if flow == "schrodinger" else "local_energy_decay"
     meta = {
@@ -631,11 +627,8 @@ class TrilinearHarness:
                 f = shell_field(grid, N, seed=seed + 37 * i + (0 if kind == "v" else 1))
                 fN = dyadic_projection(f, Band.dyadic(N))
                 traj = free_trajectory(fN, 0.0, dt, n_frames).in_domain(PHYSICAL)
-                norm = (
-                    xn_norm(traj, N, pol=self.pol)
-                    if kind == "v"
-                    else yn_norm(traj, N, pol=self.pol)
-                )
+                traj.values  # converted once: the norm and ``evaluate``'s products read this stack
+                norm = (xn_norm if kind == "v" else yn_norm)(traj, N, pol=self.pol)
                 self.samples[(kind, N)] = (traj, norm)
 
     def evaluate(self, case: str, N, N1, N2, N3) -> float:
@@ -711,23 +704,6 @@ class DuhamelRetardedReport:
     passed: bool
 
 
-def _power_stack(rows, grid: SpectralGrid, n_frames: int, box: tuple | None) -> np.ndarray:
-    """|u|^2 of the n_frames physical frames whose centred spectra ``rows`` yields on ``box``,
-    as one float64 stack: half the bytes of the complex frames.
-
-    Each row goes into one reused frame buffer, zeroed outside the box, and is
-    converted there by the pruned centred transform; a frame transformed alone
-    equals its row of a transformed stack bit for bit (``grid`` module docstring).
-    """
-    S = np.empty((n_frames, *grid.shape))
-    frame = np.empty(grid.shape, dtype=np.complex128)
-    for s, row in zip(S, rows):
-        frame.fill(0.0)
-        frame[box or ()] = row
-        _abs2(_centred_transform(frame, grid, PHYSICAL, out=frame, box=box), out=s)
-    return S
-
-
 def verify_duhamel_retarded(
     grid: SpectralGrid,
     N: float,
@@ -744,9 +720,10 @@ def verify_duhamel_retarded(
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
 
     Every norm here reads |u|^2 of physical frames only, so h and the retarded
-    trajectory are each held as a float64 |u|^2 stack (``_power_stack``), one
-    at a time, and their norms are the Strichartz and lateral kernels of the
-    band-stack norms.  The exponent pairs are checked before any compute.
+    trajectory are each held as a float64 |u|^2 stack (``norms._powers`` of
+    their frames on the band's box), one at a time, and their norms are the
+    Strichartz and lateral kernels of the band-stack norms.  The exponent
+    pairs are checked before any compute.
     """
     if not T > 0 or n_frames < 2:
         raise ParameterRangeError(f"need T > 0 and n_frames >= 2, got {T=}, {n_frames=}")
@@ -762,14 +739,15 @@ def verify_duhamel_retarded(
         return _enveloped_frames(fN, dt, n_frames, seed + 1, box)
 
     p_g, q_g = pol.g_lateral_pq
-    S_h = _power_stack(hhat(), grid, n_frames, box)
-    rhs = N ** (0.5 + pol.eps) * sum(_lateral(lambda: S_h, w, grid, p_g, q_g, axes))
+    S_h = np.fromiter(_powers(hhat(), grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
+    rhs = N ** (0.5 + pol.eps) * sum(_lateral(S_h, w, grid, p_g, q_g, axes))
     del S_h  # one |u|^2 stack is held at a time
-    S = _power_stack(_duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt), grid, n_frames, box)
-    lhs = _strichartz(lambda: S, w, grid, strichartz_pairs)
+    D = _duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt)
+    S = np.fromiter(_powers(D, grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
+    lhs = _strichartz(S, w, grid, strichartz_pairs)
     stri = {f"({q},{r})": float(N * n / rhs) for (q, r), n in zip(strichartz_pairs, lhs)}
     p_m, q_m = pol.x_lateral_pq
-    lhs_max = N ** (-0.5 + pol.eps) * sum(_lateral(lambda: S, w, grid, p_m, q_m, axes))
+    lhs_max = N ** (-0.5 + pol.eps) * sum(_lateral(S, w, grid, p_m, q_m, axes))
     cmax = float(lhs_max / rhs)
     allc = list(stri.values()) + [cmax]
     return DuhamelRetardedReport(
@@ -808,7 +786,7 @@ def verify_main_linear(
     (``_enveloped_frames``), of the Duhamel integral D (``_duhamel_values``)
     and of v = free - 1j D is made there and projected.  The L^2 norms are
     Parseval sums on the box; X_N and G_N read |P_N v|^2 and then |P_N h|^2
-    stacks (``_power_stack``), one at a time.  No trajectory is built.
+    stacks (``norms._powers``), one at a time.  No trajectory is built.
     """
     bands = aggregate_bands(grid) if bands is None else bands
     if not T > 0 or n_frames < 2 or n_samples < 1 or not bands:
@@ -840,11 +818,12 @@ def verify_main_linear(
                 sums.append(float(np.vdot(row, row).real))
                 yield row
 
-        S = _power_stack(projected_v(), grid, n_frames, box)
-        lhs = N * np.sqrt(parseval * max(sums)) + _xn(lambda: S, w, grid, N, pol)
+        S = np.fromiter(_powers(projected_v(), grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
+        lhs = N * np.sqrt(parseval * max(sums)) + _xn(S, w, grid, N, pol)
         del S  # one |u|^2 stack is held at a time
-        S = _power_stack((np.multiply(row, sym) for row in hhat()), grid, n_frames, box)
-        rhs += _gn_upper(lambda: S, w, grid, N, pol)
+        h = (np.multiply(row, sym) for row in hhat())
+        S = np.fromiter(_powers(h, grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
+        rhs += _gn_upper(S, w, grid, N, pol)
         del S
         consts.append(float(lhs / rhs))
     worst = float(max(consts))

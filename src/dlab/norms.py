@@ -11,8 +11,8 @@ frame's L^r norm as the square root of the r/2 power mean of |u|^2 and then
 the L^q mean of those over time.
 
 Band-stack kernel.  xn_norm, yn_norm and gn_norm_upper project one window
-several times.  They take its rows of the trajectory's frame stack once as a
-centered spectrum (a physical window takes the checkerboard sign and one
+several times.  They read its frames once into one stack, as a centered
+spectrum (a physical window takes the checkerboard sign and one
 batched forward transform, with no roll; see grid.py).  The band projection
 multiplies the stack on the band's support box by the symbol there
 (``projections.band_box_symbol``) with the inverse transform's 1/dx^d folded
@@ -48,33 +48,33 @@ lacks at most 1e-300 * sum_j w_j * m^(d-1); when a marginal on a requested
 axis is smaller than 1e16 times that, the unguarded power pass is taken
 instead, so every marginal keeps a relative error below 1e-16.
 
-Memory: the kernel holds the complex frequency stack, one complex work
-stack and the float64 |u|^2 stack of the current projection.  Once P_N u
-is in the work stack, the planes J_l of every axis are taken from the
-frequency stack, which then becomes the directional projections' buffer,
-so a Y norm holds no third complex stack, only the planes; the band stack
-is spent after them.  The window guard counts the float64 stack against
-_STACK_LIMIT and raises MemoryBudgetError beyond it.  The public
-strichartz_norm, lateral_norm and lateral_norms power one frame at a time and
-build no band stack, but read ``values``, which a trajectory fills whole
-from its frame source on first use and keeps; a lateral norm with finite q
-takes two passes.  The verifiers whose norms read |u|^2 alone
-(``estimates.verify_duhamel_retarded`` and ``verify_main_linear``) build no
-trajectory: each fills a float64 |u|^2 stack, half the bytes of the complex
-frames, one frame at a time through one reused frame buffer, and hands it to
-``_strichartz`` and ``_lateral``, or to ``_xn`` and ``_gn_upper`` (the formulas
-of xn_norm and gn_norm_upper), as the band-stack norms hand theirs.
+Memory: no norm reads ``Trajectory.values``; each reads the window's
+``frames``, so a trajectory made from a frame source keeps no stack.
+``_powers`` is the one producer of |u|^2 from frames, one frame at a time.
+``_strichartz`` reads it once, so strichartz_norm streams it; ``_lateral``
+reads it twice or more, so lateral_norm(s) and the verifiers whose norms read
+|u|^2 alone (``estimates.verify_duhamel_retarded`` and ``verify_main_linear``,
+which build no trajectory) collect it into a float64 stack, half the bytes of
+the complex frames, and hand that to ``_strichartz`` and ``_lateral``, or to
+``_xn`` and ``_gn_upper`` (the formulas of xn_norm and gn_norm_upper).  The
+band-stack kernel holds the complex frequency stack, one complex work stack
+and the float64 |u|^2 stack of the current projection; a directional stack
+is formed one frame at a time, so a Y norm holds no third complex stack, only
+the planes J_l.  An aggregate reads the window's frames once into one band
+stack, which serves every band.  The window guard counts the float64 stack
+against _STACK_LIMIT and raises MemoryBudgetError beyond it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
-from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _box_product, _fft, _power_mean, broadcast_along,
-                   gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _box_product, _centred_transform, _fft, _power_mean,
+                   broadcast_along, gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
 from .projections import Band, _directional_planes, band_box_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -149,40 +149,42 @@ def _abs2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
-def _frame_powers(v: Trajectory, i0: int, i1: int):
-    """|u|^2 of the rows i0..i1 of ``v.values`` (the stack, filled whole on first use), one at a time.
+def _powers(rows, grid: SpectralGrid, domain: str, box: tuple | None = None):
+    """Yield |u|^2 in float64 of the physical frame of each row of ``rows``, a new array per
+    frame: the one producer of |u|^2 from frames.
 
-    A frequency frame is inverse-transformed by ``grid._fft`` with neither
-    sign nor shift: its nodes come out permuted and sign-modulated, which
-    |u|^2 and every whole-axis reduction of it do not see.
+    A physical row goes through ``_abs2``.  A frequency row, a centred spectrum (on ``box`` only
+    when one is given), is converted by the pruned centred transform in one reused frame buffer,
+    zeroed outside the box.  A frame transformed alone equals its row of a transformed stack bit
+    for bit (``grid`` module docstring), so |u|^2 is that of ``Trajectory.in_domain(PHYSICAL)``.
     """
-    g = v.grid
-    for row in v.values[i0 : i1 + 1]:
-        if v.domain == PHYSICAL:
-            yield _abs2(row)
-        else:
-            s = _abs2(_fft(row, inverse=True))
-            s *= g.dx ** (-2 * g.d)
-            yield s
+    if domain == PHYSICAL:
+        yield from map(_abs2, rows)
+        return
+    frame = np.empty(grid.shape, dtype=np.complex128)
+    for row in rows:
+        if box is not None:
+            frame.fill(0.0)
+            frame[box] = row
+            row = frame
+        yield _abs2(_centred_transform(row, grid, PHYSICAL, out=frame, box=box))
 
 
-def _strichartz(powers, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
-    """L^q_t L^r_x norms for each (q, r) pair; pairs sharing r share one pass."""
+def _strichartz(S, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
+    """L^q_t L^r_x norms for each (q, r) pair from the |u|^2 frames ``S`` (any iterable, read
+    once); pairs sharing r share the per-frame L^r norms."""
     vol = grid.dx**grid.d
-    per_frame = {}
-    out = []
-    for q, r in pairs:
-        if r not in per_frame:  # ||u_j||_r = (the r/2 power mean of |u_j|^2)^(1/2)
-            per_frame[r] = np.sqrt([_power_mean(s, vol, 0.5 * r) for s in powers()])
-        out.append(_power_mean(per_frame[r], w, q))
-    return out
+    rs = list(dict.fromkeys(r for _, r in pairs))
+    # ||u_j||_r = (the r/2 power mean of |u_j|^2)^(1/2)
+    per_frame = np.sqrt([[_power_mean(s, vol, 0.5 * r) for r in rs] for s in S]).T
+    return [_power_mean(per_frame[rs.index(r)], w, q) for q, r in pairs]
 
 
 # a clamped power term is below this, where the window's largest term is 1
 _POWER_FLOOR = 1e-300
 
 
-def _power_sum(powers, w: np.ndarray, peak2: float, q: float, floor: float) -> np.ndarray:
+def _power_sum(S, w: np.ndarray, peak2: float, q: float, floor: float) -> np.ndarray:
     """W = sum_j w_j (s_j / peak2)^(q/2), every term below ``floor`` taken as 0.
 
     In a frame with a base below c = floor^(2/q) the base is clamped at c
@@ -191,7 +193,7 @@ def _power_sum(powers, w: np.ndarray, peak2: float, q: float, floor: float) -> n
     """
     c = floor ** (2.0 / q)
     W = 0.0
-    for wt, s in zip(w, powers):
+    for wt, s in zip(w, S):
         t = s / peak2
         clamp = t.min() < c
         if clamp:
@@ -205,11 +207,10 @@ def _power_sum(powers, w: np.ndarray, peak2: float, q: float, floor: float) -> n
     return W
 
 
-def _lateral(powers, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes) -> list:
-    """Lateral L^{p,q}_{e_l} norms for each axis l in axes from |u|^2 frames.
+def _lateral(S, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes) -> list:
+    """Lateral L^{p,q}_{e_l} norms for each axis l in axes from the window's |u|^2 stack ``S``.
 
-    ``powers()`` returns a fresh iterator over the window's |u|^2 frames.  With
-    finite q one power pass builds W = sum_j w_j (|u_j|/peak)^q under one peak
+    With finite q one power pass builds W = sum_j w_j (|u_j|/peak)^q under one peak
     over the window; the inner (t, x') norm along x_l is its marginal over the
     other axes, so every axis shares that pass.  The pass drops terms below
     _POWER_FLOOR and is redone without dropping when a marginal is too small
@@ -218,19 +219,17 @@ def _lateral(powers, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes
     d = grid.d
     others = [tuple(a for a in range(d) if a != ax - 1) for ax in axes]
     if np.isinf(q):
-        peak_map = None
-        for s in powers():
-            peak_map = s if peak_map is None else np.maximum(peak_map, s)
+        peak_map = S.max(axis=0)
         inners = [np.sqrt(peak_map.max(axis=o)) for o in others]
     else:
-        peak2 = max(s.max() for s in powers())
+        peak2 = S.max()
         if peak2 == 0.0:
             return [0.0] * len(axes)
-        W = _power_sum(powers(), w, peak2, q, _POWER_FLOOR)
+        W = _power_sum(S, w, peak2, q, _POWER_FLOOR)
         margs = [W.sum(axis=o) for o in others]
         dropped = _POWER_FLOOR * float(np.sum(w)) * grid.m ** (d - 1)  # per marginal, at most
         if min(mg.min() for mg in margs) < 1e16 * dropped:
-            W = _power_sum(powers(), w, peak2, q, 0.0)
+            W = _power_sum(S, w, peak2, q, 0.0)
             margs = [W.sum(axis=o) for o in others]
         vol_inner = grid.dx ** (d - 1)
         inners = [np.sqrt(peak2) * (vol_inner * mg) ** (1.0 / q) for mg in margs]
@@ -248,38 +247,41 @@ def strichartz_norm(v: Trajectory, q: float, r: float, interval: Interval = None
     """L^q_t L^r_x norm over the window by trapezoid quadrature over frames."""
     _check_exponents(q=q, r=r)
     i0, i1, w = _window(v, interval)
-    return _strichartz(lambda: _frame_powers(v, i0, i1), w, v.grid, [(q, r)])[0]
+    powers = _powers((fr.values for fr in v.frames[i0 : i1 + 1]), v.grid, v.domain)
+    return _strichartz(powers, w, v.grid, [(q, r)])[0]
 
 
 def lateral_norms(v: Trajectory, p: float, q: float, interval: Interval = None) -> tuple:
     """Lateral L^{p,q}_{e_l} norms along every axis l = 1..d, sharing one power pass."""
-    _check_exponents(p=p, q=q)
-    i0, i1, w = _window(v, interval)
-    g = v.grid
-    return tuple(_lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, range(1, g.d + 1)))
+    return tuple(_lateral_window(v, p, q, range(1, v.grid.d + 1), interval))
 
 
 def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval: Interval = None) -> float:
     """Lateral L^{p,q}_{e_axis} norm: x_axis outermost at exponent p, the
     (t, x') block inner at exponent q."""
-    g = v.grid
-    if not 1 <= axis <= g.d:
-        raise InvalidExponentError(f"axis must be in 1..{g.d}, got {axis}")
+    if not 1 <= axis <= v.grid.d:
+        raise InvalidExponentError(f"axis must be in 1..{v.grid.d}, got {axis}")
+    return _lateral_window(v, p, q, (axis,), interval)[0]
+
+
+def _lateral_window(v: Trajectory, p: float, q: float, axes, interval) -> list:
+    """``_lateral`` over the window, from its |u|^2 frames collected into one float64 stack."""
     _check_exponents(p=p, q=q)
     i0, i1, w = _window(v, interval)
-    return _lateral(lambda: _frame_powers(v, i0, i1), w, g, p, q, (axis,))[0]
+    powers = _powers((fr.values for fr in v.frames[i0 : i1 + 1]), v.grid, v.domain)
+    return _lateral(np.fromiter(powers, (np.float64, v.grid.shape), i1 - i0 + 1), w, v.grid, p, q, axes)
 
 
 class _BandStack:
     """Frames i0..i1 of a trajectory as one centered frequency stack, ready to project.
 
-    Frequency rows are copied.  Physical rows are multiplied by the
-    checkerboard S into a new stack and forward-transformed in place, which
-    equals the fftshift of their plain transform bit for bit (a centered
-    spectrum up to the sign S per mode).  A
-    projection inverse-transforms with no centering shift, so the projected
-    frame comes out cyclically shifted and sign-modulated, which |u|^2 and
-    every whole-axis reduction of it do not see.
+    The frames are read from ``frames`` into a new stack.  Physical rows are
+    then multiplied by the checkerboard S and forward-transformed in place,
+    which equals the fftshift of their plain transform bit for bit (a centered
+    spectrum up to the sign S per mode).  A projection inverse-transforms with
+    no centering shift, so the projected frame comes out cyclically shifted
+    and sign-modulated, which |u|^2 and every whole-axis reduction of it do
+    not see.
     """
 
     def __init__(self, v: Trajectory, i0: int, i1: int):
@@ -292,11 +294,9 @@ class _BandStack:
             )
         self.grid = g
         self.axes = tuple(range(1, g.d + 1))
-        rows = v.values[i0 : i1 + 1]
+        self.freq = np.fromiter((fr.values for fr in v.frames[i0 : i1 + 1]), (np.complex128, g.shape), n)
         if v.domain == PHYSICAL:
-            self.freq = _fft(rows, axes=self.axes, sign_in=True, scale=g.dx**g.d)
-        else:
-            self.freq = rows.copy()
+            _fft(self.freq, axes=self.axes, sign_in=True, scale=g.dx**g.d, out=self.freq)
         self.work = np.empty_like(self.freq)
 
     def power(self, symbol: np.ndarray, box: tuple | None = None) -> np.ndarray:
@@ -315,27 +315,28 @@ class _BandStack:
         transform is pruned to the box, bit for bit the unpruned one.
         Each directional stack is P_N u, left in ``work``, minus the sum of
         its plane terms (``_plane_terms``, all taken once the first stack is
-        out, while ``freq`` is intact).  It is written into the frequency
-        stack's buffer, so the band stack is spent from the first of them
-        on, and ``freq`` is dropped so that no later ``power`` can read the
-        overwritten spectrum.
+        out), formed one frame at a time in a one-frame buffer.  ``freq`` is
+        never written; it is dropped once the planes are taken, so a band
+        stack, or each shallow copy of one, serves one band.
         """
         g = self.grid
         box, sym = band_box_symbol(g, Band.dyadic(N))
         sym = sym * g.dx ** (-g.d)
         yield self.power(sym, box)
         terms = [self._plane_terms(sym, box, N, ax) for ax in self.axes]
-        buf, self.freq = self.freq, None
+        self.freq, buf = None, np.empty(g.shape, dtype=np.complex128)
         for planes, phases in terms:
             if not planes:  # P_{N,e_l} P_N u = P_N u
                 yield _abs2(self.work)
                 continue
-            # sum_j planes_j e^(2 pi i j n_l / m) by Horner's rule in the phase steps
-            np.multiply(planes[0], phases[0], out=buf)
-            for plane, phase in zip(planes[1:], phases[1:]):
-                buf += plane
-                buf *= phase
-            yield _abs2(np.subtract(self.work, buf, out=buf))
+            S = np.empty(self.work.shape)
+            for j, s in enumerate(S):  # sum_j planes_j e^(2 pi i j n_l / m) by Horner's rule in the phase steps
+                np.multiply(planes[0][j], phases[0], out=buf)
+                for plane, phase in zip(planes[1:], phases[1:]):
+                    buf += plane[j]
+                    buf *= phase
+                _abs2(np.subtract(self.work[j], buf, out=buf), out=s)
+            yield S
 
     def _plane_terms(self, sym: np.ndarray, box: tuple | None, N: float, ax: int) -> tuple:
         """The part of P_N u that P_{N,e_ax} removes, as planes and phase steps.
@@ -380,11 +381,11 @@ def aggregate_bands(grid: SpectralGrid) -> list:
     return out
 
 
-def _xn(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
-    """``xn_norm``'s formula from the |P_N v|^2 frames that ``powers()`` yields."""
-    total = N * sum(_strichartz(powers, w, grid, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
+def _xn(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    """``xn_norm``'s formula from the |P_N v|^2 stack ``S``."""
+    total = N * sum(_strichartz(S, w, grid, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
     p, q = pol.x_lateral_pq
-    total += N ** (-0.5 + pol.eps) * sum(_lateral(powers, w, grid, p, q, range(1, grid.d + 1)))
+    total += N ** (-0.5 + pol.eps) * sum(_lateral(S, w, grid, p, q, range(1, grid.d + 1)))
     return float(total)
 
 
@@ -395,9 +396,11 @@ def xn_norm(v: Trajectory, N: float, interval: Interval = None,
         N ||P_N v||_{L2 L4} + N ||P_N v||_{L3 L3} + N ||P_N v||_{L6 L12/5}
         + sum_axes N^(-1/2+eps) ||P_N v||_{lateral (4/(2-eps), 4/eps)}.
     """
-    i0, i1, w = _window(v, interval)
-    S = next(_BandStack(v, i0, i1).band_powers(N))  # the stack is freed here
-    return _xn(lambda: S, w, v.grid, N, pol)
+    return _band_norms(_xn_band, v, interval, pol, [N])[0]
+
+
+def _xn_band(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    return _xn(next(powers), w, grid, N, pol)
 
 
 def yn_norm(F: Trajectory, N: float, interval: Interval = None,
@@ -408,19 +411,20 @@ def yn_norm(F: Trajectory, N: float, interval: Interval = None,
         + sum_axes <N>^(1/3+3eps) N^(1/2-eps) ||P_{N,e} P_N F||_{lateral (4/eps, 4/(2-eps))}
         + sum_axes N^(-1/6) ||P_N F||_{lateral (4/(2-eps), 4/eps)}.
     """
-    g = F.grid
-    i0, i1, w = _window(F, interval)
-    powers = _BandStack(F, i0, i1).band_powers(N)
+    return _band_norms(_yn_band, F, interval, pol, [N])[0]
+
+
+def _yn_band(powers, w: np.ndarray, g: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
     S = next(powers)
     japN = (1.0 + N * N) ** 0.5
     wN = japN ** (1.0 / 3.0 + 3.0 * pol.eps)
-    total = wN * sum(_strichartz(lambda: S, w, g, [(3, 6), (6, 6)]))
+    total = wN * sum(_strichartz(S, w, g, [(3, 6), (6, 6)]))
     p_mx, q_mx = pol.y_maximal_pq
-    total += N ** (-1.0 / 6.0) * sum(_lateral(lambda: S, w, g, p_mx, q_mx, range(1, g.d + 1)))
+    total += N ** (-1.0 / 6.0) * sum(_lateral(S, w, g, p_mx, q_mx, range(1, g.d + 1)))
     del S  # hold one |u|^2 stack at a time
     p_ls, q_ls = pol.y_smoothing_pq
     for ax, S_dir in zip(range(1, g.d + 1), powers):
-        total += wN * N ** (0.5 - pol.eps) * _lateral(lambda: S_dir, w, g, p_ls, q_ls, (ax,))[0]
+        total += wN * N ** (0.5 - pol.eps) * _lateral(S_dir, w, g, p_ls, q_ls, (ax,))[0]
     return float(total)
 
 
@@ -432,42 +436,48 @@ def gn_norm_upper(h: Trajectory, N: float, interval: Interval = None,
     the smaller of the two pure splittings (h, 0) and (0, h), so it is an
     upper bound (``dlab norms`` reports it as such).
     """
-    i0, i1, w = _window(h, interval)
-    S = next(_BandStack(h, i0, i1).band_powers(N))  # the stack is freed here
-    return _gn_upper(lambda: S, w, h.grid, N, pol)
+    return _band_norms(_gn_band, h, interval, pol, [N])[0]
 
 
-def _gn_upper(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
-    """``gn_norm_upper``'s formula from the |P_N h|^2 frames that ``powers()`` yields."""
-    term1 = N * _strichartz(powers, w, grid, [(1, 2)])[0]
+def _gn_band(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    return _gn_upper(next(powers), w, grid, N, pol)
+
+
+def _gn_upper(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
+    """``gn_norm_upper``'s formula from the |P_N h|^2 stack ``S``."""
+    term1 = N * _strichartz(S, w, grid, [(1, 2)])[0]
     p, q = pol.g_lateral_pq
-    term2 = N ** (0.5 + pol.eps) * sum(_lateral(powers, w, grid, p, q, range(1, grid.d + 1)))
+    term2 = N ** (0.5 + pol.eps) * sum(_lateral(S, w, grid, p, q, range(1, grid.d + 1)))
     return float(min(term1, term2))
 
 
-def _aggregate(fn, v, interval, pol, bands) -> float:
-    if bands is None:
-        bands = aggregate_bands(v.grid)
-    total = 0.0
-    for N in bands:
-        total += fn(v, N, interval, pol) ** 2
-    return float(np.sqrt(total))
+def _band_norms(band_fn, v: Trajectory, interval, pol: EpsilonPolicy, bands) -> list:
+    """``band_fn(powers, w, grid, N, pol)`` at each N in ``bands``, ``powers`` being ``band_powers(N)``
+    of one band stack of the window, whose frames are read once: each band spends a shallow copy of it."""
+    i0, i1, w = _window(v, interval)
+    bs = _BandStack(v, i0, i1)
+    return [band_fn(copy.copy(bs).band_powers(N), w, v.grid, N, pol) for N in bands]
+
+
+def _aggregate(band_fn, v, interval, pol, bands) -> float:
+    norms = _band_norms(band_fn, v, interval, pol, aggregate_bands(v.grid) if bands is None else bands)
+    return float(np.sqrt(sum(x**2 for x in norms)))
 
 
 def x_norm(v, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
     """l^2 aggregate of xn_norm over the grid-resolved dyadic bands."""
-    return _aggregate(xn_norm, v, interval, pol, bands)
+    return _aggregate(_xn_band, v, interval, pol, bands)
 
 
 def y_norm(F, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(), bands=None) -> float:
     """l^2 aggregate of yn_norm over the grid-resolved dyadic bands."""
-    return _aggregate(yn_norm, F, interval, pol, bands)
+    return _aggregate(_yn_band, F, interval, pol, bands)
 
 
 def g_norm_upper(h, interval: Interval = None, pol: EpsilonPolicy = EpsilonPolicy(),
                  bands=None) -> float:
     """l^2 aggregate of the per-band gn_norm_upper minima (an upper bound)."""
-    return _aggregate(gn_norm_upper, h, interval, pol, bands)
+    return _aggregate(_gn_band, h, interval, pol, bands)
 
 
 def _weighted_sup(v: Trajectory, alpha: float, interval: Interval = None,

@@ -59,6 +59,7 @@ from .grid import (
     Field,
     SpectralGrid,
     Trajectory,
+    Weight,
     _axis_product,
     _circulant,
     _power_mean,
@@ -69,7 +70,7 @@ from .grid import (
     sobolev_norm,
     trapezoid_weights,
 )
-from .norms import EpsilonPolicy, _abs2, _weighted_sup, _window, strichartz_norm, x_norm
+from .norms import EpsilonPolicy, _abs2, _strichartz, _window, x_norm
 from .propagate import duhamel_all, free_trajectory, schrodinger_flow
 
 
@@ -597,11 +598,15 @@ class EnergyGrowthReport:
 _FLUX_TERMS = ("gv_FF_gF", "v_F_gF2", "gv_v_F_gF", "v2_gF2", "v2_gv_gF")
 
 
-def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndarray) -> tuple:
+def _energy_frame(v: Field, Ff: Field | None, a: np.ndarray, inv_a: np.ndarray, sqrt_a: np.ndarray,
+                  jap: np.ndarray) -> tuple:
     """Per-frame terms of ``energy_growth_audit``: (energy, action, ||grad v||_2,
     ||v||_2^2, ||F+v||_2^2, the x-integrals of the quartic group, gradient group
-    and five flux densities, ||grad F||_4, sup a^(1/2) |grad F|).  Without a
-    forcing frame Ff every term of F is 0 and neither F nor W is differentiated.
+    and five flux densities, ||grad F||_4, sup a^(1/2) |grad F|, ||v||_4^2,
+    int |v|^4 / a, sup <x>^(1/2) |F|), then |F|^2, the last four with the
+    arithmetic of ``strichartz_norm``, ``morawetz_bulk`` and ``_weighted_sup``.
+    Without a forcing frame Ff every term of F is 0 (|F|^2 the scalar 0) and
+    neither F nor W is differentiated.
     """
     g = v.grid
     vol = g.dx**g.d
@@ -609,11 +614,13 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
     vals, h1_sq, xdot, grad2 = _frame_arrays(v)
     vmag = np.sqrt(grad2).reshape(g.shape)
     absv = np.abs(vv)
-    mass_v = vol * float(np.sum(absv**2))
-    head = (0.5 * h1_sq + 0.25 * vol * float(np.sum(absv**4)), _action(vals, xdot, inv_a, vol),
+    rho, quart = absv**2, absv**4
+    mass_v = vol * float(np.sum(rho))
+    head = (0.5 * h1_sq + 0.25 * vol * float(np.sum(quart)), _action(vals, xdot, inv_a, vol),
             _power_mean(vmag, vol, 2), mass_v)
+    tail = (_power_mean(rho, vol, 2), vol * float(np.sum(quart / a)))
     if Ff is None:  # grad F = 0: no group, no flux term, and F + v = v
-        return (*head, mass_v) + (0.0,) * 9
+        return (*head, mass_v) + (0.0,) * 9 + (*tail, 0.0, 0.0)
     Fv = Ff.values
     tot = Fv + vv
     absF = np.abs(Fv)
@@ -630,23 +637,25 @@ def _energy_frame(v: Field, Ff: Field | None, inv_a: np.ndarray, sqrt_a: np.ndar
     Fmag = np.sqrt(Fmag)
     densities = (np.abs(np.abs(tot) ** 4 - absF**4 - absv**4), np.abs(dot),
                  vmag * absF**2 * Fmag, absv * absF * Fmag**2, vmag * absv * absF * Fmag,
-                 absv**2 * Fmag**2, absv**2 * vmag * Fmag)
+                 rho * Fmag**2, rho * vmag * Fmag)
     return (*head, vol * float(np.sum(np.abs(tot) ** 2)),
             *(vol * float(np.sum(dens)) for dens in densities),
-            _power_mean(Fmag, vol, 4), (sqrt_a * Fmag).max())
+            _power_mean(Fmag, vol, 4), (sqrt_a * Fmag).max(), *tail, (jap * absF).max(), absF**2)
 
 
 def energy_growth_audit(run: Trajectory, F: Trajectory | None = None) -> tuple:
     """Energy-derivative bookkeeping for the forced defocusing run.
 
-    The audit is for the defocusing equation (mu = +1) only: its energy and
-    the flux W = |F+v|^2 (F+v) - |F|^2 F carry that sign.  Evaluates int |d_t E| dt by finite differences, the quartic and gradient
-    right-side groups, the five schematic flux terms against their exact
-    Holder majorants, the mass bound, and the measured-norm energy-growth
-    bound (with the unknown absolute constant set to 1); the norms of F alone,
-    ||v||_{Linf L4} and the bulk come from the norms layer.  Frame j of F
-    forces frame j of the run (else ValueError).  Without forcing both groups
-    vanish and their ratio ``group_constant`` is nan.
+    The audit is for the defocusing equation (mu = +1) only: its energy and the
+    flux W = |F+v|^2 (F+v) - |F|^2 F carry that sign.  Evaluates int |d_t E| dt
+    by finite differences, the quartic and gradient right-side groups, the five
+    schematic flux terms against their exact Holder majorants, the mass bound,
+    and the measured-norm energy-growth bound (with the unknown absolute
+    constant set to 1).  One pass reads each frame of the run and of F once and
+    holds no stack: it hands |F_j|^2 to ``norms._strichartz``, which takes F's
+    four Strichartz norms as it goes.  Frame j of F forces frame j of the run
+    (else ValueError).  Without forcing both groups vanish and their ratio
+    ``group_constant`` is nan.
     """
     g, n = run.grid, run.n_frames
     if F is not None:
@@ -655,11 +664,18 @@ def energy_growth_audit(run: Trajectory, F: Trajectory | None = None) -> tuple:
     run = run.in_domain(PHYSICAL)
     w = trapezoid_weights(n, run.dt)
     a = _reg_weight(g, None)
-    inv_a, sqrt_a = 1.0 / a.ravel(), np.sqrt(a)
-    evals, mor, gv, mass_v, mass_tot, quartic, gradient, *flux, gF_L4, wgF_sup = np.array([
-        _energy_frame(fr, None if F is None else F.frames[j], inv_a, sqrt_a)
-        for j, fr in enumerate(run.frames)
-    ]).T
+    weights = a, 1.0 / a.ravel(), np.sqrt(a), Weight("japanese", 0.5).evaluate(g)
+    terms = []
+
+    def frame_pass():  # stores frame j's terms, then yields |F_j|^2
+        for j, fr in enumerate(run.frames):
+            *row, F_power = _energy_frame(fr, None if F is None else F.frames[j], *weights)
+            terms.append(row)
+            yield F_power
+
+    F_L2Linf, F_L3L6, F4, F_Li2 = _strichartz(frame_pass(), w, g, ((2, np.inf), (3, 6), (np.inf, 4), (np.inf, 2)))
+    (evals, mor, gv, mass_v, mass_tot, quartic, gradient, *flux, gF_L4, wgF_sup,
+     v4_sq, bulk_terms, wF_sup) = np.array(terms).T
 
     fd = np.abs(evals[2:] - evals[:-2]) / (2.0 * run.dt)
     integrated = float(np.sum(fd) * run.dt) if n > 2 else 0.0
@@ -667,15 +683,9 @@ def energy_growth_audit(run: Trajectory, F: Trajectory | None = None) -> tuple:
     term_vals = {k: float(np.sum(w * dens)) for k, dens in zip(_FLUX_TERMS, flux)}
 
     gv = gv.max()
-    v4 = strichartz_norm(run, np.inf, 4)
-    bulk = morawetz_bulk(run)
-    window = (run.t0, run.t_end)
-    F_L2Linf, F_L3L6, F4, F_Li2 = (
-        0.0 if F is None else strichartz_norm(F, q, r, window)
-        for q, r in ((2, np.inf), (3, 6), (np.inf, 4), (np.inf, 2))
-    )
-    wF = 0.0 if F is None else _weighted_sup(F, 0.5, window)
-    gF_L2L4, wgF = _power_mean(gF_L4, w, 2), _power_mean(wgF_sup, w, 2)
+    v4 = float(np.sqrt(v4_sq.max()))
+    bulk = float(np.sum(w * bulk_terms))
+    wF, gF_L2L4, wgF = (_power_mean(sups, w, 2) for sups in (wF_sup, gF_L4, wgF_sup))
     majorants = {
         "gv_FF_gF": gv * F4 * F_L2Linf * gF_L2L4,
         "v_F_gF2": v4 * F4 * gF_L2L4**2,

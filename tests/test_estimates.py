@@ -554,6 +554,20 @@ def test_main_linear_verifier_peaks_below_three_quarters_of_one_complex_stack(gr
     assert _traced_peak(lambda: E.verify_main_linear(grid16, n_samples=2, n_frames=65, seed=12)) < 0.75 * stack
 
 
+@pytest.mark.parametrize("p,q", [(4, 4), (2, np.inf)])
+def test_lateral_dyadic_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16, p, q):
+    # the lateral norm reads the free trajectory's frequency frames one at a time into its
+    # window's float64 |u|^2 stack; no physical trajectory is made
+    stack = 24 * grid16.size * 16
+    assert _traced_peak(lambda: E.verify_lateral_dyadic(grid16, (1.0, 2.0), p, q, n_frames=24)) < 0.75 * stack
+
+
+def test_local_smoothing_verifier_peaks_below_half_of_one_complex_stack(grid16):
+    # its ball sums stream from one |u|^2 frame at a time: it holds no stack
+    stack = 20 * grid16.size * 16
+    assert _traced_peak(lambda: E.verify_local_smoothing(grid16, (1.0, 2.0), (1.0, 2.0))) < 0.5 * stack
+
+
 def test_every_boxed_transform_input_is_zero_outside_its_box(monkeypatch):
     # _fft transforms only the lines that meet its box and leaves the others as they were, so
     # an input that is not zero outside its box would give a wrong transform and no error

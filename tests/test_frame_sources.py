@@ -42,6 +42,7 @@ from dlab.solver import (
     _slabs,
     _splitstep,
     _weight_arrays,
+    energy_growth_audit,
     morawetz_audit,
     splitstep_forced,
     splitstep_nls,
@@ -208,6 +209,35 @@ def test_forced_pipeline_streams_its_forcing_and_v():
         tracemalloc.stop()
     assert n == 21 and rep.bulk > 0.0
     assert peak < (n + 8) * frame_bytes
+    assert F._stack is None and run._stack is None
+
+
+def test_energy_audit_makes_each_forcing_frame_once_and_holds_no_stack():
+    # one pass reads v_j, whose source makes F_j, and then F_j from its memo; the norms of v and
+    # F are taken from each frame's moduli as the pass goes, so no stack of v, F or |F|^2 is made
+    g = SpectralGrid(m=16, L=8.0)
+    F0 = Field.physical(g, 0.9 * np.exp(-g.x_squared / 2.0) * np.exp(1j * g.axis_coord(1)))
+    cfg = NLSRunConfig(mu=+1, dt=0.001, T=0.02, dealias=False)
+    n = cfg.n_steps + 1
+    calls = []
+
+    def physical(fr):
+        calls.append(1)
+        return fr.in_domain(PHYSICAL)
+
+    F = free_trajectory(F0, 0.0, cfg.dt, n).map_frames(physical)
+    run = splitstep_forced(Field.zero(g, PHYSICAL), F, cfg)
+    calls.clear()
+    tracemalloc.start()  # numpy reports its allocations to tracemalloc
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, rep = energy_growth_audit(run, F)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n == 21 and rep.terms_ok
+    assert len(calls) <= n + 1
+    assert peak < n * g.size * 16
     assert F._stack is None and run._stack is None
 
 

@@ -165,7 +165,7 @@ def _case_y_band_powers():
         stacks = list(_BandStack(v, 0, v.n_frames - 1).band_powers(N))
         out[repr(N)] = {
             "sums": [float(S.sum()) for S in stacks],
-            "smoothing": [_lateral(lambda: S, w, g, p, q, (ax,))[0] for ax, S in enumerate(stacks[1:], 1)],
+            "smoothing": [_lateral(S, w, g, p, q, (ax,))[0] for ax, S in enumerate(stacks[1:], 1)],
         }
     return out
 

@@ -560,3 +560,31 @@ def test_lateral_underflow_guard_falls_back_on_tiny_slice(grid8, monkeypatch):
     got = lateral_norms(v, p, q)
     assert floors == [norms_mod._POWER_FLOOR, 0.0]
     assert got == expected
+
+
+_NORM_CALLS = {  # every norm of ``dlab norms``, then lateral_norms and linf_l2, with its arguments
+    "strichartz": (strichartz_norm, (3, 6)), "lateral": (lateral_norm, (4, 4, 2)),
+    "XN": (xn_norm, (2.0,)), "X": (x_norm, ()), "YN": (yn_norm, (2.0,)), "Y": (y_norm, ()),
+    "GN": (gn_norm_upper, (2.0,)), "G": (g_norm_upper, ()), "Z": (z_norm, ()), "LinfH1": (linf_h1, ()),
+    "lateral_norms": (lateral_norms, (2, np.inf)), "linf_l2": (linf_l2, ()),
+}
+
+
+def test_the_norm_calls_cover_every_cli_norm():
+    from dlab.cli import _NORM_KINDS
+
+    assert {k: _NORM_CALLS[k][0] for k in _NORM_KINDS} == _NORM_KINDS
+
+
+@pytest.mark.parametrize("domain", [FREQUENCY, PHYSICAL])
+@pytest.mark.parametrize("kind", list(_NORM_CALLS))
+def test_no_norm_fills_a_source_backed_trajectory(kind, domain):
+    # the norms read frames: a trajectory made from a source keeps no stack after the call, and
+    # the value is that of a trajectory holding the same frames as its stack
+    g = SpectralGrid(m=8, L=2 * np.pi)
+    v = free_trajectory(random_field(g, 5, domain=FREQUENCY, band_limit=2.0), 0.0, 0.05, 5).in_domain(domain)
+    stacked = Trajectory.from_values(g, v.t0, v.dt, domain, np.array([fr.values for fr in v.frames]))
+    fn, args = _NORM_CALLS[kind]
+    got = fn(v, *args)
+    assert v._stack is None
+    assert got == pytest.approx(fn(stacked, *args), rel=1e-14, abs=0)

@@ -64,6 +64,19 @@ def test_peak_rss_reports_one_node(tmp_path):
     assert _value(res.stdout, "peak_rss_mb") > 0.0
 
 
+def test_peak_rss_reports_each_of_two_nodes(tmp_path):
+    nodes = ("tests/test_grid.py::test_trapezoid_weights", "tests/test_grid.py::test_grid_invariants")
+    res = _run("peak_rss.py", *nodes, cwd=tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    blocks = res.stdout.split("\n\n")
+    assert len(blocks) == 2
+    for block, node in zip(blocks, nodes):
+        assert block.startswith("pytest: 1 passed")
+        assert f"node = {node}" in block.splitlines()
+        assert _value(block, "wall_s") > 0.0
+        assert _value(block, "peak_rss_mb") > 0.0
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
