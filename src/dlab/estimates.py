@@ -47,7 +47,7 @@ from .norms import (
     _gn_upper,
     _lateral,
     _powers,
-    _strichartz,
+    _space_time,
     _xn,
     aggregate_bands,
     lateral_norm,
@@ -719,11 +719,12 @@ def verify_duhamel_retarded(
     LHS norms of t -> int_0^t exp(i(t-s) Lap) P_N h ds; RHS is the lateral
     G-component sum of P_N h.  The recorded constant is max(LHS/RHS).
 
-    Every norm here reads |u|^2 of physical frames only, so h and the retarded
-    trajectory are each held as a float64 |u|^2 stack (``norms._powers`` of
-    their frames on the band's box), one at a time, and their norms are the
-    Strichartz and lateral kernels of the band-stack norms.  The exponent
-    pairs are checked before any compute.
+    Every norm here reads |u|^2 of physical frames only, so the norms of h and
+    of the retarded trajectory each take one pass of the band-stack norms'
+    kernel (``norms._space_time``) over |u|^2 of their frames on the band's
+    box (``norms._powers``).  No stack is held: a frame is made, read and
+    dropped, and the kernel's fallback pass makes the frames anew.  The
+    exponent pairs are checked before any compute.
     """
     if not T > 0 or n_frames < 2:
         raise ParameterRangeError(f"need T > 0 and n_frames >= 2, got {T=}, {n_frames=}")
@@ -735,20 +736,19 @@ def verify_duhamel_retarded(
     axes = range(1, grid.d + 1)
     box = band_box(grid, Band.dyadic(N))  # every row below is fN's spectrum times a multiplier
 
-    def hhat():  # h is generated twice, never stored
+    def hhat():  # h is generated for each pass, never stored
         return _enveloped_frames(fN, dt, n_frames, seed + 1, box)
 
-    p_g, q_g = pol.g_lateral_pq
-    S_h = np.fromiter(_powers(hhat(), grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
-    rhs = N ** (0.5 + pol.eps) * sum(_lateral(S_h, w, grid, p_g, q_g, axes))
-    del S_h  # one |u|^2 stack is held at a time
-    D = _duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt)
-    S = np.fromiter(_powers(D, grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
-    lhs = _strichartz(S, w, grid, strichartz_pairs)
+    def h_powers():
+        return _powers(hhat(), grid, FREQUENCY, box)
+
+    def d_powers():
+        return _powers(_duhamel_values(hhat(), schrodinger_symbol(grid, dt, box), dt), grid, FREQUENCY, box)
+
+    rhs = N ** (0.5 + pol.eps) * sum(_lateral(h_powers(), w, grid, *pol.g_lateral_pq, axes, h_powers))
+    lhs, lat = _space_time(d_powers(), w, grid, strichartz_pairs, (*pol.x_lateral_pq, axes), d_powers)
     stri = {f"({q},{r})": float(N * n / rhs) for (q, r), n in zip(strichartz_pairs, lhs)}
-    p_m, q_m = pol.x_lateral_pq
-    lhs_max = N ** (-0.5 + pol.eps) * sum(_lateral(S, w, grid, p_m, q_m, axes))
-    cmax = float(lhs_max / rhs)
+    cmax = float(N ** (-0.5 + pol.eps) * sum(lat) / rhs)
     allc = list(stri.values()) + [cmax]
     return DuhamelRetardedReport(
         strichartz_constants=stri,
@@ -785,8 +785,9 @@ def verify_main_linear(
     so each sample runs on the box as the Duhamel verifier does: frame j of h
     (``_enveloped_frames``), of the Duhamel integral D (``_duhamel_values``)
     and of v = free - 1j D is made there and projected.  The L^2 norms are
-    Parseval sums on the box; X_N and G_N read |P_N v|^2 and then |P_N h|^2
-    stacks (``norms._powers``), one at a time.  No trajectory is built.
+    Parseval sums on the box; X_N and G_N each take one pass over |P_N v|^2,
+    then |P_N h|^2, frame by frame (``norms._powers``).  No trajectory and no
+    stack is built.
     """
     bands = aggregate_bands(grid) if bands is None else bands
     if not T > 0 or n_frames < 2 or n_samples < 1 or not bands:
@@ -805,7 +806,7 @@ def verify_main_linear(
         rhs = N * np.sqrt(parseval * float(np.vdot(pv0, pv0).real))
         f = shell_field(grid, N, seed=rng_seed + 7)
 
-        def hhat():  # h is generated twice, never stored
+        def hhat():  # h is generated for each pass, never stored
             return _enveloped_frames(f, dt, n_frames, rng_seed + 13, box)
 
         sums = []  # sum |P_N v_j|^2 over the box, frame by frame
@@ -818,13 +819,15 @@ def verify_main_linear(
                 sums.append(float(np.vdot(row, row).real))
                 yield row
 
-        S = np.fromiter(_powers(projected_v(), grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
-        lhs = N * np.sqrt(parseval * max(sums)) + _xn(S, w, grid, N, pol)
-        del S  # one |u|^2 stack is held at a time
-        h = (np.multiply(row, sym) for row in hhat())
-        S = np.fromiter(_powers(h, grid, FREQUENCY, box), (np.float64, grid.shape), n_frames)
-        rhs += _gn_upper(S, w, grid, N, pol)
-        del S
+        def v_powers():
+            return _powers(projected_v(), grid, FREQUENCY, box)
+
+        def h_powers():
+            return _powers((np.multiply(row, sym) for row in hhat()), grid, FREQUENCY, box)
+
+        xn = _xn(v_powers(), w, grid, N, pol, v_powers)  # fills ``sums``
+        lhs = N * np.sqrt(parseval * max(sums)) + xn
+        rhs += _gn_upper(h_powers(), w, grid, N, pol, h_powers)
         consts.append(float(lhs / rhs))
     worst = float(max(consts))
     return MainLinearReport(constants=consts, worst=worst, passed=bool(worst <= cap))

@@ -5,8 +5,8 @@ Time integrals use the trapezoid rule on trajectory frames (the integrand
 ||.||^q is only Lipschitz in t, so a higher-order rule buys nothing) and
 infinite exponents are realized as grid/frame maxima.  Large exponents
 (4/eps and friends) are evaluated with a peak-normalization guard so no
-intermediate overflows: one peak over the whole window for a lateral norm,
-and for a Strichartz norm the guard of ``grid._power_mean``, which takes each
+intermediate overflows: a running peak over the window's frames for a lateral
+norm, and for a Strichartz norm the guard of ``grid._power_mean``, which takes each
 frame's L^r norm as the square root of the r/2 power mean of |u|^2 and then
 the L^q mean of those over time.
 
@@ -31,38 +31,42 @@ projected spectrum.  Each plane is inverse-transformed over the other d - 1
 axes alone, and its factor e^(2 pi i j n_l / m) along axis l is applied
 while the planes are summed: |J_l| m^(d-1) transformed points per frame in
 place of two 1D transforms of the whole stack.
-On one |u|^2 stack:
+One pass over the |u|^2 frames (``_space_time``) reads each frame once:
 
-* Strichartz pairs with the same r share one pass of per-frame L^r sums;
+* Strichartz pairs with the same r share the per-frame L^r sums;
 * lateral norms with the same (p, q) share one time-weighted power array
-  W = sum_j w_j (|u_j| / peak)^q; the lateral norm along x_l is built from
-  the marginal of W over the other spatial axes.
+  W = sum_j w_j (|u_j| / P)^q under the running peak P of the frames read so
+  far: a frame that raises P from P' first scales W by (P' / P)^q, the
+  online softmax rescaling of Milakov and Gimelshein (arXiv:1805.02867).  At
+  q = inf, W is the running max of |u_j|^2.  The lateral norm along x_l is
+  built from the marginal of W over the other spatial axes.
 
 Underflow guard.  At the Y norm's q = 4/eps a large share of the terms
-(|u_j| / peak)^q underflows to zero or to a subnormal, where np.power is
+(|u_j| / P)^q underflows to zero or to a subnormal, where np.power is
 some thirty times slower.  In a frame with a base below
-c = (1e-300)^(1/q), the power pass therefore clamps the bases at c and
-zeroes the clamped terms, each of which is below 1e-300 where the largest
-term is 1; other frames are powered as they are.  Each marginal of W then
-lacks at most 1e-300 * sum_j w_j * m^(d-1); when a marginal on a requested
-axis is smaller than 1e16 times that, the unguarded power pass is taken
-instead, so every marginal keeps a relative error below 1e-16.
+c = (1e-300)^(1/q), the pass therefore clamps the bases at c and zeroes the
+clamped terms, each below 1e-300 where the running peak's term is 1, so
+also below 1e-300 of the final peak's term (as is a term the rescaling
+takes below the smallest normal); other frames are powered as they are.
+Each marginal of W then lacks at most 1e-300 * sum_j w_j * m^(d-1); when a
+marginal on a requested axis is smaller than 1e16 times that, the unguarded
+pass is taken instead, so every marginal keeps a relative error below
+1e-16.  That fallback is the only second read of the frames.
 
 Memory: no norm reads ``Trajectory.values``; each reads the window's
 ``frames``, so a trajectory made from a frame source keeps no stack.
-``_powers`` is the one producer of |u|^2 from frames, one frame at a time.
-``_strichartz`` reads it once, so strichartz_norm streams it; ``_lateral``
-reads it twice or more, so lateral_norm(s) and the verifiers whose norms read
-|u|^2 alone (``estimates.verify_duhamel_retarded`` and ``verify_main_linear``,
-which build no trajectory) collect it into a float64 stack, half the bytes of
-the complex frames, and hand that to ``_strichartz`` and ``_lateral``, or to
-``_xn`` and ``_gn_upper`` (the formulas of xn_norm and gn_norm_upper).  The
-band-stack kernel holds the complex frequency stack, one complex work stack
-and the float64 |u|^2 stack of the current projection; a directional stack
-is formed one frame at a time, so a Y norm holds no third complex stack, only
-the planes J_l.  An aggregate reads the window's frames once into one band
-stack, which serves every band.  The window guard counts the float64 stack
-against _STACK_LIMIT and raises MemoryBudgetError beyond it.
+``_powers`` is the one producer of |u|^2 from frames, one frame at a time,
+and ``_space_time`` holds W and one frame's temporaries.  So
+strichartz_norm, lateral_norm(s), z_norm and the verifiers whose norms read
+|u|^2 alone (``estimates.verify_duhamel_retarded`` and
+``verify_main_linear``) stream their frames, and make them again for a
+fallback.  The band-stack kernel holds the complex frequency stack, one
+complex work stack and the float64 |u|^2 stack of the current projection;
+a directional stack is formed one frame at a time, so a Y norm holds no
+third complex stack, only the planes J_l.  An aggregate reads the window's
+frames once into one band stack, which serves every band.  The window guard
+counts the float64 stack against _STACK_LIMIT and raises MemoryBudgetError
+beyond it.
 """
 
 from __future__ import annotations
@@ -171,69 +175,80 @@ def _powers(rows, grid: SpectralGrid, domain: str, box: tuple | None = None):
 
 
 def _strichartz(S, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
-    """L^q_t L^r_x norms for each (q, r) pair from the |u|^2 frames ``S`` (any iterable, read
-    once); pairs sharing r share the per-frame L^r norms."""
-    vol = grid.dx**grid.d
-    rs = list(dict.fromkeys(r for _, r in pairs))
-    # ||u_j||_r = (the r/2 power mean of |u_j|^2)^(1/2)
-    per_frame = np.sqrt([[_power_mean(s, vol, 0.5 * r) for r in rs] for s in S]).T
-    return [_power_mean(per_frame[rs.index(r)], w, q) for q, r in pairs]
+    """L^q_t L^r_x norms for each (q, r) pair from one read of the |u|^2 frames ``S``."""
+    return _space_time(S, w, grid, pairs)[0]
 
 
-# a clamped power term is below this, where the window's largest term is 1
+def _lateral(S, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes, again=None) -> list:
+    """Lateral L^{p,q}_{e_l} norms for each axis l in axes from the |u|^2 frames ``S`` (``_space_time``)."""
+    return _space_time(S, w, grid, (), (p, q, axes), again)[1]
+
+
+# a clamped power term is below this, where the running peak's term is 1
 _POWER_FLOOR = 1e-300
 
 
-def _power_sum(S, w: np.ndarray, peak2: float, q: float, floor: float) -> np.ndarray:
-    """W = sum_j w_j (s_j / peak2)^(q/2), every term below ``floor`` taken as 0.
+class _PowerSum:
+    """W = sum_j w_j (s_j / P)^(q/2) over the |u|^2 frames s_j added so far under their running
+    peak P (module docstring), every term below ``floor`` taken as 0; at q = inf, their max."""
 
-    In a frame with a base below c = floor^(2/q) the base is clamped at c
-    before the power, so no term underflows, and the clamped terms are then
-    zeroed; floor = 0 leaves every term as it is.
-    """
-    c = floor ** (2.0 / q)
-    W = 0.0
-    for wt, s in zip(w, S):
-        t = s / peak2
-        clamp = t.min() < c
+    def __init__(self, q: float, floor: float):
+        self.q, self.c, self.peak2, self.W = q, floor ** (2.0 / q), 0.0, 0.0
+
+    def add(self, wt: float, s: np.ndarray) -> None:
+        if np.isinf(self.q):
+            self.W = np.maximum(self.W, s)
+            return
+        top = s.max()
+        if top == 0.0:  # every term is 0
+            return
+        if top > self.peak2:
+            self.W *= (self.peak2 / top) ** (0.5 * self.q)
+            self.peak2 = top
+        t = s / self.peak2
+        clamp = t.min() < self.c
         if clamp:
-            keep = t >= c
-            np.maximum(t, c, out=t)
-        np.power(t, 0.5 * q, out=t)
+            keep = t >= self.c
+            np.maximum(t, self.c, out=t)
+        np.power(t, 0.5 * self.q, out=t)
         if clamp:
             t *= keep
         t *= wt
-        W += t
-    return W
+        self.W += t
 
 
-def _lateral(S, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes) -> list:
-    """Lateral L^{p,q}_{e_l} norms for each axis l in axes from the window's |u|^2 stack ``S``.
-
-    With finite q one power pass builds W = sum_j w_j (|u_j|/peak)^q under one peak
-    over the window; the inner (t, x') norm along x_l is its marginal over the
-    other axes, so every axis shares that pass.  The pass drops terms below
-    _POWER_FLOOR and is redone without dropping when a marginal is too small
-    to bound the relative error by 1e-16 (see the module docstring).
-    """
-    d = grid.d
-    others = [tuple(a for a in range(d) if a != ax - 1) for ax in axes]
+def _space_time(S, w: np.ndarray, grid: SpectralGrid, pairs=(), lateral=None, again=None) -> tuple:
+    """The L^q_t L^r_x norms of ``pairs`` (q, r) and the lateral L^{p,q}_{e_l} norms of ``lateral``
+    (p, q, axes; none when None) from one read of the |u|^2 frames ``S``.  Every axis shares one
+    ``_PowerSum``; its unguarded fallback (module docstring) reads ``again()``, or ``S`` again."""
+    vol = grid.dx**grid.d
+    rs = list(dict.fromkeys(r for _, r in pairs))
+    acc = None if lateral is None else _PowerSum(lateral[1], _POWER_FLOOR)
+    per_frame = []
+    for wt, s in zip(w, S):
+        per_frame.append([_power_mean(s, vol, 0.5 * r) for r in rs])
+        if acc is not None:
+            acc.add(wt, s)
+    per_frame = np.sqrt(per_frame).T  # ||u_j||_r = (the r/2 power mean of |u_j|^2)^(1/2)
+    stri = [_power_mean(per_frame[rs.index(r)], w, q) for q, r in pairs]
+    if acc is None:
+        return stri, []
+    p, q, axes = lateral
+    others = [tuple(a for a in range(grid.d) if a != ax - 1) for ax in axes]
     if np.isinf(q):
-        peak_map = S.max(axis=0)
-        inners = [np.sqrt(peak_map.max(axis=o)) for o in others]
+        inners = [np.sqrt(acc.W.max(axis=o)) for o in others]
+    elif acc.peak2 == 0.0:
+        return stri, [0.0] * len(others)
     else:
-        peak2 = S.max()
-        if peak2 == 0.0:
-            return [0.0] * len(axes)
-        W = _power_sum(S, w, peak2, q, _POWER_FLOOR)
-        margs = [W.sum(axis=o) for o in others]
-        dropped = _POWER_FLOOR * float(np.sum(w)) * grid.m ** (d - 1)  # per marginal, at most
+        margs = [acc.W.sum(axis=o) for o in others]
+        dropped = _POWER_FLOOR * float(np.sum(w)) * grid.m ** (grid.d - 1)  # per marginal, at most
         if min(mg.min() for mg in margs) < 1e16 * dropped:
-            W = _power_sum(S, w, peak2, q, 0.0)
-            margs = [W.sum(axis=o) for o in others]
-        vol_inner = grid.dx ** (d - 1)
-        inners = [np.sqrt(peak2) * (vol_inner * mg) ** (1.0 / q) for mg in margs]
-    return [_power_mean(inner, grid.dx, p) for inner in inners]
+            acc = _PowerSum(q, 0.0)
+            for wt, s in zip(w, S if again is None else again()):
+                acc.add(wt, s)
+            margs = [acc.W.sum(axis=o) for o in others]
+        inners = [np.sqrt(acc.peak2) * (grid.dx ** (grid.d - 1) * mg) ** (1.0 / q) for mg in margs]
+    return stri, [_power_mean(inner, grid.dx, p) for inner in inners]
 
 
 def _check_exponents(**exps) -> None:
@@ -265,11 +280,14 @@ def lateral_norm(v: Trajectory, p: float, q: float, axis: int, interval: Interva
 
 
 def _lateral_window(v: Trajectory, p: float, q: float, axes, interval) -> list:
-    """``_lateral`` over the window, from its |u|^2 frames collected into one float64 stack."""
+    """``_lateral`` over the window, streaming its |u|^2 frames; the fallback pass reads them anew."""
     _check_exponents(p=p, q=q)
     i0, i1, w = _window(v, interval)
-    powers = _powers((fr.values for fr in v.frames[i0 : i1 + 1]), v.grid, v.domain)
-    return _lateral(np.fromiter(powers, (np.float64, v.grid.shape), i1 - i0 + 1), w, v.grid, p, q, axes)
+
+    def powers():
+        return _powers((fr.values for fr in v.frames[i0 : i1 + 1]), v.grid, v.domain)
+
+    return _lateral(powers(), w, v.grid, p, q, axes, powers)
 
 
 class _BandStack:
@@ -381,12 +399,11 @@ def aggregate_bands(grid: SpectralGrid) -> list:
     return out
 
 
-def _xn(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
-    """``xn_norm``'s formula from the |P_N v|^2 stack ``S``."""
-    total = N * sum(_strichartz(S, w, grid, [(2, 4), (3, 3), (6, 12.0 / 5.0)]))
-    p, q = pol.x_lateral_pq
-    total += N ** (-0.5 + pol.eps) * sum(_lateral(S, w, grid, p, q, range(1, grid.d + 1)))
-    return float(total)
+def _xn(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy, again=None) -> float:
+    """``xn_norm``'s formula from one read of the |P_N v|^2 frames ``S`` (``_space_time``)."""
+    stri, lat = _space_time(S, w, grid, [(2, 4), (3, 3), (6, 12.0 / 5.0)],
+                            (*pol.x_lateral_pq, range(1, grid.d + 1)), again)
+    return float(N * sum(stri) + N ** (-0.5 + pol.eps) * sum(lat))
 
 
 def xn_norm(v: Trajectory, N: float, interval: Interval = None,
@@ -415,13 +432,10 @@ def yn_norm(F: Trajectory, N: float, interval: Interval = None,
 
 
 def _yn_band(powers, w: np.ndarray, g: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
-    S = next(powers)
     japN = (1.0 + N * N) ** 0.5
     wN = japN ** (1.0 / 3.0 + 3.0 * pol.eps)
-    total = wN * sum(_strichartz(S, w, g, [(3, 6), (6, 6)]))
-    p_mx, q_mx = pol.y_maximal_pq
-    total += N ** (-1.0 / 6.0) * sum(_lateral(S, w, g, p_mx, q_mx, range(1, g.d + 1)))
-    del S  # hold one |u|^2 stack at a time
+    stri, lat = _space_time(next(powers), w, g, [(3, 6), (6, 6)], (*pol.y_maximal_pq, range(1, g.d + 1)))
+    total = wN * sum(stri) + N ** (-1.0 / 6.0) * sum(lat)
     p_ls, q_ls = pol.y_smoothing_pq
     for ax, S_dir in zip(range(1, g.d + 1), powers):
         total += wN * N ** (0.5 - pol.eps) * _lateral(S_dir, w, g, p_ls, q_ls, (ax,))[0]
@@ -443,12 +457,10 @@ def _gn_band(powers, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPo
     return _gn_upper(next(powers), w, grid, N, pol)
 
 
-def _gn_upper(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy) -> float:
-    """``gn_norm_upper``'s formula from the |P_N h|^2 stack ``S``."""
-    term1 = N * _strichartz(S, w, grid, [(1, 2)])[0]
-    p, q = pol.g_lateral_pq
-    term2 = N ** (0.5 + pol.eps) * sum(_lateral(S, w, grid, p, q, range(1, grid.d + 1)))
-    return float(min(term1, term2))
+def _gn_upper(S, w: np.ndarray, grid: SpectralGrid, N: float, pol: EpsilonPolicy, again=None) -> float:
+    """``gn_norm_upper``'s formula from one read of the |P_N h|^2 frames ``S`` (``_space_time``)."""
+    stri, lat = _space_time(S, w, grid, [(1, 2)], (*pol.g_lateral_pq, range(1, grid.d + 1)), again)
+    return float(min(N * stri[0], N ** (0.5 + pol.eps) * sum(lat)))
 
 
 def _band_norms(band_fn, v: Trajectory, interval, pol: EpsilonPolicy, bands) -> list:
@@ -494,16 +506,25 @@ def _weighted_sup(v: Trajectory, alpha: float, interval: Interval = None,
 
 
 def z_norm(F: Trajectory, interval: Interval = None) -> float:
-    """||F||_{L3 L6} + ||<x>^(1/2) F||_{L2 Linf} + ||grad F||_{L2 L4}."""
+    """||F||_{L3 L6} + ||<x>^(1/2) F||_{L2 Linf} + ||grad F||_{L2 L4}, from one pass over the
+    window: each frame is made once, and its gradient's L^4 norm, the sup of <x>^(1/2) |F| and
+    |F|^2 are taken from it as the pass reaches it."""
     g = F.grid
     i0, i1, w = _window(F, interval)
+    weight = Weight("japanese", 0.5).evaluate(g)
     grad_syms = [1j * g.axis_coord(ax, frequency=True) * g.dx ** (-g.d) for ax in range(1, g.d + 1)]
-    grad_l4 = np.empty(i1 - i0 + 1)
-    for j, i in enumerate(range(i0, i1 + 1)):
-        bs = _BandStack(F, i, i)
-        grad_l4[j] = _power_mean(np.sqrt(sum(bs.power(sym) for sym in grad_syms)), g.dx**g.d, 4)
-    return float(strichartz_norm(F, 3, 6, interval) + _weighted_sup(F, 0.5, interval)
-                 + _power_mean(grad_l4, w, 2))
+    sups, grad_l4 = [], []
+
+    def powers():
+        for i in range(i0, i1 + 1):
+            bs = _BandStack(F, i, i)  # frame i is made here; the lines below read it from the memo
+            grad_l4.append(_power_mean(np.sqrt(sum(bs.power(sym) for sym in grad_syms)), g.dx**g.d, 4))
+            a = np.abs(F.frames[i].in_domain(PHYSICAL).values)
+            sups.append((weight * a).max())
+            yield np.square(a, out=a)
+
+    l3l6 = _strichartz(powers(), w, g, [(3, 6)])[0]
+    return float(l3l6 + _power_mean(sups, w, 2) + _power_mean(grad_l4, w, 2))
 
 
 def linf_h1(v: Trajectory, interval: Interval = None) -> float:

@@ -518,9 +518,32 @@ def _traced_peak(fn) -> int:
 
 
 def test_duhamel_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16):
-    # it holds float64 |u|^2 stacks, one at a time, and one complex frame buffer
+    # it reads |u|^2 one frame at a time and holds no stack
     stack = 65 * grid16.size * 16
     assert _traced_peak(lambda: E.verify_duhamel_retarded(grid16, 2.0, n_frames=65, seed=12)) < 0.75 * stack
+
+
+@pytest.mark.parametrize("n_frames", [13, 65])
+def test_duhamel_verifier_peaks_at_six_complex_frames(grid16, n_frames):
+    # with warm symbol caches: h, the Duhamel value and their |u|^2 are made and dropped a frame at
+    # a time, so the peak is a few frames at any frame count
+    def verify():
+        return E.verify_duhamel_retarded(grid16, 2.0, n_frames=n_frames, seed=12)
+
+    verify()
+    assert _traced_peak(verify) <= 6 * grid16.size * 16
+
+
+def test_main_linear_verifier_peak_does_not_grow_with_the_frame_count(grid16):
+    # with warm symbol caches, 65 frames peak within one complex frame of 13
+    peaks = []
+    for n_frames in (13, 65):
+        def verify():
+            return E.verify_main_linear(grid16, n_samples=2, n_frames=n_frames, seed=12)
+
+        verify()
+        peaks.append(_traced_peak(verify))
+    assert peaks[1] <= peaks[0] + grid16.size * 16
 
 
 def test_bernstein_verifier_peaks_below_four_complex_frames(band_box_cache):
@@ -548,16 +571,15 @@ def test_bernstein_verifier_leaves_no_lattice_sized_symbol_in_the_caches():
 
 
 def test_main_linear_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16):
-    # each sample holds a float64 |u|^2 stack at a time, of P_N v and then of P_N h, and
-    # one complex frame buffer; its frames are made on the band's box
+    # each sample reads |P_N v|^2 and then |P_N h|^2 one frame at a time, made on the band's box
     stack = 65 * grid16.size * 16
     assert _traced_peak(lambda: E.verify_main_linear(grid16, n_samples=2, n_frames=65, seed=12)) < 0.75 * stack
 
 
 @pytest.mark.parametrize("p,q", [(4, 4), (2, np.inf)])
 def test_lateral_dyadic_verifier_peaks_below_three_quarters_of_one_complex_stack(grid16, p, q):
-    # the lateral norm reads the free trajectory's frequency frames one at a time into its
-    # window's float64 |u|^2 stack; no physical trajectory is made
+    # the lateral norm reads |u|^2 of the free trajectory's frequency frames one at a time;
+    # no physical trajectory and no stack is made
     stack = 24 * grid16.size * 16
     assert _traced_peak(lambda: E.verify_lateral_dyadic(grid16, (1.0, 2.0), p, q, n_frames=24)) < 0.75 * stack
 

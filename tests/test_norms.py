@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -512,14 +514,15 @@ def _enveloped_traj(grid, sigma, seed=5, n=5):
 
 
 def _spy_power_sums(monkeypatch):
+    # the floor of every power pass, one ``_PowerSum`` each
     floors = []
-    orig = norms_mod._power_sum
 
-    def spy(powers, w, peak2, q, floor):
-        floors.append(floor)
-        return orig(powers, w, peak2, q, floor)
+    class Spy(norms_mod._PowerSum):
+        def __init__(self, q, floor):
+            floors.append(floor)
+            super().__init__(q, floor)
 
-    monkeypatch.setattr(norms_mod, "_power_sum", spy)
+    monkeypatch.setattr(norms_mod, "_PowerSum", Spy)
     return floors
 
 
@@ -560,6 +563,73 @@ def test_lateral_underflow_guard_falls_back_on_tiny_slice(grid8, monkeypatch):
     got = lateral_norms(v, p, q)
     assert floors == [norms_mod._POWER_FLOOR, 0.0]
     assert got == expected
+
+
+def _two_pass_lateral(S, w, grid, p, q, axes):
+    """The lateral norms from a held |u|^2 stack: the peak over the whole window first, then
+    W = sum_j w_j (s_j / peak)^(q/2) with no term dropped."""
+    others = [tuple(a for a in range(grid.d) if a != ax - 1) for ax in axes]
+    if np.isinf(q):
+        inners = [np.sqrt(S.max(axis=0).max(axis=o)) for o in others]
+    else:
+        peak2 = S.max()
+        W = np.tensordot(w, (S / peak2) ** (q / 2), axes=1)
+        inners = [np.sqrt(peak2) * (grid.dx ** (grid.d - 1) * W.sum(axis=o)) ** (1 / q) for o in others]
+    return [float(np.sum(grid.dx * inner**p) ** (1 / p)) for inner in inners]
+
+
+@pytest.mark.parametrize("q", [200.0, 4 / 1.98, 2.0, np.inf])  # 4/eps and 4/(2 - eps) at eps = 0.02
+@pytest.mark.parametrize("n_axes", [1, 2, 3, 4])
+def test_one_pass_lateral_matches_the_two_pass_reference(grid8, q, n_axes):
+    # frame peaks that rise, fall and tie, after an all-zero frame, over |u|^2 that spans many
+    # decades: the running peak rescales W on every rise, and at q = 200 the floor drops terms
+    g, axes = grid8, tuple(range(1, n_axes + 1))
+    rng = np.random.default_rng(27 + n_axes)
+    env = np.exp(-g.x_squared / 2.0)
+    scales = [0.0, 1.0, 3.0, 3.0, 0.5, 7.0, 7.0, 2.0, 9.0, 0.1]
+    S = np.stack([c * env * rng.random(g.shape) for c in scales])
+    w = rng.random(len(S))
+    p = 4 / 1.98 if q != 4 / 1.98 else 200.0
+    got = norms_mod._lateral(S, w, g, p, q, axes)
+    want = _two_pass_lateral(S, w, g, p, q, axes)
+    assert len(got) == n_axes
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_lateral_norm_peak_does_not_grow_with_the_frame_count():
+    # the window's |u|^2 frames stream through the kernel: no stack of the window is held
+    g = SpectralGrid(m=16, L=2 * np.pi)
+    f = random_field(g, 3, domain=FREQUENCY, band_limit=2.0)
+    peaks = []
+    for n in (9, 33):
+        v = free_trajectory(f, 0.0, 0.05, n)
+        lateral_norm(v, 4 / 1.98, 200.0, 2)
+        tracemalloc.start()  # numpy reports its allocations to tracemalloc
+        try:
+            lateral_norm(v, 4 / 1.98, 200.0, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + g.size * 8  # less than one float64 frame more
+
+
+def test_z_norm_makes_each_frame_once():
+    # one pass: each frame's gradient, weighted sup and |F|^2 are taken from the frame as it is
+    # made, so a source-backed trajectory makes each frame once and keeps no stack
+    g = SpectralGrid(m=8, L=2 * np.pi)
+    n, calls = 9, []
+
+    def counted(fr):
+        calls.append(1)
+        return fr
+
+    v = free_trajectory(random_field(g, 5, domain=FREQUENCY, band_limit=2.0), 0.0, 0.05, n).map_frames(counted)
+    stacked = Trajectory.from_values(g, v.t0, v.dt, FREQUENCY, np.array([fr.values for fr in v.frames]))
+    calls.clear()  # the memo now holds frame n - 1, not frame 0
+    got = z_norm(v)
+    assert len(calls) == n
+    assert v._stack is None
+    assert got == z_norm(stacked)
 
 
 _NORM_CALLS = {  # every norm of ``dlab norms``, then lateral_norms and linf_l2, with its arguments
