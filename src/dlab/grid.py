@@ -69,6 +69,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DLabError, DomainMismatchError, FlagError, InvalidExponentError, ParameterRangeError,
                      SnapshotFormatError)
@@ -248,20 +249,18 @@ def _check_compatible(a: Field, b: Field):
         raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
 
 
-def _checkerboard(a: np.ndarray, axes, factor: float = 1.0) -> tuple:
-    """``(view, op)`` with ``view * op == factor * S * a``, S = (-1)^(index sum over ``axes``).
-
-    Each axis but the last of ``axes`` is viewed as (m/2, 2), so ``op`` holds
-    2^(k-1) m numbers, never a full m^k sign array.
-    """
-    last = max(axes)
-    shape, op_shape = [], []
-    for ax, n in enumerate(a.shape):
-        split = ax in axes and ax != last
-        shape += [n // 2, 2] if split else [n]
-        op_shape += [1, 2] if split else [n if ax == last else 1]
-    parity = np.indices(op_shape).sum(axis=0) % 2
-    return a.reshape(shape), np.where(parity, -factor, factor)
+def _checkerboard(values: np.ndarray, out: np.ndarray, d: int, box: tuple | None = None,
+                  factor: float = 1.0, op=np.multiply) -> np.ndarray:
+    """``out[..., box] = op(values, factor * S)`` in one pass (box None: all of ``out``), with
+    S = (-1)^(n_1+...+n_d) on the lattice indices of the box over the last ``d`` axes.  S is a
+    read-only strided view of one 1D array whose element k is the sign of every node whose
+    indices in the box sum to k: at most d m numbers, never an array of S's size."""
+    box, lead = box or (slice(None),) * d, values.ndim - d
+    shape, lo = values.shape[lead:], sum(sl.indices(n)[0] for sl, n in zip(box, out.shape[lead:]))
+    alt = factor * (1.0 - 2.0 * ((lo + np.arange(sum(shape) - d + 1)) % 2))
+    alt = alt.astype(np.result_type(values, alt))  # cast once, not chunk by chunk inside the ufunc
+    op(values, as_strided(alt, shape, (alt.itemsize,) * d, writeable=False), out=out[(Ellipsis,) + box])
+    return out
 
 
 def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool = False,
@@ -270,11 +269,11 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
     """fftn (ifftn when ``inverse``) of ``values`` over ``axes`` (default all), in ``out``.
 
     ``out`` is new when None; ``out=values`` works in place.  When
-    ``sign_in``, one pass writes S * values into ``out`` and the transform
-    runs there in place; otherwise it reads ``values`` directly.  One last
-    pass applies S when ``sign_out`` and the scale, which the forward
-    transform multiplies by and the inverse divides by (both signs: the
-    centred pair).
+    ``sign_in``, one pass writes S * values into ``out`` (``_checkerboard``
+    over the trailing len(axes) axes, the transform axes) and the transform
+    runs there in place.  One last pass applies S when ``sign_out`` and the
+    scale, which the forward transform multiplies by and the inverse divides
+    by (both signs: the centred pair).
 
     ``box`` holds one index slice per transform axis, outside which
     ``values`` must be zero.  The transform then runs in ``out`` as one
@@ -288,9 +287,7 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
     if sign_in:
-        view, op = _checkerboard(values, axes)
-        np.multiply(view, op, out=out.reshape(view.shape))
-        values = out
+        values = _checkerboard(values, out, len(axes))
     if box is None:
         (np.fft.ifftn if inverse else np.fft.fftn)(values, axes=axes, out=out)
     else:
@@ -303,9 +300,10 @@ def _fft(values: np.ndarray, inverse: bool = False, axes=None, *, sign_in: bool 
             index[ax] = slice(None)
             lines = out[tuple(index)]
             (np.fft.ifft if inverse else np.fft.fft)(lines, axis=ax, out=lines)
-    if sign_out or scale != 1.0:
-        view, op = _checkerboard(out, axes, scale) if sign_out else (out, scale)
-        (np.divide if inverse else np.multiply)(view, op, out=view)
+    if sign_out:
+        _checkerboard(out, out, len(axes), factor=scale, op=np.divide if inverse else np.multiply)
+    elif scale != 1.0:
+        (np.divide if inverse else np.multiply)(out, scale, out=out)
     return out
 
 
@@ -383,28 +381,71 @@ def lp_norm(f: Field, r: float) -> float:
         raise DomainMismatchError("lp_norm expects a physical-domain field")
     if r < 1:
         raise InvalidExponentError(f"exponent must satisfy r >= 1, got {r}")
-    g = f.grid
-    return _power_mean(np.abs(f.values), g.dx**g.d, r)
+    return _power_means(f.values, f.grid.dx**f.grid.d, (r,), modulus=True)[0]
+
+
+# the values a power mean takes at a time: a larger array goes in pieces of this many
+_CHUNK_POINTS = 2**16
+
+
+class _PowerSum:
+    """W = sum_j w_j (s_j / P)^q over the nonnegative arrays s_j added so far under their running
+    peak P, every term below ``floor`` taken as 0; at q = inf, their max.  The one power-mean
+    kernel: no term exceeds 1, and a piece that raises P from P' first scales W by (P' / P)^q, the
+    online softmax rescaling (arXiv:1805.02867).  W is elementwise (``norms``' lateral sums)
+    unless ``total``, which sums each piece's terms (a power mean)."""
+
+    def __init__(self, q: float, floor: float = 0.0, total: bool = False):
+        self.q, self.c, self.total, self.peak, self.W = q, floor ** (1.0 / q), total, 0.0, 0.0
+
+    def add(self, wt, s: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Add the terms of ``s`` weighted by ``wt``, powered in ``out`` (new when None; may be ``s``)."""
+        if np.isinf(self.q):
+            self.W = max(self.W, s.max(initial=0.0)) if self.total else np.maximum(self.W, s)
+            return
+        top = s.max(initial=0.0)
+        if top == 0.0:  # every term is 0
+            return
+        if top > self.peak:
+            self.W *= (self.peak / top) ** self.q
+            self.peak = top
+        t = np.divide(np.broadcast_to(s, np.broadcast_shapes(s.shape, np.shape(wt))), self.peak, out=out)
+        clamp = self.c > 0.0 and t.min() < self.c
+        if clamp:
+            keep = t >= self.c
+            np.maximum(t, self.c, out=t)
+        t **= self.q
+        if clamp:
+            t *= keep
+        t *= wt
+        self.W += np.sum(t) if self.total else t
 
 
 def _power_mean(values: np.ndarray, weights, q: float) -> float:
-    """(sum_j w_j values_j^q)^(1/q) of nonnegative values; q = inf gives the max.
+    """(sum_j w_j values_j^q)^(1/q) of nonnegative values; q = inf gives the max."""
+    return _power_means(np.asarray(values, dtype=float), weights, (q,))[0]
 
-    The peak is scaled out before powering, so no intermediate overflows at large q.
-    The scaled values, broadcast against the weights, are powered and weighted in
-    place: one temporary, not two, which keeps lp_norm of a frame at 2 frames of
-    float64 beyond its input.
-    """
-    values = np.asarray(values, dtype=float)
-    if np.isinf(q):
-        return float(values.max(initial=0.0))
-    peak = values.max(initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    t = np.broadcast_to(values, np.broadcast_shapes(values.shape, np.shape(weights))) / peak
-    t **= q
-    t *= weights
-    return float(peak * np.sum(t) ** (1.0 / q))
+
+def _power_means(values: np.ndarray, weights, qs, modulus: bool = False) -> list:
+    """The power mean of ``values`` (of |values| when ``modulus``) at each exponent of ``qs``.
+    Values that are not moduli, and are at most one chunk or have weights that are not a scalar,
+    are one ``_PowerSum`` piece.  Otherwise the flat values are read once, a chunk at a time, each
+    modulus formed in one reused buffer and each piece powered in another (the same one for a
+    single exponent), so no temporary is larger than a chunk."""
+    accs = [_PowerSum(q, total=True) for q in qs]
+    if not modulus and (values.size <= _CHUNK_POINTS or np.ndim(weights)):
+        for acc in accs:
+            acc.add(weights, values)
+    else:
+        flat = values.reshape(-1)
+        work = np.empty(min(flat.size, _CHUNK_POINTS))
+        mod = work if len(qs) == 1 or not modulus else np.empty_like(work)
+        for lo in range(0, flat.size, _CHUNK_POINTS):
+            piece = flat[lo:lo + _CHUNK_POINTS]
+            piece = np.abs(piece, out=mod[:piece.size]) if modulus else piece
+            for acc in accs:
+                acc.add(weights, piece, out=work[:piece.size])
+    return [float(a.W if np.isinf(a.q) else a.peak * a.W ** (1.0 / a.q)) for a in accs]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ their aggregates, and the Z norm used by the Morawetz/energy diagnostics.
 Time integrals use the trapezoid rule on trajectory frames (the integrand
 ||.||^q is only Lipschitz in t, so a higher-order rule buys nothing) and
 infinite exponents are realized as grid/frame maxima.  Large exponents
-(4/eps and friends) are evaluated with a peak-normalization guard so no
-intermediate overflows: a running peak over the window's frames for a lateral
-norm, and for a Strichartz norm the guard of ``grid._power_mean``, which takes each
+(4/eps and friends) go through one running-peak kernel, ``grid._PowerSum``,
+so no intermediate overflows: over the window's frames for a lateral norm,
+and for a Strichartz norm through ``grid._power_mean``, which takes each
 frame's L^r norm as the square root of the r/2 power mean of |u|^2 and then
 the L^q mean of those over time.
 
@@ -36,18 +36,16 @@ One pass over the |u|^2 frames (``_space_time``) reads each frame once:
 * Strichartz pairs with the same r share the per-frame L^r sums;
 * lateral norms with the same (p, q) share one time-weighted power array
   W = sum_j w_j (|u_j| / P)^q under the running peak P of the frames read so
-  far: a frame that raises P from P' first scales W by (P' / P)^q, the
-  online softmax rescaling of Milakov and Gimelshein (arXiv:1805.02867).  At
-  q = inf, W is the running max of |u_j|^2.  The lateral norm along x_l is
-  built from the marginal of W over the other spatial axes.
+  far, kept by ``grid._PowerSum``, the package's one power-mean kernel (at
+  q = inf, the running max of |u_j|^2).  The lateral norm along x_l is built
+  from the marginal of W over the other spatial axes.
 
 Underflow guard.  At the Y norm's q = 4/eps a large share of the terms
-(|u_j| / P)^q underflows to zero or to a subnormal, where np.power is
-some thirty times slower.  In a frame with a base below
-c = (1e-300)^(1/q), the pass therefore clamps the bases at c and zeroes the
-clamped terms, each below 1e-300 where the running peak's term is 1, so
-also below 1e-300 of the final peak's term (as is a term the rescaling
-takes below the smallest normal); other frames are powered as they are.
+(|u_j| / P)^q underflows to zero or to a subnormal, where np.power is some
+thirty times slower.  So the lateral pass, and no power mean, gives the
+kernel a floor (``_POWER_FLOOR``): in a frame with a base below
+c = (1e-300)^(1/q) it clamps the bases at c and zeroes the clamped terms,
+each below 1e-300 of the running peak's term and so of the final peak's.
 Each marginal of W then lacks at most 1e-300 * sum_j w_j * m^(d-1); when a
 marginal on a requested axis is smaller than 1e16 times that, the unguarded
 pass is taken instead, so every marginal keeps a relative error below
@@ -55,18 +53,18 @@ pass is taken instead, so every marginal keeps a relative error below
 
 Memory: no norm reads ``Trajectory.values``; each reads the window's
 ``frames``, so a trajectory made from a frame source keeps no stack.
-``_powers`` is the one producer of |u|^2 from frames, one frame at a time,
-and ``_space_time`` holds W and one frame's temporaries.  So
-strichartz_norm, lateral_norm(s), z_norm and the verifiers whose norms read
-|u|^2 alone (``estimates.verify_duhamel_retarded`` and
-``verify_main_linear``) stream their frames, and make them again for a
-fallback.  The band-stack kernel holds the complex frequency stack, one
-complex work stack and the float64 |u|^2 stack of the current projection;
-a directional stack is formed one frame at a time, so a Y norm holds no
-third complex stack, only the planes J_l.  An aggregate reads the window's
-frames once into one band stack, which serves every band.  The window guard
-counts the float64 stack against _STACK_LIMIT and raises MemoryBudgetError
-beyond it.
+``_powers`` is the one producer of |u|^2 from frames, one frame at a time, and
+``_space_time`` holds W and one frame's temporaries (a frame's L^r sums take
+one chunk of ``grid._power_mean``).  So strichartz_norm, lateral_norm(s),
+z_norm and the verifiers whose norms read |u|^2 alone
+(``estimates.verify_duhamel_retarded`` and ``verify_main_linear``) stream
+their frames, and make them again for a fallback.  The band-stack kernel holds
+the complex frequency stack, one complex work stack and the float64 |u|^2
+stack of the current projection; a directional stack is formed one frame at a
+time, so a Y norm holds no third complex stack, only the planes J_l.  An
+aggregate reads the window's frames once into one band stack, which serves
+every band.  The window guard counts the float64 stack against _STACK_LIMIT
+and raises MemoryBudgetError beyond it.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandUnresolvedError, InvalidExponentError, MemoryBudgetError, ParameterRangeError
-from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _box_product, _centred_transform, _fft, _power_mean,
-                   broadcast_along, gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
+from .grid import (PHYSICAL, SpectralGrid, Trajectory, Weight, _box_product, _checkerboard, _fft, _power_mean,
+                   _PowerSum, broadcast_along, gradient_magnitude, lp_norm, sobolev_norm, trapezoid_weights)
 from .projections import Band, _directional_planes, band_box_symbol
 
 # bytes of the float64 |u|^2 stack a band-stack evaluation may hold; the
@@ -158,9 +156,11 @@ def _powers(rows, grid: SpectralGrid, domain: str, box: tuple | None = None):
     frame: the one producer of |u|^2 from frames.
 
     A physical row goes through ``_abs2``.  A frequency row, a centred spectrum (on ``box`` only
-    when one is given), is converted by the pruned centred transform in one reused frame buffer,
-    zeroed outside the box.  A frame transformed alone equals its row of a transformed stack bit
-    for bit (``grid`` module docstring), so |u|^2 is that of ``Trajectory.in_domain(PHYSICAL)``.
+    when one is given), is copied with the checkerboard sign into one reused frame buffer, zeroed
+    outside the box, and converted by the plain pruned inverse transform and one division by
+    dx^d: the centred transform without its output sign, which |u|^2 drops.  A frame transformed
+    alone equals its row of a transformed stack bit for bit (``grid`` module docstring), so |u|^2
+    is that of ``Trajectory.in_domain(PHYSICAL)``.
     """
     if domain == PHYSICAL:
         yield from map(_abs2, rows)
@@ -169,9 +169,8 @@ def _powers(rows, grid: SpectralGrid, domain: str, box: tuple | None = None):
     for row in rows:
         if box is not None:
             frame.fill(0.0)
-            frame[box] = row
-            row = frame
-        yield _abs2(_centred_transform(row, grid, PHYSICAL, out=frame, box=box))
+        _checkerboard(row, frame, grid.d, box)
+        yield _abs2(_fft(frame, True, out=frame, box=box, scale=grid.dx**grid.d))
 
 
 def _strichartz(S, w: np.ndarray, grid: SpectralGrid, pairs) -> list:
@@ -188,42 +187,13 @@ def _lateral(S, w: np.ndarray, grid: SpectralGrid, p: float, q: float, axes, aga
 _POWER_FLOOR = 1e-300
 
 
-class _PowerSum:
-    """W = sum_j w_j (s_j / P)^(q/2) over the |u|^2 frames s_j added so far under their running
-    peak P (module docstring), every term below ``floor`` taken as 0; at q = inf, their max."""
-
-    def __init__(self, q: float, floor: float):
-        self.q, self.c, self.peak2, self.W = q, floor ** (2.0 / q), 0.0, 0.0
-
-    def add(self, wt: float, s: np.ndarray) -> None:
-        if np.isinf(self.q):
-            self.W = np.maximum(self.W, s)
-            return
-        top = s.max()
-        if top == 0.0:  # every term is 0
-            return
-        if top > self.peak2:
-            self.W *= (self.peak2 / top) ** (0.5 * self.q)
-            self.peak2 = top
-        t = s / self.peak2
-        clamp = t.min() < self.c
-        if clamp:
-            keep = t >= self.c
-            np.maximum(t, self.c, out=t)
-        np.power(t, 0.5 * self.q, out=t)
-        if clamp:
-            t *= keep
-        t *= wt
-        self.W += t
-
-
 def _space_time(S, w: np.ndarray, grid: SpectralGrid, pairs=(), lateral=None, again=None) -> tuple:
     """The L^q_t L^r_x norms of ``pairs`` (q, r) and the lateral L^{p,q}_{e_l} norms of ``lateral``
     (p, q, axes; none when None) from one read of the |u|^2 frames ``S``.  Every axis shares one
-    ``_PowerSum``; its unguarded fallback (module docstring) reads ``again()``, or ``S`` again."""
+    ``_PowerSum``, at q/2 on |u|^2; its unguarded fallback (module docstring) reads ``again()`` or ``S``."""
     vol = grid.dx**grid.d
     rs = list(dict.fromkeys(r for _, r in pairs))
-    acc = None if lateral is None else _PowerSum(lateral[1], _POWER_FLOOR)
+    acc = None if lateral is None else _PowerSum(0.5 * lateral[1], _POWER_FLOOR)
     per_frame = []
     for wt, s in zip(w, S):
         per_frame.append([_power_mean(s, vol, 0.5 * r) for r in rs])
@@ -237,17 +207,17 @@ def _space_time(S, w: np.ndarray, grid: SpectralGrid, pairs=(), lateral=None, ag
     others = [tuple(a for a in range(grid.d) if a != ax - 1) for ax in axes]
     if np.isinf(q):
         inners = [np.sqrt(acc.W.max(axis=o)) for o in others]
-    elif acc.peak2 == 0.0:
+    elif acc.peak == 0.0:
         return stri, [0.0] * len(others)
     else:
         margs = [acc.W.sum(axis=o) for o in others]
         dropped = _POWER_FLOOR * float(np.sum(w)) * grid.m ** (grid.d - 1)  # per marginal, at most
         if min(mg.min() for mg in margs) < 1e16 * dropped:
-            acc = _PowerSum(q, 0.0)
+            acc = _PowerSum(0.5 * q, 0.0)
             for wt, s in zip(w, S if again is None else again()):
                 acc.add(wt, s)
             margs = [acc.W.sum(axis=o) for o in others]
-        inners = [np.sqrt(acc.peak2) * (grid.dx ** (grid.d - 1) * mg) ** (1.0 / q) for mg in margs]
+        inners = [np.sqrt(acc.peak) * (grid.dx ** (grid.d - 1) * mg) ** (1.0 / q) for mg in margs]
     return stri, [_power_mean(inner, grid.dx, p) for inner in inners]
 
 

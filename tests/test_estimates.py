@@ -552,6 +552,14 @@ def test_bernstein_verifier_peaks_below_four_complex_frames(band_box_cache):
     assert _traced_peak(lambda: E.verify_bernstein(g)) < 4 * g.size * 16
 
 
+def test_warm_bernstein_verifier_peaks_at_one_and_a_half_complex_frames():
+    # with warm symbol caches: the frame buffer, the shell on its box, and both exponents' sums
+    # taken from one chunked read of |f_N|, which allocates nothing the size of a frame
+    g = SpectralGrid(m=32, L=4.0)
+    E.verify_bernstein(g)
+    assert _traced_peak(lambda: E.verify_bernstein(g)) <= 1.5 * g.size * 16
+
+
 def test_bernstein_verifier_leaves_no_lattice_sized_symbol_in_the_caches():
     # with cold caches, what the verifier leaves allocated is what the projections caches
     # hold: its three band symbols on their boxes, and no array of m^d elements

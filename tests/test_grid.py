@@ -159,6 +159,80 @@ def test_power_mean_in_place_equals_the_plain_expression_for_any_broadcast(q):
     assert np.array_equal(values, before)
 
 
+def _chunked_values(n_chunks, seed=3):
+    """Values from 1e-150 to 1 in ``n_chunks`` chunks of ``grid._CHUNK_POINTS``, each holding
+    its peak once: the chunk peaks rise, fall and tie as the chunks go in."""
+    from dlab.grid import _CHUNK_POINTS
+
+    rng = np.random.default_rng(seed + n_chunks)
+    peaks = np.resize([0.25, 0.5, 0.5, 0.125, 1.0, 1.0, 0.75, 0.0625], n_chunks)
+    values = 10.0 ** rng.uniform(-150.0, 0.0, (n_chunks, _CHUNK_POINTS)) * peaks[:, None]
+    values[np.arange(n_chunks), rng.integers(0, _CHUNK_POINTS, n_chunks)] = peaks
+    return values.reshape(-1)
+
+
+def _two_pass_power_mean(values, weight, r):
+    """The power mean with the peak of the whole array taken first, then one sum."""
+    peak = values.max()
+    if np.isinf(r) or peak == 0.0:
+        return float(peak)
+    return float(peak * (weight * np.sum((values / peak) ** r)) ** (1.0 / r))
+
+
+@pytest.mark.parametrize("n_chunks", [1, 2, 16])
+@pytest.mark.parametrize("r", [2.0, 4.0, 4 / 0.02, np.inf])
+def test_chunked_power_mean_matches_the_two_pass_reference(n_chunks, r):
+    # past one chunk every piece goes through the running peak: a rising chunk peak rescales the
+    # sum, and |values| is formed a chunk at a time; at r = 200 most terms underflow
+    from dlab.grid import _power_means
+
+    values = _chunked_values(n_chunks)
+    phases = np.exp(2j * np.pi * np.random.default_rng(n_chunks).random(values.size))
+    want = _two_pass_power_mean(values, 0.3, r)
+    assert _power_mean(values, 0.3, r) == pytest.approx(want, rel=1e-14, abs=0)
+    got = _power_means(values * phases, 0.3, (r, 2.0), modulus=True)
+    assert got == pytest.approx([want, _two_pass_power_mean(values, 0.3, 2.0)], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0, 4 / 0.02, np.inf])
+def test_chunked_power_mean_of_zeros_is_zero(r):
+    from dlab.grid import _CHUNK_POINTS, _power_means
+
+    zeros = np.zeros(3 * _CHUNK_POINTS + 5)
+    assert _power_mean(zeros, 0.3, r) == 0.0
+    assert _power_means(zeros + 0j, 0.3, (r,), modulus=True) == [0.0]
+
+
+def test_lp_norm_of_an_m32_frame_holds_an_eighth_of_a_float_frame():
+    # |f| is formed and powered a chunk at a time in one buffer, never as a frame
+    import tracemalloc
+
+    g = SpectralGrid(m=32, L=4.0)
+    f, frame = random_field(g, 3), g.size * 8  # bytes of one float64 frame
+    for r in (2.0, 4 / 0.02, np.inf):
+        lp_norm(f, r)
+        tracemalloc.start()  # numpy reports its allocations to tracemalloc
+        try:
+            lp_norm(f, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= frame / 8, r
+
+
+def test_only_grid_holds_a_power_mean_kernel():
+    # one running-peak kernel: no other module defines a power mean or rescales by a peak
+    import re
+    from pathlib import Path
+
+    import dlab
+
+    src = Path(dlab.__file__).parent
+    # the definitions, and the rescale W *= (P' / P)^q of a partial sum when the peak rises
+    for pattern in (r"\bdef _power_means?\b", r"\bclass _PowerSum\b", r"\*=\s*\([^)]*peak[^)]*\)\s*\*\*"):
+        assert [p.name for p in sorted(src.glob("*.py")) if re.search(pattern, p.read_text())] == ["grid.py"], pattern
+
+
 def test_lp_norm_gaussian_analytic():
     # pi^(d/4) with spectral-tail and box-tail both below 1e-6 at m=32, L=16
     g = SpectralGrid(m=32, L=16.0)

@@ -502,6 +502,27 @@ def test_band_stack_is_spent_after_directional_powers(grid8):
     assert bs.freq is None
 
 
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("where", ["at index 0", "interior", "no box"])
+def test_sign_folded_powers_equal_the_centred_transform(m, where):
+    # the checkerboard sign goes in with the box copy and the output sign is left out, which
+    # |u|^2 does not see: every |u|^2 frame is that of the centred transform, bit for bit
+    from dlab.grid import _centred_transform
+    from dlab.norms import _abs2, _powers
+
+    g = SpectralGrid(m=m, L=2 * np.pi)
+    box = {"at index 0": (slice(0, 3), slice(0, m // 2 + 1), slice(None), slice(0, 1)),
+           "interior": (slice(1, m // 2), slice(2, m - 1), slice(3, 4), slice(m // 4, m - 3)),
+           "no box": None}[where]
+    rng = np.random.default_rng(m)
+    spectra = np.zeros((3, *g.shape), dtype=np.complex128)
+    on_box = (slice(None),) + (box or ())
+    spectra[on_box] = rng.standard_normal(spectra[on_box].shape) + 1j * rng.standard_normal(spectra[on_box].shape)
+    rows = [sp[box] if box else sp for sp in spectra]
+    for got, spectrum in zip(_powers(rows, g, FREQUENCY, box), spectra):
+        assert np.array_equal(got, _abs2(_centred_transform(spectrum, g, PHYSICAL)))
+
+
 def _enveloped_traj(grid, sigma, seed=5, n=5):
     """Frames exp(-|x|^2 / (2 sigma^2)) times a random modulation: |u| spans many decades."""
     rng = np.random.default_rng(seed)
